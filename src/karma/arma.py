@@ -16,16 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy import signal as sps
 
 __all__ = [
     "ArmaModel",
+    "certify_inside",
+    "fit_ar_frames",
     "estimate_ar",
     "estimate_arma",
     "enforce_minimum_phase",
 ]
 
 MAX_ROOT_RADIUS = 1.0 - 1e-6  # post-fit clip keeps the cepstral recursion stable
+CERT_MARGIN = 1e-6  # a reflection coefficient must be this far inside 1 to certify
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,14 @@ class ArmaModel:
         return np.roots(self.ma_polynomial) if self.q else np.zeros(0, dtype=complex)
 
     def is_minimum_phase(self, tol: float = 0.0) -> bool:
+        """All poles and zeros strictly inside radius ``1 - tol``.
+
+        The step-down certificate answers most calls; roots are computed
+        only when it cannot decide.
+        """
+        radius = 1.0 - tol
+        if certify_inside(self.ar_polynomial, radius) and certify_inside(self.ma_polynomial, radius):
+            return True
         radii = [np.abs(r).max(initial=0.0) for r in (self.poles(), self.zeros())]
         return max(radii) < 1.0 - tol
 
@@ -77,30 +89,60 @@ class ArmaModel:
         return np.log(np.abs(h) + 1e-300)
 
 
-def _autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    n = x.size
-    full = np.correlate(x, x, mode="full")
-    return full[n - 1 : n + max_lag] / n
+def _autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocorrelation r_0..r_max_lag of every row of ``frames`` (T, n).
 
-
-def _levinson(r: np.ndarray) -> tuple[np.ndarray, float]:
-    """Levinson-Durbin solve of the autocorrelation normal equations.
-
-    Returns prediction coefficients a (s[m] ~ sum a_i s[m-i]) and the final
-    per-sample prediction error.
+    Lag k is one row-wise dot product of the frame with itself shifted by k,
+    so memory stays at the size of the input.
     """
-    p = r.size - 1
-    alpha = np.zeros(p)  # error-filter coefficients, A(z) = 1 + sum alpha_i z^-i
-    err = float(r[0])
+    n = frames.shape[1]
+    r = np.empty((frames.shape[0], max_lag + 1))
+    for k in range(max_lag + 1):
+        r[:, k] = np.einsum("ti,ti->t", frames[:, k:], frames[:, : n - k])
+    return r / n
+
+
+def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levinson-Durbin solve of the autocorrelation normal equations, per row.
+
+    ``r`` is (T, p+1).  Returns prediction coefficients a (T, p), with
+    s[m] ~ sum a_i s[m-i], the final per-sample prediction error (T,) and
+    the largest reflection coefficient magnitude max_m |k_m| (T,).  A row
+    whose error reaches zero stops there, as if its recursion had ended.
+    """
+    n_rows, p = r.shape[0], r.shape[1] - 1
+    alpha = np.zeros((n_rows, p))  # error-filter coefficients, A(z) = 1 + sum alpha_i z^-i
+    err = r[:, 0].copy()
+    k_max = np.zeros(n_rows)
     for m in range(1, p + 1):
-        if err <= 0.0:
+        live = err > 0.0
+        if not live.any():
             break
-        acc = r[m] + np.dot(alpha[: m - 1], r[m - 1 : 0 : -1])
-        k = -acc / err
-        alpha[: m - 1] += k * alpha[m - 2 :: -1] if m > 1 else 0.0
-        alpha[m - 1] = k
+        acc = r[:, m] + np.einsum("ti,ti->t", alpha[:, : m - 1], r[:, m - 1 : 0 : -1])
+        k = np.where(live, -acc / np.where(live, err, 1.0), 0.0)
+        if m > 1:
+            alpha[:, : m - 1] += k[:, None] * alpha[:, m - 2 :: -1]
+        alpha[:, m - 1] = k
         err *= 1.0 - k * k
-    return -alpha, max(err, 0.0)
+        np.maximum(k_max, np.abs(k), out=k_max)
+    return -alpha, np.maximum(err, 0.0), k_max
+
+
+def fit_ar_frames(frames: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Autocorrelation-method linear prediction of order ``p`` on every row.
+
+    ``frames`` is (T, n) with n > p.  Returns the AR coefficients (T, p),
+    the prediction error variances (T,) and the largest reflection
+    coefficient magnitude of each fit (T,).  Every fit with that magnitude
+    below ``1 - CERT_MARGIN`` is minimum phase; zero rows give all-zero
+    coefficients and zero variance.
+    """
+    frames = np.asarray(frames, dtype=float)
+    if p < 1:
+        raise ValueError("order p must be positive")
+    if frames.shape[-1] <= p:
+        raise ValueError("frame length must exceed the AR order")
+    return _levinson(_autocorrelation(frames, p))
 
 
 def estimate_ar(frame: np.ndarray, p: int) -> ArmaModel:
@@ -109,21 +151,43 @@ def estimate_ar(frame: np.ndarray, p: int) -> ArmaModel:
     A zero-energy frame yields all-zero coefficients with zero noise
     variance (flagged via ``converged=False``) rather than an error.
     """
-    x = np.asarray(frame, dtype=float).ravel()
-    if p < 1:
-        raise ValueError("order p must be positive")
-    if x.size <= p:
-        raise ValueError("frame length must exceed the AR order")
-    if not np.any(x):
-        return ArmaModel(np.zeros(p), np.zeros(0), 0.0, converged=False)
-    r = _autocorrelation(x, p)
-    a, err = _levinson(r)
-    return ArmaModel(a, np.zeros(0), err)
+    x = np.asarray(frame, dtype=float).reshape(1, -1)
+    a, err, _ = fit_ar_frames(x, p)
+    return ArmaModel(a[0], np.zeros(0), float(err[0]), converged=bool(np.any(x)))
+
+
+def certify_inside(poly: np.ndarray, radius: float) -> bool:
+    """Step-down (Schur-Cohn) certificate that every root of ``poly`` lies
+    strictly inside ``radius``.
+
+    ``poly`` is [1, c_1, ..., c_m] in powers of z^-1.  Scaling c_j by
+    radius^-j maps the circle of that radius onto the unit circle; the
+    step-down recursion then yields the reflection coefficients, and all
+    roots are inside when every |k| < 1 (Markel & Gray, *Linear Prediction
+    of Speech*, 1976).  Certification asks for |k| < 1 - CERT_MARGIN so that
+    rounding in the recursion cannot certify a root on the circle.  False
+    means "not proven", not "outside": callers fall back to root finding.
+    Scalar Python: for the low orders used per frame this beats both a
+    numpy loop and ``np.roots``.
+    """
+    c = [float(v) * radius**-j for j, v in enumerate(poly)]
+    bound = 1.0 - CERT_MARGIN
+    for m in range(len(c) - 1, 0, -1):
+        k = c[m]
+        if not abs(k) < bound:  # also rejects NaN
+            return False
+        scale = 1.0 - k * k
+        c = [1.0] + [(c[i] - k * c[m - i]) / scale for i in range(1, m)]
+    return True
 
 
 def _reflect_roots(poly: np.ndarray, clip_radius: float) -> np.ndarray:
-    """Reflect roots of a monic polynomial into the unit circle and clip radii."""
-    if poly.size <= 1:
+    """Reflect roots of a monic polynomial into the unit circle and clip radii.
+
+    A polynomial certified to have every root inside ``clip_radius`` is
+    returned as it is; only the others are factored.
+    """
+    if certify_inside(poly, clip_radius):
         return poly.astype(float)
     roots = np.roots(poly)
     mags = np.abs(roots)
@@ -150,12 +214,18 @@ def _prediction_error(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return sps.lfilter(np.concatenate(([1.0], -a)), np.concatenate(([1.0], b)), x)
 
 
+def _lagged(s: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) read-only view whose column i-1 is ``s`` delayed by i samples,
+    zero before the start.  Row m reads padded[m+k-1], padded[m+k-2], ...,
+    padded[m], all inside the n + k - 1 padded samples."""
+    padded = np.concatenate((np.zeros(k), s[: s.size - 1]))
+    step = padded.strides[0]
+    return as_strided(padded[k - 1 :], shape=(s.size, k), strides=(step, -step), writeable=False)
+
+
 def _stabilize_ma(b: np.ndarray, clip_radius: float = 0.99) -> np.ndarray:
     """Keep 1 + sum b_j z^-j stable so the inverse filter stays usable."""
-    if b.size == 0:
-        return b
-    poly = _reflect_roots(np.concatenate(([1.0], b)), clip_radius)
-    return poly[1:]
+    return _reflect_roots(np.concatenate(([1.0], b)), clip_radius)[1:]
 
 
 def estimate_arma(
@@ -195,12 +265,7 @@ def estimate_arma(
 
     # Stage 2: regress x[m] on lagged x and lagged innovations.
     k0 = max(p, q)
-    rows = x.size - k0
-    design = np.empty((rows, p + q))
-    for i in range(1, p + 1):
-        design[:, i - 1] = x[k0 - i : x.size - i]
-    for j in range(1, q + 1):
-        design[:, p + j - 1] = u[k0 - j : x.size - j]
+    design = np.hstack([_lagged(x, p), _lagged(u, q)])[k0:]
     theta, *_ = np.linalg.lstsq(design, x[k0:], rcond=None)
     a = theta[:p].copy()
     b = _stabilize_ma(theta[p:].copy())
@@ -215,11 +280,7 @@ def estimate_arma(
         b_poly = np.concatenate(([1.0], b))
         x_b = sps.lfilter([1.0], b_poly, x)
         e_b = sps.lfilter([1.0], b_poly, e)
-        jac = np.zeros((x.size, p + q))
-        for i in range(1, p + 1):
-            jac[i:, i - 1] = -x_b[:-i]
-        for j in range(1, q + 1):
-            jac[j:, p + j - 1] = -e_b[:-j]
+        jac = -np.hstack([_lagged(x_b, p), _lagged(e_b, q)])
         hess = jac.T @ jac
         hess[np.diag_indices_from(hess)] += 1e-10 * max(np.trace(hess), 1.0)
         try:

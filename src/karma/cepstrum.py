@@ -28,6 +28,8 @@ __all__ = [
     "real_cepstrum",
 ]
 
+_FFT_BLOCK = 256  # frames per batched FFT in _real_cepstra
+
 
 @dataclass(frozen=True)
 class CepstralVector:
@@ -106,17 +108,19 @@ class ResonanceState:
 
 
 def _log_inverse_series(a: np.ndarray, n_coeffs: int) -> np.ndarray:
-    """Coefficients n = 1..N of log 1 / (1 - sum_i a_i z^-i)."""
-    p = a.size
-    c = np.zeros(n_coeffs + 1)
+    """Coefficients n = 1..N of log 1 / (1 - sum_i a_i z^-i), for each row of a (T, p)."""
+    n_rows, p = a.shape
+    c = np.zeros((n_rows, n_coeffs + 1))
+    weights = np.arange(n_coeffs + 1, dtype=float)
     for n in range(1, n_coeffs + 1):
-        acc = a[n - 1] if n <= p else 0.0
+        acc = a[:, n - 1].copy() if n <= p else np.zeros(n_rows)
         lo = max(1, n - p)
         if lo < n:
-            idx = np.arange(lo, n)
-            acc += (idx * c[idx]) @ a[n - 1 - idx] / n
-        c[n] = acc
-    return c[1:]
+            # sum over i in [lo, n) of i * c_i * a_(n-i); a_(n-i) sits in column n-1-i
+            terms = weights[lo:n] * c[:, lo:n]
+            acc += np.einsum("ti,ti->t", terms, a[:, n - 1 - lo :: -1]) / n
+        c[:, n] = acc
+    return c[:, 1:]
 
 
 def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
@@ -130,18 +134,30 @@ def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
         raise ValueError("need at least one coefficient")
     if not m.is_minimum_phase():
         raise ValueError("cepstrum undefined: reflect roots first")
-    pole_part = _log_inverse_series(m.ar, n_coeffs)
-    zero_part = _log_inverse_series(-m.ma, n_coeffs)
-    return CepstralVector(pole_part - zero_part)
+    c = _log_inverse_series(m.ar[None, :], n_coeffs)[0]
+    if m.q:
+        c -= _log_inverse_series(-m.ma[None, :], n_coeffs)[0]
+    return CepstralVector(c)
+
+
+def _resonance_terms(freqs, bws, sample_rate_hz, n_coeffs):
+    """Index column n (N, 1) and the per-resonance decay exp(-pi n b / fs) and
+    phase 2 pi n f / fs, each (..., N, K) for freqs and bws of shape (..., K)."""
+    n = np.arange(1, n_coeffs + 1, dtype=float)[:, None]
+    decay = np.exp(-np.pi * n * np.asarray(bws)[..., None, :] / sample_rate_hz)
+    arg = 2.0 * np.pi * n * np.asarray(freqs)[..., None, :] / sample_rate_hz
+    return n, decay, arg
 
 
 def _resonance_cepstrum(freqs, bws, sample_rate_hz, n_coeffs):
-    n = np.arange(1, n_coeffs + 1, dtype=float)[:, None]
-    if np.size(freqs) == 0:
-        return np.zeros(n_coeffs)
-    decay = np.exp(-np.pi * n * np.asarray(bws)[None, :] / sample_rate_hz)
-    osc = np.cos(2.0 * np.pi * n * np.asarray(freqs)[None, :] / sample_rate_hz)
-    return (2.0 / n[:, 0]) * np.sum(decay * osc, axis=1)
+    """(2/n) sum_k exp(-pi n b_k / fs) cos(2 pi n f_k / fs), n = 1..N.
+
+    Broadcasts over leading axes: freqs and bws (..., K) give (..., N).
+    """
+    if np.shape(freqs)[-1] == 0:
+        return np.zeros(np.shape(freqs)[:-1] + (n_coeffs,))
+    n, decay, arg = _resonance_terms(freqs, bws, sample_rate_hz, n_coeffs)
+    return (2.0 / n[:, 0]) * (decay * np.cos(arg)).sum(axis=-1)
 
 
 def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
@@ -158,13 +174,10 @@ def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
 
 def _jacobian_blocks(freqs, bws, sample_rate_hz, n_coeffs, sign):
     """(dC/df, dC/db) blocks, each (N, K); antiformants flip the sign."""
-    k = np.size(freqs)
-    if k == 0:
+    if np.size(freqs) == 0:
         return np.zeros((n_coeffs, 0)), np.zeros((n_coeffs, 0))
-    n = np.arange(1, n_coeffs + 1, dtype=float)[:, None]
     fs = sample_rate_hz
-    decay = np.exp(-np.pi * n * np.asarray(bws)[None, :] / fs)
-    arg = 2.0 * np.pi * n * np.asarray(freqs)[None, :] / fs
+    _, decay, arg = _resonance_terms(freqs, bws, fs, n_coeffs)
     d_freq = sign * (-4.0 * np.pi / fs) * decay * np.sin(arg)
     d_bw = sign * (-2.0 * np.pi / fs) * decay * np.cos(arg)
     return d_freq, d_bw
@@ -180,6 +193,24 @@ def cepstrum_jacobian(x: ResonanceState, n_coeffs: int) -> np.ndarray:
     return np.hstack([df, db, daf, dab])
 
 
+def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.ndarray:
+    """Batched core of ``real_cepstrum``: cepstra of ``frames[rows]``, none all zero.
+
+    Rows are gathered and sent through the FFT in blocks of ``_FFT_BLOCK``
+    frames, so neither a copy of the selected frames nor the complex
+    spectra of a long input ever exist all at once.
+    """
+    n = frames.shape[1]
+    nfft = 1 << max(int(np.ceil(np.log2(4 * n))), 3)
+    out = np.empty((len(rows), min(n_coeffs, nfft - 1)))
+    for lo in range(0, len(rows), _FFT_BLOCK):
+        spec = np.abs(np.fft.rfft(frames[rows[lo : lo + _FFT_BLOCK]], nfft, axis=1))
+        floor = 1e-12 * spec.max(axis=1, keepdims=True)
+        ceps = np.fft.irfft(np.log(np.maximum(spec, floor)), nfft, axis=1)
+        out[lo : lo + _FFT_BLOCK] = 2.0 * ceps[:, 1 : n_coeffs + 1]
+    return out
+
+
 def real_cepstrum(frame: np.ndarray, n_coeffs: int) -> CepstralVector:
     """Nonparametric cepstrum from the log magnitude spectrum of the frame.
 
@@ -191,8 +222,4 @@ def real_cepstrum(frame: np.ndarray, n_coeffs: int) -> CepstralVector:
     x = np.asarray(frame, dtype=float).ravel()
     if not np.any(x):
         raise ValueError("undefined log spectrum")
-    nfft = 1 << max(int(np.ceil(np.log2(4 * x.size))), 3)
-    spec = np.abs(np.fft.rfft(x, nfft))
-    floor = 1e-12 * spec.max()
-    ceps = np.fft.irfft(np.log(np.maximum(spec, floor)), nfft)
-    return CepstralVector(2.0 * ceps[1 : n_coeffs + 1])
+    return CepstralVector(_real_cepstra(x[None, :], [0], n_coeffs)[0])

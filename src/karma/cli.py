@@ -177,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     track.add_argument("--mode", choices=["filter", "smooth"])
     track.add_argument("--labels", help="label file: 'start_sample end_sample label' lines")
     track.add_argument("--obs", choices=["arma", "realcep"])
-    track.add_argument("--seed", type=int, default=0)
     track.add_argument("--out", help="output CSV path")
     track.set_defaults(func=cmd_track)
 

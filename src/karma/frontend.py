@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 from scipy.io import wavfile
 
@@ -149,12 +150,9 @@ def window_frames(
     n_frames = n_full + (1 if covered < x.size else 0)
 
     window = sps.get_window(_WINDOWS[window_kind], frame_length, fftbins=True)
-    frames = np.zeros((n_frames, frame_length))
-    for t in range(n_frames):
-        start = t * hop
-        seg = x[start : start + frame_length]
-        frames[t, : seg.size] = seg
-    frames *= window
+    padded = np.zeros((n_frames - 1) * hop + frame_length)
+    padded[: x.size] = x
+    frames = sliding_window_view(padded, frame_length)[::hop] * window
     return FrameSequence(frames, frame_length, hop, window_kind, w.sample_rate_hz)
 
 
@@ -180,7 +178,7 @@ def read_wav(path) -> Waveform:
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
-        raise
+        raise  # a missing file is not a format error; keep it out of the catch-all below
     except ValueError as exc:
         msg = str(exc).lower()
         if "format" in msg or "compressed" in msg or "fmt" in msg:
@@ -279,17 +277,13 @@ def activity_from_labels(
     ``sample_scale`` rescales label sample indices (use target_rate/source_rate
     when the waveform was resampled after labeling).
     """
-    silent = np.zeros(n_samples, dtype=bool)
+    # zero-padded tail samples count as silence
+    silent = np.ones(max(n_samples, (n_frames - 1) * hop + frame_length, frame_length), dtype=bool)
+    silent[:n_samples] = False
     for iv in intervals:
         if iv.label in silence_labels:
             lo = max(0, int(round(iv.start_sample * sample_scale)))
             hi = min(n_samples, int(round(iv.end_sample * sample_scale)))
             silent[lo:hi] = True
-    flags = np.empty(n_frames, dtype=bool)
-    for t in range(n_frames):
-        start = t * hop
-        seg = silent[start : start + frame_length]
-        # zero-padded tail samples count as silence
-        all_silent = bool(seg.all()) if seg.size else True
-        flags[t] = not all_silent
-    return ActivityMask(flags)
+    covered = sliding_window_view(silent, frame_length)[::hop][:n_frames]
+    return ActivityMask(~covered.all(axis=1))

@@ -15,8 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arma import estimate_ar, estimate_arma
-from .cepstrum import arma_to_cepstrum, real_cepstrum
+from .arma import CERT_MARGIN, estimate_ar, estimate_arma, fit_ar_frames
+from .cepstrum import _log_inverse_series, _real_cepstra, arma_to_cepstrum
+from .cepstrum import real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
 from .frontend import (
     LabelInterval,
     Waveform,
@@ -139,21 +140,30 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     Kalman gain is masked there.  The pre-emphasis response and residual
     source coloration stay in the observations, as the observation noise
     covariance is sized to absorb them.
+
+    The AR and real-cepstrum routes run on all speech frames at once.  An
+    AR fit whose reflection coefficients do not certify minimum phase goes
+    through the per-frame route, which checks the roots.  ARMA fits stay
+    per frame.
     """
     n_frames = frames_emphasized.shape[0]
     obs = np.zeros((n_frames, config.n_cepstra))
-    for t in range(n_frames):
-        frame = frames_emphasized[t]
-        if not speech[t] or not np.any(frame):
-            continue
-        if config.observation_source == "real_cepstrum":
-            obs[t] = real_cepstrum(frame, config.n_cepstra).coeffs
-        else:
-            if config.ma_order > 0:
-                model = estimate_arma(frame, config.lpc_order, config.ma_order)
-            else:
-                model = estimate_ar(frame, config.lpc_order)
+    rows = np.flatnonzero(np.asarray(speech, dtype=bool) & np.any(frames_emphasized, axis=1))
+    if config.observation_source == "real_cepstrum":
+        obs[rows] = _real_cepstra(frames_emphasized, rows, config.n_cepstra)
+    elif config.ma_order == 0:
+        a, _, k_max = fit_ar_frames(frames_emphasized[rows], config.lpc_order)
+        certified = k_max < 1.0 - CERT_MARGIN
+        obs[rows[certified]] = _log_inverse_series(a[certified], config.n_cepstra)
+        for t in rows[~certified]:
+            model = estimate_ar(frames_emphasized[t], config.lpc_order)
             obs[t] = arma_to_cepstrum(model, config.n_cepstra).coeffs
+    else:
+        for t in rows:
+            model = estimate_arma(frames_emphasized[t], config.lpc_order, config.ma_order)
+            obs[t] = arma_to_cepstrum(model, config.n_cepstra).coeffs
+    if not np.all(np.isfinite(obs)):
+        raise ValueError("non-finite cepstral coefficients")
     return obs
 
 

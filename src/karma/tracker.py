@@ -161,13 +161,16 @@ class CepstralObservation:
         return x[..., :i], x[..., i : 2 * i], x[..., 2 * i : 2 * i + j], x[..., 2 * i + j :]
 
     def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
+        """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
         f, b, fa, ba = self._split(x)
         if active_f is not None:
-            f, b = f[active_f], b[active_f]
+            f, b = f[..., active_f], b[..., active_f]
         if active_a is not None:
-            fa, ba = fa[active_a], ba[active_a]
+            fa, ba = fa[..., active_a], ba[..., active_a]
         fs, n = self.sample_rate_hz, self.n_cepstra
         return _resonance_cepstrum(f, b, fs, n) - _resonance_cepstrum(fa, ba, fs, n)
+
+    value_batch = value  # rows of a (M, dim) stack, as the particle filter calls it
 
     def jacobian(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
         f, b, fa, ba = self._split(x)
@@ -181,25 +184,6 @@ class CepstralObservation:
             daf[:, ~active_a] = 0.0
             dab[:, ~active_a] = 0.0
         return np.hstack([df, db, daf, dab])
-
-    def value_batch(self, states: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
-        """Vectorized ``value`` over rows of ``states``: (M, dim) -> (M, N)."""
-        f, b, fa, ba = self._split(states)
-        if active_f is not None:
-            f, b = f[:, active_f], b[:, active_f]
-        if active_a is not None:
-            fa, ba = fa[:, active_a], ba[:, active_a]
-        fs = self.sample_rate_hz
-        n = np.arange(1, self.n_cepstra + 1, dtype=float)[None, :, None]
-
-        def part(freqs, bws):
-            if freqs.shape[1] == 0:
-                return np.zeros((states.shape[0], self.n_cepstra))
-            decay = np.exp(-np.pi * n * bws[:, None, :] / fs)
-            osc = np.cos(2.0 * np.pi * n * freqs[:, None, :] / fs)
-            return (2.0 / n[0, :, 0]) * np.sum(decay * osc, axis=2)
-
-        return part(f, b) - part(fa, ba)
 
     def state_bounds(self):
         """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.

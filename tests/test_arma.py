@@ -1,10 +1,34 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 
-from karma.arma import ArmaModel, enforce_minimum_phase, estimate_ar, estimate_arma
+from karma.arma import (
+    CERT_MARGIN,
+    ArmaModel,
+    _lagged,
+    _stabilize_ma,
+    certify_inside,
+    enforce_minimum_phase,
+    estimate_ar,
+    estimate_arma,
+    fit_ar_frames,
+)
 
 from conftest import random_minimum_phase_model
+
+
+def polynomial_with_roots(rng, radii):
+    """Real monic polynomial (powers of z^-1) with a conjugate root pair at
+    each radius, at well-separated angles so np.roots stays accurate."""
+    angles = rng.permutation(np.linspace(0.15, np.pi - 0.15, 8))[: len(radii)]
+    roots = [r * np.exp(s * 1j * a) for r, a in zip(radii, angles) for s in (1, -1)]
+    return np.real(np.poly(roots))
+
+
+def root_radius(poly):
+    return np.abs(np.roots(poly)).max(initial=0.0)
 
 
 class TestEstimateAr:
@@ -42,6 +66,79 @@ class TestEstimateAr:
         x = sps.lfilter([1.0], [1.0, -0.9, 0.3], rng.standard_normal(4000))
         variances = [estimate_ar(x, p).noise_variance for p in range(1, 10)]
         assert np.all(np.diff(variances) <= 1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 16), n_rows=st.integers(1, 8))
+    def test_batch_rows_match_single_frame_fits(self, seed, p, n_rows):
+        rng = np.random.default_rng(seed)
+        frames = np.empty((n_rows, 160))
+        for t in range(n_rows):
+            model = random_minimum_phase_model(rng, int(rng.integers(1, 9)), 0, max_radius=0.999)
+            frames[t] = sps.lfilter([1.0], model.ar_polynomial, rng.standard_normal(160))
+        frames[rng.random(n_rows) < 0.2] = 0.0
+        a, err, k_max = fit_ar_frames(frames, p)
+        for t, frame in enumerate(frames):
+            m = estimate_ar(frame, p)
+            assert np.allclose(a[t], m.ar, rtol=1e-12, atol=1e-13)
+            assert err[t] == pytest.approx(m.noise_variance, rel=1e-12, abs=1e-300)
+            if not np.any(frame):
+                assert np.all(a[t] == 0.0) and err[t] == 0.0
+            if k_max[t] < 1.0 - CERT_MARGIN:
+                assert root_radius(m.ar_polynomial) < 1.0
+
+
+class TestStepDownCertificate:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.sampled_from([0.99, 1.0]),
+        n_pairs=st.integers(1, 6),
+        offsets=st.lists(st.sampled_from([-1e-7, 1e-7, -0.05, -0.3]), min_size=6, max_size=6),
+    )
+    def test_never_certifies_a_root_on_or_outside(self, seed, radius, n_pairs, offsets):
+        rng = np.random.default_rng(seed)
+        poly = polynomial_with_roots(rng, [radius + d for d in offsets[:n_pairs]])
+        if certify_inside(poly, radius):
+            assert root_radius(poly) < radius
+
+    def test_certifies_roots_well_inside(self, rng):
+        for _ in range(200):
+            radius = float(rng.choice([0.99, 1.0]))
+            radii = rng.uniform(0.1, 0.98 * radius, int(rng.integers(1, 7)))
+            assert certify_inside(polynomial_with_roots(rng, radii), radius)
+
+    def test_inconclusive_near_the_circle(self, rng):
+        for radius in (0.99, 1.0):
+            near = polynomial_with_roots(rng, [0.5, radius - 1e-9])
+            assert not certify_inside(near, radius)
+            assert not certify_inside(polynomial_with_roots(rng, [0.5, radius + 1e-7]), radius)
+
+    def test_is_minimum_phase_agrees_with_roots(self, rng):
+        for _ in range(300):
+            p, q = int(rng.integers(0, 13)), int(rng.integers(0, 9))
+            m = random_minimum_phase_model(rng, p, q, max_radius=0.999)
+            if rng.random() < 0.3 and p:
+                m = ArmaModel(-np.real(np.poly(m.poles() * 1.05))[1:], m.ma, 1.0)
+            for tol in (0.0, 0.01):
+                radii = [np.abs(m.poles()).max(initial=0.0), np.abs(m.zeros()).max(initial=0.0)]
+                if abs(max(radii) - (1.0 - tol)) > 1e-9:
+                    assert m.is_minimum_phase(tol) == (max(radii) < 1.0 - tol)
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        clip=st.sampled_from([0.9, 0.99]),
+        offsets=st.lists(st.sampled_from([-1e-7, 1e-7, -0.1, 0.02, 0.5]), min_size=1, max_size=4),
+    )
+    def test_stabilized_ma_within_clip_radius(self, seed, clip, offsets):
+        rng = np.random.default_rng(seed)
+        b = polynomial_with_roots(rng, [clip + d for d in offsets])[1:]
+        out = _stabilize_ma(b, clip)
+        assert root_radius(np.concatenate(([1.0], out))) <= clip * (1.0 + 1e-9)
+
+    def test_stabilize_ma_returns_certified_input_unchanged(self, rng):
+        b = polynomial_with_roots(rng, [0.5, 0.8])[1:]
+        assert np.array_equal(_stabilize_ma(b, 0.99), b)
 
 
 class TestEstimateArma:
@@ -99,6 +196,16 @@ class TestEstimateArma:
         valleys, _ = sps.find_peaks(-mag)
         valley_freqs = w[valleys]
         assert np.abs(valley_freqs - 1223.0).min() < 75.0
+
+
+class TestLaggedMatrix:
+    @pytest.mark.parametrize("n,k", [(1, 0), (1, 3), (5, 0), (6, 4), (200, 20)])
+    def test_matches_column_loop(self, n, k):
+        s = np.random.default_rng(n + k).standard_normal(n)
+        expected = np.zeros((n, k))
+        for i in range(1, k + 1):
+            expected[i:, i - 1] = s[: max(n - i, 0)]
+        assert np.array_equal(_lagged(s, k), expected)
 
 
 class TestEnforceMinimumPhase:

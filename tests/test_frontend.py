@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sps
 
 from karma.frontend import (
+    DEFAULT_SILENCE_LABELS,
     ActivityMask,
+    LabelInterval,
     Waveform,
     activity_from_labels,
     detect_activity,
@@ -15,6 +18,34 @@ from karma.frontend import (
     window_frames,
     write_wav,
 )
+
+
+def loop_window_frames(x, frame_length, hop, window):
+    """Frame-by-frame reference for ``window_frames``."""
+    n_full = (x.size - frame_length) // hop + 1
+    covered = (n_full - 1) * hop + frame_length
+    n_frames = n_full + (1 if covered < x.size else 0)
+    frames = np.zeros((n_frames, frame_length))
+    for t in range(n_frames):
+        seg = x[t * hop : t * hop + frame_length]
+        frames[t, : seg.size] = seg
+    frames *= window
+    return frames
+
+
+def loop_activity_from_labels(intervals, n_samples, frame_length, hop, n_frames, sample_scale):
+    """Frame-by-frame reference for ``activity_from_labels``."""
+    silent = np.zeros(n_samples, dtype=bool)
+    for iv in intervals:
+        if iv.label in DEFAULT_SILENCE_LABELS:
+            lo = max(0, int(round(iv.start_sample * sample_scale)))
+            hi = min(n_samples, int(round(iv.end_sample * sample_scale)))
+            silent[lo:hi] = True
+    flags = np.empty(n_frames, dtype=bool)
+    for t in range(n_frames):
+        seg = silent[t * hop : t * hop + frame_length]
+        flags[t] = not (bool(seg.all()) if seg.size else True)
+    return flags
 
 
 def make_wave(n, fs=16000.0, value=None, rng=None):
@@ -64,6 +95,22 @@ class TestWindowFrames:
         interior = slice(fr.frame_length, w.samples.size - fr.frame_length)
         scale = recon[interior] / w.samples[interior]
         assert np.allclose(scale, scale[0], atol=1e-10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(160, 2000),
+        overlap=st.floats(0.0, 0.95),
+        kind=st.sampled_from(["hamming", "hanning", "rectangular"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_frame_loop(self, n, overlap, kind, seed):
+        w = make_wave(n, rng=np.random.default_rng(seed))
+        fr = window_frames(w, 10.0, overlap, kind)
+        name = {"hamming": "hamming", "hanning": "hann", "rectangular": "boxcar"}[kind]
+        window = sps.get_window(name, fr.frame_length, fftbins=True)
+        expected = loop_window_frames(w.samples, fr.frame_length, fr.hop, window)
+        assert fr.frames.shape == expected.shape
+        assert np.array_equal(fr.frames, expected)
 
 
 class TestPreemphasize:
@@ -136,6 +183,10 @@ class TestWavIo:
         with pytest.raises(ValueError, match="unsupported"):
             read_wav(path)
 
+    def test_missing_file_is_not_a_format_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_wav(tmp_path / "absent.wav")
+
 
 class TestResample:
     def test_identity_rate(self):
@@ -206,3 +257,29 @@ class TestActivity:
         path.write_text("0 800\n")
         with pytest.raises(ValueError, match="expected"):
             read_label_file(path)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        bounds=st.lists(st.integers(0, 3000), min_size=0, max_size=12),
+        labels=st.lists(st.sampled_from(["h#", "pau", "aa", "iy", "tcl"]), min_size=6, max_size=6),
+        n_samples=st.integers(1, 2500),
+        frame_length=st.integers(1, 400),
+        hop=st.integers(1, 400),
+        n_frames=st.integers(0, 40),
+        sample_scale=st.sampled_from([1.0, 0.5, 0.4375]),
+    )
+    def test_labels_match_frame_loop(
+        self, bounds, labels, n_samples, frame_length, hop, n_frames, sample_scale
+    ):
+        edges = sorted(bounds)
+        intervals = [
+            LabelInterval(lo, hi, labels[k % len(labels)])
+            for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
+        ]
+        mask = activity_from_labels(
+            intervals, n_samples, frame_length, hop, n_frames, sample_scale=sample_scale
+        )
+        expected = loop_activity_from_labels(
+            intervals, n_samples, frame_length, hop, n_frames, sample_scale
+        )
+        assert mask.flags.tolist() == expected.tolist()

@@ -2,9 +2,37 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import signal as sps
 
+import karma.pipeline as pipeline
+from karma.arma import estimate_ar
+from karma.cepstrum import arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
 from karma.synthesis import random_trajectory, synthesize
+
+from conftest import random_minimum_phase_model, root_sum_cepstrum
+
+
+def loop_real_cepstrum(frame, n_coeffs):
+    """Single-frame reference for the real-cepstrum route."""
+    nfft = 1 << max(int(np.ceil(np.log2(4 * frame.size))), 3)
+    spec = np.abs(np.fft.rfft(frame, nfft))
+    ceps = np.fft.irfft(np.log(np.maximum(spec, 1e-12 * spec.max())), nfft)
+    return 2.0 * ceps[1 : n_coeffs + 1]
+
+
+def resonant_frames(seed, n_frames, length, silent_every=4):
+    """Noise through random all-pole resonators, every ``silent_every``-th row zero."""
+    rng = np.random.default_rng(seed)
+    frames = np.empty((n_frames, length))
+    for t in range(n_frames):
+        model = random_minimum_phase_model(rng, 2 * int(rng.integers(1, 5)), 0, max_radius=0.995)
+        excitation = rng.standard_normal(length) * 10.0 ** rng.uniform(-4, 2)
+        frames[t] = sps.lfilter([1.0], model.ar_polynomial, excitation) * np.hamming(length)
+    frames[::silent_every] = 0.0
+    return frames
 
 
 class TestRunConfig:
@@ -73,6 +101,64 @@ class TestBuildObservations:
         obs = build_observations(frames, config, np.array([True, True]))
         assert obs.shape == (2, config.n_cepstra)
         assert np.all(np.isfinite(obs))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_frames=st.integers(1, 12),
+        length=st.integers(40, 300),
+        p=st.integers(2, 16),
+    )
+    def test_batched_ar_cepstra_match_root_oracle(self, seed, n_frames, length, p):
+        frames = resonant_frames(seed, n_frames, length)
+        speech = np.random.default_rng(seed).random(n_frames) < 0.8
+        config = RunConfig(lpc_order=p, n_cepstra=max(p, 15))
+        obs = build_observations(frames, config, speech)
+        for t in range(n_frames):
+            if speech[t] and np.any(frames[t]):
+                oracle = root_sum_cepstrum(estimate_ar(frames[t], p), config.n_cepstra)
+                assert np.abs(obs[t] - oracle).max() < 1e-10
+            else:
+                assert np.all(obs[t] == 0.0)
+
+    @pytest.mark.parametrize("margin", [1.0, 0.05])
+    def test_uncertified_frames_take_the_per_frame_route(self, monkeypatch, margin):
+        frames = resonant_frames(11, 40, 140)
+        speech = np.ones(40, dtype=bool)
+        config = RunConfig()
+        batched = build_observations(frames, config, speech)
+        calls = []
+
+        def counting_estimate_ar(frame, p):
+            calls.append(1)
+            return estimate_ar(frame, p)
+
+        monkeypatch.setattr(pipeline, "CERT_MARGIN", margin)
+        monkeypatch.setattr(pipeline, "estimate_ar", counting_estimate_ar)
+        mixed = build_observations(frames, config, speech)
+        speech_rows = 30  # every fourth of the 40 rows is silent
+        if margin == 1.0:
+            assert len(calls) == speech_rows
+        else:
+            assert 0 < len(calls) < speech_rows
+        assert np.abs(mixed - batched).max() < 1e-12
+        for t in np.flatnonzero(np.any(frames, axis=1)):
+            direct = arma_to_cepstrum(estimate_ar(frames[t], 12), 15).coeffs
+            assert np.abs(batched[t] - direct).max() < 1e-10
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 600), length=st.integers(16, 300))
+    @example(seed=0, n_frames=600, length=140)  # more than two FFT blocks
+    def test_batched_real_cepstrum_matches_per_frame(self, seed, n_frames, length):
+        frames = resonant_frames(seed, n_frames, length)
+        config = RunConfig(observation_source="real_cepstrum")
+        obs = build_observations(frames, config, np.ones(n_frames, dtype=bool))
+        for t in range(n_frames):
+            if np.any(frames[t]):
+                expected = loop_real_cepstrum(frames[t], config.n_cepstra)
+                assert np.abs(obs[t] - expected).max() < 1e-10
+            else:
+                assert np.all(obs[t] == 0.0)
 
 
 class TestTrackWaveform:
