@@ -28,7 +28,7 @@ from .frontend import (
     window_frames,
     write_wav,
 )
-from .particle import ParticleEnsemble, ekf_pf_benchmark, pf_track
+from .particle import ekf_pf_benchmark, pf_track
 from .pipeline import RunConfig, track_waveform
 from .synthesis import (
     TrajectorySpec,

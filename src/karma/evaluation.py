@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .frontend import ActivityMask
-from .tracker import TrackResult
+from .tracker import TrackResult, _speech_flags
 
 __all__ = ["RmseReport", "rmse", "write_tracks", "read_tracks", "read_vtr_matrix"]
 
@@ -75,11 +75,7 @@ def rmse(
     Reference entries that are not finite are skipped per formant.
     """
     est, ref, sl_ref, n = _aligned_freqs(estimated, reference, formant_count, offset)
-    if mask is None:
-        flags = np.ones(n, dtype=bool)
-    else:
-        raw = mask.flags if isinstance(mask, ActivityMask) else np.asarray(mask, dtype=bool)
-        flags = raw[sl_ref]
+    flags = _speech_flags(mask, reference.n_frames)[sl_ref]
     counted = int(np.count_nonzero(flags))
     if counted == 0:
         raise ValueError("empty evaluation set")

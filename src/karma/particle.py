@@ -15,27 +15,14 @@ import numpy as np
 
 from .tracker import (
     CepstralObservation,
-    TrackActivation,
     TrackerParams,
     TrackResult,
-    _as_matrix,
-    _speech_flags,
+    _make_result,
+    _resolve_setup,
     ekf_filter,
 )
 
-__all__ = ["ParticleEnsemble", "pf_track", "ekf_pf_benchmark", "BenchmarkSetup"]
-
-
-@dataclass
-class ParticleEnsemble:
-    """Particle cloud with normalized weights."""
-
-    particles: np.ndarray  # (n_particles, state_dim)
-    weights: np.ndarray  # simplex vector
-    rng_seed: int
-
-    def effective_sample_size(self) -> float:
-        return 1.0 / float(np.sum(self.weights**2))
+__all__ = ["pf_track", "ekf_pf_benchmark", "BenchmarkSetup"]
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
@@ -71,13 +58,7 @@ def pf_track(
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
-    y = _as_matrix(obs)
-    n_frames = y.shape[0]
-    speech = _speech_flags(mask, n_frames)
-    if obs_model is None:
-        obs_model = CepstralObservation(
-            params.n_formants, params.n_antiformants, params.n_cepstra, params.sample_rate_hz
-        )
+    y, n_frames, speech, activation, obs_model = _resolve_setup(obs, params, mask, None, obs_model)
     rng = np.random.default_rng(seed)
     dim = params.state_dim
 
@@ -102,7 +83,7 @@ def pf_track(
             particles[:, frozen_indices] = frozen_values
 
         if speech[t]:
-            resid = y[t] - obs_model.value_batch(particles)
+            resid = y[t] - obs_model.value(particles)
             log_w = log_w - 0.5 * np.einsum("ij,jk,ik->i", resid, r_inv, resid)
             shift = log_w.max()
             if not np.isfinite(shift):
@@ -128,19 +109,7 @@ def pf_track(
             particles = particles[idx]
             log_w = np.full(n_particles, -np.log(n_particles))
 
-    activation = TrackActivation.all_active(n_frames, params.n_formants, params.n_antiformants)
-    return TrackResult(
-        means=means,
-        covariances=covs,
-        speech=speech.copy(),
-        formant_active=activation.formants,
-        antiformant_active=activation.antiformants,
-        n_formants=params.n_formants,
-        n_antiformants=params.n_antiformants,
-        n_cepstra=params.n_cepstra,
-        sample_rate_hz=params.sample_rate_hz,
-        hop_s=params.hop_s,
-    )
+    return _make_result(means, covs, speech, activation, params)
 
 
 @dataclass(frozen=True)

@@ -261,12 +261,17 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     return Waveform(out, fs), reference
 
 
-def _smooth_contour(rng, n_frames: int, hop_s: float, lo: float, hi: float) -> np.ndarray:
-    """Piecewise-smooth random contour: pchip through keyframes ~0.4 s apart."""
+def _keyframe_grid(n_frames: int, hop_s: float) -> tuple[np.ndarray, np.ndarray]:
+    """Frame times and the keyframe times, ~0.4 s apart, spanning them."""
     times = np.arange(n_frames) * hop_s
     n_keys = max(2, int(round(times[-1] / 0.4)) + 1)
-    key_t = np.linspace(0.0, max(times[-1], hop_s), n_keys)
-    key_v = rng.uniform(lo, hi, n_keys)
+    return times, np.linspace(0.0, max(times[-1], hop_s), n_keys)
+
+
+def _smooth_contour(rng, n_frames: int, hop_s: float, lo: float, hi: float) -> np.ndarray:
+    """Piecewise-smooth random contour: pchip through keyframes ~0.4 s apart."""
+    times, key_t = _keyframe_grid(n_frames, hop_s)
+    key_v = rng.uniform(lo, hi, key_t.size)
     return PchipInterpolator(key_t, key_v)(times)
 
 
@@ -297,9 +302,8 @@ def random_trajectory(
     rng = np.random.default_rng(seed)
     freqs = np.zeros((n_frames, n_formants))
     bws = np.zeros((n_frames, n_formants))
-    times = np.arange(n_frames) * hop_s
-    n_keys = max(2, int(round(times[-1] / 0.4)) + 1)
-    key_t = np.linspace(0.0, max(times[-1], hop_s), n_keys)
+    times, key_t = _keyframe_grid(n_frames, hop_s)
+    n_keys = key_t.size
     # sample keyframes jointly with a comfortable gap so neighboring
     # resonances do not merge into a single spectral mass
     key_f = np.zeros((n_keys, n_formants))

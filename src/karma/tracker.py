@@ -17,7 +17,7 @@ reinitialized from the prior when it reappears.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,8 +170,6 @@ class CepstralObservation:
         fs, n = self.sample_rate_hz, self.n_cepstra
         return _resonance_cepstrum(f, b, fs, n) - _resonance_cepstrum(fa, ba, fs, n)
 
-    value_batch = value  # rows of a (M, dim) stack, as the particle filter calls it
-
     def jacobian(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
         f, b, fa, ba = self._split(x)
         fs, n = self.sample_rate_hz, self.n_cepstra
@@ -209,13 +207,10 @@ class LinearObservation:
         self.H = np.asarray(H, dtype=float)
 
     def value(self, x, active_f=None, active_a=None):
-        return self.H @ x
+        return x @ self.H.T
 
     def jacobian(self, x, active_f=None, active_a=None):
         return self.H.copy()
-
-    def value_batch(self, states, active_f=None, active_a=None):
-        return states @ self.H.T
 
     def state_bounds(self):
         return None
@@ -238,8 +233,10 @@ def _speech_flags(mask, n_frames: int) -> np.ndarray:
     return flags
 
 
-def _entry_flags(act_f: np.ndarray, act_a: np.ndarray) -> np.ndarray:
-    return np.concatenate([act_f, act_f, act_a, act_a])
+def _entry_flags(activation: TrackActivation) -> np.ndarray:
+    """Per-frame activity of every state entry, shape (T, dim)."""
+    f, a = activation.formants, activation.antiformants
+    return np.concatenate([f, f, a, a], axis=1)
 
 
 def _track_entries(track_index: int, n_formants: int, n_antiformants: int) -> np.ndarray:
@@ -256,13 +253,8 @@ def _track_entries(track_index: int, n_formants: int, n_antiformants: int) -> np
     return np.array([2 * i + k, 2 * i + j + k])
 
 
-def reactivate_track(mean: np.ndarray, cov: np.ndarray, track_index: int, params: TrackerParams):
-    """Reset one track's mean and covariance entries from the prior.
-
-    Cross covariances with every other entry are zeroed, matching the
-    semantics of a state that just re-entered the model.
-    """
-    entries = _track_entries(track_index, params.n_formants, params.n_antiformants)
+def _reset_entries(mean: np.ndarray, cov: np.ndarray, entries, params: TrackerParams):
+    """Copies of ``mean``/``cov`` with ``entries`` (indices or a mask) reset from the prior."""
     mean = np.array(mean, dtype=float)
     cov = np.array(cov, dtype=float)
     mean[entries] = params.mu0[entries]
@@ -270,6 +262,35 @@ def reactivate_track(mean: np.ndarray, cov: np.ndarray, track_index: int, params
     cov[:, entries] = 0.0
     cov[np.ix_(entries, entries)] = params.Sigma0[np.ix_(entries, entries)]
     return mean, cov
+
+
+def reactivate_track(mean: np.ndarray, cov: np.ndarray, track_index: int, params: TrackerParams):
+    """Reset one track's mean and covariance entries from the prior.
+
+    Cross covariances with every other entry are zeroed, matching the
+    semantics of a state that just re-entered the model.
+    """
+    entries = _track_entries(track_index, params.n_formants, params.n_antiformants)
+    return _reset_entries(mean, cov, entries, params)
+
+
+def _enter(m: np.ndarray, P: np.ndarray, g: np.ndarray, prev_g: np.ndarray, params: TrackerParams):
+    """Moments entering a frame with entry flags ``g`` after ``prev_g``.
+
+    Newly active entries restart from the prior and active and inactive
+    blocks are decoupled, in copies; unchanged flags return the inputs.
+    """
+    if np.array_equal(g, prev_g):
+        return m, P
+    m, P = _reset_entries(m, P, g & ~prev_g, params)
+    P[np.ix_(g, ~g)] = 0.0
+    P[np.ix_(~g, g)] = 0.0
+    return m, P
+
+
+def _blocked(mat: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``mat`` with the couplings between active and inactive entries zeroed."""
+    return np.where(g[:, None] == g, mat, 0.0)
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -288,19 +309,6 @@ def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.nda
     bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
     S = S + bump * np.eye(S.shape[0])
     return np.linalg.solve(S.T, rhs.T).T
-
-
-class _FilterStore:
-    """Forward-pass quantities the smoother needs."""
-
-    def __init__(self, n_frames: int, dim: int):
-        self.m_prev = np.zeros((n_frames, dim))
-        self.P_prev = np.zeros((n_frames, dim, dim))
-        self.F_eff = np.zeros((n_frames, dim, dim))
-        self.m_pred = np.zeros((n_frames, dim))
-        self.P_pred = np.zeros((n_frames, dim, dim))
-        self.m_filt = np.zeros((n_frames, dim))
-        self.P_filt = np.zeros((n_frames, dim, dim))
 
 
 def _resolve_setup(obs, params, mask, activation, obs_model):
@@ -335,67 +343,45 @@ def _clamp(vec, bounds):
     return np.clip(vec, lo, hi)
 
 
-def _run_forward(
-    y, params, speech, activation, obs_model, frozen_indices, frozen_values
-) -> _FilterStore:
+def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values):
+    """Forward EKF recursion, yielding ``(m_pred, P_pred, m_filt, P_filt)`` per frame.
+
+    Keeps no history; the yielded arrays are never modified afterwards.
+    """
     dim = params.state_dim
-    n_frames = y.shape[0]
     bounds = obs_model.state_bounds()
-    store = _FilterStore(n_frames, dim)
+    flags = _entry_flags(activation)
 
     m = params.mu0.copy()
     P = params.Sigma0.copy()
     _apply_frozen(m, P, frozen_indices, frozen_values)
     prev_g = np.ones(dim, dtype=bool)
 
-    for t in range(n_frames):
-        act_f = activation.formants[t]
-        act_a = activation.antiformants[t]
-        g = _entry_flags(act_f, act_a)
-
-        newly = g & ~prev_g
-        if newly.any():
-            m[newly] = params.mu0[newly]
-            P[newly, :] = 0.0
-            P[:, newly] = 0.0
-            P[np.ix_(newly, newly)] = params.Sigma0[np.ix_(newly, newly)]
-        if (g != prev_g).any():
-            # decouple active and inactive blocks
-            P[np.ix_(g, ~g)] = 0.0
-            P[np.ix_(~g, g)] = 0.0
-
-        store.m_prev[t] = m
-        store.P_prev[t] = P
-
-        block = np.outer(g, g) | np.outer(~g, ~g)
-        F_eff = np.where(block, params.F, 0.0)
-        store.F_eff[t] = F_eff
-
-        m = F_eff @ m
-        P = _symmetrize(F_eff @ P @ F_eff.T + np.where(block, params.Q, 0.0))
+    for t, g in enumerate(flags):
+        m, P = _enter(m, P, g, prev_g, params)
+        F = _blocked(params.F, g)
+        m = F @ m
+        P = _symmetrize(F @ P @ F.T + _blocked(params.Q, g))
         m = _clamp(m, bounds)
         _apply_frozen(m, P, frozen_indices, frozen_values)
-        store.m_pred[t] = m
-        store.P_pred[t] = P
+        m_pred, P_pred = m, P
 
-        gain_rows = g if speech[t] else np.zeros(dim, dtype=bool)
-        if gain_rows.any():
+        if speech[t] and g.any():
+            act_f = activation.formants[t]
+            act_a = activation.antiformants[t]
             h_val = obs_model.value(m, act_f, act_a)
             H = obs_model.jacobian(m, act_f, act_a)
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
-            PHt[~gain_rows, :] = 0.0
+            PHt[~g, :] = 0.0
             K = _solve_innovation(S, PHt, "ekf_filter")
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
             m = _clamp(m, bounds)
             _apply_frozen(m, P, frozen_indices, frozen_values)
 
-        store.m_filt[t] = m
-        store.P_filt[t] = P
+        yield m_pred, P_pred, m, P
         prev_g = g
-
-    return store
 
 
 def _make_result(means, covs, speech, activation, params) -> TrackResult:
@@ -431,8 +417,12 @@ def ekf_filter(
     supplied externally.
     """
     y, _, speech, activation, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
-    store = _run_forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values)
-    return _make_result(store.m_filt.copy(), store.P_filt.copy(), speech, activation, params)
+    means = np.empty((len(y), params.state_dim))
+    covs = np.empty((len(y), params.state_dim, params.state_dim))
+    steps = _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values)
+    for t, (_, _, m, P) in enumerate(steps):
+        means[t], covs[t] = m, P
+    return _make_result(means, covs, speech, activation, params)
 
 
 def eks_smooth(
@@ -444,27 +434,39 @@ def eks_smooth(
     frozen_indices=None,
     frozen_values=None,
 ) -> TrackResult:
-    """Fixed-interval smoother: forward filter plus RTS backward pass."""
+    """Fixed-interval smoother: forward filter plus RTS backward pass.
+
+    Stores the predicted and filtered moments; the backward pass rebuilds
+    each frame's entering moments and blocked transition from the filtered
+    moments and the activation flags.
+    """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model
     )
-    store = _run_forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values)
-    bounds = obs_model.state_bounds()
+    dim = params.state_dim
+    m_pred = np.empty((n_frames, dim))
+    P_pred = np.empty((n_frames, dim, dim))
+    m_s = np.empty((n_frames, dim))
+    P_s = np.empty((n_frames, dim, dim))
+    steps = _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values)
+    for t, (m, P, m_f, P_f) in enumerate(steps):
+        m_pred[t], P_pred[t], m_s[t], P_s[t] = m, P, m_f, P_f
 
-    m_s = store.m_filt.copy()
-    P_s = store.P_filt.copy()
+    bounds = obs_model.state_bounds()
+    flags = _entry_flags(activation)
+    # m_s/P_s hold the filtered moments until the backward pass reaches them
     for t in range(n_frames - 1, 0, -1):
-        P_pred = store.P_pred[t]
+        m_prev, P_prev = _enter(m_s[t - 1], P_s[t - 1], flags[t], flags[t - 1], params)
+        P_pred_t = P_pred[t]
         if frozen_indices is not None:
             # frozen coordinates have zero prediction covariance by
             # construction; a unit diagonal keeps the solve nonsingular and
             # still yields a zero smoother gain on those coordinates
-            P_pred = P_pred.copy()
-            P_pred[frozen_indices, frozen_indices] = 1.0
-        gain_rhs = store.P_prev[t] @ store.F_eff[t].T
-        S = _solve_innovation(P_pred, gain_rhs, "eks_smooth")
-        m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
-        P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
+            P_pred_t[frozen_indices, frozen_indices] = 1.0
+        gain_rhs = P_prev @ _blocked(params.F, flags[t]).T
+        S = _solve_innovation(P_pred_t, gain_rhs, "eks_smooth")
+        m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
+        P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred_t) @ S.T)
         _apply_frozen(m_s[t - 1], P_s[t - 1], frozen_indices, frozen_values)
         m_s[t - 1] = _clamp(m_s[t - 1], bounds)
     return _make_result(m_s, P_s, speech, activation, params)
@@ -486,8 +488,7 @@ def estimate_transition(
     n_frames, dim = tracks.shape
     ok = np.all(np.isfinite(tracks), axis=1)
     if speech is not None:
-        flags = speech.flags if isinstance(speech, ActivityMask) else np.asarray(speech, bool)
-        ok &= flags
+        ok &= _speech_flags(speech, n_frames)
     pairs = np.flatnonzero(ok[:-1] & ok[1:])
     if pairs.size < 2 * dim:
         raise ValueError("need at least 2*states usable frame pairs")

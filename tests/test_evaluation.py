@@ -95,6 +95,12 @@ class TestRmse:
         with pytest.raises(ValueError, match="empty evaluation"):
             rmse(ref, ref, mask=np.zeros(4, bool))
 
+    @pytest.mark.parametrize("length", [9, 11])
+    def test_mask_length_checked(self, rng, length):
+        ref = random_tracks(rng, n=10)
+        with pytest.raises(ValueError, match="activity mask length"):
+            rmse(ref, ref, mask=np.ones(length, bool))
+
     def test_frame_count_mismatch_without_offset(self, rng):
         ref = random_tracks(rng, n=10)
         est = random_tracks(rng, n=12)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from karma.particle import BenchmarkSetup, ParticleEnsemble, ekf_pf_benchmark, pf_track
+from karma.particle import BenchmarkSetup, ekf_pf_benchmark, pf_track
 from karma.tracker import LinearObservation, TrackerParams, ekf_filter
 
 
@@ -85,12 +85,6 @@ class TestPfTrack:
         for t in range(10):
             expected = params.F @ expected
         assert np.abs(res.means[-1] - expected).max() < 0.2
-
-
-class TestParticleEnsemble:
-    def test_effective_sample_size(self):
-        ens = ParticleEnsemble(np.zeros((4, 1)), np.full(4, 0.25), rng_seed=0)
-        assert ens.effective_sample_size() == pytest.approx(4.0)
 
 
 class TestBenchmark:

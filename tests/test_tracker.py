@@ -1,11 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from karma.tracker import (
     CepstralObservation,
     LinearObservation,
     TrackActivation,
     TrackerParams,
+    _apply_frozen,
+    _clamp,
+    _resolve_setup,
+    _solve_innovation,
+    _symmetrize,
     default_params,
     ekf_filter,
     eks_smooth,
@@ -71,6 +81,195 @@ def batch_map_oracle(y, params, H):
         A[i1 : i1 + d, i1 : i1 + d] += iQ + H.T @ iR @ H
         b[i1 : i1 + d] += H.T @ iR @ y[t]
     return np.linalg.solve(A, b).reshape(T + 1, d)[1:]
+
+
+class _OracleStore:
+    """Every forward-pass quantity per frame, so the reference RTS pass rebuilds nothing."""
+
+    def __init__(self, n_frames: int, dim: int):
+        self.m_prev = np.zeros((n_frames, dim))
+        self.P_prev = np.zeros((n_frames, dim, dim))
+        self.F_eff = np.zeros((n_frames, dim, dim))
+        self.m_pred = np.zeros((n_frames, dim))
+        self.P_pred = np.zeros((n_frames, dim, dim))
+        self.m_filt = np.zeros((n_frames, dim))
+        self.P_filt = np.zeros((n_frames, dim, dim))
+
+
+def stored_forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values):
+    """Reference forward pass that stores the moments entering every frame."""
+    dim = params.state_dim
+    n_frames = y.shape[0]
+    bounds = obs_model.state_bounds()
+    store = _OracleStore(n_frames, dim)
+
+    m = params.mu0.copy()
+    P = params.Sigma0.copy()
+    _apply_frozen(m, P, frozen_indices, frozen_values)
+    prev_g = np.ones(dim, dtype=bool)
+
+    for t in range(n_frames):
+        act_f = activation.formants[t]
+        act_a = activation.antiformants[t]
+        g = np.concatenate([act_f, act_f, act_a, act_a])
+
+        newly = g & ~prev_g
+        if newly.any():
+            m[newly] = params.mu0[newly]
+            P[newly, :] = 0.0
+            P[:, newly] = 0.0
+            P[np.ix_(newly, newly)] = params.Sigma0[np.ix_(newly, newly)]
+        if (g != prev_g).any():
+            P[np.ix_(g, ~g)] = 0.0
+            P[np.ix_(~g, g)] = 0.0
+
+        store.m_prev[t] = m
+        store.P_prev[t] = P
+
+        block = np.outer(g, g) | np.outer(~g, ~g)
+        F_eff = np.where(block, params.F, 0.0)
+        store.F_eff[t] = F_eff
+
+        m = F_eff @ m
+        P = _symmetrize(F_eff @ P @ F_eff.T + np.where(block, params.Q, 0.0))
+        m = _clamp(m, bounds)
+        _apply_frozen(m, P, frozen_indices, frozen_values)
+        store.m_pred[t] = m
+        store.P_pred[t] = P
+
+        gain_rows = g if speech[t] else np.zeros(dim, dtype=bool)
+        if gain_rows.any():
+            h_val = obs_model.value(m, act_f, act_a)
+            H = obs_model.jacobian(m, act_f, act_a)
+            S = _symmetrize(H @ P @ H.T + params.R)
+            PHt = P @ H.T
+            PHt[~gain_rows, :] = 0.0
+            K = _solve_innovation(S, PHt, "ekf_filter")
+            m = m + K @ (y[t] - h_val)
+            P = _symmetrize(P - K @ H @ P)
+            m = _clamp(m, bounds)
+            _apply_frozen(m, P, frozen_indices, frozen_values)
+
+        store.m_filt[t] = m
+        store.P_filt[t] = P
+        prev_g = g
+
+    return store
+
+
+def stored_smooth(store, obs_model, frozen_indices, frozen_values):
+    """Reference RTS pass over a ``stored_forward`` store."""
+    bounds = obs_model.state_bounds()
+    m_s = store.m_filt.copy()
+    P_s = store.P_filt.copy()
+    for t in range(m_s.shape[0] - 1, 0, -1):
+        P_pred = store.P_pred[t]
+        if frozen_indices is not None:
+            P_pred = P_pred.copy()
+            P_pred[frozen_indices, frozen_indices] = 1.0
+        gain_rhs = store.P_prev[t] @ store.F_eff[t].T
+        S = _solve_innovation(P_pred, gain_rhs, "eks_smooth")
+        m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
+        P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
+        _apply_frozen(m_s[t - 1], P_s[t - 1], frozen_indices, frozen_values)
+        m_s[t - 1] = _clamp(m_s[t - 1], bounds)
+    return m_s, P_s
+
+
+@st.composite
+def tracking_problems(draw):
+    """Random tracking runs: activation schedules, speech masks, frozen entries, both models."""
+    n_f = draw(st.integers(1, 3))
+    n_a = draw(st.integers(0, 2))
+    n_frames = draw(st.integers(1, 16))
+    dim = 2 * n_f + 2 * n_a
+    formants = draw(arrays(bool, (n_frames, n_f)))
+    antiformants = draw(arrays(bool, (n_frames, n_a)))
+    speech = draw(arrays(bool, n_frames))
+    frozen = draw(st.lists(st.integers(0, dim - 1), max_size=2, unique=True))
+    linear = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    # a transposed draw is Fortran-ordered, like the lstsq solution estimate_transition returns
+    coupling = rng.standard_normal((dim, dim)).T
+    if linear:
+        n_obs = 4
+        obs_model = LinearObservation(rng.standard_normal((n_obs, dim)))
+        params = TrackerParams(
+            F=0.6 * np.eye(dim) + 0.1 * coupling,
+            Q=np.diag(rng.uniform(0.1, 1.0, dim)),
+            R=np.diag(rng.uniform(0.2, 1.0, n_obs)),
+            mu0=rng.standard_normal(dim),
+            Sigma0=np.diag(rng.uniform(0.5, 2.0, dim)),
+            n_formants=n_f,
+            n_antiformants=n_a,
+            n_cepstra=n_obs,
+            sample_rate_hz=8000.0,
+        )
+        frozen_values = rng.standard_normal(len(frozen))
+        y = rng.standard_normal((n_frames, n_obs))
+    else:
+        obs_model = None
+        params = replace(default_params(n_f, n_a, 10000.0, 12), F=np.eye(dim) + 0.01 * coupling)
+        frozen_values = params.mu0[frozen] + rng.uniform(0.0, 50.0, len(frozen))
+        model = CepstralObservation(n_f, n_a, 12, 10000.0)
+        truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
+        y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
+    frozen_indices = np.array(frozen) if frozen else None
+    return dict(
+        obs=y,
+        params=params,
+        mask=speech,
+        activation=TrackActivation(formants, antiformants),
+        obs_model=obs_model,
+        frozen_indices=frozen_indices,
+        frozen_values=frozen_values if frozen else None,
+    )
+
+
+class TestStoredRecursionOracle:
+    """The history-free forward pass and rebuilt RTS pass equal the stored-moment reference."""
+
+    @staticmethod
+    def oracle(problem):
+        p = problem
+        y, _, speech, activation, obs_model = _resolve_setup(
+            p["obs"], p["params"], p["mask"], p["activation"], p["obs_model"]
+        )
+        store = stored_forward(
+            y, p["params"], speech, activation, obs_model, p["frozen_indices"], p["frozen_values"]
+        )
+        m_s, P_s = stored_smooth(store, obs_model, p["frozen_indices"], p["frozen_values"])
+        return store, m_s, P_s
+
+    @settings(deadline=None, max_examples=60)
+    @given(problem=tracking_problems())
+    def test_filter_and_smoother_equal_reference(self, problem):
+        store, m_s, P_s = self.oracle(problem)
+        filt = ekf_filter(**problem)
+        smth = eks_smooth(**problem)
+        assert np.array_equal(filt.means, store.m_filt)
+        assert np.array_equal(filt.covariances, store.P_filt)
+        assert np.array_equal(smth.means, m_s)
+        assert np.array_equal(smth.covariances, P_s)
+
+    @settings(deadline=None, max_examples=30)
+    @given(problem=tracking_problems(), data=st.data())
+    def test_filter_prefix_is_causal(self, problem, data):
+        n_frames = problem["obs"].shape[0]
+        k = data.draw(st.integers(1, n_frames))
+        full = ekf_filter(**problem)
+        prefix = dict(
+            problem,
+            obs=problem["obs"][:k],
+            mask=problem["mask"][:k],
+            activation=TrackActivation(
+                problem["activation"].formants[:k], problem["activation"].antiformants[:k]
+            ),
+        )
+        head = ekf_filter(**prefix)
+        assert np.array_equal(head.means, full.means[:k])
+        assert np.array_equal(head.covariances, full.covariances[:k])
 
 
 class TestLinearSurrogate:
@@ -252,6 +451,12 @@ class TestEstimateTransition:
     def test_requires_enough_frames(self):
         with pytest.raises(ValueError, match="2\\*states"):
             estimate_transition(np.ones((3, 2)))
+
+    @pytest.mark.parametrize("length", [29, 31])
+    def test_speech_mask_length_checked(self, length):
+        tracks = np.random.default_rng(12).standard_normal((30, 2))
+        with pytest.raises(ValueError, match="activity mask length"):
+            estimate_transition(tracks, speech=np.ones(length, bool))
 
 
 class TestDefaultParams:
