@@ -6,7 +6,12 @@ coefficient, pure gain, is always excluded):
 * ``arma_to_cepstrum`` -- exact recursion from fitted ARMA coefficients,
   valid for minimum-phase models only.
 * ``state_to_cepstrum`` -- closed form from resonance frequencies and
-  bandwidths, with ``cepstrum_jacobian`` giving its analytic derivative.
+  bandwidths through pole powers.  A resonance is the pole
+  z = exp((-pi b + 2 pi i f) / fs) and adds (2/n) Re z^n to C_n (an
+  antiformant subtracts it); z^1..z^N take one complex exponential and a
+  running product.  ``cepstrum_jacobian`` reads its analytic derivative,
+  -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, off the same powers, and the
+  tracker's observation model evaluates h and its Jacobian the same way.
 * ``real_cepstrum`` -- nonparametric route straight from the samples; for a
   minimum-phase frame its doubled coefficients approximate the other two.
 """
@@ -140,57 +145,80 @@ def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
     return CepstralVector(c)
 
 
-def _resonance_terms(freqs, bws, sample_rate_hz, n_coeffs):
-    """Index column n (N, 1) and the per-resonance decay exp(-pi n b / fs) and
-    phase 2 pi n f / fs, each (..., N, K) for freqs and bws of shape (..., K)."""
-    n = np.arange(1, n_coeffs + 1, dtype=float)[:, None]
-    decay = np.exp(-np.pi * n * np.asarray(bws)[..., None, :] / sample_rate_hz)
-    arg = 2.0 * np.pi * n * np.asarray(freqs)[..., None, :] / sample_rate_hz
-    return n, decay, arg
+def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
+    """Powers z_k^n, n = 1..N, of the poles z_k = exp((-pi b_k + 2 pi i f_k) / fs).
 
-
-def _resonance_cepstrum(freqs, bws, sample_rate_hz, n_coeffs):
-    """(2/n) sum_k exp(-pi n b_k / fs) cos(2 pi n f_k / fs), n = 1..N.
-
-    Broadcasts over leading axes: freqs and bws (..., K) give (..., N).
+    freqs and bws (..., K) give a complex (N, ..., K) array.  Each pole
+    takes one complex exponential; its powers follow by a running product.
     """
-    if np.shape(freqs)[-1] == 0:
-        return np.zeros(np.shape(freqs)[:-1] + (n_coeffs,))
-    n, decay, arg = _resonance_terms(freqs, bws, sample_rate_hz, n_coeffs)
-    return (2.0 / n[:, 0]) * (decay * np.cos(arg)).sum(axis=-1)
+    z = np.exp((np.pi / sample_rate_hz) * (2j * np.asarray(freqs) - np.asarray(bws)))
+    powers = np.empty((n_coeffs,) + z.shape, dtype=complex)
+    powers[0] = z
+    for n in range(1, n_coeffs):
+        np.multiply(powers[n - 1], z, out=powers[n])
+    return powers
+
+
+def _powers_cepstrum(powers, signs):
+    """C_n = (2/n) sum_k s_k Re z_k^n from (N, ..., K) powers, shape (..., N).
+
+    Formants carry the sign +1, antiformants -1 and left-out tracks 0.  The
+    sum runs over k in order, element by element, so a stack of states
+    gets the same bits as each state on its own.
+    """
+    terms = powers.real * signs
+    by_n = np.zeros(terms.shape[:-1])
+    for k in range(terms.shape[-1]):
+        by_n += terms[..., k]
+    n = np.arange(1, powers.shape[0] + 1)
+    return by_n.transpose(*range(1, by_n.ndim), 0) * (2.0 / n)
+
+
+def _powers_jacobian(powers, signs, sample_rate_hz, freq_cols, bw_cols):
+    """Jacobian (N, 2K) at one state: dC_n/df_k = -(4 pi/fs) s_k Im z_k^n in
+    ``freq_cols`` and dC_n/db_k = -(2 pi/fs) s_k Re z_k^n in ``bw_cols``."""
+    scale = (-2.0 * np.pi / sample_rate_hz) * signs
+    jac = np.empty((powers.shape[0], 2 * powers.shape[-1]))
+    jac[:, freq_cols] = (2.0 * scale) * powers.imag
+    jac[:, bw_cols] = scale * powers.real
+    return jac
+
+
+def _resonance_columns(n_formants: int, n_antiformants: int):
+    """State entries of each resonance's frequency and bandwidth, formants
+    first, and the sign of its cepstral term (see ``ResonanceState``)."""
+    i, j = n_formants, n_antiformants
+    freq_cols = np.r_[0:i, 2 * i : 2 * i + j]
+    bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
+    return freq_cols, bw_cols, np.r_[np.ones(i), -np.ones(j)]
+
+
+def _state_powers(x: ResonanceState, n_coeffs: int):
+    """Pole powers of ``x`` with the columns and signs of its resonances."""
+    freq_cols, bw_cols, signs = _resonance_columns(x.n_formants, x.n_antiformants)
+    vec = x.to_vector()
+    powers = _pole_powers(vec[freq_cols], vec[bw_cols], x.sample_rate_hz, n_coeffs)
+    return powers, freq_cols, bw_cols, signs
 
 
 def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
     """Closed-form cepstrum of a resonance state:
 
     C_n = (2/n) sum_i exp(-pi n b_i / fs) cos(2 pi n f_i / fs)
-        - (2/n) sum_j exp(-pi n b'_j / fs) cos(2 pi n f'_j / fs).
+        - (2/n) sum_j exp(-pi n b'_j / fs) cos(2 pi n f'_j / fs),
+
+    evaluated as (2/n) Re z^n over the poles z = exp((-pi b + 2 pi i f) / fs).
     """
-    fs = x.sample_rate_hz
-    pole_part = _resonance_cepstrum(x.formant_freqs, x.formant_bws, fs, n_coeffs)
-    zero_part = _resonance_cepstrum(x.antiformant_freqs, x.antiformant_bws, fs, n_coeffs)
-    return CepstralVector(pole_part - zero_part)
-
-
-def _jacobian_blocks(freqs, bws, sample_rate_hz, n_coeffs, sign):
-    """(dC/df, dC/db) blocks, each (N, K); antiformants flip the sign."""
-    if np.size(freqs) == 0:
-        return np.zeros((n_coeffs, 0)), np.zeros((n_coeffs, 0))
-    fs = sample_rate_hz
-    _, decay, arg = _resonance_terms(freqs, bws, fs, n_coeffs)
-    d_freq = sign * (-4.0 * np.pi / fs) * decay * np.sin(arg)
-    d_bw = sign * (-2.0 * np.pi / fs) * decay * np.cos(arg)
-    return d_freq, d_bw
+    powers, _, _, signs = _state_powers(x, n_coeffs)
+    return CepstralVector(_powers_cepstrum(powers, signs))
 
 
 def cepstrum_jacobian(x: ResonanceState, n_coeffs: int) -> np.ndarray:
     """Analytic Jacobian of ``state_to_cepstrum``: N rows by 2I + 2J columns,
     columns ordered as the state vector (formant freqs, formant bws,
     antiformant freqs, antiformant bws)."""
-    fs = x.sample_rate_hz
-    df, db = _jacobian_blocks(x.formant_freqs, x.formant_bws, fs, n_coeffs, +1.0)
-    daf, dab = _jacobian_blocks(x.antiformant_freqs, x.antiformant_bws, fs, n_coeffs, -1.0)
-    return np.hstack([df, db, daf, dab])
+    powers, freq_cols, bw_cols, signs = _state_powers(x, n_coeffs)
+    return _powers_jacobian(powers, signs, x.sample_rate_hz, freq_cols, bw_cols)
 
 
 def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.ndarray:

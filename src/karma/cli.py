@@ -146,9 +146,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare_pf(args) -> int:
-    counts = [int(v) for v in args.particles.split(",") if v]
+    try:
+        counts = [int(v) for v in args.particles.split(",") if v]
+    except ValueError as exc:
+        raise UsageError(f"bad particle count: {exc}") from exc
     if not counts:
         raise UsageError("need at least one particle count")
+    if min(counts) < 10:
+        raise UsageError("particle counts must be at least 10")
+    if args.trials < 1:
+        raise UsageError("need at least one trial")
     summary = ekf_pf_benchmark(trials=args.trials, particle_counts=counts, seed=args.seed)
     lines = ["particles,pf_rmse,pf_ci_low,pf_ci_high,ekf_rmse,ekf_ci_low,ekf_ci_high"]
     ekf = summary["ekf"]

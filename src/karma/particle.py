@@ -17,6 +17,7 @@ from .tracker import (
     CepstralObservation,
     TrackerParams,
     TrackResult,
+    _clamp,
     _make_result,
     _resolve_setup,
     ekf_filter,
@@ -30,6 +31,11 @@ def _psd_factor(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
     vals = np.clip(vals, 0.0, None)
     return vecs * np.sqrt(vals)
+
+
+def _quadratic_form(resid: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
+    """resid_i^T R^-1 resid_i for every row i of ``resid``."""
+    return np.einsum("ij,ij->i", resid @ r_inv, resid)
 
 
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
@@ -77,14 +83,13 @@ def pf_track(
 
     for t in range(n_frames):
         particles = particles @ params.F.T + rng.standard_normal((n_particles, dim)) @ chol_q.T
-        if bounds is not None:
-            particles = np.clip(particles, bounds[0], bounds[1])
+        particles = _clamp(particles, bounds)
         if frozen_indices is not None:
             particles[:, frozen_indices] = frozen_values
 
         if speech[t]:
             resid = y[t] - obs_model.value(particles)
-            log_w = log_w - 0.5 * np.einsum("ij,jk,ik->i", resid, r_inv, resid)
+            log_w = log_w - 0.5 * _quadratic_form(resid, r_inv)
             shift = log_w.max()
             if not np.isfinite(shift):
                 warnings.warn("particle weights underflowed; resetting to uniform")
@@ -187,6 +192,8 @@ def ekf_pf_benchmark(
     per-particle-count RMSE summaries with 95 % confidence intervals
     (mean +/- 1.96 * sd / sqrt(trials)).
     """
+    if trials < 1:
+        raise ValueError("need at least one trial")
     setup = setup or BenchmarkSetup()
     params = setup.make_params()
     idx, values = setup.frozen_bandwidths()

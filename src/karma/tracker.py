@@ -21,7 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstrum import CepstralVector, _jacobian_blocks, _resonance_cepstrum
+from .cepstrum import (
+    CepstralVector,
+    _pole_powers,
+    _powers_cepstrum,
+    _powers_jacobian,
+    _resonance_columns,
+)
 from .frontend import ActivityMask
 
 __all__ = [
@@ -155,33 +161,36 @@ class CepstralObservation:
         self.n_antiformants = n_antiformants
         self.n_cepstra = n_cepstra
         self.sample_rate_hz = sample_rate_hz
+        self._freq_cols, self._bw_cols, self._signs = _resonance_columns(
+            n_formants, n_antiformants
+        )
 
-    def _split(self, x: np.ndarray):
+    def _active_signs(self, active_f, active_a):
+        """Sign of each resonance's cepstral term: +1 formant, -1 antiformant, 0 inactive."""
+        if active_f is None and active_a is None:
+            return self._signs
         i, j = self.n_formants, self.n_antiformants
-        return x[..., :i], x[..., i : 2 * i], x[..., 2 * i : 2 * i + j], x[..., 2 * i + j :]
+        keep = np.concatenate([
+            np.ones(i, dtype=bool) if active_f is None else active_f,
+            np.ones(j, dtype=bool) if active_a is None else active_a,
+        ])
+        return self._signs * keep
 
     def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
         """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
-        f, b, fa, ba = self._split(x)
-        if active_f is not None:
-            f, b = f[..., active_f], b[..., active_f]
-        if active_a is not None:
-            fa, ba = fa[..., active_a], ba[..., active_a]
-        fs, n = self.sample_rate_hz, self.n_cepstra
-        return _resonance_cepstrum(f, b, fs, n) - _resonance_cepstrum(fa, ba, fs, n)
+        powers = _pole_powers(
+            x[..., self._freq_cols], x[..., self._bw_cols], self.sample_rate_hz, self.n_cepstra
+        )
+        return _powers_cepstrum(powers, self._active_signs(active_f, active_a))
 
-    def jacobian(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
-        f, b, fa, ba = self._split(x)
-        fs, n = self.sample_rate_hz, self.n_cepstra
-        df, db = _jacobian_blocks(f, b, fs, n, +1.0)
-        daf, dab = _jacobian_blocks(fa, ba, fs, n, -1.0)
-        if active_f is not None:
-            df[:, ~active_f] = 0.0
-            db[:, ~active_f] = 0.0
-        if active_a is not None:
-            daf[:, ~active_a] = 0.0
-            dab[:, ~active_a] = 0.0
-        return np.hstack([df, db, daf, dab])
+    def linearize(self, x: np.ndarray, active_f=None, active_a=None):
+        """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers."""
+        signs = self._active_signs(active_f, active_a)
+        powers = _pole_powers(
+            x[self._freq_cols], x[self._bw_cols], self.sample_rate_hz, self.n_cepstra
+        )
+        H = _powers_jacobian(powers, signs, self.sample_rate_hz, self._freq_cols, self._bw_cols)
+        return _powers_cepstrum(powers, signs), H
 
     def state_bounds(self):
         """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.
@@ -209,8 +218,8 @@ class LinearObservation:
     def value(self, x, active_f=None, active_a=None):
         return x @ self.H.T
 
-    def jacobian(self, x, active_f=None, active_a=None):
-        return self.H.copy()
+    def linearize(self, x, active_f=None, active_a=None):
+        return x @ self.H.T, self.H
 
     def state_bounds(self):
         return None
@@ -278,14 +287,19 @@ def _enter(m: np.ndarray, P: np.ndarray, g: np.ndarray, prev_g: np.ndarray, para
     """Moments entering a frame with entry flags ``g`` after ``prev_g``.
 
     Newly active entries restart from the prior and active and inactive
-    blocks are decoupled, in copies; unchanged flags return the inputs.
+    blocks are decoupled, in copies.
     """
-    if np.array_equal(g, prev_g):
-        return m, P
     m, P = _reset_entries(m, P, g & ~prev_g, params)
     P[np.ix_(g, ~g)] = 0.0
     P[np.ix_(~g, g)] = 0.0
     return m, P
+
+
+def _flag_changes(flags: np.ndarray) -> np.ndarray:
+    """Frames whose entry flags differ from the previous frame's; frame 0 always counts."""
+    changed = np.ones(len(flags), dtype=bool)
+    changed[1:] = np.any(flags[1:] != flags[:-1], axis=1)
+    return changed
 
 
 def _blocked(mat: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -340,40 +354,46 @@ def _clamp(vec, bounds):
     if bounds is None:
         return vec
     lo, hi = bounds
-    return np.clip(vec, lo, hi)
+    return np.minimum(np.maximum(vec, lo), hi)
 
 
 def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values):
     """Forward EKF recursion, yielding ``(m_pred, P_pred, m_filt, P_filt)`` per frame.
 
     Keeps no history; the yielded arrays are never modified afterwards.
+    The blocked transition and process noise are rebuilt only at frames
+    whose activation flags change.
     """
-    dim = params.state_dim
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
+    rebuild = _flag_changes(flags)
+    update = speech & flags.any(axis=1)
 
     m = params.mu0.copy()
     P = params.Sigma0.copy()
     _apply_frozen(m, P, frozen_indices, frozen_values)
-    prev_g = np.ones(dim, dtype=bool)
+    prev_g = np.ones(params.state_dim, dtype=bool)
 
     for t, g in enumerate(flags):
-        m, P = _enter(m, P, g, prev_g, params)
-        F = _blocked(params.F, g)
+        if rebuild[t]:
+            m, P = _enter(m, P, g, prev_g, params)
+            F = _blocked(params.F, g)
+            Q = _blocked(params.Q, g)
+            act_f, act_a = activation.formants[t], activation.antiformants[t]
+            inactive = ~g if not g.all() else None
+            prev_g = g
         m = F @ m
-        P = _symmetrize(F @ P @ F.T + _blocked(params.Q, g))
+        P = _symmetrize(F @ P @ F.T + Q)
         m = _clamp(m, bounds)
         _apply_frozen(m, P, frozen_indices, frozen_values)
         m_pred, P_pred = m, P
 
-        if speech[t] and g.any():
-            act_f = activation.formants[t]
-            act_a = activation.antiformants[t]
-            h_val = obs_model.value(m, act_f, act_a)
-            H = obs_model.jacobian(m, act_f, act_a)
+        if update[t]:
+            h_val, H = obs_model.linearize(m, act_f, act_a)
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
-            PHt[~g, :] = 0.0
+            if inactive is not None:
+                PHt[inactive, :] = 0.0
             K = _solve_innovation(S, PHt, "ekf_filter")
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
@@ -381,7 +401,6 @@ def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_va
             _apply_frozen(m, P, frozen_indices, frozen_values)
 
         yield m_pred, P_pred, m, P
-        prev_g = g
 
 
 def _make_result(means, covs, speech, activation, params) -> TrackResult:
@@ -436,9 +455,10 @@ def eks_smooth(
 ) -> TrackResult:
     """Fixed-interval smoother: forward filter plus RTS backward pass.
 
-    Stores the predicted and filtered moments; the backward pass rebuilds
-    each frame's entering moments and blocked transition from the filtered
-    moments and the activation flags.
+    Stores the predicted and filtered moments.  Where the activation flags
+    change, the backward pass rebuilds the entering moments from the
+    filtered ones and the blocked transition from the flags; elsewhere the
+    filtered moments enter the next frame unchanged.
     """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model
@@ -454,21 +474,26 @@ def eks_smooth(
 
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
+    rebuild = _flag_changes(flags)
+    F = _blocked(params.F, flags[-1])
     # m_s/P_s hold the filtered moments until the backward pass reaches them
     for t in range(n_frames - 1, 0, -1):
-        m_prev, P_prev = _enter(m_s[t - 1], P_s[t - 1], flags[t], flags[t - 1], params)
+        m_prev, P_prev = m_s[t - 1], P_s[t - 1]
+        if rebuild[t]:
+            m_prev, P_prev = _enter(m_prev, P_prev, flags[t], flags[t - 1], params)
         P_pred_t = P_pred[t]
         if frozen_indices is not None:
             # frozen coordinates have zero prediction covariance by
             # construction; a unit diagonal keeps the solve nonsingular and
             # still yields a zero smoother gain on those coordinates
             P_pred_t[frozen_indices, frozen_indices] = 1.0
-        gain_rhs = P_prev @ _blocked(params.F, flags[t]).T
-        S = _solve_innovation(P_pred_t, gain_rhs, "eks_smooth")
+        S = _solve_innovation(P_pred_t, P_prev @ F.T, "eks_smooth")
         m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
         P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred_t) @ S.T)
         _apply_frozen(m_s[t - 1], P_s[t - 1], frozen_indices, frozen_values)
         m_s[t - 1] = _clamp(m_s[t - 1], bounds)
+        if rebuild[t]:
+            F = _blocked(params.F, flags[t - 1])
     return _make_result(m_s, P_s, speech, activation, params)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import signal as sps
 
 from karma.arma import ArmaModel
@@ -14,6 +15,7 @@ from karma.cepstrum import (
     state_to_cepstrum,
 )
 from karma.synthesis import resonator_cascade
+from karma.tracker import CepstralObservation
 
 from conftest import random_minimum_phase_model, root_sum_cepstrum
 
@@ -28,6 +30,106 @@ def random_state(rng, n_formants=None, n_antiformants=None, fs=10000.0):
         rng.uniform(20.0, 400.0, j),
         fs,
     )
+
+
+def exp_cos_terms(freqs, bws, fs, n_coeffs):
+    """Reference: decay exp(-pi n b / fs) and phase 2 pi n f / fs, each (..., N, K)."""
+    n = np.arange(1, n_coeffs + 1, dtype=float)[:, None]
+    decay = np.exp(-np.pi * n * np.asarray(bws)[..., None, :] / fs)
+    arg = 2.0 * np.pi * n * np.asarray(freqs)[..., None, :] / fs
+    return n, decay, arg
+
+
+def exp_cos_cepstrum(freqs, bws, fs, n_coeffs):
+    """Reference: (2/n) sum_k exp(-pi n b_k / fs) cos(2 pi n f_k / fs)."""
+    if np.shape(freqs)[-1] == 0:
+        return np.zeros(np.shape(freqs)[:-1] + (n_coeffs,))
+    n, decay, arg = exp_cos_terms(freqs, bws, fs, n_coeffs)
+    return (2.0 / n[:, 0]) * (decay * np.cos(arg)).sum(axis=-1)
+
+
+def exp_cos_blocks(freqs, bws, fs, n_coeffs, sign):
+    """Reference (dC/df, dC/db) blocks, each (N, K); antiformants flip the sign."""
+    if np.size(freqs) == 0:
+        return np.zeros((n_coeffs, 0)), np.zeros((n_coeffs, 0))
+    _, decay, arg = exp_cos_terms(freqs, bws, fs, n_coeffs)
+    d_freq = sign * (-4.0 * np.pi / fs) * decay * np.sin(arg)
+    d_bw = sign * (-2.0 * np.pi / fs) * decay * np.cos(arg)
+    return d_freq, d_bw
+
+
+def exp_cos_linearize(x, n_formants, n_antiformants, fs, n_coeffs, active_f, active_a):
+    """Reference h and Jacobian: inactive tracks left out of h, their columns zero."""
+    i, j = n_formants, n_antiformants
+    f, b, fa, ba = x[:i], x[i : 2 * i], x[2 * i : 2 * i + j], x[2 * i + j :]
+    h = exp_cos_cepstrum(f[active_f], b[active_f], fs, n_coeffs) - exp_cos_cepstrum(
+        fa[active_a], ba[active_a], fs, n_coeffs
+    )
+    df, db = exp_cos_blocks(f, b, fs, n_coeffs, +1.0)
+    daf, dab = exp_cos_blocks(fa, ba, fs, n_coeffs, -1.0)
+    for block, active in ((df, active_f), (db, active_f), (daf, active_a), (dab, active_a)):
+        block[:, ~active] = 0.0
+    return h, np.hstack([df, db, daf, dab])
+
+
+@st.composite
+def resonance_problems(draw):
+    """Track counts, N, fs, a state reaching the clamp bounds, and activation flags."""
+    i = draw(st.integers(1, 3))
+    j = draw(st.integers(0, 2))
+    n_coeffs = draw(st.integers(1, 30))
+    fs = draw(st.floats(4000.0, 16000.0))
+    lo, hi = 0.005 * fs, 0.495 * fs
+    freq = st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
+    freqs = draw(st.lists(freq, min_size=i + j, max_size=i + j))
+    bws = draw(st.lists(st.floats(1.0, 5000.0), min_size=i + j, max_size=i + j))
+    x = np.concatenate([freqs[:i], bws[:i], freqs[i:], bws[i:]])
+    active_f = draw(arrays(bool, i))
+    active_a = draw(arrays(bool, j))
+    return i, j, n_coeffs, fs, x, active_f, active_a
+
+
+class TestPolePowerFormula:
+    """The pole-power route against the exp/cos/sin formula it replaced."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(problem=resonance_problems())
+    def test_linearize_matches_exp_cos(self, problem):
+        i, j, n_coeffs, fs, x, active_f, active_a = problem
+        model = CepstralObservation(i, j, n_coeffs, fs)
+        h, H = model.linearize(x, active_f, active_a)
+        h_ref, H_ref = exp_cos_linearize(x, i, j, fs, n_coeffs, active_f, active_a)
+        np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-14)
+
+    @settings(deadline=None, max_examples=100)
+    @given(problem=resonance_problems())
+    def test_state_routes_match_exp_cos(self, problem):
+        i, j, n_coeffs, fs, x, _, _ = problem
+        state = ResonanceState.from_vector(x, i, j, fs)
+        h_ref, H_ref = exp_cos_linearize(
+            x, i, j, fs, n_coeffs, np.ones(i, bool), np.ones(j, bool)
+        )
+        np.testing.assert_allclose(
+            state_to_cepstrum(state, n_coeffs).coeffs, h_ref, rtol=1e-12, atol=1e-14
+        )
+        np.testing.assert_allclose(cepstrum_jacobian(state, n_coeffs), H_ref, rtol=1e-12, atol=1e-14)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        problem=resonance_problems(),
+        lead=st.sampled_from([(1,), (7,), (3, 4)]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_value_equals_rowwise_linearize(self, problem, lead, seed):
+        i, j, n_coeffs, fs, x, active_f, active_a = problem
+        model = CepstralObservation(i, j, n_coeffs, fs)
+        jitter = np.random.default_rng(seed).uniform(0.9, 1.0, lead + x.shape)
+        states = x * jitter
+        stacked = model.value(states, active_f, active_a)
+        rows = np.array([model.linearize(s, active_f, active_a)[0] for s in states.reshape(-1, x.size)])
+        assert stacked.shape == lead + (n_coeffs,)
+        assert np.array_equal(stacked.reshape(-1, n_coeffs), rows)
 
 
 class TestArmaToCepstrum:

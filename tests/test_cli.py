@@ -199,3 +199,19 @@ class TestComparePfCommand:
 
     def test_empty_particle_list_exits_2(self):
         assert main(["compare-pf", "--particles", ""]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--particles", "abc"],
+            ["--particles", "5"],
+            ["--trials", "-1"],
+            ["--trials", "0"],
+        ],
+        ids=["non-numeric-count", "count-below-10", "negative-trials", "zero-trials"],
+    )
+    def test_bad_counts_exit_2(self, args, capsys):
+        assert main(["compare-pf", "--particles", "10", "--trials", "1"] + args) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from karma.particle import BenchmarkSetup, ekf_pf_benchmark, pf_track
+from karma.particle import BenchmarkSetup, _quadratic_form, ekf_pf_benchmark, pf_track
 from karma.tracker import LinearObservation, TrackerParams, ekf_filter
 
 
@@ -87,6 +87,17 @@ class TestPfTrack:
         assert np.abs(res.means[-1] - expected).max() < 0.2
 
 
+class TestQuadraticForm:
+    @pytest.mark.parametrize("n_particles, n_obs", [(1, 1), (100, 15), (1000, 15), (37, 20)])
+    def test_matches_three_operand_einsum(self, n_particles, n_obs):
+        rng = np.random.default_rng(n_particles + n_obs)
+        resid = rng.standard_normal((n_particles, n_obs))
+        a = rng.standard_normal((n_obs, n_obs))
+        r_inv = np.linalg.inv(a @ a.T + n_obs * np.eye(n_obs))
+        expected = np.einsum("ij,jk,ik->i", resid, r_inv, resid)
+        np.testing.assert_allclose(_quadratic_form(resid, r_inv), expected, rtol=1e-12)
+
+
 class TestBenchmark:
     def test_benchmark_shapes_and_determinism(self):
         a = ekf_pf_benchmark(trials=2, particle_counts=[50], seed=7,
@@ -103,3 +114,8 @@ class TestBenchmark:
         idx, values = setup.frozen_bandwidths()
         assert np.all(truth[:, idx] == values)
         assert obs.shape == (10, setup.n_cepstra)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, trials):
+        with pytest.raises(ValueError, match="at least one trial"):
+            ekf_pf_benchmark(trials=trials, particle_counts=[50], setup=BenchmarkSetup(n_frames=5))

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,6 @@ from karma.tracker import (
     TrackActivation,
     TrackerParams,
     _apply_frozen,
-    _clamp,
     _resolve_setup,
     _solve_innovation,
     _symmetrize,
@@ -96,6 +95,10 @@ class _OracleStore:
         self.P_filt = np.zeros((n_frames, dim, dim))
 
 
+def clamp(vec, bounds):
+    return vec if bounds is None else np.clip(vec, *bounds)
+
+
 def stored_forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values):
     """Reference forward pass that stores the moments entering every frame."""
     dim = params.state_dim
@@ -132,22 +135,21 @@ def stored_forward(y, params, speech, activation, obs_model, frozen_indices, fro
 
         m = F_eff @ m
         P = _symmetrize(F_eff @ P @ F_eff.T + np.where(block, params.Q, 0.0))
-        m = _clamp(m, bounds)
+        m = clamp(m, bounds)
         _apply_frozen(m, P, frozen_indices, frozen_values)
         store.m_pred[t] = m
         store.P_pred[t] = P
 
         gain_rows = g if speech[t] else np.zeros(dim, dtype=bool)
         if gain_rows.any():
-            h_val = obs_model.value(m, act_f, act_a)
-            H = obs_model.jacobian(m, act_f, act_a)
+            h_val, H = obs_model.linearize(m, act_f, act_a)
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
             PHt[~gain_rows, :] = 0.0
             K = _solve_innovation(S, PHt, "ekf_filter")
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
-            m = _clamp(m, bounds)
+            m = clamp(m, bounds)
             _apply_frozen(m, P, frozen_indices, frozen_values)
 
         store.m_filt[t] = m
@@ -172,7 +174,7 @@ def stored_smooth(store, obs_model, frozen_indices, frozen_values):
         m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
         P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
         _apply_frozen(m_s[t - 1], P_s[t - 1], frozen_indices, frozen_values)
-        m_s[t - 1] = _clamp(m_s[t - 1], bounds)
+        m_s[t - 1] = clamp(m_s[t - 1], bounds)
     return m_s, P_s
 
 
@@ -227,6 +229,42 @@ def tracking_problems(draw):
     )
 
 
+def long_schedule_problem(frozen):
+    """A 320-frame cepstral run whose flags flip at frame 0, on consecutive frames and at the end."""
+    n_f, n_a, n_frames = 3, 2, 320
+    dim = 2 * n_f + 2 * n_a
+    rng = np.random.default_rng(2024)
+    formants = np.ones((n_frames, n_f), dtype=bool)
+    antiformants = np.ones((n_frames, n_a), dtype=bool)
+    antiformants[0, 1] = False  # inactive from the first frame
+    formants[1:3, 2] = False
+    antiformants[40:43, 0] = [False, True, False]  # a flip on every one of these frames
+    antiformants[43:120, 0] = False
+    formants[150:151, 0] = False
+    antiformants[200:260, :] = False
+    formants[201, 1] = False
+    formants[-1, 1] = False  # the last frame
+    antiformants[-1, 0] = False
+    speech = np.ones(n_frames, dtype=bool)
+    speech[60:80] = False
+    speech[299] = False
+    coupling = rng.standard_normal((dim, dim)).T  # Fortran-ordered, like estimate_transition's F
+    params = replace(default_params(n_f, n_a, 10000.0, 12), F=np.eye(dim) + 0.01 * coupling)
+    model = CepstralObservation(n_f, n_a, 12, 10000.0)
+    truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
+    y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
+    frozen_indices = np.array([4]) if frozen else None
+    return dict(
+        obs=y,
+        params=params,
+        mask=speech,
+        activation=TrackActivation(formants, antiformants),
+        obs_model=None,
+        frozen_indices=frozen_indices,
+        frozen_values=params.mu0[[4]] + 20.0 if frozen else None,
+    )
+
+
 class TestStoredRecursionOracle:
     """The history-free forward pass and rebuilt RTS pass equal the stored-moment reference."""
 
@@ -244,6 +282,8 @@ class TestStoredRecursionOracle:
 
     @settings(deadline=None, max_examples=60)
     @given(problem=tracking_problems())
+    @example(problem=long_schedule_problem(frozen=False))
+    @example(problem=long_schedule_problem(frozen=True))
     def test_filter_and_smoother_equal_reference(self, problem):
         store, m_s, P_s = self.oracle(problem)
         filt = ekf_filter(**problem)
