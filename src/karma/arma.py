@@ -23,6 +23,7 @@ __all__ = [
     "ArmaModel",
     "certify_inside",
     "fit_ar_frames",
+    "fit_arma_frames",
     "estimate_ar",
     "estimate_arma",
     "enforce_minimum_phase",
@@ -185,18 +186,29 @@ def _reflect_roots(poly: np.ndarray, clip_radius: float) -> np.ndarray:
     """Reflect roots of a monic polynomial into the unit circle and clip radii.
 
     A polynomial certified to have every root inside ``clip_radius`` is
-    returned as it is; only the others are factored.
+    returned as it is; only the others are factored.  The factoring does
+    what ``np.roots`` and ``np.poly`` do (companion-matrix eigenvalues, then
+    the product of the factors by repeated convolution), without their
+    wrappers; ``np.roots`` still handles a zero trailing coefficient.
     """
     if certify_inside(poly, clip_radius):
         return poly.astype(float)
-    roots = np.roots(poly)
+    if poly[-1] == 0.0:
+        roots = np.roots(poly)
+    else:
+        companion = np.diag(np.ones(poly.size - 2), -1)
+        companion[0] = -poly[1:] / poly[0]
+        roots = np.linalg.eigvals(companion)
     mags = np.abs(roots)
     outside = mags > 1.0
     roots[outside] = 1.0 / np.conj(roots[outside])
     mags = np.abs(roots)
     hot = mags > clip_radius
     roots[hot] *= clip_radius / mags[hot]
-    return np.real(np.poly(roots))
+    out = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        out = np.convolve(out, np.array([1, -r], dtype=roots.dtype))
+    return out.real.copy()
 
 
 def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> ArmaModel:
@@ -210,17 +222,27 @@ def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> Arma
     return ArmaModel(-ar_poly[1:], ma_poly[1:], m.noise_variance, m.converged)
 
 
+_STEP_SCALES = 2.0 ** -np.arange(11)  # Gauss-Newton step halving
+
+
 def _prediction_error(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sps.lfilter(np.concatenate(([1.0], -a)), np.concatenate(([1.0], b)), x)
 
 
+def _lag_view(padded: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(n, k) read-only view of the 1-D ``padded``, which holds a signal's
+    first n - 1 samples at its end behind at least k zeros; column i-1 is
+    the signal delayed by i samples.  Row m reads padded[start + m],
+    padded[start + m - 1], ..., with start = padded.size - n."""
+    step = padded.strides[0]
+    start = padded.size - n
+    return as_strided(padded[start:], shape=(n, k), strides=(step, -step), writeable=False)
+
+
 def _lagged(s: np.ndarray, k: int) -> np.ndarray:
     """(n, k) read-only view whose column i-1 is ``s`` delayed by i samples,
-    zero before the start.  Row m reads padded[m+k-1], padded[m+k-2], ...,
-    padded[m], all inside the n + k - 1 padded samples."""
-    padded = np.concatenate((np.zeros(k), s[: s.size - 1]))
-    step = padded.strides[0]
-    return as_strided(padded[k - 1 :], shape=(s.size, k), strides=(step, -step), writeable=False)
+    zero before the start."""
+    return _lag_view(np.concatenate((np.zeros(k), s[: s.size - 1])), s.size, k)
 
 
 def _stabilize_ma(b: np.ndarray, clip_radius: float = 0.99) -> np.ndarray:
@@ -228,40 +250,14 @@ def _stabilize_ma(b: np.ndarray, clip_radius: float = 0.99) -> np.ndarray:
     return _reflect_roots(np.concatenate(([1.0], b)), clip_radius)[1:]
 
 
-def estimate_arma(
-    frame: np.ndarray,
-    p: int,
-    q: int,
-    max_iter: int = 50,
-    rel_tol: float = 1e-8,
-    full_output: bool = False,
-):
-    """Prediction-error fit of an ARMA(p, q) model to one frame.
+def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int, max_iter: int, rel_tol: float):
+    """ARMA(p, q) fit of one nonzero frame ``x`` from its long-AR coefficients.
 
-    Hannan-Rissanen two-stage regression provides the starting point; damped
-    Gauss-Newton minimizes the sum of squared one-step prediction errors with
-    step halving, so the objective is nonincreasing by construction.  Both
-    polynomials are root-reflected into the unit circle afterwards.
-
-    With ``full_output=True`` returns ``(model, info)`` where ``info`` holds
-    the accepted objective values per iteration.
+    Returns the AR and MA coefficients, the residual variance, the
+    ``converged`` flag and the accepted objective values.
     """
-    x = np.asarray(frame, dtype=float).ravel()
-    if p < 0 or q < 0 or p + q == 0:
-        raise ValueError("orders must be nonnegative with p + q > 0")
-    if x.size <= p + q + 1:
-        raise ValueError("frame length must exceed p + q + 1")
-    if q == 0:
-        model = estimate_ar(x, p)
-        return (model, {"objective": [], "converged": model.converged}) if full_output else model
-    if not np.any(x):
-        model = ArmaModel(np.zeros(p), np.zeros(q), 0.0, converged=False)
-        return (model, {"objective": [], "converged": False}) if full_output else model
-
-    # Stage 1: long AR for innovation estimates.
-    n_long = min(max(20, 2 * (p + q)), max(p + q + 2, x.size // 3))
-    long_ar = estimate_ar(x, n_long)
-    u = sps.lfilter(long_ar.ar_polynomial, [1.0], x)
+    # Stage 1: innovation estimates from the long AR fit.
+    u = sps.lfilter(np.concatenate(([1.0], -long_ar)), [1.0], x)
 
     # Stage 2: regress x[m] on lagged x and lagged innovations.
     k0 = max(p, q)
@@ -276,20 +272,29 @@ def estimate_arma(
     converged = False
 
     # Stage 3: damped Gauss-Newton on the prediction-error sum of squares.
+    # x and e go through 1/B(z) in one call; the Jacobian's columns are
+    # delayed copies of the two filtered signals, read out of one
+    # zero-padded buffer into one preallocated matrix.
+    n = x.size
+    signals = np.empty((2, n))
+    signals[0] = x
+    padded = np.zeros((2, n - 1 + k0))
+    x_lags, e_lags = _lag_view(padded[0], n, p), _lag_view(padded[1], n, q)
+    jac = np.empty((n, p + q))
     for _ in range(max_iter):
-        b_poly = np.concatenate(([1.0], b))
-        x_b = sps.lfilter([1.0], b_poly, x)
-        e_b = sps.lfilter([1.0], b_poly, e)
-        jac = -np.hstack([_lagged(x_b, p), _lagged(e_b, q)])
+        signals[1] = e
+        padded[:, k0:] = sps.lfilter([1.0], np.concatenate(([1.0], b)), signals)[:, :-1]
+        np.negative(x_lags, out=jac[:, :p])
+        np.negative(e_lags, out=jac[:, p:])
         hess = jac.T @ jac
-        hess[np.diag_indices_from(hess)] += 1e-10 * max(np.trace(hess), 1.0)
+        hess.flat[:: p + q + 1] += 1e-10 * max(np.trace(hess), 1.0)
         try:
             delta = np.linalg.solve(hess, jac.T @ e)
         except np.linalg.LinAlgError:
             break
 
         accepted = False
-        for scale in 2.0 ** -np.arange(11):
+        for scale in _STEP_SCALES:
             a_new = a - scale * delta[:p]
             b_new = _stabilize_ma(b - scale * delta[p:])
             e_new = _prediction_error(x, a_new, b_new)
@@ -307,11 +312,68 @@ def estimate_arma(
             converged = True
             break
 
-    model = enforce_minimum_phase(
-        ArmaModel(a, b, 1.0, converged=converged), clip_radius=MAX_ROOT_RADIUS
-    )
+    model = enforce_minimum_phase(ArmaModel(a, b, 1.0, converged), clip_radius=MAX_ROOT_RADIUS)
     resid = _prediction_error(x, model.ar, model.ma)
-    model = ArmaModel(model.ar, model.ma, float(np.mean(resid**2)), converged)
+    return model.ar, model.ma, float(np.mean(resid**2)), converged, history
+
+
+def fit_arma_frames(frames: np.ndarray, p: int, q: int, max_iter: int = 50, rel_tol: float = 1e-8):
+    """Prediction-error fit of an ARMA(p, q) model to every row of ``frames`` (T, n).
+
+    Hannan-Rissanen two-stage regression provides each starting point, its
+    long-AR stage one ``fit_ar_frames`` call over all nonzero rows; damped
+    Gauss-Newton then minimizes each row's sum of squared one-step
+    prediction errors with step halving, so the objective is nonincreasing
+    by construction.  Both polynomials are root-reflected into the unit
+    circle afterwards.
+
+    Returns the AR coefficients (T, p), the MA coefficients (T, q), the
+    residual variances (T,), the ``converged`` flags (T,) and a list of
+    each row's accepted objective values.  With q = 0 every row is an
+    ``estimate_ar`` fit; an all-zero row gets zero coefficients, zero
+    variance, ``converged`` False and no objective values.
+    """
+    frames = np.asarray(frames, dtype=float)
+    if p < 0 or q < 0 or p + q == 0:
+        raise ValueError("orders must be nonnegative with p + q > 0")
+    n_rows, n = frames.shape
+    if n <= p + q + 1:
+        raise ValueError("frame length must exceed p + q + 1")
+    nonzero = np.any(frames, axis=1)
+    if q == 0:
+        a, err, _ = fit_ar_frames(frames, p)
+        return a, np.zeros((n_rows, 0)), err, nonzero, [[] for _ in range(n_rows)]
+
+    ar, ma = np.zeros((n_rows, p)), np.zeros((n_rows, q))
+    noise_variance, converged = np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
+    objectives = [[] for _ in range(n_rows)]
+    rows = np.flatnonzero(nonzero)
+    n_long = min(max(20, 2 * (p + q)), max(p + q + 2, n // 3), n - 1)  # an AR fit needs n > order
+    long_ar, _, _ = fit_ar_frames(frames[rows], n_long)
+    for t, coeffs in zip(rows, long_ar):
+        ar[t], ma[t], noise_variance[t], converged[t], objectives[t] = _fit_arma_row(
+            frames[t], coeffs, p, q, max_iter, rel_tol
+        )
+    return ar, ma, noise_variance, converged, objectives
+
+
+def estimate_arma(
+    frame: np.ndarray,
+    p: int,
+    q: int,
+    max_iter: int = 50,
+    rel_tol: float = 1e-8,
+    full_output: bool = False,
+):
+    """Prediction-error fit of an ARMA(p, q) model to one frame: the
+    one-row call of ``fit_arma_frames``.
+
+    With ``full_output=True`` returns ``(model, info)`` where ``info`` holds
+    the accepted objective values per iteration and the ``converged`` flag.
+    """
+    x = np.asarray(frame, dtype=float).reshape(1, -1)
+    ar, ma, noise_variance, converged, objectives = fit_arma_frames(x, p, q, max_iter, rel_tol)
+    model = ArmaModel(ar[0], ma[0], float(noise_variance[0]), bool(converged[0]))
     if full_output:
-        return model, {"objective": history, "converged": converged}
+        return model, {"objective": objectives[0], "converged": model.converged}
     return model

@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arma import CERT_MARGIN, estimate_ar, estimate_arma, fit_ar_frames
+from .arma import CERT_MARGIN, ArmaModel, certify_inside, estimate_ar, fit_ar_frames, fit_arma_frames
+from .arma import estimate_arma  # noqa: F401  (looked up here by bench/tracing.py)
 from .cepstrum import _log_inverse_series, _real_cepstra, arma_to_cepstrum
 from .cepstrum import real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
 from .frontend import (
@@ -141,10 +142,11 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     source coloration stay in the observations, as the observation noise
     covariance is sized to absorb them.
 
-    The AR and real-cepstrum routes run on all speech frames at once.  An
-    AR fit whose reflection coefficients do not certify minimum phase goes
-    through the per-frame route, which checks the roots.  ARMA fits stay
-    per frame.
+    Every route fits all speech frames at once and maps every certified
+    fit through one batched log-series recursion.  A fit that does not
+    certify minimum phase (AR: by its reflection coefficients; ARMA: by
+    the step-down certificate of both polynomials) goes through
+    ``arma_to_cepstrum`` on its own, which checks the roots.
     """
     n_frames = frames_emphasized.shape[0]
     obs = np.zeros((n_frames, config.n_cepstra))
@@ -159,9 +161,16 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
             model = estimate_ar(frames_emphasized[t], config.lpc_order)
             obs[t] = arma_to_cepstrum(model, config.n_cepstra).coeffs
     else:
-        for t in rows:
-            model = estimate_arma(frames_emphasized[t], config.lpc_order, config.ma_order)
-            obs[t] = arma_to_cepstrum(model, config.n_cepstra).coeffs
+        ar, ma, *_ = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
+        certified = np.array(
+            [certify_inside(np.r_[1.0, -a], 1.0) and certify_inside(np.r_[1.0, b], 1.0)
+             for a, b in zip(ar, ma)],
+            dtype=bool,
+        )
+        n = config.n_cepstra
+        obs[rows[certified]] = _log_inverse_series(ar[certified], n) - _log_inverse_series(-ma[certified], n)
+        for t, a, b in zip(rows[~certified], ar[~certified], ma[~certified]):
+            obs[t] = arma_to_cepstrum(ArmaModel(a, b), n).coeffs
     if not np.all(np.isfinite(obs)):
         raise ValueError("non-finite cepstral coefficients")
     return obs

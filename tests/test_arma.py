@@ -1,20 +1,30 @@
+from functools import cache
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+import karma.pipeline as pipeline
 from karma.arma import (
     CERT_MARGIN,
+    MAX_ROOT_RADIUS,
     ArmaModel,
     _lagged,
+    _reflect_roots,
     _stabilize_ma,
     certify_inside,
     enforce_minimum_phase,
     estimate_ar,
     estimate_arma,
     fit_ar_frames,
+    fit_arma_frames,
 )
+from karma.cepstrum import arma_to_cepstrum
+from karma.frontend import preemphasize, window_frames
+from karma.pipeline import RunConfig, build_observations
+from karma.synthesis import nasal_utterance_spec, synthesize
 
 from conftest import random_minimum_phase_model
 
@@ -29,6 +39,118 @@ def polynomial_with_roots(rng, radii):
 
 def root_radius(poly):
     return np.abs(np.roots(poly)).max(initial=0.0)
+
+
+# Frozen per-frame ARMA fit that the batched route replaced.  Every row of
+# ``fit_arma_frames`` and every ARMA observation must reproduce it bit for
+# bit: the nasal tracks react chaotically to rounding, so "close" is not
+# enough.  It factors with np.roots/np.poly and builds every lag matrix anew.
+
+
+def reference_reflect_roots(poly, clip_radius):
+    if certify_inside(poly, clip_radius):
+        return poly.astype(float)
+    roots = np.roots(poly)
+    mags = np.abs(roots)
+    outside = mags > 1.0
+    roots[outside] = 1.0 / np.conj(roots[outside])
+    mags = np.abs(roots)
+    hot = mags > clip_radius
+    roots[hot] *= clip_radius / mags[hot]
+    return np.real(np.poly(roots))
+
+
+def reference_lagged(s, k):
+    out = np.zeros((s.size, k))
+    for i in range(1, k + 1):
+        out[i:, i - 1] = s[: s.size - i]
+    return out
+
+
+def reference_estimate_arma(frame, p, q, max_iter=50, rel_tol=1e-8):
+    """(model, objective history) of the per-frame fit."""
+    x = np.asarray(frame, dtype=float).ravel()
+    if q == 0:
+        model = estimate_ar(x, p)
+        return model, []
+    if not np.any(x):
+        return ArmaModel(np.zeros(p), np.zeros(q), 0.0, converged=False), []
+
+    def stabilize(b):
+        return reference_reflect_roots(np.concatenate(([1.0], b)), 0.99)[1:]
+
+    def prediction_error(a, b):
+        return sps.lfilter(np.concatenate(([1.0], -a)), np.concatenate(([1.0], b)), x)
+
+    n_long = min(max(20, 2 * (p + q)), max(p + q + 2, x.size // 3))
+    long_ar = estimate_ar(x, n_long)
+    u = sps.lfilter(long_ar.ar_polynomial, [1.0], x)
+    k0 = max(p, q)
+    design = np.hstack([reference_lagged(x, p), reference_lagged(u, q)])[k0:]
+    theta, *_ = np.linalg.lstsq(design, x[k0:], rcond=None)
+    a = theta[:p].copy()
+    b = stabilize(theta[p:].copy())
+    e = prediction_error(a, b)
+    sse = float(e @ e)
+    history = [sse]
+    converged = False
+    for _ in range(max_iter):
+        b_poly = np.concatenate(([1.0], b))
+        x_b = sps.lfilter([1.0], b_poly, x)
+        e_b = sps.lfilter([1.0], b_poly, e)
+        jac = -np.hstack([reference_lagged(x_b, p), reference_lagged(e_b, q)])
+        hess = jac.T @ jac
+        hess[np.diag_indices_from(hess)] += 1e-10 * max(np.trace(hess), 1.0)
+        try:
+            delta = np.linalg.solve(hess, jac.T @ e)
+        except np.linalg.LinAlgError:
+            break
+        accepted = False
+        for scale in 2.0 ** -np.arange(11):
+            a_new = a - scale * delta[:p]
+            b_new = stabilize(b - scale * delta[p:])
+            e_new = prediction_error(a_new, b_new)
+            sse_new = float(e_new @ e_new)
+            if np.isfinite(sse_new) and sse_new < sse:
+                accepted = True
+                break
+        if not accepted:
+            converged = True
+            break
+        rel_gain = (sse - sse_new) / max(sse, 1e-300)
+        a, b, e, sse = a_new, b_new, e_new, sse_new
+        history.append(sse)
+        if rel_gain < rel_tol:
+            converged = True
+            break
+    ar_poly = reference_reflect_roots(np.concatenate(([1.0], -a)), MAX_ROOT_RADIUS)
+    ma_poly = reference_reflect_roots(np.concatenate(([1.0], b)), MAX_ROOT_RADIUS)
+    a, b = -ar_poly[1:], ma_poly[1:]
+    resid = prediction_error(a, b)
+    return ArmaModel(a, b, float(np.mean(resid**2)), converged), history
+
+
+@cache
+def nasal_frames():
+    """Pre-emphasized 100 ms frames of the nasal demo utterance, as the demo
+    configuration analyses them (10 kHz, 50 % overlap, gamma 0.9)."""
+    wave, _ = synthesize(nasal_utterance_spec(seed=715))
+    frames = window_frames(wave, 100.0, 0.5, "hamming")
+    frames = preemphasize(frames.frames, 0.9)
+    frames.setflags(write=False)
+    return frames
+
+
+def random_arma_frames(rng, n_rows, length):
+    """Noise through random ARMA filters, some with roots near the circle."""
+    frames = np.empty((n_rows, length))
+    for t in range(n_rows):
+        model = random_minimum_phase_model(
+            rng, int(rng.integers(1, 9)), int(rng.integers(0, 5)), max_radius=float(rng.choice([0.9, 0.999]))
+        )
+        noise = rng.standard_normal(length) * 10.0 ** rng.uniform(-3, 2)
+        frames[t] = sps.lfilter(model.ma_polynomial, model.ar_polynomial, noise)
+    return frames
 
 
 class TestEstimateAr:
@@ -196,6 +318,148 @@ class TestEstimateArma:
         valleys, _ = sps.find_peaks(-mag)
         valley_freqs = w[valleys]
         assert np.abs(valley_freqs - 1223.0).min() < 75.0
+
+
+    def test_shortest_frame_fits(self):
+        # the long-AR order is capped below the frame length
+        x = np.random.default_rng(8).standard_normal(8)
+        m = estimate_arma(x, 4, 2)
+        assert m.p == 4 and m.q == 2
+        assert np.all(np.isfinite(m.ar)) and np.all(np.isfinite(m.ma)) and np.isfinite(m.noise_variance)
+        assert m.is_minimum_phase()
+
+    def test_frame_one_sample_shorter_raises(self):
+        with pytest.raises(ValueError, match="frame length must exceed p \\+ q \\+ 1"):
+            estimate_arma(np.random.default_rng(9).standard_normal(7), 4, 2)
+
+    def test_full_output_is_the_batched_row(self):
+        x = np.random.default_rng(10).standard_normal(300)
+        model, info = estimate_arma(x, 3, 2, full_output=True)
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(x[None, :], 3, 2)
+        assert np.array_equal(model.ar, ar[0]) and np.array_equal(model.ma, ma[0])
+        assert model.noise_variance == noise_variance[0] and model.converged == converged[0]
+        assert info == {"objective": objectives[0], "converged": bool(converged[0])}
+
+
+class TestFitArmaFrames:
+    @settings(deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(1, 8),
+        q=st.integers(1, 4),
+        n_rows=st.integers(1, 4),
+        nasal=st.booleans(),
+        extra=st.integers(1, 200),
+    )
+    @example(seed=0, p=8, q=4, n_rows=3, nasal=True, extra=1)
+    @example(seed=1, p=1, q=1, n_rows=2, nasal=False, extra=1)
+    def test_rows_equal_the_per_frame_fit(self, seed, p, q, n_rows, nasal, extra):
+        rng = np.random.default_rng(seed)
+        if nasal:
+            frames = nasal_frames()[rng.integers(0, len(nasal_frames()), n_rows)]
+        else:
+            frames = random_arma_frames(rng, n_rows, p + q + 2 + extra)
+        frames[rng.random(n_rows) < 0.25] = 0.0
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(frames, p, q)
+        for t, frame in enumerate(frames):
+            model, history = reference_estimate_arma(frame, p, q)
+            assert np.array_equal(ar[t], model.ar)
+            assert np.array_equal(ma[t], model.ma)
+            assert noise_variance[t] == model.noise_variance
+            assert converged[t] == model.converged
+            assert objectives[t] == history
+
+    def test_ar_only_rows_are_ar_fits(self):
+        frames = random_arma_frames(np.random.default_rng(11), 3, 120)
+        frames[1] = 0.0
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(frames, 5, 0)
+        a, err, _ = fit_ar_frames(frames, 5)
+        assert np.array_equal(ar, a) and np.array_equal(noise_variance, err)
+        assert ma.shape == (3, 0) and converged.tolist() == [True, False, True]
+        assert objectives == [[], [], []]
+
+    def test_no_rows(self):
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(np.zeros((0, 50)), 4, 2)
+        assert ar.shape == (0, 4) and ma.shape == (0, 2) and noise_variance.shape == (0,)
+        assert converged.shape == (0,) and objectives == []
+
+
+class TestReflectRoots:
+    """The inlined factoring equals np.real(np.poly(...)) of the reflected and
+    clipped np.roots, which ``reference_reflect_roots`` computes."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_real=st.integers(0, 4),
+        n_pairs=st.integers(0, 3),
+        scale=st.sampled_from([0.5, 1.0, 1.5, 3.0]),
+        clip=st.sampled_from([0.99, MAX_ROOT_RADIUS]),
+        zero_last=st.booleans(),
+    )
+    def test_equals_factoring_with_numpy(self, seed, n_real, n_pairs, scale, clip, zero_last):
+        rng = np.random.default_rng(seed)
+        roots = list(rng.uniform(-scale, scale, n_real))
+        for _ in range(n_pairs):
+            z = rng.uniform(0.1, scale) * np.exp(1j * rng.uniform(0.05, np.pi - 0.05))
+            roots += [z, np.conj(z)]
+        if zero_last or not roots:
+            roots.append(0.0)
+        poly = np.real(np.poly(roots))
+        assert np.array_equal(_reflect_roots(poly, clip), reference_reflect_roots(poly, clip))
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [2.0, -1.5, 0.3],  # real only, two outside
+            [0.5 + 1.2j, 0.5 - 1.2j, 0.2],  # a complex pair outside
+            [0.995 * np.exp(0.7j), 0.995 * np.exp(-0.7j)],  # a pair between the clip radius and 1
+            [1.2, -0.4, 0.0],  # zero trailing coefficient
+        ],
+    )
+    def test_factored_cases(self, roots):
+        poly = np.real(np.poly(roots))
+        assert not certify_inside(poly, 0.99)
+        out = _reflect_roots(poly, 0.99)
+        assert np.array_equal(out, reference_reflect_roots(poly, 0.99))
+        assert out[0] == 1.0 and root_radius(out) < 0.99 + 1e-9
+
+
+class TestArmaObservations:
+    CONFIG = RunConfig(lpc_order=6, ma_order=4, n_formants=2, n_antiformants=1)  # the nasal demo's orders
+
+    @pytest.mark.parametrize("refuse", ["none", "some", "all"])
+    def test_equal_to_the_per_frame_loop(self, monkeypatch, refuse):
+        frames = nasal_frames()[::3].copy()
+        frames[2] = 0.0
+        speech = np.ones(len(frames), dtype=bool)
+        speech[[0, 5]] = False
+        fitted = np.flatnonzero(speech & np.any(frames, axis=1))
+        expected = np.zeros((len(frames), self.CONFIG.n_cepstra))
+        for t in fitted:
+            model, _ = reference_estimate_arma(frames[t], 6, 4)
+            expected[t] = arma_to_cepstrum(model, self.CONFIG.n_cepstra).coeffs
+
+        checks, calls = [], []
+
+        def certify(poly, radius):
+            checks.append(1)
+            if refuse == "all" or (refuse == "some" and len(checks) % 5 == 0):
+                return False
+            return certify_inside(poly, radius)
+
+        def counting_arma_to_cepstrum(model, n_coeffs):
+            calls.append(1)
+            return arma_to_cepstrum(model, n_coeffs)
+
+        monkeypatch.setattr(pipeline, "certify_inside", certify)
+        monkeypatch.setattr(pipeline, "arma_to_cepstrum", counting_arma_to_cepstrum)
+        obs = build_observations(frames, self.CONFIG, speech)
+        assert np.array_equal(obs, expected)
+        if refuse == "all":
+            assert len(calls) == fitted.size
+        elif refuse == "some":
+            assert 0 < len(calls) < fitted.size
 
 
 class TestLaggedMatrix:
