@@ -9,7 +9,7 @@ the prior dynamics as proposal.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .tracker import (
     _clamp,
     _make_result,
     _resolve_setup,
+    default_params,
     ekf_filter,
 )
 
@@ -51,8 +52,6 @@ def pf_track(
     n_particles: int = 1000,
     seed: int = 0,
     obs_model=None,
-    frozen_indices=None,
-    frozen_values=None,
 ) -> TrackResult:
     """Bootstrap particle filter returning weighted means and covariances.
 
@@ -60,7 +59,9 @@ def pf_track(
     Gaussian likelihood of y_t under the exact observation map and R, and
     are systematically resampled when the effective sample size drops below
     half the particle count.  Silent frames propagate without reweighting.
-    Fixed seed gives bit-identical output.
+    An entry with zero prior and process variance and an identity row in F
+    is known: every particle carries its ``mu0`` value.  Fixed seed gives
+    bit-identical output.
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
@@ -73,8 +74,6 @@ def pf_track(
     r_inv = np.linalg.inv(params.R)
 
     particles = params.mu0 + rng.standard_normal((n_particles, dim)) @ chol_s0.T
-    if frozen_indices is not None:
-        particles[:, frozen_indices] = frozen_values
     log_w = np.full(n_particles, -np.log(n_particles))
 
     bounds = obs_model.state_bounds()
@@ -84,8 +83,6 @@ def pf_track(
     for t in range(n_frames):
         particles = particles @ params.F.T + rng.standard_normal((n_particles, dim)) @ chol_q.T
         particles = _clamp(particles, bounds)
-        if frozen_indices is not None:
-            particles[:, frozen_indices] = frozen_values
 
         if speech[t]:
             resid = y[t] - obs_model.value(particles)
@@ -122,8 +119,9 @@ class BenchmarkSetup:
     """Synthetic state-space draw used for the EKF-vs-PF comparison.
 
     Four formant pairs observed through fifteen cepstral coefficients over
-    short sequences; bandwidths are held at their true values for both
-    algorithms via frozen state entries.
+    short sequences.  The bandwidths are known: zero prior and process
+    variance hold them at their ``default_params`` values in the simulation
+    and in both filters.
     """
 
     n_formants: int = 4
@@ -134,35 +132,25 @@ class BenchmarkSetup:
     init_freq_std: float = 50.0
 
     def make_params(self) -> TrackerParams:
-        i = self.n_formants
-        q_diag = np.concatenate([np.full(i, self.freq_walk_std**2), np.ones(i)])
-        sigma0 = np.diag(np.concatenate([np.full(i, self.init_freq_std**2), np.ones(i)]))
-        mu0 = np.concatenate([500.0 + 1000.0 * np.arange(i), 80.0 + 40.0 * np.arange(i)])
-        return TrackerParams(
-            F=np.eye(2 * i),
-            Q=np.diag(q_diag),
-            R=np.diag(1.0 / np.arange(1.0, self.n_cepstra + 1)),
-            mu0=mu0,
-            Sigma0=sigma0,
-            n_formants=i,
-            n_antiformants=0,
-            n_cepstra=self.n_cepstra,
-            sample_rate_hz=self.sample_rate_hz,
+        params = default_params(
+            self.n_formants,
+            0,
+            self.sample_rate_hz,
+            self.n_cepstra,
+            freq_process_std=self.freq_walk_std,
+            bw_process_std=0.0,
         )
-
-    def frozen_bandwidths(self):
         i = self.n_formants
-        return np.arange(i, 2 * i), 80.0 + 40.0 * np.arange(i)
+        sigma0 = np.diag(np.concatenate([np.full(i, self.init_freq_std**2), np.zeros(i)]))
+        return replace(params, Sigma0=sigma0)
 
     def simulate(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """Draw (true_states, observations) from the state-space model."""
         params = self.make_params()
         model = CepstralObservation(self.n_formants, 0, self.n_cepstra, self.sample_rate_hz)
-        idx, values = self.frozen_bandwidths()
         i = self.n_formants
         x = params.mu0.copy()
         x[:i] += self.init_freq_std * rng.standard_normal(i)
-        x[idx] = values
         states = np.zeros((self.n_frames, 2 * i))
         obs = np.zeros((self.n_frames, self.n_cepstra))
         r_std = np.sqrt(np.diag(params.R))
@@ -188,7 +176,7 @@ def ekf_pf_benchmark(
     """Monte Carlo comparison of EKF and particle-filter tracking error.
 
     Each trial draws a fresh trajectory and observation sequence; both
-    filters run on identical data with the true bandwidths frozen.  Returns
+    filters run on identical data with the true bandwidths known.  Returns
     per-particle-count RMSE summaries with 95 % confidence intervals
     (mean +/- 1.96 * sd / sqrt(trials)).
     """
@@ -196,7 +184,6 @@ def ekf_pf_benchmark(
         raise ValueError("need at least one trial")
     setup = setup or BenchmarkSetup()
     params = setup.make_params()
-    idx, values = setup.frozen_bandwidths()
     counts = list(particle_counts)
     ekf_rmse = np.zeros(trials)
     pf_rmse = np.zeros((len(counts), trials))
@@ -204,17 +191,10 @@ def ekf_pf_benchmark(
     for trial in range(trials):
         rng = np.random.default_rng(master.integers(2**63))
         truth, obs = setup.simulate(rng)
-        est = ekf_filter(obs, params, frozen_indices=idx, frozen_values=values)
+        est = ekf_filter(obs, params)
         ekf_rmse[trial] = _freq_rmse(est, truth, setup.n_formants)
         for ci, count in enumerate(counts):
-            pf = pf_track(
-                obs,
-                params,
-                n_particles=count,
-                seed=int(master.integers(2**63)),
-                frozen_indices=idx,
-                frozen_values=values,
-            )
+            pf = pf_track(obs, params, n_particles=count, seed=int(master.integers(2**63)))
             pf_rmse[ci, trial] = _freq_rmse(pf, truth, setup.n_formants)
 
     def summary(values_arr):

@@ -20,6 +20,7 @@ from .arma import estimate_arma  # noqa: F401  (looked up here by bench/tracing.
 from .cepstrum import _log_inverse_series, _real_cepstra, arma_to_cepstrum
 from .cepstrum import real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
 from .frontend import (
+    _WINDOWS,
     LabelInterval,
     Waveform,
     activity_from_labels,
@@ -69,6 +70,8 @@ class RunConfig:
     initial_antiformant_bws: list[float] | None = None
 
     def validate(self) -> None:
+        if self.lpc_order < 1:
+            raise ValueError("lpc_order must be positive")
         if self.n_cepstra < max(self.lpc_order, self.ma_order):
             raise ValueError("n_cepstra must be at least max(lpc_order, ma_order)")
         if self.lpc_order < 2 * self.n_formants:
@@ -85,6 +88,22 @@ class RunConfig:
             raise ValueError("target sample rate must be positive")
         if abs(self.gamma) > 1:
             raise ValueError("|gamma| must be <= 1")
+        if self.window not in _WINDOWS:
+            raise ValueError(f"window must be one of {tuple(_WINDOWS)}")
+        if not self.frame_ms > 0:
+            raise ValueError("frame_ms must be positive")
+        # zero is valid: a zero process std makes those entries known
+        if not (self.freq_process_std >= 0 and self.bw_process_std >= 0):
+            raise ValueError("process stds must be non-negative")
+        i, j = self.n_formants, self.n_antiformants
+        for values, n in (
+            (self.initial_formant_freqs, i),
+            (self.initial_formant_bws, i),
+            (self.initial_antiformant_freqs, j),
+            (self.initial_antiformant_bws, j),
+        ):
+            if values is not None and len(values) != n:
+                raise ValueError("initial value override has wrong length")
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -109,6 +128,7 @@ class RunConfig:
 
 
 def make_tracker_params(config: RunConfig, hop_s: float) -> TrackerParams:
+    config.validate()
     params = default_params(
         config.n_formants,
         config.n_antiformants,
@@ -128,8 +148,6 @@ def make_tracker_params(config: RunConfig, hop_s: float) -> TrackerParams:
     )
     for values, lo, hi in overrides:
         if values is not None:
-            if len(values) != hi - lo:
-                raise ValueError("initial value override has wrong length")
             mu0[lo:hi] = values
     return replace(params, mu0=mu0)
 

@@ -46,7 +46,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """State-space parameter set (F, Q, R, mu0, Sigma0) plus track geometry."""
+    """State-space parameter set (F, Q, R, mu0, Sigma0) plus track geometry.
+
+    An entry known exactly (a bandwidth supplied from outside, say) has its
+    value in ``mu0``, zero rows and columns in ``Sigma0`` and ``Q`` and an
+    identity row in ``F``; the filter and smoother then hold it fixed.
+    """
 
     F: np.ndarray
     Q: np.ndarray
@@ -342,14 +347,6 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
     return y, n_frames, speech, activation, obs_model
 
 
-def _apply_frozen(mean, cov, frozen_indices, frozen_values):
-    if frozen_indices is None:
-        return
-    mean[frozen_indices] = frozen_values
-    cov[frozen_indices, :] = 0.0
-    cov[:, frozen_indices] = 0.0
-
-
 def _clamp(vec, bounds):
     if bounds is None:
         return vec
@@ -357,7 +354,7 @@ def _clamp(vec, bounds):
     return np.minimum(np.maximum(vec, lo), hi)
 
 
-def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values):
+def _forward(y, params, speech, activation, obs_model):
     """Forward EKF recursion, yielding ``(m_pred, P_pred, m_filt, P_filt)`` per frame.
 
     Keeps no history; the yielded arrays are never modified afterwards.
@@ -371,7 +368,6 @@ def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_va
 
     m = params.mu0.copy()
     P = params.Sigma0.copy()
-    _apply_frozen(m, P, frozen_indices, frozen_values)
     prev_g = np.ones(params.state_dim, dtype=bool)
 
     for t, g in enumerate(flags):
@@ -385,7 +381,6 @@ def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_va
         m = F @ m
         P = _symmetrize(F @ P @ F.T + Q)
         m = _clamp(m, bounds)
-        _apply_frozen(m, P, frozen_indices, frozen_values)
         m_pred, P_pred = m, P
 
         if update[t]:
@@ -398,7 +393,6 @@ def _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_va
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
             m = _clamp(m, bounds)
-            _apply_frozen(m, P, frozen_indices, frozen_values)
 
         yield m_pred, P_pred, m, P
 
@@ -424,21 +418,18 @@ def ekf_filter(
     mask=None,
     activation: TrackActivation | None = None,
     obs_model=None,
-    frozen_indices=None,
-    frozen_values=None,
 ) -> TrackResult:
     """Forward extended Kalman filter over cepstral observations.
 
     ``obs`` is a (T, N) array or sequence of ``CepstralVector``.  ``mask``
     marks speech frames; silent frames update nothing but still propagate.
-    ``frozen_indices``/``frozen_values`` pin chosen state entries to known
-    values (their covariance rows stay zero), used when true bandwidths are
-    supplied externally.
+    An entry known exactly (see ``TrackerParams``) keeps zero variance and a
+    zero gain row, so it holds its ``mu0`` value on every frame.
     """
     y, _, speech, activation, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
     means = np.empty((len(y), params.state_dim))
     covs = np.empty((len(y), params.state_dim, params.state_dim))
-    steps = _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values)
+    steps = _forward(y, params, speech, activation, obs_model)
     for t, (_, _, m, P) in enumerate(steps):
         means[t], covs[t] = m, P
     return _make_result(means, covs, speech, activation, params)
@@ -450,15 +441,15 @@ def eks_smooth(
     mask=None,
     activation: TrackActivation | None = None,
     obs_model=None,
-    frozen_indices=None,
-    frozen_values=None,
 ) -> TrackResult:
     """Fixed-interval smoother: forward filter plus RTS backward pass.
 
     Stores the predicted and filtered moments.  Where the activation flags
     change, the backward pass rebuilds the entering moments from the
     filtered ones and the blocked transition from the flags; elsewhere the
-    filtered moments enter the next frame unchanged.
+    filtered moments enter the next frame unchanged.  An entry whose
+    predicted variance is exactly zero is known (see ``ekf_filter``) and
+    gets a zero smoother gain, so it keeps its value and zero variance.
     """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model
@@ -468,9 +459,14 @@ def eks_smooth(
     P_pred = np.empty((n_frames, dim, dim))
     m_s = np.empty((n_frames, dim))
     P_s = np.empty((n_frames, dim, dim))
-    steps = _forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values)
+    steps = _forward(y, params, speech, activation, obs_model)
     for t, (m, P, m_f, P_f) in enumerate(steps):
         m_pred[t], P_pred[t], m_s[t], P_s[t] = m, P, m_f, P_f
+
+    # a known entry has zero predicted variance; a unit diagonal keeps the
+    # gain solve nonsingular and still gives that entry a zero gain
+    frames, known = np.nonzero(np.einsum("tii->ti", P_pred) == 0.0)
+    P_pred[frames, known, known] = 1.0
 
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
@@ -481,16 +477,9 @@ def eks_smooth(
         m_prev, P_prev = m_s[t - 1], P_s[t - 1]
         if rebuild[t]:
             m_prev, P_prev = _enter(m_prev, P_prev, flags[t], flags[t - 1], params)
-        P_pred_t = P_pred[t]
-        if frozen_indices is not None:
-            # frozen coordinates have zero prediction covariance by
-            # construction; a unit diagonal keeps the solve nonsingular and
-            # still yields a zero smoother gain on those coordinates
-            P_pred_t[frozen_indices, frozen_indices] = 1.0
-        S = _solve_innovation(P_pred_t, P_prev @ F.T, "eks_smooth")
+        S = _solve_innovation(P_pred[t], P_prev @ F.T, "eks_smooth")
         m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
-        P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred_t) @ S.T)
-        _apply_frozen(m_s[t - 1], P_s[t - 1], frozen_indices, frozen_values)
+        P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred[t]) @ S.T)
         m_s[t - 1] = _clamp(m_s[t - 1], bounds)
         if rebuild[t]:
             F = _blocked(params.F, flags[t - 1])

@@ -64,6 +64,28 @@ class TestTrackCommand:
         code = main(["track", str(wav_path), "--config", str(cfg_path)])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"window": "blackman"},
+            {"frame_ms": 0.0},
+            {"frame_ms": -20.0},
+            {"lpc_order": 0, "n_formants": 0},
+            {"initial_formant_freqs": [500.0]},
+            {"freq_process_std": -1.0},
+            {"bw_process_std": -1.0},
+        ],
+        ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
+             "override_length", "freq_std_negative", "bw_std_negative"],
+    )
+    def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
+        wav_path, _ = vowel_wav
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["track", str(wav_path), "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert code == 2
+        assert "bad config" in capsys.readouterr().err
+
     def test_filter_vs_smooth_variances(self, tmp_path, vowel_wav):
         wav_path, _ = vowel_wav
         out_f = tmp_path / "f.csv"

@@ -110,10 +110,16 @@ class TestBenchmark:
 
     def test_simulation_freezes_bandwidths(self):
         setup = BenchmarkSetup(n_frames=10)
+        params = setup.make_params()
+        bw = np.arange(setup.n_formants, 2 * setup.n_formants)
+        assert np.all(np.diag(params.Sigma0)[bw] == 0.0)
+        assert np.all(np.diag(params.Q)[bw] == 0.0)
         truth, obs = setup.simulate(np.random.default_rng(0))
-        idx, values = setup.frozen_bandwidths()
-        assert np.all(truth[:, idx] == values)
+        assert np.all(truth[:, bw] == params.mu0[bw])
         assert obs.shape == (10, setup.n_cepstra)
+        pf = pf_track(obs, params, n_particles=50)
+        assert np.allclose(pf.means[:, bw], params.mu0[bw], rtol=1e-12, atol=0.0)
+        assert np.allclose(pf.covariances[:, bw, :], 0.0, rtol=0.0, atol=1e-9)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):

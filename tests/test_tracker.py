@@ -11,7 +11,6 @@ from karma.tracker import (
     LinearObservation,
     TrackActivation,
     TrackerParams,
-    _apply_frozen,
     _resolve_setup,
     _solve_innovation,
     _symmetrize,
@@ -99,7 +98,19 @@ def clamp(vec, bounds):
     return vec if bounds is None else np.clip(vec, *bounds)
 
 
-def stored_forward(y, params, speech, activation, obs_model, frozen_indices, frozen_values):
+def with_known(params, entries, values):
+    """``params`` with ``entries`` known at ``values``: zero prior and process variance, F row e_k."""
+    mu0, Sigma0, Q, F = params.mu0.copy(), params.Sigma0.copy(), params.Q.copy(), params.F.copy()
+    mu0[entries] = values
+    for mat in (Sigma0, Q):
+        mat[entries, :] = 0.0
+        mat[:, entries] = 0.0
+    F[entries, :] = 0.0
+    F[entries, entries] = 1.0
+    return replace(params, mu0=mu0, Sigma0=Sigma0, Q=Q, F=F)
+
+
+def stored_forward(y, params, speech, activation, obs_model):
     """Reference forward pass that stores the moments entering every frame."""
     dim = params.state_dim
     n_frames = y.shape[0]
@@ -108,7 +119,6 @@ def stored_forward(y, params, speech, activation, obs_model, frozen_indices, fro
 
     m = params.mu0.copy()
     P = params.Sigma0.copy()
-    _apply_frozen(m, P, frozen_indices, frozen_values)
     prev_g = np.ones(dim, dtype=bool)
 
     for t in range(n_frames):
@@ -136,7 +146,6 @@ def stored_forward(y, params, speech, activation, obs_model, frozen_indices, fro
         m = F_eff @ m
         P = _symmetrize(F_eff @ P @ F_eff.T + np.where(block, params.Q, 0.0))
         m = clamp(m, bounds)
-        _apply_frozen(m, P, frozen_indices, frozen_values)
         store.m_pred[t] = m
         store.P_pred[t] = P
 
@@ -150,7 +159,6 @@ def stored_forward(y, params, speech, activation, obs_model, frozen_indices, fro
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
             m = clamp(m, bounds)
-            _apply_frozen(m, P, frozen_indices, frozen_values)
 
         store.m_filt[t] = m
         store.P_filt[t] = P
@@ -159,28 +167,26 @@ def stored_forward(y, params, speech, activation, obs_model, frozen_indices, fro
     return store
 
 
-def stored_smooth(store, obs_model, frozen_indices, frozen_values):
+def stored_smooth(store, obs_model):
     """Reference RTS pass over a ``stored_forward`` store."""
     bounds = obs_model.state_bounds()
     m_s = store.m_filt.copy()
     P_s = store.P_filt.copy()
     for t in range(m_s.shape[0] - 1, 0, -1):
-        P_pred = store.P_pred[t]
-        if frozen_indices is not None:
-            P_pred = P_pred.copy()
-            P_pred[frozen_indices, frozen_indices] = 1.0
+        P_pred = store.P_pred[t].copy()
+        known = np.diag(P_pred) == 0.0
+        P_pred[known, known] = 1.0
         gain_rhs = store.P_prev[t] @ store.F_eff[t].T
         S = _solve_innovation(P_pred, gain_rhs, "eks_smooth")
         m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
         P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
-        _apply_frozen(m_s[t - 1], P_s[t - 1], frozen_indices, frozen_values)
         m_s[t - 1] = clamp(m_s[t - 1], bounds)
     return m_s, P_s
 
 
 @st.composite
-def tracking_problems(draw):
-    """Random tracking runs: activation schedules, speech masks, frozen entries, both models."""
+def tracking_problems(draw, min_known=0):
+    """Random tracking runs: activation schedules, speech masks, known entries, both models."""
     n_f = draw(st.integers(1, 3))
     n_a = draw(st.integers(0, 2))
     n_frames = draw(st.integers(1, 16))
@@ -188,7 +194,7 @@ def tracking_problems(draw):
     formants = draw(arrays(bool, (n_frames, n_f)))
     antiformants = draw(arrays(bool, (n_frames, n_a)))
     speech = draw(arrays(bool, n_frames))
-    frozen = draw(st.lists(st.integers(0, dim - 1), max_size=2, unique=True))
+    known = draw(st.lists(st.integers(0, dim - 1), min_size=min_known, max_size=2, unique=True))
     linear = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -208,28 +214,25 @@ def tracking_problems(draw):
             n_cepstra=n_obs,
             sample_rate_hz=8000.0,
         )
-        frozen_values = rng.standard_normal(len(frozen))
+        known_values = rng.standard_normal(len(known))
         y = rng.standard_normal((n_frames, n_obs))
     else:
         obs_model = None
         params = replace(default_params(n_f, n_a, 10000.0, 12), F=np.eye(dim) + 0.01 * coupling)
-        frozen_values = params.mu0[frozen] + rng.uniform(0.0, 50.0, len(frozen))
+        known_values = params.mu0[known] + rng.uniform(0.0, 50.0, len(known))
         model = CepstralObservation(n_f, n_a, 12, 10000.0)
         truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
         y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
-    frozen_indices = np.array(frozen) if frozen else None
     return dict(
         obs=y,
-        params=params,
+        params=with_known(params, known, known_values),
         mask=speech,
         activation=TrackActivation(formants, antiformants),
         obs_model=obs_model,
-        frozen_indices=frozen_indices,
-        frozen_values=frozen_values if frozen else None,
     )
 
 
-def long_schedule_problem(frozen):
+def long_schedule_problem(known):
     """A 320-frame cepstral run whose flags flip at frame 0, on consecutive frames and at the end."""
     n_f, n_a, n_frames = 3, 2, 320
     dim = 2 * n_f + 2 * n_a
@@ -253,15 +256,14 @@ def long_schedule_problem(frozen):
     model = CepstralObservation(n_f, n_a, 12, 10000.0)
     truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
     y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
-    frozen_indices = np.array([4]) if frozen else None
+    if known:
+        params = with_known(params, [4], params.mu0[[4]] + 20.0)
     return dict(
         obs=y,
         params=params,
         mask=speech,
         activation=TrackActivation(formants, antiformants),
         obs_model=None,
-        frozen_indices=frozen_indices,
-        frozen_values=params.mu0[[4]] + 20.0 if frozen else None,
     )
 
 
@@ -274,16 +276,14 @@ class TestStoredRecursionOracle:
         y, _, speech, activation, obs_model = _resolve_setup(
             p["obs"], p["params"], p["mask"], p["activation"], p["obs_model"]
         )
-        store = stored_forward(
-            y, p["params"], speech, activation, obs_model, p["frozen_indices"], p["frozen_values"]
-        )
-        m_s, P_s = stored_smooth(store, obs_model, p["frozen_indices"], p["frozen_values"])
+        store = stored_forward(y, p["params"], speech, activation, obs_model)
+        m_s, P_s = stored_smooth(store, obs_model)
         return store, m_s, P_s
 
     @settings(deadline=None, max_examples=60)
     @given(problem=tracking_problems())
-    @example(problem=long_schedule_problem(frozen=False))
-    @example(problem=long_schedule_problem(frozen=True))
+    @example(problem=long_schedule_problem(known=False))
+    @example(problem=long_schedule_problem(known=True))
     def test_filter_and_smoother_equal_reference(self, problem):
         store, m_s, P_s = self.oracle(problem)
         filt = ekf_filter(**problem)
@@ -292,6 +292,16 @@ class TestStoredRecursionOracle:
         assert np.array_equal(filt.covariances, store.P_filt)
         assert np.array_equal(smth.means, m_s)
         assert np.array_equal(smth.covariances, P_s)
+
+    @settings(deadline=None, max_examples=40)
+    @given(problem=tracking_problems(min_known=1))
+    def test_known_entries_hold_their_value(self, problem):
+        params = problem["params"]
+        known = np.flatnonzero(np.diag(params.Sigma0) == 0.0)
+        for res in (ekf_filter(**problem), eks_smooth(**problem)):
+            assert np.all(res.means[:, known] == params.mu0[known])
+            assert np.all(res.covariances[:, known, :] == 0.0)
+            assert np.all(res.covariances[:, :, known] == 0.0)
 
     @settings(deadline=None, max_examples=30)
     @given(problem=tracking_problems(), data=st.data())
@@ -427,9 +437,8 @@ class TestCepstralTracking:
         assert res.means[30, 4] == pytest.approx(self.params.mu0[4])
 
     def test_frozen_entries_pinned(self):
-        idx = np.array([2, 3])
-        vals = np.array([50.0, 110.0])
-        res = eks_smooth(self.obs, self.params, frozen_indices=idx, frozen_values=vals)
+        params = with_known(self.params, [2, 3], [50.0, 110.0])
+        res = eks_smooth(self.obs, params)
         assert np.all(res.means[:, 2] == 50.0)
         assert np.all(res.means[:, 3] == 110.0)
         assert np.all(res.variances[:, 2] == 0.0)
