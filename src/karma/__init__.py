@@ -46,7 +46,6 @@ from .tracker import (
     ekf_filter,
     eks_smooth,
     estimate_transition,
-    reactivate_track,
 )
 
 __version__ = "0.1.0"

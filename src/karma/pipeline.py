@@ -29,14 +29,8 @@ from .frontend import (
     resample,
     window_frames,
 )
-from .tracker import (
-    TrackActivation,
-    TrackerParams,
-    default_params,
-    ekf_filter,
-    eks_smooth,
-    estimate_transition,
-)
+from .tracker import TrackActivation, TrackerParams, default_params, ekf_filter, eks_smooth
+from .tracker import estimate_transition  # noqa: F401  (looked up here by bench/tracing.py)
 
 __all__ = ["RunConfig", "make_tracker_params", "build_observations", "track_waveform"]
 
@@ -61,7 +55,6 @@ class RunConfig:
     observation_source: str = "arma_cepstrum"
     mode: str = "smooth"
     energy_threshold_db: float = -40.0
-    fit_transition: bool = True  # re-track with a least-squares transition matrix
     freq_process_std: float = 320.0
     bw_process_std: float = 100.0
     initial_formant_freqs: list[float] | None = None
@@ -90,8 +83,9 @@ class RunConfig:
             raise ValueError("|gamma| must be <= 1")
         if self.window not in _WINDOWS:
             raise ValueError(f"window must be one of {tuple(_WINDOWS)}")
-        if not self.frame_ms > 0:
-            raise ValueError("frame_ms must be positive")
+        # window_frames rounds the frame to whole samples: round(x) >= 1 iff x > 0.5
+        if not self.frame_ms * 1e-3 * self.target_sample_rate_hz > 0.5:
+            raise ValueError("frame_ms must span at least one sample at the analysis rate")
         # zero is valid: a zero process std makes those entries known
         if not (self.freq_process_std >= 0 and self.bw_process_std >= 0):
             raise ValueError("process stds must be non-negative")
@@ -206,9 +200,10 @@ def track_waveform(
     Resamples to the analysis rate, windows and pre-emphasizes frames, fits
     per-frame models, converts them to cepstral observations, and tracks
     with the extended Kalman filter (plus the smoothing pass in smooth
-    mode).  When ``fit_transition`` is on, a first pass with the identity
-    transition matrix seeds a least-squares estimate of F and the tracker
-    runs again with it.
+    mode) under the random-walk dynamics of ``default_params``.  In filter
+    mode each frame's estimate depends only on that frame and earlier ones,
+    given the activity mask (fixed by ``labels``; ``detect_activity``
+    scales its threshold to the loudest frame of the whole utterance).
     """
     config.validate()
     rate_ratio = config.target_sample_rate_hz / w.sample_rate_hz
@@ -232,17 +227,6 @@ def track_waveform(
     obs = build_observations(emphasized, config, mask.flags)
     params = make_tracker_params(config, frames.hop_s)
     run = eks_smooth if config.mode == "smooth" else ekf_filter
-
-    if config.fit_transition:
-        # identification pass: always smoothed, so both output modes share
-        # the same estimated transition matrix
-        first = eks_smooth(obs, params, mask, activation)
-        try:
-            F = estimate_transition(first.means, speech=mask.flags)
-        except ValueError:
-            F = None
-        if F is not None:
-            params = replace(params, F=F)
     result = run(obs, params, mask, activation)
     if return_details:
         return result, mask, obs, params

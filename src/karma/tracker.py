@@ -9,9 +9,10 @@ Rauch-Tung-Striebel backward pass over the stored filtered moments.
 
 Silent frames coast: the Kalman gain is premultiplied by a diagonal 0/1
 mask so the update degenerates to pure prediction and uncertainty grows.
-Individual tracks may be deactivated per frame; an inactive track is
-excluded from the observation model, decoupled from the active block, and
-reinitialized from the prior when it reappears.
+Individual tracks may be deactivated per frame; an inactive track is an
+unobserved part of the state: it is excluded from the observation model,
+decoupled from the active block and coasts under F and Q, and when it
+reappears it resumes from its coasted mean and variance.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "LinearObservation",
     "ekf_filter",
     "eks_smooth",
-    "reactivate_track",
     "estimate_transition",
     "default_params",
 ]
@@ -253,53 +253,6 @@ def _entry_flags(activation: TrackActivation) -> np.ndarray:
     return np.concatenate([f, f, a, a], axis=1)
 
 
-def _track_entries(track_index: int, n_formants: int, n_antiformants: int) -> np.ndarray:
-    """State entry indices (frequency, bandwidth) of one track.
-
-    Tracks are indexed 0..I-1 for formants, then I..I+J-1 for antiformants.
-    """
-    i, j = n_formants, n_antiformants
-    if not 0 <= track_index < i + j:
-        raise ValueError("track index out of range")
-    if track_index < i:
-        return np.array([track_index, i + track_index])
-    k = track_index - i
-    return np.array([2 * i + k, 2 * i + j + k])
-
-
-def _reset_entries(mean: np.ndarray, cov: np.ndarray, entries, params: TrackerParams):
-    """Copies of ``mean``/``cov`` with ``entries`` (indices or a mask) reset from the prior."""
-    mean = np.array(mean, dtype=float)
-    cov = np.array(cov, dtype=float)
-    mean[entries] = params.mu0[entries]
-    cov[entries, :] = 0.0
-    cov[:, entries] = 0.0
-    cov[np.ix_(entries, entries)] = params.Sigma0[np.ix_(entries, entries)]
-    return mean, cov
-
-
-def reactivate_track(mean: np.ndarray, cov: np.ndarray, track_index: int, params: TrackerParams):
-    """Reset one track's mean and covariance entries from the prior.
-
-    Cross covariances with every other entry are zeroed, matching the
-    semantics of a state that just re-entered the model.
-    """
-    entries = _track_entries(track_index, params.n_formants, params.n_antiformants)
-    return _reset_entries(mean, cov, entries, params)
-
-
-def _enter(m: np.ndarray, P: np.ndarray, g: np.ndarray, prev_g: np.ndarray, params: TrackerParams):
-    """Moments entering a frame with entry flags ``g`` after ``prev_g``.
-
-    Newly active entries restart from the prior and active and inactive
-    blocks are decoupled, in copies.
-    """
-    m, P = _reset_entries(m, P, g & ~prev_g, params)
-    P[np.ix_(g, ~g)] = 0.0
-    P[np.ix_(~g, g)] = 0.0
-    return m, P
-
-
 def _flag_changes(flags: np.ndarray) -> np.ndarray:
     """Frames whose entry flags differ from the previous frame's; frame 0 always counts."""
     changed = np.ones(len(flags), dtype=bool)
@@ -358,26 +311,24 @@ def _forward(y, params, speech, activation, obs_model):
     """Forward EKF recursion, yielding ``(m_pred, P_pred, m_filt, P_filt)`` per frame.
 
     Keeps no history; the yielded arrays are never modified afterwards.
-    The blocked transition and process noise are rebuilt only at frames
-    whose activation flags change.
+    At frames whose activation flags change, and only there, the entering
+    covariance is decoupled between active and inactive entries and the
+    blocked transition and process noise are rebuilt.  A returning entry
+    keeps the moments it coasted to.
     """
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
     update = speech & flags.any(axis=1)
 
-    m = params.mu0.copy()
-    P = params.Sigma0.copy()
-    prev_g = np.ones(params.state_dim, dtype=bool)
-
+    m, P = params.mu0, params.Sigma0
     for t, g in enumerate(flags):
         if rebuild[t]:
-            m, P = _enter(m, P, g, prev_g, params)
+            P = _blocked(P, g)
             F = _blocked(params.F, g)
             Q = _blocked(params.Q, g)
             act_f, act_a = activation.formants[t], activation.antiformants[t]
             inactive = ~g if not g.all() else None
-            prev_g = g
         m = F @ m
         P = _symmetrize(F @ P @ F.T + Q)
         m = _clamp(m, bounds)
@@ -445,11 +396,12 @@ def eks_smooth(
     """Fixed-interval smoother: forward filter plus RTS backward pass.
 
     Stores the predicted and filtered moments.  Where the activation flags
-    change, the backward pass rebuilds the entering moments from the
-    filtered ones and the blocked transition from the flags; elsewhere the
-    filtered moments enter the next frame unchanged.  An entry whose
-    predicted variance is exactly zero is known (see ``ekf_filter``) and
-    gets a zero smoother gain, so it keeps its value and zero variance.
+    change, the backward pass decouples the entering covariance and rebuilds
+    the blocked transition from the flags, as the forward pass did;
+    elsewhere the filtered moments enter the next frame unchanged.  An
+    entry whose predicted variance is exactly zero is known (see
+    ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
+    and zero variance.
     """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model
@@ -476,7 +428,7 @@ def eks_smooth(
     for t in range(n_frames - 1, 0, -1):
         m_prev, P_prev = m_s[t - 1], P_s[t - 1]
         if rebuild[t]:
-            m_prev, P_prev = _enter(m_prev, P_prev, flags[t], flags[t - 1], params)
+            P_prev = _blocked(P_prev, flags[t])
         S = _solve_innovation(P_pred[t], P_prev @ F.T, "eks_smooth")
         m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
         P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred[t]) @ S.T)
@@ -534,8 +486,8 @@ def default_params(
     frequencies and 100 Hz for bandwidths; the observation covariance is
     diagonal with R_nn = 1/n.  Initial formant means start at 500 Hz and
     step by 1000 Hz (bandwidths 80, 120, 160, ...); antiformants start at
-    1000 Hz with 80 Hz bandwidths.  Sigma0 = Q and F = identity until
-    ``estimate_transition`` replaces it.
+    1000 Hz with 80 Hz bandwidths.  Sigma0 = Q and F = identity: every
+    entry is a random walk.
     """
     i, j = n_formants, n_antiformants
     dim = 2 * i + 2 * j

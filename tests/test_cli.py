@@ -74,9 +74,12 @@ class TestTrackCommand:
             {"initial_formant_freqs": [500.0]},
             {"freq_process_std": -1.0},
             {"bw_process_std": -1.0},
+            {"frame_ms": 0.05},
+            {"fit_transition": False},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
-             "override_length", "freq_std_negative", "bw_std_negative"],
+             "override_length", "freq_std_negative", "bw_std_negative",
+             "frame_ms_below_one_sample", "retired_key"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

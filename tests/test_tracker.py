@@ -18,7 +18,6 @@ from karma.tracker import (
     ekf_filter,
     eks_smooth,
     estimate_transition,
-    reactivate_track,
 )
 
 
@@ -126,12 +125,6 @@ def stored_forward(y, params, speech, activation, obs_model):
         act_a = activation.antiformants[t]
         g = np.concatenate([act_f, act_f, act_a, act_a])
 
-        newly = g & ~prev_g
-        if newly.any():
-            m[newly] = params.mu0[newly]
-            P[newly, :] = 0.0
-            P[:, newly] = 0.0
-            P[np.ix_(newly, newly)] = params.Sigma0[np.ix_(newly, newly)]
         if (g != prev_g).any():
             P[np.ix_(g, ~g)] = 0.0
             P[np.ix_(~g, g)] = 0.0
@@ -425,16 +418,19 @@ class TestCepstralTracking:
         b = eks_smooth(self.obs, self.params)
         assert np.array_equal(a.means, b.means)
 
-    def test_deactivate_reactivate_resets_to_prior(self):
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
+    def test_returning_track_keeps_coasted_moments(self, run):
         activation = TrackActivation.all_active(40, 2, 1)
-        activation.antiformants[10:, 0] = False
+        activation.antiformants[10:30, 0] = False  # inactive on frames 10-29, back at 30
         mask = np.ones(40, bool)
-        mask[10:] = False  # no observations after deactivation
-        activation2 = TrackActivation(activation.formants.copy(), activation.antiformants.copy())
-        activation2.antiformants[30:, 0] = True
-        res = ekf_filter(self.obs, self.params, mask=mask, activation=activation2)
-        # at the reactivation frame the track mean is the prior mean propagated once
-        assert res.means[30, 4] == pytest.approx(self.params.mu0[4])
+        mask[10:] = False  # no observations after frame 9
+        res = run(self.obs, self.params, mask=mask, activation=activation)
+        entries = [4, 5]  # the antiformant's frequency and bandwidth
+        q = np.diag(self.params.Q)[entries]
+        for k in range(1, 31):
+            grown = res.variances[9, entries] + k * q
+            assert np.array_equal(res.means[9 + k, entries], res.means[9, entries])
+            assert res.variances[9 + k, entries] == pytest.approx(grown, rel=1e-12)
 
     def test_frozen_entries_pinned(self):
         params = with_known(self.params, [2, 3], [50.0, 110.0])
@@ -442,25 +438,6 @@ class TestCepstralTracking:
         assert np.all(res.means[:, 2] == 50.0)
         assert np.all(res.means[:, 3] == 110.0)
         assert np.all(res.variances[:, 2] == 0.0)
-
-
-class TestReactivateTrack:
-    def test_resets_selected_track(self):
-        params = default_params(2, 1, 8000.0, 10)
-        mean = np.arange(6, dtype=float)
-        cov = np.eye(6) * 7.0
-        new_mean, new_cov = reactivate_track(mean, cov, 2, params)
-        assert new_mean[4] == params.mu0[4]
-        assert new_mean[5] == params.mu0[5]
-        assert new_cov[4, 4] == params.Sigma0[4, 4]
-        assert np.all(new_cov[4, :4] == 0.0)
-        # untouched entries
-        assert np.all(new_mean[:4] == mean[:4])
-
-    def test_out_of_range_index(self):
-        params = default_params(2, 1, 8000.0, 10)
-        with pytest.raises(ValueError, match="out of range"):
-            reactivate_track(np.zeros(6), np.eye(6), 3, params)
 
 
 class TestEstimateTransition:
