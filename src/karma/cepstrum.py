@@ -12,6 +12,9 @@ coefficient, pure gain, is always excluded):
   running product.  ``cepstrum_jacobian`` reads its analytic derivative,
   -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, off the same powers, and the
   tracker's observation model evaluates h and its Jacobian the same way.
+  The powers are resonance-major, (N, K, ...) for K resonances over a
+  stack of states, so the sum over resonances adds contiguous slabs; one
+  kernel serves single states and particle stacks alike.
 * ``real_cepstrum`` -- nonparametric route straight from the samples; for a
   minimum-phase frame its doubled coefficients approximate the other two.
 """
@@ -148,8 +151,12 @@ def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
 def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
     """Powers z_k^n, n = 1..N, of the poles z_k = exp((-pi b_k + 2 pi i f_k) / fs).
 
-    freqs and bws (..., K) give a complex (N, ..., K) array.  Each pole
-    takes one complex exponential; its powers follow by a running product.
+    freqs and bws (K, ...) give a complex (N, K, ...) array, resonance-major:
+    ``powers[:, k]`` holds resonance k's powers for the whole stack as one
+    block of contiguous rows.  A stack of states (..., dim) enters as its
+    transpose, so its frequency and bandwidth columns are rows of ``x.T``.
+    Each pole takes one complex exponential; its powers follow by a
+    running product.
     """
     z = np.exp((np.pi / sample_rate_hz) * (2j * np.asarray(freqs) - np.asarray(bws)))
     powers = np.empty((n_coeffs,) + z.shape, dtype=complex)
@@ -159,26 +166,34 @@ def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
     return powers
 
 
-def _powers_cepstrum(powers, signs):
-    """C_n = (2/n) sum_k s_k Re z_k^n from (N, ..., K) powers, shape (..., N).
+def _cepstral_weights(n_coeffs: int) -> np.ndarray:
+    """The factors 2/n, n = 1..N, of C_n = (2/n) sum_k s_k Re z_k^n."""
+    return 2.0 / np.arange(1, n_coeffs + 1)
 
-    Formants carry the sign +1, antiformants -1 and left-out tracks 0.  The
-    sum runs over k in order, element by element, so a stack of states
-    gets the same bits as each state on its own.
+
+def _powers_cepstrum(powers, signs, weights):
+    """C_n = (2/n) sum_k s_k Re z_k^n from (N, K, ...) powers, shape (N, ...).
+
+    Formants carry the sign +1, antiformants -1 and left-out tracks 0;
+    ``weights`` are the factors 2/n.  The sum adds one (N, ...) slab per
+    resonance, k in order, so a stack of states gets the same bits as each
+    state on its own.  A stack's cepstra are the transpose of the result.
     """
-    terms = powers.real * signs
-    by_n = np.zeros(terms.shape[:-1])
-    for k in range(terms.shape[-1]):
-        by_n += terms[..., k]
-    n = np.arange(1, powers.shape[0] + 1)
-    return by_n.transpose(*range(1, by_n.ndim), 0) * (2.0 / n)
+    re = powers.real
+    by_n = np.zeros((powers.shape[0],) + powers.shape[2:])
+    for k in range(powers.shape[1]):
+        by_n += re[:, k] * signs[k]
+    by_n_t = by_n.T
+    by_n_t *= weights
+    return by_n
 
 
 def _powers_jacobian(powers, signs, sample_rate_hz, freq_cols, bw_cols):
-    """Jacobian (N, 2K) at one state: dC_n/df_k = -(4 pi/fs) s_k Im z_k^n in
-    ``freq_cols`` and dC_n/db_k = -(2 pi/fs) s_k Re z_k^n in ``bw_cols``."""
+    """Jacobian (N, 2K) at one state from its (N, K) powers:
+    dC_n/df_k = -(4 pi/fs) s_k Im z_k^n in ``freq_cols`` and
+    dC_n/db_k = -(2 pi/fs) s_k Re z_k^n in ``bw_cols``."""
     scale = (-2.0 * np.pi / sample_rate_hz) * signs
-    jac = np.empty((powers.shape[0], 2 * powers.shape[-1]))
+    jac = np.empty((powers.shape[0], 2 * powers.shape[1]))
     jac[:, freq_cols] = (2.0 * scale) * powers.imag
     jac[:, bw_cols] = scale * powers.real
     return jac
@@ -210,7 +225,7 @@ def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
     evaluated as (2/n) Re z^n over the poles z = exp((-pi b + 2 pi i f) / fs).
     """
     powers, _, _, signs = _state_powers(x, n_coeffs)
-    return CepstralVector(_powers_cepstrum(powers, signs))
+    return CepstralVector(_powers_cepstrum(powers, signs, _cepstral_weights(n_coeffs)))
 
 
 def cepstrum_jacobian(x: ResonanceState, n_coeffs: int) -> np.ndarray:

@@ -152,14 +152,14 @@ class BenchmarkSetup:
         x = params.mu0.copy()
         x[:i] += self.init_freq_std * rng.standard_normal(i)
         states = np.zeros((self.n_frames, 2 * i))
-        obs = np.zeros((self.n_frames, self.n_cepstra))
+        noise = np.zeros((self.n_frames, self.n_cepstra))
         r_std = np.sqrt(np.diag(params.R))
         for t in range(self.n_frames):
-            x = x.copy()
             x[:i] = np.clip(x[:i] + self.freq_walk_std * rng.standard_normal(i), 100.0, 4900.0)
             states[t] = x
-            obs[t] = model.value(x) + r_std * rng.standard_normal(self.n_cepstra)
-        return states, obs
+            noise[t] = rng.standard_normal(self.n_cepstra)
+        # a stacked value equals the per-row value bit for bit
+        return states, model.value(states) + r_std * noise
 
 
 def _freq_rmse(estimate: TrackResult, truth: np.ndarray, n_formants: int) -> float:

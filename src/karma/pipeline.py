@@ -65,6 +65,10 @@ class RunConfig:
     def validate(self) -> None:
         if self.lpc_order < 1:
             raise ValueError("lpc_order must be positive")
+        if self.n_formants < 0 or self.n_antiformants < 0:
+            raise ValueError("track counts must be non-negative")
+        if self.n_formants + self.n_antiformants == 0:
+            raise ValueError("need at least one formant or antiformant to track")
         if self.n_cepstra < max(self.lpc_order, self.ma_order):
             raise ValueError("n_cepstra must be at least max(lpc_order, ma_order)")
         if self.lpc_order < 2 * self.n_formants:

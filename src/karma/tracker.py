@@ -24,6 +24,7 @@ import numpy as np
 
 from .cepstrum import (
     CepstralVector,
+    _cepstral_weights,
     _pole_powers,
     _powers_cepstrum,
     _powers_jacobian,
@@ -169,6 +170,7 @@ class CepstralObservation:
         self._freq_cols, self._bw_cols, self._signs = _resonance_columns(
             n_formants, n_antiformants
         )
+        self._weights = _cepstral_weights(n_cepstra)
 
     def _active_signs(self, active_f, active_a):
         """Sign of each resonance's cepstral term: +1 formant, -1 antiformant, 0 inactive."""
@@ -183,10 +185,11 @@ class CepstralObservation:
 
     def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
         """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
+        xt = x.T
         powers = _pole_powers(
-            x[..., self._freq_cols], x[..., self._bw_cols], self.sample_rate_hz, self.n_cepstra
+            xt[self._freq_cols], xt[self._bw_cols], self.sample_rate_hz, self.n_cepstra
         )
-        return _powers_cepstrum(powers, self._active_signs(active_f, active_a))
+        return _powers_cepstrum(powers, self._active_signs(active_f, active_a), self._weights).T
 
     def linearize(self, x: np.ndarray, active_f=None, active_a=None):
         """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers."""
@@ -195,7 +198,7 @@ class CepstralObservation:
             x[self._freq_cols], x[self._bw_cols], self.sample_rate_hz, self.n_cepstra
         )
         H = _powers_jacobian(powers, signs, self.sample_rate_hz, self._freq_cols, self._bw_cols)
-        return _powers_cepstrum(powers, signs), H
+        return _powers_cepstrum(powers, signs, self._weights), H
 
     def state_bounds(self):
         """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.

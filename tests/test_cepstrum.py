@@ -17,7 +17,15 @@ from karma.cepstrum import (
 from karma.synthesis import resonator_cascade
 from karma.tracker import CepstralObservation
 
-from conftest import random_minimum_phase_model, root_sum_cepstrum
+from conftest import (
+    FrozenCepstralObservation,
+    frozen_columns,
+    frozen_pole_powers,
+    frozen_powers_cepstrum,
+    frozen_powers_jacobian,
+    random_minimum_phase_model,
+    root_sum_cepstrum,
+)
 
 
 def random_state(rng, n_formants=None, n_antiformants=None, fs=10000.0):
@@ -118,7 +126,7 @@ class TestPolePowerFormula:
     @settings(deadline=None, max_examples=60)
     @given(
         problem=resonance_problems(),
-        lead=st.sampled_from([(1,), (7,), (3, 4)]),
+        lead=st.sampled_from([(1,), (7,), (3, 4), (1000,)]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_stacked_value_equals_rowwise_linearize(self, problem, lead, seed):
@@ -130,6 +138,74 @@ class TestPolePowerFormula:
         rows = np.array([model.linearize(s, active_f, active_a)[0] for s in states.reshape(-1, x.size)])
         assert stacked.shape == lead + (n_coeffs,)
         assert np.array_equal(stacked.reshape(-1, n_coeffs), rows)
+
+
+def random_states(rng, n_formants, n_antiformants, lead, fs=10000.0):
+    """States (*lead, dim) with frequencies in (0, fs/2) and bandwidths 20-400 Hz."""
+    i, j = n_formants, n_antiformants
+    return np.concatenate([
+        rng.uniform(0.005 * fs, 0.495 * fs, lead + (i,)),
+        rng.uniform(20.0, 400.0, lead + (i,)),
+        rng.uniform(0.005 * fs, 0.495 * fs, lead + (j,)),
+        rng.uniform(20.0, 400.0, lead + (j,)),
+    ], axis=-1)
+
+
+# formants (+1), antiformants (-1), both, and K = 0, whose cepstra are zeros
+TRACK_COUNTS = [(4, 0), (2, 1), (0, 2), (3, 2), (0, 0)]
+
+
+class TestFrozenReferenceKernel:
+    """The resonance-major kernel against a frozen copy of the resonance-last
+    running-product and k-sum kernel it replaced: equal bit for bit."""
+
+    @pytest.mark.parametrize("counts", TRACK_COUNTS)
+    @pytest.mark.parametrize("lead", [(), (1000,), (1001,), (3, 4)])
+    @pytest.mark.parametrize("some_inactive", [False, True])
+    def test_value_equals_frozen(self, counts, lead, some_inactive):
+        i, j = counts
+        rng = np.random.default_rng([i, j, sum(lead), some_inactive])
+        x = random_states(rng, i, j, lead)
+        flags = (rng.random(i) < 0.5, rng.random(j) < 0.5) if some_inactive else (None, None)
+        model = CepstralObservation(i, j, 15, 10000.0)
+        frozen = FrozenCepstralObservation(i, j, 15, 10000.0)
+        out = model.value(x, *flags)
+        assert out.shape == lead + (15,)
+        assert np.array_equal(out, frozen.value(x, *flags))
+
+    @pytest.mark.parametrize("counts", TRACK_COUNTS)
+    @pytest.mark.parametrize("n_coeffs", [1, 15, 30])
+    def test_linearize_equals_frozen(self, counts, n_coeffs):
+        i, j = counts
+        rng = np.random.default_rng(7 * i + j + n_coeffs)
+        model = CepstralObservation(i, j, n_coeffs, 8000.0)
+        frozen = FrozenCepstralObservation(i, j, n_coeffs, 8000.0)
+        for _ in range(20):
+            x = random_states(rng, i, j, (), fs=8000.0)
+            flags = (rng.random(i) < 0.5, rng.random(j) < 0.5)
+            for active in ((None, None), flags):
+                h, H = model.linearize(x, *active)
+                h_ref, H_ref = frozen.linearize(x, *active)
+                assert h.shape == (n_coeffs,) and H.shape == (n_coeffs, 2 * i + 2 * j)
+                assert np.array_equal(h, h_ref)
+                assert np.array_equal(H, H_ref)
+
+    @pytest.mark.parametrize("counts", TRACK_COUNTS)
+    def test_state_routes_equal_frozen(self, counts):
+        i, j = counts
+        rng = np.random.default_rng(11 * i + j)
+        freq_cols, bw_cols, signs = frozen_columns(i, j)
+        for _ in range(20):
+            x = random_states(rng, i, j, ())
+            state = ResonanceState.from_vector(x, i, j, 10000.0)
+            powers = frozen_pole_powers(x[freq_cols], x[bw_cols], 10000.0, 12)
+            assert np.array_equal(
+                state_to_cepstrum(state, 12).coeffs, frozen_powers_cepstrum(powers, signs)
+            )
+            assert np.array_equal(
+                cepstrum_jacobian(state, 12),
+                frozen_powers_jacobian(powers, signs, 10000.0, freq_cols, bw_cols),
+            )
 
 
 class TestArmaToCepstrum:

@@ -76,10 +76,14 @@ class TestTrackCommand:
             {"bw_process_std": -1.0},
             {"frame_ms": 0.05},
             {"fit_transition": False},
+            {"n_formants": -1},
+            {"n_antiformants": -1},
+            {"n_formants": 0},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
-             "frame_ms_below_one_sample", "retired_key"],
+             "frame_ms_below_one_sample", "retired_key", "formants_negative",
+             "antiformants_negative", "no_tracks"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

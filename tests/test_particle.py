@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from karma.particle import BenchmarkSetup, _quadratic_form, ekf_pf_benchmark, pf_track
-from karma.tracker import LinearObservation, TrackerParams, ekf_filter
+from karma.tracker import CepstralObservation, LinearObservation, TrackerParams, ekf_filter
+
+from conftest import FrozenCepstralObservation
 
 
 def linear_params(q_scale=0.3, r_scale=0.5, sigma0_scale=1.0):
@@ -120,6 +122,38 @@ class TestBenchmark:
         pf = pf_track(obs, params, n_particles=50)
         assert np.allclose(pf.means[:, bw], params.mu0[bw], rtol=1e-12, atol=0.0)
         assert np.allclose(pf.covariances[:, bw, :], 0.0, rtol=0.0, atol=1e-9)
+
+    def test_oracle_equals_frozen_kernel_run(self):
+        setup = BenchmarkSetup()
+        params = setup.make_params()
+        _, obs = setup.simulate(np.random.default_rng(3))
+        frozen = FrozenCepstralObservation(setup.n_formants, 0, setup.n_cepstra, setup.sample_rate_hz)
+        pf = pf_track(obs, params, n_particles=1000, seed=5)
+        ref = pf_track(obs, params, n_particles=1000, seed=5, obs_model=frozen)
+        assert np.array_equal(pf.means, ref.means)
+        assert np.array_equal(pf.covariances, ref.covariances)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stacked_simulation_equals_per_frame_loop(self, seed):
+        setup = BenchmarkSetup()
+        states, obs = setup.simulate(np.random.default_rng(seed))
+        # frozen copy of the per-frame loop: h evaluated one state at a time
+        rng = np.random.default_rng(seed)
+        params = setup.make_params()
+        model = CepstralObservation(setup.n_formants, 0, setup.n_cepstra, setup.sample_rate_hz)
+        i = setup.n_formants
+        x = params.mu0.copy()
+        x[:i] += setup.init_freq_std * rng.standard_normal(i)
+        ref_states = np.zeros((setup.n_frames, 2 * i))
+        ref_obs = np.zeros((setup.n_frames, setup.n_cepstra))
+        r_std = np.sqrt(np.diag(params.R))
+        for t in range(setup.n_frames):
+            x = x.copy()
+            x[:i] = np.clip(x[:i] + setup.freq_walk_std * rng.standard_normal(i), 100.0, 4900.0)
+            ref_states[t] = x
+            ref_obs[t] = model.value(x) + r_std * rng.standard_normal(setup.n_cepstra)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(obs, ref_obs)
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):

@@ -56,6 +56,19 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="ma_order"):
             RunConfig(n_antiformants=2, ma_order=2).validate()
 
+    @pytest.mark.parametrize("counts", [(-1, 0), (3, -1), (-2, 2)])
+    def test_negative_track_count_rejected(self, counts):
+        i, j = counts
+        with pytest.raises(ValueError, match="track counts must be non-negative"):
+            RunConfig(n_formants=i, n_antiformants=j).validate()
+
+    def test_no_tracks_rejected(self):
+        with pytest.raises(ValueError, match="at least one formant or antiformant"):
+            RunConfig(n_formants=0, n_antiformants=0).validate()
+
+    def test_antiformants_only_valid(self):
+        RunConfig(n_formants=0, n_antiformants=1, ma_order=2).validate()
+
     def test_json_roundtrip_lossless(self, tmp_path):
         config = RunConfig(
             target_sample_rate_hz=8000.0,
