@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Antiformant tracking demo on a synthesized nasal-vowel-nasal utterance.
 
-Synthesizes the bundled /n a n/-style trajectory (two formants plus one
+Synthesizes the /n a n/-style demo trajectory (two formants plus one
 alveolar-nasal antiformant, glottal-pulse source), tracks it with the
 antiformant track scheduled active only in the nasal segments, and prints
 tracking error plus the per-segment antiformant uncertainty.

@@ -223,6 +223,8 @@ def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> Arma
 
 
 _STEP_SCALES = 2.0 ** -np.arange(11)  # Gauss-Newton step halving
+_MAX_GN_ITER = 50  # Gauss-Newton iterations per fit
+_GN_REL_TOL = 1e-8  # stop once an iteration gains less than this share of the objective
 
 
 def _prediction_error(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,7 +252,7 @@ def _stabilize_ma(b: np.ndarray, clip_radius: float = 0.99) -> np.ndarray:
     return _reflect_roots(np.concatenate(([1.0], b)), clip_radius)[1:]
 
 
-def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int, max_iter: int, rel_tol: float):
+def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int):
     """ARMA(p, q) fit of one nonzero frame ``x`` from its long-AR coefficients.
 
     Returns the AR and MA coefficients, the residual variance, the
@@ -281,7 +283,7 @@ def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int, max_iter: 
     padded = np.zeros((2, n - 1 + k0))
     x_lags, e_lags = _lag_view(padded[0], n, p), _lag_view(padded[1], n, q)
     jac = np.empty((n, p + q))
-    for _ in range(max_iter):
+    for _ in range(_MAX_GN_ITER):
         signals[1] = e
         padded[:, k0:] = sps.lfilter([1.0], np.concatenate(([1.0], b)), signals)[:, :-1]
         np.negative(x_lags, out=jac[:, :p])
@@ -308,7 +310,7 @@ def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int, max_iter: 
         rel_gain = (sse - sse_new) / max(sse, 1e-300)
         a, b, e, sse = a_new, b_new, e_new, sse_new
         history.append(sse)
-        if rel_gain < rel_tol:
+        if rel_gain < _GN_REL_TOL:
             converged = True
             break
 
@@ -317,15 +319,16 @@ def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int, max_iter: 
     return model.ar, model.ma, float(np.mean(resid**2)), converged, history
 
 
-def fit_arma_frames(frames: np.ndarray, p: int, q: int, max_iter: int = 50, rel_tol: float = 1e-8):
+def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     """Prediction-error fit of an ARMA(p, q) model to every row of ``frames`` (T, n).
 
     Hannan-Rissanen two-stage regression provides each starting point, its
     long-AR stage one ``fit_ar_frames`` call over all nonzero rows; damped
     Gauss-Newton then minimizes each row's sum of squared one-step
     prediction errors with step halving, so the objective is nonincreasing
-    by construction.  Both polynomials are root-reflected into the unit
-    circle afterwards.
+    by construction, for at most 50 iterations or until one gains less
+    than 1e-8 of the objective.  Both polynomials are root-reflected into
+    the unit circle afterwards.
 
     Returns the AR coefficients (T, p), the MA coefficients (T, q), the
     residual variances (T,), the ``converged`` flags (T,) and a list of
@@ -352,19 +355,12 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int, max_iter: int = 50, rel_
     long_ar, _, _ = fit_ar_frames(frames[rows], n_long)
     for t, coeffs in zip(rows, long_ar):
         ar[t], ma[t], noise_variance[t], converged[t], objectives[t] = _fit_arma_row(
-            frames[t], coeffs, p, q, max_iter, rel_tol
+            frames[t], coeffs, p, q
         )
     return ar, ma, noise_variance, converged, objectives
 
 
-def estimate_arma(
-    frame: np.ndarray,
-    p: int,
-    q: int,
-    max_iter: int = 50,
-    rel_tol: float = 1e-8,
-    full_output: bool = False,
-):
+def estimate_arma(frame: np.ndarray, p: int, q: int, full_output: bool = False):
     """Prediction-error fit of an ARMA(p, q) model to one frame: the
     one-row call of ``fit_arma_frames``.
 
@@ -372,7 +368,7 @@ def estimate_arma(
     the accepted objective values per iteration and the ``converged`` flag.
     """
     x = np.asarray(frame, dtype=float).reshape(1, -1)
-    ar, ma, noise_variance, converged, objectives = fit_arma_frames(x, p, q, max_iter, rel_tol)
+    ar, ma, noise_variance, converged, objectives = fit_arma_frames(x, p, q)
     model = ArmaModel(ar[0], ma[0], float(noise_variance[0]), bool(converged[0]))
     if full_output:
         return model, {"objective": objectives[0], "converged": model.converged}

@@ -3,18 +3,19 @@
 Three routes produce comparable cepstral coefficients C_1..C_N (the zeroth
 coefficient, pure gain, is always excluded):
 
-* ``arma_to_cepstrum`` -- exact recursion from fitted ARMA coefficients,
-  valid for minimum-phase models only.
-* ``state_to_cepstrum`` -- closed form from resonance frequencies and
-  bandwidths through pole powers.  A resonance is the pole
-  z = exp((-pi b + 2 pi i f) / fs) and adds (2/n) Re z^n to C_n (an
-  antiformant subtracts it); z^1..z^N take one complex exponential and a
-  running product.  ``cepstrum_jacobian`` reads its analytic derivative,
-  -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, off the same powers, and the
-  tracker's observation model evaluates h and its Jacobian the same way.
+* ``arma_cepstra`` -- exact log-series recursion from fitted ARMA
+  coefficients, a stack of models at a time, valid for minimum-phase
+  models only; ``arma_to_cepstrum`` is its one-model call.
+* ``CepstralObservation`` -- the tracker's observation model h: closed
+  form from resonance frequencies and bandwidths through pole powers.  A
+  resonance is the pole z = exp((-pi b + 2 pi i f) / fs) and adds
+  (2/n) Re z^n to C_n (an antiformant subtracts it); z^1..z^N take one
+  complex exponential and a running product.  Its Jacobian,
+  -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, is read off the same powers.
   The powers are resonance-major, (N, K, ...) for K resonances over a
   stack of states, so the sum over resonances adds contiguous slabs; one
-  kernel serves single states and particle stacks alike.
+  kernel serves single states, particle stacks, ``state_to_cepstrum`` and
+  ``cepstrum_jacobian`` alike.
 * ``real_cepstrum`` -- nonparametric route straight from the samples; for a
   minimum-phase frame its doubled coefficients approximate the other two.
 """
@@ -30,6 +31,8 @@ from .arma import ArmaModel
 __all__ = [
     "CepstralVector",
     "ResonanceState",
+    "CepstralObservation",
+    "arma_cepstra",
     "arma_to_cepstrum",
     "state_to_cepstrum",
     "cepstrum_jacobian",
@@ -131,21 +134,32 @@ def _log_inverse_series(a: np.ndarray, n_coeffs: int) -> np.ndarray:
     return c[:, 1:]
 
 
-def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
-    """Exact cepstrum of a minimum-phase ARMA model via the log-series recursion.
+def arma_cepstra(ar: np.ndarray, ma: np.ndarray, n_coeffs: int, proven: np.ndarray) -> np.ndarray:
+    """Exact cepstra (T, N) of the minimum-phase ARMA models in the rows of
+    ``ar`` (T, p) and ``ma`` (T, q), by the log-series recursion.
 
     The AR part uses the recursion directly; the MA part applies the same
     recursion to the sign-flipped coefficients because the numerator is
     written as 1 + sum b_j z^-j while the denominator is 1 - sum a_i z^-i.
+    ``proven`` (T,) marks the rows already known to be minimum phase; every
+    other row must pass ``ArmaModel.is_minimum_phase``.  Each row's
+    coefficients are the same bits as its own one-row call.
     """
     if n_coeffs < 1:
         raise ValueError("need at least one coefficient")
-    if not m.is_minimum_phase():
-        raise ValueError("cepstrum undefined: reflect roots first")
-    c = _log_inverse_series(m.ar[None, :], n_coeffs)[0]
-    if m.q:
-        c -= _log_inverse_series(-m.ma[None, :], n_coeffs)[0]
-    return CepstralVector(c)
+    for a, b in zip(ar[~proven], ma[~proven]):
+        if not ArmaModel(a, b).is_minimum_phase():
+            raise ValueError("cepstrum undefined: reflect roots first")
+    c = _log_inverse_series(ar, n_coeffs)
+    if ma.shape[1]:
+        c -= _log_inverse_series(-ma, n_coeffs)
+    return c
+
+
+def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
+    """Exact cepstrum of one minimum-phase ARMA model (see ``arma_cepstra``)."""
+    c = arma_cepstra(m.ar[None, :], m.ma[None, :], n_coeffs, np.zeros(1, dtype=bool))
+    return CepstralVector(c[0])
 
 
 def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
@@ -164,11 +178,6 @@ def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
     for n in range(1, n_coeffs):
         np.multiply(powers[n - 1], z, out=powers[n])
     return powers
-
-
-def _cepstral_weights(n_coeffs: int) -> np.ndarray:
-    """The factors 2/n, n = 1..N, of C_n = (2/n) sum_k s_k Re z_k^n."""
-    return 2.0 / np.arange(1, n_coeffs + 1)
 
 
 def _powers_cepstrum(powers, signs, weights):
@@ -199,21 +208,70 @@ def _powers_jacobian(powers, signs, sample_rate_hz, freq_cols, bw_cols):
     return jac
 
 
-def _resonance_columns(n_formants: int, n_antiformants: int):
-    """State entries of each resonance's frequency and bandwidth, formants
-    first, and the sign of its cepstral term (see ``ResonanceState``)."""
-    i, j = n_formants, n_antiformants
-    freq_cols = np.r_[0:i, 2 * i : 2 * i + j]
-    bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
-    return freq_cols, bw_cols, np.r_[np.ones(i), -np.ones(j)]
+class CepstralObservation:
+    """Observation model mapping a state vector to N cepstral coefficients.
 
+    The state is laid out as ``ResonanceState.to_vector``.  Inactive tracks
+    are dropped from the sum and their Jacobian columns are zero, which is
+    how the tracker omits a track from the state.
+    """
 
-def _state_powers(x: ResonanceState, n_coeffs: int):
-    """Pole powers of ``x`` with the columns and signs of its resonances."""
-    freq_cols, bw_cols, signs = _resonance_columns(x.n_formants, x.n_antiformants)
-    vec = x.to_vector()
-    powers = _pole_powers(vec[freq_cols], vec[bw_cols], x.sample_rate_hz, n_coeffs)
-    return powers, freq_cols, bw_cols, signs
+    def __init__(self, n_formants: int, n_antiformants: int, n_cepstra: int, sample_rate_hz: float):
+        self.n_formants = n_formants
+        self.n_antiformants = n_antiformants
+        self.n_cepstra = n_cepstra
+        self.sample_rate_hz = sample_rate_hz
+        # each resonance's frequency and bandwidth entries, formants first,
+        # and the sign of its cepstral term
+        i, j = n_formants, n_antiformants
+        self._freq_cols = np.r_[0:i, 2 * i : 2 * i + j]
+        self._bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
+        self._signs = np.r_[np.ones(i), -np.ones(j)]
+        self._weights = 2.0 / np.arange(1, n_cepstra + 1)  # the 2/n of C_n
+
+    def _active_signs(self, active_f, active_a):
+        """Sign of each resonance's cepstral term: +1 formant, -1 antiformant, 0 inactive."""
+        if active_f is None and active_a is None:
+            return self._signs
+        i, j = self.n_formants, self.n_antiformants
+        keep = np.concatenate([
+            np.ones(i, dtype=bool) if active_f is None else active_f,
+            np.ones(j, dtype=bool) if active_a is None else active_a,
+        ])
+        return self._signs * keep
+
+    def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
+        """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
+        xt = x.T
+        powers = _pole_powers(
+            xt[self._freq_cols], xt[self._bw_cols], self.sample_rate_hz, self.n_cepstra
+        )
+        return _powers_cepstrum(powers, self._active_signs(active_f, active_a), self._weights).T
+
+    def linearize(self, x: np.ndarray, active_f=None, active_a=None):
+        """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers."""
+        signs = self._active_signs(active_f, active_a)
+        powers = _pole_powers(
+            x[self._freq_cols], x[self._bw_cols], self.sample_rate_hz, self.n_cepstra
+        )
+        H = _powers_jacobian(powers, signs, self.sample_rate_hz, self._freq_cols, self._bw_cols)
+        return _powers_cepstrum(powers, signs, self._weights), H
+
+    def state_bounds(self):
+        """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.
+
+        The frequency margins stay away from 0 and fs/2, where the
+        observation gradient vanishes and a clamped track could never
+        recover.
+        """
+        i, j = self.n_formants, self.n_antiformants
+        f_lo = 0.005 * self.sample_rate_hz
+        f_hi = 0.495 * self.sample_rate_hz
+        lo = np.concatenate([np.full(i, f_lo), np.full(i, 1.0), np.full(j, f_lo), np.full(j, 1.0)])
+        hi = np.concatenate(
+            [np.full(i, f_hi), np.full(i, np.inf), np.full(j, f_hi), np.full(j, np.inf)]
+        )
+        return lo, hi
 
 
 def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
@@ -224,16 +282,16 @@ def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
 
     evaluated as (2/n) Re z^n over the poles z = exp((-pi b + 2 pi i f) / fs).
     """
-    powers, _, _, signs = _state_powers(x, n_coeffs)
-    return CepstralVector(_powers_cepstrum(powers, signs, _cepstral_weights(n_coeffs)))
+    model = CepstralObservation(x.n_formants, x.n_antiformants, n_coeffs, x.sample_rate_hz)
+    return CepstralVector(model.value(x.to_vector()))
 
 
 def cepstrum_jacobian(x: ResonanceState, n_coeffs: int) -> np.ndarray:
     """Analytic Jacobian of ``state_to_cepstrum``: N rows by 2I + 2J columns,
     columns ordered as the state vector (formant freqs, formant bws,
     antiformant freqs, antiformant bws)."""
-    powers, freq_cols, bw_cols, signs = _state_powers(x, n_coeffs)
-    return _powers_jacobian(powers, signs, x.sample_rate_hz, freq_cols, bw_cols)
+    model = CepstralObservation(x.n_formants, x.n_antiformants, n_coeffs, x.sample_rate_hz)
+    return model.linearize(x.to_vector())[1]
 
 
 def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.ndarray:

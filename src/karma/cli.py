@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +23,7 @@ from .evaluation import read_tracks, rmse, write_tracks
 from .frontend import read_label_file, read_wav, write_wav
 from .particle import ekf_pf_benchmark
 from .pipeline import RunConfig, track_waveform
-from .synthesis import load_spec, synthesize
+from .synthesis import load_spec, nasal_utterance_spec, synthesize
 
 __all__ = ["main"]
 
@@ -94,14 +93,12 @@ def cmd_track(args) -> int:
 
 
 def _resolve_spec(spec_arg: str):
+    """A spec file, or ``nan``/``nan.json`` for the nasal demo utterance."""
     path = Path(spec_arg)
     if path.exists():
         return load_spec(path)
-    name = spec_arg.removesuffix(".json")
-    bundled = resources.files("karma").joinpath(f"data/{name}.json")
-    if bundled.is_file():
-        with resources.as_file(bundled) as real:
-            return load_spec(real)
+    if spec_arg in ("nan", "nan.json"):
+        return nasal_utterance_spec()
     raise UsageError(f"spec not found: {spec_arg}")
 
 
@@ -188,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     track.set_defaults(func=cmd_track)
 
     synth = sub.add_parser("synth", help="synthesize a trajectory spec")
-    synth.add_argument("spec", help="spec JSON path or bundled name (e.g. 'nan')")
+    synth.add_argument("spec", help="spec JSON path, or 'nan' for the nasal demo utterance")
     synth.add_argument("--out", help="output WAV path")
     synth.add_argument("--ref", help="reference track CSV path")
     synth.add_argument("--seed", type=int, default=None)

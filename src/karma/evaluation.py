@@ -128,38 +128,22 @@ def write_tracks(result: TrackResult, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _count_prefixed(cols: list[str], prefix: str, taken: set[str]) -> int:
-    picked = [c for c in cols if c.startswith(prefix) and c[len(prefix):].isdigit() and c not in taken]
-    taken.update(picked)
-    return len(picked)
+def _count_prefixed(cols: list[str], prefix: str) -> int:
+    return sum(c.startswith(prefix) and c[len(prefix):].isdigit() for c in cols)
 
 
-def read_tracks(path, sample_rate_hz: float = 0.0) -> TrackResult:
-    """Read a track CSV back into a TrackResult (diagonal covariances)."""
+def read_tracks(path) -> TrackResult:
+    """Read a track CSV back into a TrackResult (diagonal covariances; the
+    sample rate is not stored, so it reads 0)."""
     text = Path(path).read_text(encoding="utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("no frames")
     cols = lines[0].split(",")
-    taken: set[str] = set()
-    n_anti = _count_prefixed(cols, "af", taken)
-    n_form = _count_prefixed(cols, "f", taken)
-    v_anti = _count_prefixed(cols, "vaf", taken)
-    v_abw = _count_prefixed(cols, "vab", taken)
-    n_abw = _count_prefixed(cols, "ab", taken)
-    v_form = _count_prefixed(cols, "vf", taken)
-    v_bw = _count_prefixed(cols, "vb", taken)
-    n_bw = _count_prefixed(cols, "b", taken)
+    # the f<k> and af<k> columns fix every other column of a valid header
+    n_form, n_anti = _count_prefixed(cols, "f"), _count_prefixed(cols, "af")
     expected = _header(n_form, n_anti)
-    if (
-        cols != expected
-        or n_bw != n_form
-        or n_abw != n_anti
-        or v_form != n_form
-        or v_bw != n_form
-        or v_anti != n_anti
-        or v_abw != n_anti
-    ):
+    if cols != expected:
         raise ValueError("header mismatch: formant/antiformant column counts disagree")
     if len(lines) == 1:
         raise ValueError("no frames")
@@ -197,7 +181,7 @@ def read_tracks(path, sample_rate_hz: float = 0.0) -> TrackResult:
         n_formants=n_form,
         n_antiformants=n_anti,
         n_cepstra=0,
-        sample_rate_hz=sample_rate_hz,
+        sample_rate_hz=0.0,
         hop_s=hop_s,
     )
 

@@ -107,10 +107,6 @@ class ActivityMask:
     def __len__(self) -> int:
         return self.flags.size
 
-    @classmethod
-    def all_speech(cls, n_frames: int) -> "ActivityMask":
-        return cls(np.ones(n_frames, dtype=bool))
-
 
 @dataclass(frozen=True)
 class LabelInterval:
@@ -268,11 +264,10 @@ def activity_from_labels(
     frame_length: int,
     hop: int,
     n_frames: int,
-    silence_labels: frozenset[str] = DEFAULT_SILENCE_LABELS,
     sample_scale: float = 1.0,
 ) -> ActivityMask:
     """Label-based activity: a frame is silent only if every sample it covers
-    lies inside a silence-labeled interval.
+    lies inside an interval labelled with one of ``DEFAULT_SILENCE_LABELS``.
 
     ``sample_scale`` rescales label sample indices (use target_rate/source_rate
     when the waveform was resampled after labeling).
@@ -281,7 +276,7 @@ def activity_from_labels(
     silent = np.ones(max(n_samples, (n_frames - 1) * hop + frame_length, frame_length), dtype=bool)
     silent[:n_samples] = False
     for iv in intervals:
-        if iv.label in silence_labels:
+        if iv.label in DEFAULT_SILENCE_LABELS:
             lo = max(0, int(round(iv.start_sample * sample_scale)))
             hi = min(n_samples, int(round(iv.end_sample * sample_scale)))
             silent[lo:hi] = True

@@ -13,8 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .cepstrum import CepstralObservation
 from .tracker import (
-    CepstralObservation,
     TrackerParams,
     TrackResult,
     _clamp,

@@ -15,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arma import CERT_MARGIN, ArmaModel, certify_inside, estimate_ar, fit_ar_frames, fit_arma_frames
-from .arma import estimate_arma  # noqa: F401  (looked up here by bench/tracing.py)
-from .cepstrum import _log_inverse_series, _real_cepstra, arma_to_cepstrum
-from .cepstrum import real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
+from .arma import CERT_MARGIN, fit_ar_frames, fit_arma_frames
+from .arma import estimate_ar, estimate_arma  # noqa: F401  (looked up here by bench/tracing.py)
+from .cepstrum import _real_cepstra, arma_cepstra
+from .cepstrum import arma_to_cepstrum, real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
 from .frontend import (
     _WINDOWS,
     LabelInterval,
@@ -36,6 +36,18 @@ __all__ = ["RunConfig", "make_tracker_params", "build_observations", "track_wave
 
 OBSERVATION_SOURCES = ("arma_cepstrum", "real_cepstrum")
 MODES = ("filter", "smooth")
+
+
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of the config field with this default:
+    an int for an int field, any number for a float field (never a bool), a
+    string for a string field, and a list of numbers or null for the
+    ``initial_*`` overrides, whose default is None."""
+    if default is None:
+        return value is None or (isinstance(value, list) and all(_fits(v, 0.0) for v in value))
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 @dataclass
@@ -108,10 +120,16 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(data) - known
+        """Config from a JSON object; each value must have its field's type."""
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            if not _fits(value, defaults[name]):
+                raise ValueError(f"{name} has the wrong type: {value!r}")
         return cls(**data)
 
     @classmethod
@@ -158,11 +176,11 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     source coloration stay in the observations, as the observation noise
     covariance is sized to absorb them.
 
-    Every route fits all speech frames at once and maps every certified
-    fit through one batched log-series recursion.  A fit that does not
-    certify minimum phase (AR: by its reflection coefficients; ARMA: by
-    the step-down certificate of both polynomials) goes through
-    ``arma_to_cepstrum`` on its own, which checks the roots.
+    Each route takes all speech frames at once.  The AR and ARMA routes
+    make one fit call and map the fits through one ``arma_cepstra`` call,
+    which needs each fit proven minimum phase: an AR fit by the reflection
+    coefficients its Levinson recursion yields for free, an ARMA fit by
+    ``ArmaModel.is_minimum_phase``.
     """
     n_frames = frames_emphasized.shape[0]
     obs = np.zeros((n_frames, config.n_cepstra))
@@ -171,22 +189,11 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
         obs[rows] = _real_cepstra(frames_emphasized, rows, config.n_cepstra)
     elif config.ma_order == 0:
         a, _, k_max = fit_ar_frames(frames_emphasized[rows], config.lpc_order)
-        certified = k_max < 1.0 - CERT_MARGIN
-        obs[rows[certified]] = _log_inverse_series(a[certified], config.n_cepstra)
-        for t in rows[~certified]:
-            model = estimate_ar(frames_emphasized[t], config.lpc_order)
-            obs[t] = arma_to_cepstrum(model, config.n_cepstra).coeffs
+        proven = k_max < 1.0 - CERT_MARGIN  # all reflection coefficients inside
+        obs[rows] = arma_cepstra(a, np.zeros((rows.size, 0)), config.n_cepstra, proven)
     else:
         ar, ma, *_ = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
-        certified = np.array(
-            [certify_inside(np.r_[1.0, -a], 1.0) and certify_inside(np.r_[1.0, b], 1.0)
-             for a, b in zip(ar, ma)],
-            dtype=bool,
-        )
-        n = config.n_cepstra
-        obs[rows[certified]] = _log_inverse_series(ar[certified], n) - _log_inverse_series(-ma[certified], n)
-        for t, a, b in zip(rows[~certified], ar[~certified], ma[~certified]):
-            obs[t] = arma_to_cepstrum(ArmaModel(a, b), n).coeffs
+        obs[rows] = arma_cepstra(ar, ma, config.n_cepstra, np.zeros(rows.size, dtype=bool))
     if not np.all(np.isfinite(obs)):
         raise ValueError("non-finite cepstral coefficients")
     return obs

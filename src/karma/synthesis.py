@@ -45,6 +45,7 @@ CLOSE_FRACTION = 0.16
 # Plausible per-formant frequency ranges (Hz) for random trajectories.
 FORMANT_RANGES = ((250.0, 900.0), (900.0, 2300.0), (1800.0, 3000.0), (2800.0, 3900.0))
 BANDWIDTH_RANGE = (40.0, 250.0)
+F0_RANGE = (90.0, 220.0)  # Hz, of random_trajectory's Rosenberg source
 MIN_FORMANT_SEPARATION = 150.0
 
 
@@ -283,7 +284,6 @@ def random_trajectory(
     source: str = "white_noise",
     frame_ms: float = 20.0,
     overlap_fraction: float = 0.5,
-    f0_range: tuple[float, float] = (90.0, 220.0),
 ) -> TrajectorySpec:
     """Random piecewise-smooth formant trajectories for a desk-scale corpus.
 
@@ -322,7 +322,7 @@ def random_trajectory(
         floor = np.maximum(freqs[:, k - 1] + MIN_FORMANT_SEPARATION, lo)
         freqs[:, k] = np.maximum(freqs[:, k], floor)
 
-    f0 = _smooth_contour(rng, n_frames, hop_s, *f0_range) if source == "rosenberg" else None
+    f0 = _smooth_contour(rng, n_frames, hop_s, *F0_RANGE) if source == "rosenberg" else None
     frames = []
     for t in range(n_frames):
         state = ResonanceState(freqs[t], bws[t], [], [], fs)
@@ -336,12 +336,7 @@ def random_trajectory(
     return TrajectorySpec(frames, frame_ms, overlap_fraction, fs, seed=seed)
 
 
-def nasal_utterance_spec(
-    seed: int = 715,
-    n_segment_frames: int = 25,
-    transition_frames: int = 5,
-    walk_std_hz: float = 10.0,
-) -> TrajectorySpec:
+def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
     """Nasal-vowel-nasal demo utterance with a known antiformant.
 
     Three 25-frame segments (nasal, open vowel, nasal) of 100 ms frames at
@@ -349,12 +344,12 @@ def nasal_utterance_spec(
     nasal segments carry two formants at 257 Hz (32 Hz) and 1891 Hz
     (100 Hz) plus one antiformant at 1223 Hz (52 Hz); the vowel uses
     850 Hz (80 Hz) and 1500 Hz (120 Hz) with the antiformant absent.
-    Segment boundaries interpolate linearly over ``transition_frames``;
-    every frequency follows a seeded random walk (std ``walk_std_hz`` per
-    frame) while bandwidths get independent per-frame jitter around their
-    nominal values (std ``walk_std_hz``/3, floored at 8 Hz) so resonances
-    stay observable.
+    Segment boundaries interpolate linearly over 5 frames; every frequency
+    follows a seeded random walk (std 10 Hz per frame) while bandwidths get
+    independent per-frame jitter around their nominal values (std 10/3 Hz,
+    floored at 8 Hz) so resonances stay observable.
     """
+    n_segment_frames, transition_frames, walk_std_hz = 25, 5, 10.0
     fs = 10000.0
     nasal_f = np.array([257.0, 1891.0])
     nasal_b = np.array([32.0, 100.0])

@@ -22,21 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstrum import (
-    CepstralVector,
-    _cepstral_weights,
-    _pole_powers,
-    _powers_cepstrum,
-    _powers_jacobian,
-    _resonance_columns,
-)
+from .cepstrum import CepstralObservation
 from .frontend import ActivityMask
 
 __all__ = [
     "TrackerParams",
     "TrackActivation",
     "TrackResult",
-    "CepstralObservation",
     "LinearObservation",
     "ekf_filter",
     "eks_smooth",
@@ -155,68 +147,6 @@ class TrackResult:
         return np.einsum("tii->ti", self.covariances)
 
 
-class CepstralObservation:
-    """Observation model mapping a state vector to N cepstral coefficients.
-
-    Inactive tracks are dropped from the sum and their Jacobian columns are
-    zero, which is how the tracker omits a track from the state.
-    """
-
-    def __init__(self, n_formants: int, n_antiformants: int, n_cepstra: int, sample_rate_hz: float):
-        self.n_formants = n_formants
-        self.n_antiformants = n_antiformants
-        self.n_cepstra = n_cepstra
-        self.sample_rate_hz = sample_rate_hz
-        self._freq_cols, self._bw_cols, self._signs = _resonance_columns(
-            n_formants, n_antiformants
-        )
-        self._weights = _cepstral_weights(n_cepstra)
-
-    def _active_signs(self, active_f, active_a):
-        """Sign of each resonance's cepstral term: +1 formant, -1 antiformant, 0 inactive."""
-        if active_f is None and active_a is None:
-            return self._signs
-        i, j = self.n_formants, self.n_antiformants
-        keep = np.concatenate([
-            np.ones(i, dtype=bool) if active_f is None else active_f,
-            np.ones(j, dtype=bool) if active_a is None else active_a,
-        ])
-        return self._signs * keep
-
-    def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
-        """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
-        xt = x.T
-        powers = _pole_powers(
-            xt[self._freq_cols], xt[self._bw_cols], self.sample_rate_hz, self.n_cepstra
-        )
-        return _powers_cepstrum(powers, self._active_signs(active_f, active_a), self._weights).T
-
-    def linearize(self, x: np.ndarray, active_f=None, active_a=None):
-        """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers."""
-        signs = self._active_signs(active_f, active_a)
-        powers = _pole_powers(
-            x[self._freq_cols], x[self._bw_cols], self.sample_rate_hz, self.n_cepstra
-        )
-        H = _powers_jacobian(powers, signs, self.sample_rate_hz, self._freq_cols, self._bw_cols)
-        return _powers_cepstrum(powers, signs, self._weights), H
-
-    def state_bounds(self):
-        """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.
-
-        The frequency margins stay away from 0 and fs/2, where the
-        observation gradient vanishes and a clamped track could never
-        recover.
-        """
-        i, j = self.n_formants, self.n_antiformants
-        f_lo = 0.005 * self.sample_rate_hz
-        f_hi = 0.495 * self.sample_rate_hz
-        lo = np.concatenate([np.full(i, f_lo), np.full(i, 1.0), np.full(j, f_lo), np.full(j, 1.0)])
-        hi = np.concatenate(
-            [np.full(i, f_hi), np.full(i, np.inf), np.full(j, f_hi), np.full(j, np.inf)]
-        )
-        return lo, hi
-
-
 class LinearObservation:
     """Fixed linear observation y = H x, mainly for surrogate tests."""
 
@@ -231,14 +161,6 @@ class LinearObservation:
 
     def state_bounds(self):
         return None
-
-
-def _as_matrix(obs) -> np.ndarray:
-    """Accept a (T, N) array or a sequence of CepstralVector."""
-    if isinstance(obs, np.ndarray):
-        return np.atleast_2d(np.asarray(obs, dtype=float))
-    rows = [o.coeffs if isinstance(o, CepstralVector) else np.asarray(o, float) for o in obs]
-    return np.vstack(rows)
 
 
 def _speech_flags(mask, n_frames: int) -> np.ndarray:
@@ -287,7 +209,7 @@ def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.nda
 
 
 def _resolve_setup(obs, params, mask, activation, obs_model):
-    y = _as_matrix(obs)
+    y = np.atleast_2d(np.asarray(obs, dtype=float))
     n_frames = y.shape[0]
     if n_frames < 1:
         raise ValueError("need at least one observation frame")
@@ -296,6 +218,12 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
         activation = TrackActivation.all_active(n_frames, params.n_formants, params.n_antiformants)
     if len(activation) != n_frames:
         raise ValueError("activation length does not match observation count")
+    widths = activation.formants.shape[1], activation.antiformants.shape[1]
+    if widths != (params.n_formants, params.n_antiformants):
+        raise ValueError(
+            f"activation has {widths[0]} formant and {widths[1]} antiformant columns; "
+            f"params track {params.n_formants} formants and {params.n_antiformants} antiformants"
+        )
     if obs_model is None:
         obs_model = CepstralObservation(
             params.n_formants, params.n_antiformants, params.n_cepstra, params.sample_rate_hz
@@ -375,7 +303,7 @@ def ekf_filter(
 ) -> TrackResult:
     """Forward extended Kalman filter over cepstral observations.
 
-    ``obs`` is a (T, N) array or sequence of ``CepstralVector``.  ``mask``
+    ``obs`` is a (T, N) array of cepstral observations.  ``mask``
     marks speech frames; silent frames update nothing but still propagate.
     An entry known exactly (see ``TrackerParams``) keeps zero variance and a
     zero gain row, so it holds its ``mu0`` value on every frame.
@@ -441,15 +369,14 @@ def eks_smooth(
     return _make_result(m_s, P_s, speech, activation, params)
 
 
-def estimate_transition(
-    first_pass_tracks: np.ndarray,
-    speech=None,
-    max_spectral_radius: float = 0.999,
-) -> np.ndarray:
+_MAX_SPECTRAL_RADIUS = 0.999  # estimate_transition scales F down to this
+
+
+def estimate_transition(first_pass_tracks: np.ndarray, speech=None) -> np.ndarray:
     """Single-lag least-squares fit of x_{t+1} ~ F x_t over speech frames.
 
     Falls back to the identity (with a warning) when the regressors are rank
-    deficient; the spectral radius is clipped by uniform scaling.
+    deficient; a spectral radius above 0.999 is clipped by uniform scaling.
     """
     tracks = np.asarray(first_pass_tracks, dtype=float)
     if tracks.ndim != 2:
@@ -469,8 +396,8 @@ def estimate_transition(
         return np.eye(dim)
     F = sol.T
     radius = np.abs(np.linalg.eigvals(F)).max()
-    if radius > max_spectral_radius:
-        F = F * (max_spectral_radius / radius)
+    if radius > _MAX_SPECTRAL_RADIUS:
+        F = F * (_MAX_SPECTRAL_RADIUS / radius)
     return F
 
 

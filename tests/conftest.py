@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from karma.arma import ArmaModel
-from karma.tracker import CepstralObservation
+from karma.cepstrum import CepstralObservation
 
 
 def random_minimum_phase_model(rng, p: int, q: int, max_radius: float = 0.95) -> ArmaModel:

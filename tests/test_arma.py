@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-import karma.pipeline as pipeline
+import karma.arma
 from karma.arma import (
     CERT_MARGIN,
     MAX_ROOT_RADIUS,
@@ -21,7 +21,7 @@ from karma.arma import (
     fit_ar_frames,
     fit_arma_frames,
 )
-from karma.cepstrum import arma_to_cepstrum
+from karma.cepstrum import arma_cepstra, arma_to_cepstrum
 from karma.frontend import preemphasize, window_frames
 from karma.pipeline import RunConfig, build_observations
 from karma.synthesis import nasal_utterance_spec, synthesize
@@ -435,31 +435,32 @@ class TestArmaObservations:
         speech = np.ones(len(frames), dtype=bool)
         speech[[0, 5]] = False
         fitted = np.flatnonzero(speech & np.any(frames, axis=1))
-        expected = np.zeros((len(frames), self.CONFIG.n_cepstra))
+        n = self.CONFIG.n_cepstra
+        expected = np.zeros((len(frames), n))
         for t in fitted:
             model, _ = reference_estimate_arma(frames[t], 6, 4)
-            expected[t] = arma_to_cepstrum(model, self.CONFIG.n_cepstra).coeffs
+            expected[t] = arma_to_cepstrum(model, n).coeffs
+        assert np.array_equal(build_observations(frames, self.CONFIG, speech), expected)
 
-        checks, calls = [], []
+        ar, ma, *_ = fit_arma_frames(frames[fitted], 6, 4)
+        checks, refused = [], []
 
         def certify(poly, radius):
             checks.append(1)
             if refuse == "all" or (refuse == "some" and len(checks) % 5 == 0):
+                refused.append(1)
                 return False
             return certify_inside(poly, radius)
 
-        def counting_arma_to_cepstrum(model, n_coeffs):
-            calls.append(1)
-            return arma_to_cepstrum(model, n_coeffs)
-
-        monkeypatch.setattr(pipeline, "certify_inside", certify)
-        monkeypatch.setattr(pipeline, "arma_to_cepstrum", counting_arma_to_cepstrum)
-        obs = build_observations(frames, self.CONFIG, speech)
-        assert np.array_equal(obs, expected)
+        monkeypatch.setattr(karma.arma, "certify_inside", certify)
+        ceps = arma_cepstra(ar, ma, n, np.zeros(fitted.size, dtype=bool))
+        assert np.array_equal(ceps, expected[fitted])
         if refuse == "all":
-            assert len(calls) == fitted.size
+            assert len(refused) == fitted.size  # each row's first certificate, then roots
         elif refuse == "some":
-            assert 0 < len(calls) < fitted.size
+            assert 0 < len(refused) < fitted.size
+        else:
+            assert not refused
 
 
 class TestLaggedMatrix:

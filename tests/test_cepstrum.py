@@ -7,15 +7,16 @@ from scipy import signal as sps
 
 from karma.arma import ArmaModel
 from karma.cepstrum import (
+    CepstralObservation,
     CepstralVector,
     ResonanceState,
+    arma_cepstra,
     arma_to_cepstrum,
     cepstrum_jacobian,
     real_cepstrum,
     state_to_cepstrum,
 )
 from karma.synthesis import resonator_cascade
-from karma.tracker import CepstralObservation
 
 from conftest import (
     FrozenCepstralObservation,
@@ -230,6 +231,18 @@ class TestArmaToCepstrum:
         m = ArmaModel([2.0], [], 1.0)
         with pytest.raises(ValueError, match="reflect roots"):
             arma_to_cepstrum(m, 5)
+
+    @pytest.mark.parametrize("outside", ["ar", "ma"])
+    def test_unproven_row_outside_raises_among_proven_rows(self, rng, outside):
+        models = [random_minimum_phase_model(rng, 4, 2) for _ in range(3)]
+        ar = np.array([m.ar for m in models])
+        ma = np.array([m.ma for m in models])
+        (ar if outside == "ar" else ma)[1] *= 30.0  # a root far outside the circle
+        proven = np.array([True, False, True])
+        with pytest.raises(ValueError, match="reflect roots"):
+            arma_cepstra(ar, ma, 10, proven)
+        proven[1] = True  # a proven row is taken on trust
+        assert arma_cepstra(ar, ma, 10, proven).shape == (3, 10)
 
     def test_ma_sign_convention(self):
         # single zero at -0.5 (numerator 1 + 0.5 z^-1): C_n = -(-0.5)^n / n

@@ -79,11 +79,21 @@ class TestTrackCommand:
             {"n_formants": -1},
             {"n_antiformants": -1},
             {"n_formants": 0},
+            {"lpc_order": "12"},
+            {"overlap": "0.5"},
+            {"n_cepstra": 15.5},
+            {"initial_formant_freqs": 500},
+            5,
+            {"lpc_order": True},
+            {"gamma": False},
+            {"initial_formant_freqs": [500.0, True, 2500.0]},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
              "frame_ms_below_one_sample", "retired_key", "formants_negative",
-             "antiformants_negative", "no_tracks"],
+             "antiformants_negative", "no_tracks", "int_as_string", "float_as_string",
+             "int_as_float", "override_not_a_list", "not_an_object", "bool_as_int",
+             "bool_as_float", "bool_in_override"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from karma.particle import BenchmarkSetup, _quadratic_form, ekf_pf_benchmark, pf_track
-from karma.tracker import CepstralObservation, LinearObservation, TrackerParams, ekf_filter
+from karma.cepstrum import CepstralObservation
+from karma.tracker import LinearObservation, TrackerParams, ekf_filter
 
 from conftest import FrozenCepstralObservation
 

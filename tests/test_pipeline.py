@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 import karma.pipeline as pipeline
-from karma.arma import estimate_ar
+from karma.arma import ArmaModel, estimate_ar, fit_ar_frames
 from karma.cepstrum import arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
 from karma.evaluation import rmse
@@ -88,6 +88,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="unknown config"):
             RunConfig.from_json({"frame_msec": 20})
 
+    def test_json_numbers_fit_float_fields(self):
+        config = RunConfig.from_json(
+            {"overlap": 0, "gamma": 1, "initial_formant_freqs": [500, 1500.0, 2500], "initial_formant_bws": None}
+        )
+        config.validate()
+        assert config.initial_formant_freqs == [500, 1500.0, 2500]
+
     def test_mu0_overrides(self):
         config = RunConfig(
             n_formants=2,
@@ -140,29 +147,32 @@ class TestBuildObservations:
                 assert np.all(obs[t] == 0.0)
 
     @pytest.mark.parametrize("margin", [1.0, 0.05])
-    def test_uncertified_frames_take_the_per_frame_route(self, monkeypatch, margin):
+    def test_uncertified_frames_take_the_root_check(self, monkeypatch, margin):
         frames = resonant_frames(11, 40, 140)
         speech = np.ones(40, dtype=bool)
         config = RunConfig()
-        batched = build_observations(frames, config, speech)
-        calls = []
+        rows = np.flatnonzero(np.any(frames, axis=1))
+        a, _, _ = fit_ar_frames(frames[rows], config.lpc_order)
+        expected = np.zeros((40, config.n_cepstra))
+        for t, coeffs in zip(rows, a):
+            expected[t] = arma_to_cepstrum(ArmaModel(coeffs, np.zeros(0)), config.n_cepstra).coeffs
+        assert np.array_equal(build_observations(frames, config, speech), expected)
 
-        def counting_estimate_ar(frame, p):
-            calls.append(1)
-            return estimate_ar(frame, p)
+        checks = []
+        is_minimum_phase = ArmaModel.is_minimum_phase
+
+        def counting_is_minimum_phase(model, tol=0.0):
+            checks.append(1)
+            return is_minimum_phase(model, tol)
 
         monkeypatch.setattr(pipeline, "CERT_MARGIN", margin)
-        monkeypatch.setattr(pipeline, "estimate_ar", counting_estimate_ar)
+        monkeypatch.setattr(ArmaModel, "is_minimum_phase", counting_is_minimum_phase)
         mixed = build_observations(frames, config, speech)
-        speech_rows = 30  # every fourth of the 40 rows is silent
         if margin == 1.0:
-            assert len(calls) == speech_rows
+            assert len(checks) == rows.size
         else:
-            assert 0 < len(calls) < speech_rows
-        assert np.abs(mixed - batched).max() < 1e-12
-        for t in np.flatnonzero(np.any(frames, axis=1)):
-            direct = arma_to_cepstrum(estimate_ar(frames[t], 12), 15).coeffs
-            assert np.abs(batched[t] - direct).max() < 1e-10
+            assert 0 < len(checks) < rows.size
+        assert np.array_equal(mixed, expected)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 600), length=st.integers(16, 300))
@@ -202,6 +212,14 @@ class TestTrackWaveform:
         wave, _ = synthesize(spec)
         with pytest.raises(ValueError):
             track_waveform(wave, RunConfig(mode="offline"))
+
+    def test_activation_width_checked(self):
+        spec = random_trajectory(3, 0.5, seed=5, sample_rate_hz=16000.0)
+        wave, _ = synthesize(spec)
+        n_frames = track_waveform(wave, RunConfig()).n_frames
+        activation = TrackActivation.all_active(n_frames, 2, 1)
+        with pytest.raises(ValueError, match="2 formant and 1 antiformant columns; params track 3 formants"):
+            track_waveform(wave, RunConfig(), activation=activation)
 
     def test_known_bandwidths_smooth_without_regularizing(self):
         spec = random_trajectory(3, 2.0, seed=6, sample_rate_hz=16000.0)

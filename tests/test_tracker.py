@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from karma.cepstrum import CepstralObservation
 from karma.tracker import (
-    CepstralObservation,
     LinearObservation,
     TrackActivation,
     TrackerParams,
@@ -431,6 +431,13 @@ class TestCepstralTracking:
             grown = res.variances[9, entries] + k * q
             assert np.array_equal(res.means[9 + k, entries], res.means[9, entries])
             assert res.variances[9 + k, entries] == pytest.approx(grown, rel=1e-12)
+
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
+    def test_activation_width_checked(self, run):
+        activation = TrackActivation.all_active(40, 3, 0)
+        match = "3 formant and 0 antiformant columns; params track 2 formants and 1 antiformants"
+        with pytest.raises(ValueError, match=match):
+            run(self.obs, self.params, activation=activation)
 
     def test_frozen_entries_pinned(self):
         params = with_known(self.params, [2, 3], [50.0, 110.0])
