@@ -157,58 +157,90 @@ def estimate_ar(frame: np.ndarray, p: int) -> ArmaModel:
     return ArmaModel(a[0], np.zeros(0), float(err[0]), converged=bool(np.any(x)))
 
 
-def certify_inside(poly: np.ndarray, radius: float) -> bool:
-    """Step-down (Schur-Cohn) certificate that every root of ``poly`` lies
-    strictly inside ``radius``.
+def _certify_rows(polys: np.ndarray, radius: float) -> np.ndarray:
+    """Step-down (Schur-Cohn) certificate, per row of ``polys`` (T, m+1), that
+    every root lies strictly inside ``radius``; returns (T,) bool.
 
-    ``poly`` is [1, c_1, ..., c_m] in powers of z^-1.  Scaling c_j by
+    Each row is [1, c_1, ..., c_m] in powers of z^-1.  Scaling c_j by
     radius^-j maps the circle of that radius onto the unit circle; the
     step-down recursion then yields the reflection coefficients, and all
     roots are inside when every |k| < 1 (Markel & Gray, *Linear Prediction
     of Speech*, 1976).  Certification asks for |k| < 1 - CERT_MARGIN so that
     rounding in the recursion cannot certify a root on the circle.  False
     means "not proven", not "outside": callers fall back to root finding.
-    Scalar Python: for the low orders used per frame this beats both a
-    numpy loop and ``np.roots``.
+    One step of the recursion runs on all rows at once; a row refused early
+    keeps stepping on values nothing reads.
     """
-    c = [float(v) * radius**-j for j, v in enumerate(poly)]
+    c = polys * np.array([radius**-j for j in range(polys.shape[1])])
+    inside = np.ones(polys.shape[0], dtype=bool)
     bound = 1.0 - CERT_MARGIN
-    for m in range(len(c) - 1, 0, -1):
-        k = c[m]
-        if not abs(k) < bound:  # also rejects NaN
-            return False
-        scale = 1.0 - k * k
-        c = [1.0] + [(c[i] - k * c[m - i]) / scale for i in range(1, m)]
-    return True
+    with np.errstate(all="ignore"):
+        for m in range(polys.shape[1] - 1, 0, -1):
+            k = c[:, m]
+            inside &= np.abs(k) < bound  # also rejects NaN
+            scale = 1.0 - k * k
+            c[:, 1:m] = (c[:, 1:m] - k[:, None] * c[:, m - 1 : 0 : -1]) / scale[:, None]
+    return inside
 
 
-def _reflect_roots(poly: np.ndarray, clip_radius: float) -> np.ndarray:
-    """Reflect roots of a monic polynomial into the unit circle and clip radii.
+def certify_inside(poly: np.ndarray, radius: float) -> bool:
+    """Step-down certificate that every root of ``poly`` = [1, c_1, ..., c_m]
+    lies strictly inside ``radius``: the one-row call of ``_certify_rows``."""
+    return bool(_certify_rows(np.asarray(poly, dtype=float)[None, :], radius)[0])
 
-    A polynomial certified to have every root inside ``clip_radius`` is
-    returned as it is; only the others are factored.  The factoring does
-    what ``np.roots`` and ``np.poly`` do (companion-matrix eigenvalues, then
-    the product of the factors by repeated convolution), without their
-    wrappers; ``np.roots`` still handles a zero trailing coefficient.
+
+def _monic(tails: np.ndarray) -> np.ndarray:
+    """Polynomials [1, c_1, ..., c_m], one per row of ``tails`` (T, m)."""
+    polys = np.empty((tails.shape[0], tails.shape[1] + 1))
+    polys[:, 0] = 1.0
+    polys[:, 1:] = tails
+    return polys
+
+
+def _reflect_rows(polys: np.ndarray, clip_radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect the roots of each monic row of ``polys`` (T, m+1) into the unit
+    circle and clip their radii to ``clip_radius``.
+
+    Returns the new polynomials and the rows' certificates.  A row certified
+    to have every root inside ``clip_radius`` is returned as it is; only the
+    others are factored, which does what ``np.roots`` and ``np.poly`` do: one
+    stacked companion-matrix ``eigvals`` call (``np.roots`` for a row with a
+    zero trailing coefficient), reflection and clipping on all factored rows
+    at once, then each row's product of factors by repeated convolution.
+    The product stays per row, in real arithmetic for a row whose roots are
+    all real, as ``np.poly`` forms it: complex ``np.convolve`` sums through a
+    BLAS dot whose rounding elementwise numpy does not reproduce.
     """
-    if certify_inside(poly, clip_radius):
-        return poly.astype(float)
-    if poly[-1] == 0.0:
-        roots = np.roots(poly)
-    else:
-        companion = np.diag(np.ones(poly.size - 2), -1)
-        companion[0] = -poly[1:] / poly[0]
-        roots = np.linalg.eigvals(companion)
+    out = polys.astype(float)
+    certified = _certify_rows(polys, clip_radius)
+    todo = np.flatnonzero(~certified)
+    if not todo.size:
+        return out, certified
+    m = polys.shape[1] - 1
+    roots = np.empty((todo.size, m), dtype=complex)
+    trailing_zero = polys[todo, -1] == 0.0
+    factor = todo[~trailing_zero]
+    if factor.size:
+        companion = np.zeros((factor.size, m, m))
+        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        companion[:, 0] = -polys[factor, 1:] / polys[factor, :1]
+        roots[~trailing_zero] = np.linalg.eigvals(companion)
+    for i in np.flatnonzero(trailing_zero):
+        roots[i] = np.roots(polys[todo[i]])
+    real = np.all(roots.imag == 0.0, axis=1)
     mags = np.abs(roots)
     outside = mags > 1.0
     roots[outside] = 1.0 / np.conj(roots[outside])
     mags = np.abs(roots)
     hot = mags > clip_radius
     roots[hot] *= clip_radius / mags[hot]
-    out = np.ones(1, dtype=roots.dtype)
-    for r in roots:
-        out = np.convolve(out, np.array([1, -r], dtype=roots.dtype))
-    return out.real.copy()
+    for t, row, is_real in zip(todo, roots, real):
+        factors = row.real if is_real else row
+        product = np.ones(1, dtype=factors.dtype)
+        for r in factors:
+            product = np.convolve(product, np.array([1, -r], dtype=factors.dtype))
+        out[t] = product.real
+    return out, certified
 
 
 def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> ArmaModel:
@@ -217,18 +249,15 @@ def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> Arma
     The magnitude spectrum is unchanged up to a constant gain, which is
     irrelevant for cepstral coefficients beyond the zeroth.
     """
-    ar_poly = _reflect_roots(m.ar_polynomial, clip_radius)
-    ma_poly = _reflect_roots(m.ma_polynomial, clip_radius)
-    return ArmaModel(-ar_poly[1:], ma_poly[1:], m.noise_variance, m.converged)
+    ar_poly, _ = _reflect_rows(m.ar_polynomial[None, :], clip_radius)
+    ma_poly, _ = _reflect_rows(m.ma_polynomial[None, :], clip_radius)
+    return ArmaModel(-ar_poly[0, 1:], ma_poly[0, 1:], m.noise_variance, m.converged)
 
 
 _STEP_SCALES = 2.0 ** -np.arange(11)  # Gauss-Newton step halving
 _MAX_GN_ITER = 50  # Gauss-Newton iterations per fit
 _GN_REL_TOL = 1e-8  # stop once an iteration gains less than this share of the objective
-
-
-def _prediction_error(x: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return sps.lfilter(np.concatenate(([1.0], -a)), np.concatenate(([1.0], b)), x)
+_MA_CLIP = 0.99  # MA roots stay inside this radius during the search, so 1/B(z) stays usable
 
 
 def _lag_view(padded: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -247,76 +276,21 @@ def _lagged(s: np.ndarray, k: int) -> np.ndarray:
     return _lag_view(np.concatenate((np.zeros(k), s[: s.size - 1])), s.size, k)
 
 
-def _stabilize_ma(b: np.ndarray, clip_radius: float = 0.99) -> np.ndarray:
-    """Keep 1 + sum b_j z^-j stable so the inverse filter stays usable."""
-    return _reflect_roots(np.concatenate(([1.0], b)), clip_radius)[1:]
-
-
-def _fit_arma_row(x: np.ndarray, long_ar: np.ndarray, p: int, q: int):
-    """ARMA(p, q) fit of one nonzero frame ``x`` from its long-AR coefficients.
-
-    Returns the AR and MA coefficients, the residual variance, the
-    ``converged`` flag and the accepted objective values.
-    """
-    # Stage 1: innovation estimates from the long AR fit.
-    u = sps.lfilter(np.concatenate(([1.0], -long_ar)), [1.0], x)
-
-    # Stage 2: regress x[m] on lagged x and lagged innovations.
-    k0 = max(p, q)
-    design = np.hstack([_lagged(x, p), _lagged(u, q)])[k0:]
-    theta, *_ = np.linalg.lstsq(design, x[k0:], rcond=None)
-    a = theta[:p].copy()
-    b = _stabilize_ma(theta[p:].copy())
-
-    e = _prediction_error(x, a, b)
-    sse = float(e @ e)
-    history = [sse]
-    converged = False
-
-    # Stage 3: damped Gauss-Newton on the prediction-error sum of squares.
-    # x and e go through 1/B(z) in one call; the Jacobian's columns are
-    # delayed copies of the two filtered signals, read out of one
-    # zero-padded buffer into one preallocated matrix.
-    n = x.size
-    signals = np.empty((2, n))
-    signals[0] = x
-    padded = np.zeros((2, n - 1 + k0))
-    x_lags, e_lags = _lag_view(padded[0], n, p), _lag_view(padded[1], n, q)
-    jac = np.empty((n, p + q))
-    for _ in range(_MAX_GN_ITER):
-        signals[1] = e
-        padded[:, k0:] = sps.lfilter([1.0], np.concatenate(([1.0], b)), signals)[:, :-1]
-        np.negative(x_lags, out=jac[:, :p])
-        np.negative(e_lags, out=jac[:, p:])
-        hess = jac.T @ jac
-        hess.flat[:: p + q + 1] += 1e-10 * max(np.trace(hess), 1.0)
-        try:
-            delta = np.linalg.solve(hess, jac.T @ e)
-        except np.linalg.LinAlgError:
-            break
-
-        accepted = False
-        for scale in _STEP_SCALES:
-            a_new = a - scale * delta[:p]
-            b_new = _stabilize_ma(b - scale * delta[p:])
-            e_new = _prediction_error(x, a_new, b_new)
-            sse_new = float(e_new @ e_new)
-            if np.isfinite(sse_new) and sse_new < sse:
-                accepted = True
-                break
-        if not accepted:
-            converged = True  # no descent direction left
-            break
-        rel_gain = (sse - sse_new) / max(sse, 1e-300)
-        a, b, e, sse = a_new, b_new, e_new, sse_new
-        history.append(sse)
-        if rel_gain < _GN_REL_TOL:
-            converged = True
-            break
-
-    model = enforce_minimum_phase(ArmaModel(a, b, 1.0, converged), clip_radius=MAX_ROOT_RADIUS)
-    resid = _prediction_error(x, model.ar, model.ma)
-    return model.ar, model.ma, float(np.mean(resid**2)), converged, history
+def _solve_rows(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions (L, M) of the stacked systems hess (L, M, M) and grad
+    (L, M, 1), and which rows were solved: one stacked solve, or row by row
+    when some system is singular."""
+    try:
+        return np.linalg.solve(hess, grad)[:, :, 0], np.ones(len(hess), dtype=bool)
+    except np.linalg.LinAlgError:
+        delta, solved = np.zeros(grad.shape[:2]), np.zeros(len(hess), dtype=bool)
+        for j in range(len(hess)):
+            try:
+                delta[j] = np.linalg.solve(hess[j], grad[j, :, 0])
+                solved[j] = True
+            except np.linalg.LinAlgError:
+                pass
+        return delta, solved
 
 
 def fit_arma_frames(frames: np.ndarray, p: int, q: int):
@@ -330,11 +304,21 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     than 1e-8 of the objective.  Both polynomials are root-reflected into
     the unit circle afterwards.
 
+    The rows iterate in lock step, a row leaving once it stops.  Per row
+    stay the regression, every ``lfilter`` call and the Jacobian with its
+    normal equations; each round then makes one stacked solve, and each
+    step size one MA stabilisation (``_reflect_rows``) for all rows still
+    searching.  The final reflection is one ``_reflect_rows`` call per
+    polynomial.  Every row gets the same bits as a fit of that row alone.
+
     Returns the AR coefficients (T, p), the MA coefficients (T, q), the
-    residual variances (T,), the ``converged`` flags (T,) and a list of
-    each row's accepted objective values.  With q = 0 every row is an
-    ``estimate_ar`` fit; an all-zero row gets zero coefficients, zero
-    variance, ``converged`` False and no objective values.
+    residual variances (T,), the ``converged`` flags (T,), a list of each
+    row's accepted objective values, and (T,) flags marking the fits the
+    step-down certificate proved minimum phase (the others must be checked
+    by their roots).  With q = 0 every row is an ``estimate_ar`` fit,
+    proven by its reflection coefficients; an all-zero row gets zero
+    coefficients, zero variance, ``converged`` False and no objective
+    values.
     """
     frames = np.asarray(frames, dtype=float)
     if p < 0 or q < 0 or p + q == 0:
@@ -343,21 +327,96 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     if n <= p + q + 1:
         raise ValueError("frame length must exceed p + q + 1")
     nonzero = np.any(frames, axis=1)
+    objectives = [[] for _ in range(n_rows)]
     if q == 0:
-        a, err, _ = fit_ar_frames(frames, p)
-        return a, np.zeros((n_rows, 0)), err, nonzero, [[] for _ in range(n_rows)]
+        a, err, k_max = fit_ar_frames(frames, p)
+        return a, np.zeros((n_rows, 0)), err, nonzero, objectives, k_max < 1.0 - CERT_MARGIN
 
     ar, ma = np.zeros((n_rows, p)), np.zeros((n_rows, q))
     noise_variance, converged = np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
-    objectives = [[] for _ in range(n_rows)]
+    proven = np.ones(n_rows, dtype=bool)  # zero coefficients are minimum phase
     rows = np.flatnonzero(nonzero)
     n_long = min(max(20, 2 * (p + q)), max(p + q + 2, n // 3), n - 1)  # an AR fit needs n > order
     long_ar, _, _ = fit_ar_frames(frames[rows], n_long)
-    for t, coeffs in zip(rows, long_ar):
-        ar[t], ma[t], noise_variance[t], converged[t], objectives[t] = _fit_arma_row(
-            frames[t], coeffs, p, q
-        )
-    return ar, ma, noise_variance, converged, objectives
+
+    # Stage 1, innovation estimates from the long AR fit; stage 2, regress
+    # x[m] on lagged x and lagged innovations.  Fit arrays are indexed by
+    # position i in ``rows``.
+    k0 = max(p, q)
+    theta = np.empty((rows.size, p + q))
+    for i, t in enumerate(rows):
+        x = frames[t]
+        u = sps.lfilter(np.concatenate(([1.0], -long_ar[i])), [1.0], x)
+        design = np.hstack([_lagged(x, p), _lagged(u, q)])[k0:]
+        theta[i] = np.linalg.lstsq(design, x[k0:], rcond=None)[0]
+    a = theta[:, :p]
+    b_polys, _ = _reflect_rows(_monic(theta[:, p:]), _MA_CLIP)
+    e = np.empty((rows.size, n))
+    sse = np.empty(rows.size)
+    for i, (t, a_poly) in enumerate(zip(rows, _monic(-a))):
+        e[i] = sps.lfilter(a_poly, b_polys[i], frames[t])
+        sse[i] = e[i] @ e[i]
+        objectives[t].append(float(sse[i]))
+
+    # Stage 3: damped Gauss-Newton on the prediction-error sum of squares.
+    # x and e go through 1/B(z) in one call; the Jacobian's columns are
+    # delayed copies of the two filtered signals, read out of one
+    # zero-padded buffer into one preallocated matrix.
+    signals = np.empty((2, n))
+    padded = np.zeros((2, n - 1 + k0))
+    x_lags, e_lags = _lag_view(padded[0], n, p), _lag_view(padded[1], n, q)
+    jac = np.empty((n, p + q))
+    live = np.arange(rows.size)  # positions of the rows still iterating
+    for _ in range(_MAX_GN_ITER):
+        if not live.size:
+            break
+        hess = np.empty((live.size, p + q, p + q))
+        grad = np.empty((live.size, p + q, 1))
+        for j, i in enumerate(live):
+            signals[0] = frames[rows[i]]
+            signals[1] = e[i]
+            padded[:, k0:] = sps.lfilter([1.0], b_polys[i], signals)[:, :-1]
+            np.negative(x_lags, out=jac[:, :p])
+            np.negative(e_lags, out=jac[:, p:])
+            h = jac.T @ jac
+            h.flat[:: p + q + 1] += 1e-10 * max(np.trace(h), 1.0)
+            hess[j] = h
+            grad[j, :, 0] = jac.T @ e[i]
+        delta, solved = _solve_rows(hess, grad)
+        live, delta = live[solved], delta[solved]  # a row whose solve fails stops
+
+        # Step halving: at each scale, all rows still searching try a step.
+        gain = np.zeros(live.size)
+        accepted = np.zeros(live.size, dtype=bool)
+        searching = np.arange(live.size)
+        for scale in _STEP_SCALES:
+            if not searching.size:
+                break
+            idx = live[searching]
+            a_try = a[idx] - scale * delta[searching, :p]
+            b_try, _ = _reflect_rows(_monic(b_polys[idx, 1:] - scale * delta[searching, p:]), _MA_CLIP)
+            a_try_polys = _monic(-a_try)
+            for k, (s, i) in enumerate(zip(searching, idx)):
+                e_try = sps.lfilter(a_try_polys[k], b_try[k], frames[rows[i]])
+                sse_try = float(e_try @ e_try)
+                if np.isfinite(sse_try) and sse_try < sse[i]:
+                    gain[s] = (sse[i] - sse_try) / max(sse[i], 1e-300)
+                    a[i], b_polys[i], e[i], sse[i] = a_try[k], b_try[k], e_try, sse_try
+                    objectives[rows[i]].append(sse_try)
+                    accepted[s] = True
+            searching = searching[~accepted[searching]]
+        done = ~accepted | (gain < _GN_REL_TOL)  # no descent direction left, or too small a gain
+        converged[rows[live[done]]] = True
+        live = live[~done]
+
+    ar_polys, ar_proven = _reflect_rows(_monic(-a), MAX_ROOT_RADIUS)
+    ma_polys, ma_proven = _reflect_rows(b_polys, MAX_ROOT_RADIUS)
+    ar[rows], ma[rows] = -ar_polys[:, 1:], ma_polys[:, 1:]
+    proven[rows] = ar_proven & ma_proven
+    for i, t in enumerate(rows):
+        resid = sps.lfilter(ar_polys[i], ma_polys[i], frames[t])
+        noise_variance[t] = np.mean(resid**2)
+    return ar, ma, noise_variance, converged, objectives, proven
 
 
 def estimate_arma(frame: np.ndarray, p: int, q: int, full_output: bool = False):
@@ -368,7 +427,7 @@ def estimate_arma(frame: np.ndarray, p: int, q: int, full_output: bool = False):
     the accepted objective values per iteration and the ``converged`` flag.
     """
     x = np.asarray(frame, dtype=float).reshape(1, -1)
-    ar, ma, noise_variance, converged, objectives = fit_arma_frames(x, p, q)
+    ar, ma, noise_variance, converged, objectives, _ = fit_arma_frames(x, p, q)
     model = ArmaModel(ar[0], ma[0], float(noise_variance[0]), bool(converged[0]))
     if full_output:
         return model, {"objective": objectives[0], "converged": model.converged}

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -92,25 +93,23 @@ def cmd_track(args) -> int:
     return 0
 
 
-def _resolve_spec(spec_arg: str):
-    """A spec file, or ``nan``/``nan.json`` for the nasal demo utterance."""
+def _resolve_spec(spec_arg: str, seed: int | None = None):
+    """A spec file with its excitation seed replaced by ``seed``, or for
+    ``nan``/``nan.json`` the nasal demo utterance drawn with ``seed``."""
     path = Path(spec_arg)
     if path.exists():
-        return load_spec(path)
+        spec = load_spec(path)
+        return spec if seed is None else dataclasses.replace(spec, seed=seed)
     if spec_arg in ("nan", "nan.json"):
-        return nasal_utterance_spec()
+        return nasal_utterance_spec() if seed is None else nasal_utterance_spec(seed)
     raise UsageError(f"spec not found: {spec_arg}")
 
 
 def cmd_synth(args) -> int:
     try:
-        spec = _resolve_spec(args.spec)
+        spec = _resolve_spec(args.spec, args.seed)
     except ValueError as exc:
         raise UsageError(f"bad spec: {exc}") from exc
-    if args.seed is not None:
-        import dataclasses
-
-        spec = dataclasses.replace(spec, seed=args.seed)
     waveform, reference = synthesize(spec)
     out = args.out or "synth.wav"
     write_wav(out, waveform)
@@ -188,7 +187,12 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("spec", help="spec JSON path, or 'nan' for the nasal demo utterance")
     synth.add_argument("--out", help="output WAV path")
     synth.add_argument("--ref", help="reference track CSV path")
-    synth.add_argument("--seed", type=int, default=None)
+    synth.add_argument(
+        "--seed",
+        type=int,
+        default=None,
+        help="excitation-noise seed of a spec file; for 'nan', the demo's trajectory seed (default 715)",
+    )
     synth.set_defaults(func=cmd_synth)
 
     ev = sub.add_parser("eval", help="RMSE of an estimate CSV against a reference CSV")

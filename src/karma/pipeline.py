@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,6 +76,11 @@ class RunConfig:
     initial_antiformant_bws: list[float] | None = None
 
     def validate(self) -> None:
+        for field in dataclasses.fields(self):  # JSON admits NaN and Infinity
+            value = getattr(self, field.name)
+            values = value if isinstance(value, list) else [value]
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ValueError(f"{field.name} must be finite")
         if self.lpc_order < 1:
             raise ValueError("lpc_order must be positive")
         if self.n_formants < 0 or self.n_antiformants < 0:
@@ -179,7 +185,8 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     Each route takes all speech frames at once.  The AR and ARMA routes
     make one fit call and map the fits through one ``arma_cepstra`` call,
     which needs each fit proven minimum phase: an AR fit by the reflection
-    coefficients its Levinson recursion yields for free, an ARMA fit by
+    coefficients its Levinson recursion yields for free, an ARMA fit by the
+    step-down certificate of its final root reflection, or else by
     ``ArmaModel.is_minimum_phase``.
     """
     n_frames = frames_emphasized.shape[0]
@@ -192,8 +199,8 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
         proven = k_max < 1.0 - CERT_MARGIN  # all reflection coefficients inside
         obs[rows] = arma_cepstra(a, np.zeros((rows.size, 0)), config.n_cepstra, proven)
     else:
-        ar, ma, *_ = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
-        obs[rows] = arma_cepstra(ar, ma, config.n_cepstra, np.zeros(rows.size, dtype=bool))
+        ar, ma, *_, proven = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
+        obs[rows] = arma_cepstra(ar, ma, config.n_cepstra, proven)
     if not np.all(np.isfinite(obs)):
         raise ValueError("non-finite cepstral coefficients")
     return obs

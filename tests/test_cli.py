@@ -6,7 +6,7 @@ import pytest
 from karma.cli import main
 from karma.evaluation import read_tracks, write_tracks
 from karma.frontend import read_wav, write_wav
-from karma.synthesis import random_trajectory, synthesize
+from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
 
 
 @pytest.fixture
@@ -87,13 +87,19 @@ class TestTrackCommand:
             {"lpc_order": True},
             {"gamma": False},
             {"initial_formant_freqs": [500.0, True, 2500.0]},
+            {"freq_process_std": float("inf")},
+            {"bw_process_std": float("inf")},
+            {"energy_threshold_db": float("nan")},
+            {"gamma": float("nan")},
+            {"target_sample_rate_hz": float("inf")},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
              "frame_ms_below_one_sample", "retired_key", "formants_negative",
              "antiformants_negative", "no_tracks", "int_as_string", "float_as_string",
              "int_as_float", "override_not_a_list", "not_an_object", "bool_as_int",
-             "bool_as_float", "bool_in_override"],
+             "bool_as_float", "bool_in_override", "freq_std_infinite", "bw_std_infinite",
+             "energy_threshold_nan", "gamma_nan", "sample_rate_infinite"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav
@@ -133,6 +139,19 @@ class TestSynthCommand:
         assert abs(w.duration_s - 3.8) < 0.05
         tracks = read_tracks(ref)
         assert tracks.n_frames == 75
+
+    def test_nasal_seed_draws_the_demo_trajectory(self, tmp_path):
+        def synth(name, *seed):
+            wav, ref = tmp_path / f"{name}.wav", tmp_path / f"{name}.csv"
+            assert main(["synth", "nan", "--out", str(wav), "--ref", str(ref), *seed]) == 0
+            return wav.read_bytes(), ref.read_bytes()
+
+        wave, reference = synthesize(nasal_utterance_spec(716))
+        write_wav(tmp_path / "expected.wav", wave)
+        write_tracks(reference, tmp_path / "expected.csv")
+        expected = (tmp_path / "expected.wav").read_bytes(), (tmp_path / "expected.csv").read_bytes()
+        assert synth("s716", "--seed", "716") == expected
+        assert synth("default") == synth("s715", "--seed", "715") != expected
 
     def test_seed_changes_waveform_not_reference(self, tmp_path):
         spec_path = tmp_path / "noise.json"

@@ -56,6 +56,20 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="ma_order"):
             RunConfig(n_antiformants=2, ma_order=2).validate()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("freq_process_std", float("inf")),
+            ("bw_process_std", float("inf")),
+            ("energy_threshold_db", float("nan")),
+            ("gamma", float("nan")),
+            ("target_sample_rate_hz", float("inf")),
+        ],
+    )
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RunConfig(**{field: value}).validate()
+
     @pytest.mark.parametrize("counts", [(-1, 0), (3, -1), (-2, 2)])
     def test_negative_track_count_rejected(self, counts):
         i, j = counts
