@@ -7,6 +7,13 @@ recursion with the exact nonlinear h in the innovation and its analytic
 Jacobian in the covariance update; the smoother is a fixed-interval
 Rauch-Tung-Striebel backward pass over the stored filtered moments.
 
+Both linear systems, the innovation covariance S = H P Hᵀ + R of the
+filter gain and the predicted covariance of the smoother gain, are
+symmetric positive definite, so each is solved by one Cholesky
+factorisation.  Only a system that Cholesky refuses falls back to an LU
+solve, and only one that LU cannot solve either is regularised with a
+small diagonal bump (and a warning).
+
 Silent frames coast: the Kalman gain is premultiplied by a diagonal 0/1
 mask so the update degenerates to pure prediction and uncertainty grows.
 Individual tracks may be deactivated per frame; an inactive track is an
@@ -21,6 +28,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dposv
 
 from .cepstrum import CepstralObservation
 from .frontend import ActivityMask
@@ -195,7 +203,18 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
-    """Solve x S = rhs robustly, regularizing a singular innovation covariance."""
+    """Solve x S = rhs for a symmetric S, regularizing a singular one.
+
+    The first try is one Cholesky solve (LAPACK ``dposv``), which reads
+    only S's upper triangle.  Only when S is not positive definite or the
+    result is not finite does the solve fall back, first to an LU solve of
+    S as given and, if that fails too, to an LU solve of S plus a small
+    diagonal bump, with a "singular innovation covariance" warning.  A zero
+    row of ``rhs`` gives an exactly zero row of x on every route.
+    """
+    _, sol, info = dposv(S, rhs.T)
+    if info == 0 and np.all(np.isfinite(sol)):
+        return sol.T
     try:
         sol = np.linalg.solve(S.T, rhs.T).T
         if np.all(np.isfinite(sol)):
@@ -267,8 +286,8 @@ def _forward(y, params, speech, activation, obs_model):
 
         if update[t]:
             h_val, H = obs_model.linearize(m, act_f, act_a)
-            S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
+            S = H @ PHt + params.R
             if inactive is not None:
                 PHt[inactive, :] = 0.0
             K = _solve_innovation(S, PHt, "ekf_filter")
@@ -347,7 +366,7 @@ def eks_smooth(
         m_pred[t], P_pred[t], m_s[t], P_s[t] = m, P, m_f, P_f
 
     # a known entry has zero predicted variance; a unit diagonal keeps the
-    # gain solve nonsingular and still gives that entry a zero gain
+    # gain solve positive definite and still gives that entry a zero gain
     frames, known = np.nonzero(np.einsum("tii->ti", P_pred) == 0.0)
     P_pred[frames, known, known] = 1.0
 

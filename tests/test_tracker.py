@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -109,6 +110,20 @@ def with_known(params, entries, values):
     return replace(params, mu0=mu0, Sigma0=Sigma0, Q=Q, F=F)
 
 
+def lu_solve(S, rhs, warn_label):
+    """The tracker's innovation solve before its Cholesky route: LU, then a regularised LU."""
+    try:
+        sol = np.linalg.solve(S.T, rhs.T).T
+        if np.all(np.isfinite(sol)):
+            return sol
+    except np.linalg.LinAlgError:
+        pass
+    warnings.warn(f"singular innovation covariance in {warn_label}; regularizing")
+    bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
+    S = S + bump * np.eye(S.shape[0])
+    return np.linalg.solve(S.T, rhs.T).T
+
+
 def stored_forward(y, params, speech, activation, obs_model):
     """Reference forward pass that stores the moments entering every frame."""
     dim = params.state_dim
@@ -148,7 +163,7 @@ def stored_forward(y, params, speech, activation, obs_model):
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
             PHt[~gain_rows, :] = 0.0
-            K = _solve_innovation(S, PHt, "ekf_filter")
+            K = lu_solve(S, PHt, "ekf_filter")
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
             m = clamp(m, bounds)
@@ -170,7 +185,7 @@ def stored_smooth(store, obs_model):
         known = np.diag(P_pred) == 0.0
         P_pred[known, known] = 1.0
         gain_rhs = store.P_prev[t] @ store.F_eff[t].T
-        S = _solve_innovation(P_pred, gain_rhs, "eks_smooth")
+        S = lu_solve(P_pred, gain_rhs, "eks_smooth")
         m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
         P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
         m_s[t - 1] = clamp(m_s[t - 1], bounds)
@@ -278,13 +293,18 @@ class TestStoredRecursionOracle:
     @example(problem=long_schedule_problem(known=False))
     @example(problem=long_schedule_problem(known=True))
     def test_filter_and_smoother_equal_reference(self, problem):
+        # the reference solves by LU and the tracker by Cholesky, so they differ by rounding
         store, m_s, P_s = self.oracle(problem)
         filt = ekf_filter(**problem)
         smth = eks_smooth(**problem)
-        assert np.array_equal(filt.means, store.m_filt)
-        assert np.array_equal(filt.covariances, store.P_filt)
-        assert np.array_equal(smth.means, m_s)
-        assert np.array_equal(smth.covariances, P_s)
+        pairs = [
+            (filt.means, store.m_filt),
+            (filt.covariances, store.P_filt),
+            (smth.means, m_s),
+            (smth.covariances, P_s),
+        ]
+        for got, want in pairs:
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
     @settings(deadline=None, max_examples=40)
     @given(problem=tracking_problems(min_known=1))
@@ -313,6 +333,52 @@ class TestStoredRecursionOracle:
         head = ekf_filter(**prefix)
         assert np.array_equal(head.means, full.means[:k])
         assert np.array_equal(head.covariances, full.covariances[:k])
+
+
+def spd_system(rng, n=15, d=6):
+    A = rng.standard_normal((n, n))
+    return A @ A.T + n * np.eye(n), rng.standard_normal((d, n))
+
+
+def indefinite_system(rng, n=15, d=6):
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
+    return _symmetrize(Q @ np.diag(eig) @ Q.T), rng.standard_normal((d, n))
+
+
+class TestSolveInnovation:
+    """Each route of the gain solve: Cholesky, the LU fallback and the regularised LU."""
+
+    def test_positive_definite_matches_lu(self):
+        S, rhs = spd_system(np.random.default_rng(30))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _solve_innovation(S, rhs, "test")
+        want = np.linalg.solve(S, rhs.T).T
+        assert np.abs(sol - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_indefinite_falls_back_to_lu(self):
+        S, rhs = indefinite_system(np.random.default_rng(31))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = _solve_innovation(S, rhs, "test")
+        assert np.array_equal(sol, np.linalg.solve(S.T, rhs.T).T)
+
+    def test_singular_is_regularized_with_a_warning(self):
+        S = np.diag([1.0, 0.0, 2.0])
+        rhs = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+        with pytest.warns(UserWarning, match="singular innovation covariance in test"):
+            sol = _solve_innovation(S, rhs, "test")
+        assert np.all(np.isfinite(sol))
+        assert np.array_equal(sol[1], np.zeros(3))
+
+    @pytest.mark.parametrize("system", [spd_system, indefinite_system])
+    def test_zero_rows_give_zero_gain_rows(self, system):
+        S, rhs = system(np.random.default_rng(32))
+        rhs[[1, 4]] = 0.0
+        sol = _solve_innovation(S, rhs, "test")
+        assert np.array_equal(sol[[1, 4]], np.zeros((2, S.shape[0])))
+        assert np.all(sol[[0, 2, 3, 5]] != 0.0)
 
 
 class TestLinearSurrogate:
