@@ -9,6 +9,9 @@ AR fitting uses the autocorrelation method (Levinson-Durbin), which is
 minimum phase by construction.  ARMA fitting uses a Hannan-Rissanen start
 followed by damped Gauss-Newton refinement of the one-step prediction
 error, with both polynomials root-reflected into the unit circle at the end.
+
+``_minimum_phase_rows`` is the one minimum-phase check, which
+``ArmaModel.is_minimum_phase`` and ``cepstrum.arma_cepstra`` both call.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from scipy import signal as sps
 
 __all__ = [
     "ArmaModel",
-    "certify_inside",
     "fit_ar_frames",
     "fit_arma_frames",
     "estimate_ar",
@@ -73,16 +75,9 @@ class ArmaModel:
         return np.roots(self.ma_polynomial) if self.q else np.zeros(0, dtype=complex)
 
     def is_minimum_phase(self, tol: float = 0.0) -> bool:
-        """All poles and zeros strictly inside radius ``1 - tol``.
-
-        The step-down certificate answers most calls; roots are computed
-        only when it cannot decide.
-        """
-        radius = 1.0 - tol
-        if certify_inside(self.ar_polynomial, radius) and certify_inside(self.ma_polynomial, radius):
-            return True
-        radii = [np.abs(r).max(initial=0.0) for r in (self.poles(), self.zeros())]
-        return max(radii) < 1.0 - tol
+        """All poles and zeros strictly inside radius ``1 - tol``: the
+        one-row call of ``_minimum_phase_rows``."""
+        return bool(_minimum_phase_rows(self.ar[None, :], self.ma[None, :], 1.0 - tol)[0])
 
     def log_magnitude(self, n_points: int = 512) -> np.ndarray:
         """log |T(e^jw)| on an n_points grid over [0, pi)."""
@@ -103,18 +98,17 @@ def _autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
     return r / n
 
 
-def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Levinson-Durbin solve of the autocorrelation normal equations, per row.
 
     ``r`` is (T, p+1).  Returns prediction coefficients a (T, p), with
-    s[m] ~ sum a_i s[m-i], the final per-sample prediction error (T,) and
-    the largest reflection coefficient magnitude max_m |k_m| (T,).  A row
-    whose error reaches zero stops there, as if its recursion had ended.
+    s[m] ~ sum a_i s[m-i], and the final per-sample prediction error (T,).
+    A row whose error reaches zero stops there, as if its recursion had
+    ended.
     """
     n_rows, p = r.shape[0], r.shape[1] - 1
     alpha = np.zeros((n_rows, p))  # error-filter coefficients, A(z) = 1 + sum alpha_i z^-i
     err = r[:, 0].copy()
-    k_max = np.zeros(n_rows)
     for m in range(1, p + 1):
         live = err > 0.0
         if not live.any():
@@ -125,17 +119,14 @@ def _levinson(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             alpha[:, : m - 1] += k[:, None] * alpha[:, m - 2 :: -1]
         alpha[:, m - 1] = k
         err *= 1.0 - k * k
-        np.maximum(k_max, np.abs(k), out=k_max)
-    return -alpha, np.maximum(err, 0.0), k_max
+    return -alpha, np.maximum(err, 0.0)
 
 
-def fit_ar_frames(frames: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def fit_ar_frames(frames: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Autocorrelation-method linear prediction of order ``p`` on every row.
 
-    ``frames`` is (T, n) with n > p.  Returns the AR coefficients (T, p),
-    the prediction error variances (T,) and the largest reflection
-    coefficient magnitude of each fit (T,).  Every fit with that magnitude
-    below ``1 - CERT_MARGIN`` is minimum phase; zero rows give all-zero
+    ``frames`` is (T, n) with n > p.  Returns the AR coefficients (T, p)
+    and the prediction error variances (T,); zero rows give all-zero
     coefficients and zero variance.
     """
     frames = np.asarray(frames, dtype=float)
@@ -153,7 +144,7 @@ def estimate_ar(frame: np.ndarray, p: int) -> ArmaModel:
     variance (flagged via ``converged=False``) rather than an error.
     """
     x = np.asarray(frame, dtype=float).reshape(1, -1)
-    a, err, _ = fit_ar_frames(x, p)
+    a, err = fit_ar_frames(x, p)
     return ArmaModel(a[0], np.zeros(0), float(err[0]), converged=bool(np.any(x)))
 
 
@@ -167,7 +158,7 @@ def _certify_rows(polys: np.ndarray, radius: float) -> np.ndarray:
     roots are inside when every |k| < 1 (Markel & Gray, *Linear Prediction
     of Speech*, 1976).  Certification asks for |k| < 1 - CERT_MARGIN so that
     rounding in the recursion cannot certify a root on the circle.  False
-    means "not proven", not "outside": callers fall back to root finding.
+    means "not proven", not "outside": callers fall back to ``_roots_rows``.
     One step of the recursion runs on all rows at once; a row refused early
     keeps stepping on values nothing reads.
     """
@@ -183,12 +174,6 @@ def _certify_rows(polys: np.ndarray, radius: float) -> np.ndarray:
     return inside
 
 
-def certify_inside(poly: np.ndarray, radius: float) -> bool:
-    """Step-down certificate that every root of ``poly`` = [1, c_1, ..., c_m]
-    lies strictly inside ``radius``: the one-row call of ``_certify_rows``."""
-    return bool(_certify_rows(np.asarray(poly, dtype=float)[None, :], radius)[0])
-
-
 def _monic(tails: np.ndarray) -> np.ndarray:
     """Polynomials [1, c_1, ..., c_m], one per row of ``tails`` (T, m)."""
     polys = np.empty((tails.shape[0], tails.shape[1] + 1))
@@ -197,36 +182,56 @@ def _monic(tails: np.ndarray) -> np.ndarray:
     return polys
 
 
-def _reflect_rows(polys: np.ndarray, clip_radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Reflect the roots of each monic row of ``polys`` (T, m+1) into the unit
-    circle and clip their radii to ``clip_radius``.
-
-    Returns the new polynomials and the rows' certificates.  A row certified
-    to have every root inside ``clip_radius`` is returned as it is; only the
-    others are factored, which does what ``np.roots`` and ``np.poly`` do: one
-    stacked companion-matrix ``eigvals`` call (``np.roots`` for a row with a
-    zero trailing coefficient), reflection and clipping on all factored rows
-    at once, then each row's product of factors by repeated convolution.
-    The product stays per row, in real arithmetic for a row whose roots are
-    all real, as ``np.poly`` forms it: complex ``np.convolve`` sums through a
-    BLAS dot whose rounding elementwise numpy does not reproduce.
-    """
-    out = polys.astype(float)
-    certified = _certify_rows(polys, clip_radius)
-    todo = np.flatnonzero(~certified)
-    if not todo.size:
-        return out, certified
+def _roots_rows(polys: np.ndarray) -> np.ndarray:
+    """Roots (T, m) of each monic row of ``polys`` (T, m+1), as ``np.roots``
+    finds them: one stacked companion-matrix ``eigvals`` call, and
+    ``np.roots`` itself for a row with a zero trailing coefficient."""
     m = polys.shape[1] - 1
-    roots = np.empty((todo.size, m), dtype=complex)
-    trailing_zero = polys[todo, -1] == 0.0
-    factor = todo[~trailing_zero]
-    if factor.size:
+    roots = np.empty((polys.shape[0], m), dtype=complex)
+    trailing_zero = polys[:, -1] == 0.0
+    factor = np.flatnonzero(~trailing_zero)
+    if factor.size and m:
         companion = np.zeros((factor.size, m, m))
         companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         companion[:, 0] = -polys[factor, 1:] / polys[factor, :1]
-        roots[~trailing_zero] = np.linalg.eigvals(companion)
+        roots[factor] = np.linalg.eigvals(companion)
     for i in np.flatnonzero(trailing_zero):
-        roots[i] = np.roots(polys[todo[i]])
+        roots[i] = np.roots(polys[i])
+    return roots
+
+
+def _minimum_phase_rows(ar: np.ndarray, ma: np.ndarray, radius: float) -> np.ndarray:
+    """Whether each model in the rows of ``ar`` (T, p) and ``ma`` (T, q) has
+    every pole and zero strictly inside ``radius``, (T,) bool: one step-down
+    certificate per polynomial, then roots only for the rows it cannot prove."""
+    inside = np.ones(ar.shape[0], dtype=bool)
+    for polys in (_monic(-ar), _monic(ma)):
+        proved = _certify_rows(polys, radius)
+        todo = np.flatnonzero(~proved)
+        if todo.size:
+            proved[todo] = np.abs(_roots_rows(polys[todo])).max(axis=1, initial=0.0) < radius
+        inside &= proved
+    return inside
+
+
+def _reflect_rows(polys: np.ndarray, clip_radius: float) -> np.ndarray:
+    """Reflect the roots of each monic row of ``polys`` (T, m+1) into the unit
+    circle and clip their radii to ``clip_radius``.
+
+    A row certified to have every root inside ``clip_radius`` is returned
+    as it is; only the others are factored, which does what ``np.roots``
+    and ``np.poly`` do: one ``_roots_rows`` call, reflection and clipping on
+    all factored rows at once, then each row's product of factors by
+    repeated convolution.  The product stays per row, in real arithmetic
+    for a row whose roots are all real, as ``np.poly`` forms it: complex
+    ``np.convolve`` sums through a BLAS dot whose rounding elementwise numpy
+    does not reproduce.
+    """
+    out = polys.astype(float)
+    todo = np.flatnonzero(~_certify_rows(polys, clip_radius))
+    if not todo.size:
+        return out
+    roots = _roots_rows(polys[todo])
     real = np.all(roots.imag == 0.0, axis=1)
     mags = np.abs(roots)
     outside = mags > 1.0
@@ -240,7 +245,7 @@ def _reflect_rows(polys: np.ndarray, clip_radius: float) -> tuple[np.ndarray, np
         for r in factors:
             product = np.convolve(product, np.array([1, -r], dtype=factors.dtype))
         out[t] = product.real
-    return out, certified
+    return out
 
 
 def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> ArmaModel:
@@ -249,8 +254,8 @@ def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> Arma
     The magnitude spectrum is unchanged up to a constant gain, which is
     irrelevant for cepstral coefficients beyond the zeroth.
     """
-    ar_poly, _ = _reflect_rows(m.ar_polynomial[None, :], clip_radius)
-    ma_poly, _ = _reflect_rows(m.ma_polynomial[None, :], clip_radius)
+    ar_poly = _reflect_rows(m.ar_polynomial[None, :], clip_radius)
+    ma_poly = _reflect_rows(m.ma_polynomial[None, :], clip_radius)
     return ArmaModel(-ar_poly[0, 1:], ma_poly[0, 1:], m.noise_variance, m.converged)
 
 
@@ -312,32 +317,29 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     polynomial.  Every row gets the same bits as a fit of that row alone.
 
     Returns the AR coefficients (T, p), the MA coefficients (T, q), the
-    residual variances (T,), the ``converged`` flags (T,), a list of each
-    row's accepted objective values, and (T,) flags marking the fits the
-    step-down certificate proved minimum phase (the others must be checked
-    by their roots).  With q = 0 every row is an ``estimate_ar`` fit,
-    proven by its reflection coefficients; an all-zero row gets zero
-    coefficients, zero variance, ``converged`` False and no objective
+    residual variances (T,), the ``converged`` flags (T,) and a list of
+    each row's accepted objective values.  With q = 0 every row is a
+    ``fit_ar_frames`` row, which needs only n > p; an all-zero row gets
+    zero coefficients, zero variance, ``converged`` False and no objective
     values.
     """
     frames = np.asarray(frames, dtype=float)
     if p < 0 or q < 0 or p + q == 0:
         raise ValueError("orders must be nonnegative with p + q > 0")
     n_rows, n = frames.shape
+    nonzero = np.any(frames, axis=1)
+    if q == 0:
+        a, err = fit_ar_frames(frames, p)
+        return a, np.zeros((n_rows, 0)), err, nonzero, [[] for _ in range(n_rows)]
     if n <= p + q + 1:
         raise ValueError("frame length must exceed p + q + 1")
-    nonzero = np.any(frames, axis=1)
-    objectives = [[] for _ in range(n_rows)]
-    if q == 0:
-        a, err, k_max = fit_ar_frames(frames, p)
-        return a, np.zeros((n_rows, 0)), err, nonzero, objectives, k_max < 1.0 - CERT_MARGIN
 
+    objectives = [[] for _ in range(n_rows)]
     ar, ma = np.zeros((n_rows, p)), np.zeros((n_rows, q))
     noise_variance, converged = np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
-    proven = np.ones(n_rows, dtype=bool)  # zero coefficients are minimum phase
     rows = np.flatnonzero(nonzero)
     n_long = min(max(20, 2 * (p + q)), max(p + q + 2, n // 3), n - 1)  # an AR fit needs n > order
-    long_ar, _, _ = fit_ar_frames(frames[rows], n_long)
+    long_ar, _ = fit_ar_frames(frames[rows], n_long)
 
     # Stage 1, innovation estimates from the long AR fit; stage 2, regress
     # x[m] on lagged x and lagged innovations.  Fit arrays are indexed by
@@ -350,7 +352,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         design = np.hstack([_lagged(x, p), _lagged(u, q)])[k0:]
         theta[i] = np.linalg.lstsq(design, x[k0:], rcond=None)[0]
     a = theta[:, :p]
-    b_polys, _ = _reflect_rows(_monic(theta[:, p:]), _MA_CLIP)
+    b_polys = _reflect_rows(_monic(theta[:, p:]), _MA_CLIP)
     e = np.empty((rows.size, n))
     sse = np.empty(rows.size)
     for i, (t, a_poly) in enumerate(zip(rows, _monic(-a))):
@@ -394,7 +396,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
                 break
             idx = live[searching]
             a_try = a[idx] - scale * delta[searching, :p]
-            b_try, _ = _reflect_rows(_monic(b_polys[idx, 1:] - scale * delta[searching, p:]), _MA_CLIP)
+            b_try = _reflect_rows(_monic(b_polys[idx, 1:] - scale * delta[searching, p:]), _MA_CLIP)
             a_try_polys = _monic(-a_try)
             for k, (s, i) in enumerate(zip(searching, idx)):
                 e_try = sps.lfilter(a_try_polys[k], b_try[k], frames[rows[i]])
@@ -409,14 +411,13 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         converged[rows[live[done]]] = True
         live = live[~done]
 
-    ar_polys, ar_proven = _reflect_rows(_monic(-a), MAX_ROOT_RADIUS)
-    ma_polys, ma_proven = _reflect_rows(b_polys, MAX_ROOT_RADIUS)
+    ar_polys = _reflect_rows(_monic(-a), MAX_ROOT_RADIUS)
+    ma_polys = _reflect_rows(b_polys, MAX_ROOT_RADIUS)
     ar[rows], ma[rows] = -ar_polys[:, 1:], ma_polys[:, 1:]
-    proven[rows] = ar_proven & ma_proven
     for i, t in enumerate(rows):
         resid = sps.lfilter(ar_polys[i], ma_polys[i], frames[t])
         noise_variance[t] = np.mean(resid**2)
-    return ar, ma, noise_variance, converged, objectives, proven
+    return ar, ma, noise_variance, converged, objectives
 
 
 def estimate_arma(frame: np.ndarray, p: int, q: int, full_output: bool = False):
@@ -427,7 +428,7 @@ def estimate_arma(frame: np.ndarray, p: int, q: int, full_output: bool = False):
     the accepted objective values per iteration and the ``converged`` flag.
     """
     x = np.asarray(frame, dtype=float).reshape(1, -1)
-    ar, ma, noise_variance, converged, objectives, _ = fit_arma_frames(x, p, q)
+    ar, ma, noise_variance, converged, objectives = fit_arma_frames(x, p, q)
     model = ArmaModel(ar[0], ma[0], float(noise_variance[0]), bool(converged[0]))
     if full_output:
         return model, {"objective": objectives[0], "converged": model.converged}

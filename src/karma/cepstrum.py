@@ -5,7 +5,8 @@ coefficient, pure gain, is always excluded):
 
 * ``arma_cepstra`` -- exact log-series recursion from fitted ARMA
   coefficients, a stack of models at a time, valid for minimum-phase
-  models only; ``arma_to_cepstrum`` is its one-model call.
+  models only, which it checks itself on every row;
+  ``arma_to_cepstrum`` is its one-model call.
 * ``CepstralObservation`` -- the tracker's observation model h: closed
   form from resonance frequencies and bandwidths through pole powers.  A
   resonance is the pole z = exp((-pi b + 2 pi i f) / fs) and adds
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arma import ArmaModel
+from .arma import ArmaModel, _minimum_phase_rows
 
 __all__ = [
     "CepstralVector",
@@ -134,22 +135,22 @@ def _log_inverse_series(a: np.ndarray, n_coeffs: int) -> np.ndarray:
     return c[:, 1:]
 
 
-def arma_cepstra(ar: np.ndarray, ma: np.ndarray, n_coeffs: int, proven: np.ndarray) -> np.ndarray:
+def arma_cepstra(ar: np.ndarray, ma: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Exact cepstra (T, N) of the minimum-phase ARMA models in the rows of
     ``ar`` (T, p) and ``ma`` (T, q), by the log-series recursion.
 
     The AR part uses the recursion directly; the MA part applies the same
     recursion to the sign-flipped coefficients because the numerator is
     written as 1 + sum b_j z^-j while the denominator is 1 - sum a_i z^-i.
-    ``proven`` (T,) marks the rows already known to be minimum phase; every
-    other row must pass ``ArmaModel.is_minimum_phase``.  Each row's
+    Every row must have all its poles and zeros strictly inside the unit
+    circle: one step-down certificate per polynomial proves most rows, and
+    only the rows it cannot prove have their roots computed.  Each row's
     coefficients are the same bits as its own one-row call.
     """
     if n_coeffs < 1:
         raise ValueError("need at least one coefficient")
-    for a, b in zip(ar[~proven], ma[~proven]):
-        if not ArmaModel(a, b).is_minimum_phase():
-            raise ValueError("cepstrum undefined: reflect roots first")
+    if not np.all(_minimum_phase_rows(ar, ma, 1.0)):
+        raise ValueError("cepstrum undefined: reflect roots first")
     c = _log_inverse_series(ar, n_coeffs)
     if ma.shape[1]:
         c -= _log_inverse_series(-ma, n_coeffs)
@@ -158,7 +159,7 @@ def arma_cepstra(ar: np.ndarray, ma: np.ndarray, n_coeffs: int, proven: np.ndarr
 
 def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
     """Exact cepstrum of one minimum-phase ARMA model (see ``arma_cepstra``)."""
-    c = arma_cepstra(m.ar[None, :], m.ma[None, :], n_coeffs, np.zeros(1, dtype=bool))
+    c = arma_cepstra(m.ar[None, :], m.ma[None, :], n_coeffs)
     return CepstralVector(c[0])
 
 

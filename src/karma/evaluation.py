@@ -116,16 +116,11 @@ def _header(n_formants: int, n_antiformants: int) -> list[str]:
 
 def write_tracks(result: TrackResult, path) -> None:
     """Write a track result to CSV (LF line endings, six decimal places)."""
-    times = result.times
-    variances = result.variances
-    lines = [",".join(_header(result.n_formants, result.n_antiformants))]
-    for t in range(result.n_frames):
-        row = [f"{times[t]:.6f}"]
-        row += [f"{v:.6f}" for v in result.means[t]]
-        row += [f"{v:.6f}" for v in variances[t]]
-        row.append(str(int(result.speech[t])))
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    table = np.column_stack((result.times, result.means, result.variances, result.speech))
+    fmt = ["%.6f"] * (table.shape[1] - 1) + ["%d"]
+    header = ",".join(_header(result.n_formants, result.n_antiformants))
+    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a .gz path
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def _count_prefixed(cols: list[str], prefix: str) -> int:

@@ -40,9 +40,11 @@ def _quadratic_form(resid: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
 
 
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
+    """Indices of n systematic draws; the cumulative sum can round to just
+    below 1, so a draw past its end takes the last particle."""
     n = weights.size
     positions = (np.arange(n) + rng.uniform()) / n
-    return np.searchsorted(np.cumsum(weights), positions)
+    return np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
 
 
 def pf_track(

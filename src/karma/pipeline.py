@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arma import CERT_MARGIN, fit_ar_frames, fit_arma_frames
+from .arma import fit_arma_frames
 from .arma import estimate_ar, estimate_arma  # noqa: F401  (looked up here by bench/tracing.py)
 from .cepstrum import _real_cepstra, arma_cepstra
 from .cepstrum import arma_to_cepstrum, real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
@@ -182,25 +182,18 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     source coloration stay in the observations, as the observation noise
     covariance is sized to absorb them.
 
-    Each route takes all speech frames at once.  The AR and ARMA routes
-    make one fit call and map the fits through one ``arma_cepstra`` call,
-    which needs each fit proven minimum phase: an AR fit by the reflection
-    coefficients its Levinson recursion yields for free, an ARMA fit by the
-    step-down certificate of its final root reflection, or else by
-    ``ArmaModel.is_minimum_phase``.
+    Each route takes all speech frames at once.  The parametric route is
+    one ``fit_arma_frames`` call (with ``ma_order = 0`` the AR fit) and one
+    ``arma_cepstra`` call, which checks that every fit is minimum phase.
     """
     n_frames = frames_emphasized.shape[0]
     obs = np.zeros((n_frames, config.n_cepstra))
     rows = np.flatnonzero(np.asarray(speech, dtype=bool) & np.any(frames_emphasized, axis=1))
     if config.observation_source == "real_cepstrum":
         obs[rows] = _real_cepstra(frames_emphasized, rows, config.n_cepstra)
-    elif config.ma_order == 0:
-        a, _, k_max = fit_ar_frames(frames_emphasized[rows], config.lpc_order)
-        proven = k_max < 1.0 - CERT_MARGIN  # all reflection coefficients inside
-        obs[rows] = arma_cepstra(a, np.zeros((rows.size, 0)), config.n_cepstra, proven)
     else:
-        ar, ma, *_, proven = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
-        obs[rows] = arma_cepstra(ar, ma, config.n_cepstra, proven)
+        ar, ma, *_ = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
+        obs[rows] = arma_cepstra(ar, ma, config.n_cepstra)
     if not np.all(np.isfinite(obs)):
         raise ValueError("non-finite cepstral coefficients")
     return obs

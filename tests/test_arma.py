@@ -13,19 +13,21 @@ from karma.arma import (
     ArmaModel,
     _MA_CLIP,
     _lagged,
+    _monic,
     _certify_rows,
     _reflect_rows,
-    certify_inside,
+    _roots_rows,
     enforce_minimum_phase,
     estimate_ar,
     estimate_arma,
     fit_ar_frames,
     fit_arma_frames,
 )
+import karma.pipeline as pipeline
 from karma.cepstrum import arma_cepstra, arma_to_cepstrum
-from karma.frontend import preemphasize, window_frames
+from karma.frontend import detect_activity, preemphasize, resample, window_frames
 from karma.pipeline import RunConfig, build_observations
-from karma.synthesis import nasal_utterance_spec, synthesize
+from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
 
 from conftest import random_minimum_phase_model
 
@@ -44,7 +46,14 @@ def root_radius(poly):
 
 def stabilize_ma(b, clip_radius):
     """One row of the fit's MA stabilisation."""
-    return _reflect_rows(np.concatenate(([1.0], b))[None, :], clip_radius)[0][0, 1:]
+    return _reflect_rows(np.concatenate(([1.0], b))[None, :], clip_radius)[0, 1:]
+
+
+def certify(poly, radius):
+    """The one-row step-down certificate, checked against the scalar recursion."""
+    certified = bool(_certify_rows(np.asarray(poly, dtype=float)[None, :], radius)[0])
+    assert certified == reference_certify_inside(poly, radius)
+    return certified
 
 
 # Frozen per-frame ARMA fit that the batched route replaced.  Every row of
@@ -161,9 +170,8 @@ def nasal_frames(seed=715):
 
 
 def assert_rows_equal_the_reference(frames, p, q, fit):
-    """Every row of a ``fit_arma_frames`` result is the frozen per-frame fit,
-    and a row marked proven has certified minimum-phase polynomials."""
-    ar, ma, noise_variance, converged, objectives, proven = fit
+    """Every row of a ``fit_arma_frames`` result is the frozen per-frame fit."""
+    ar, ma, noise_variance, converged, objectives = fit
     for t, frame in enumerate(frames):
         model, history = reference_estimate_arma(frame, p, q)
         assert np.array_equal(ar[t], model.ar)
@@ -171,9 +179,6 @@ def assert_rows_equal_the_reference(frames, p, q, fit):
         assert noise_variance[t] == model.noise_variance
         assert converged[t] == model.converged
         assert objectives[t] == history
-        if proven[t]:
-            assert reference_certify_inside(model.ar_polynomial, MAX_ROOT_RADIUS)
-            assert reference_certify_inside(model.ma_polynomial, MAX_ROOT_RADIUS)
 
 
 def random_arma_frames(rng, n_rows, length):
@@ -233,15 +238,13 @@ class TestEstimateAr:
             model = random_minimum_phase_model(rng, int(rng.integers(1, 9)), 0, max_radius=0.999)
             frames[t] = sps.lfilter([1.0], model.ar_polynomial, rng.standard_normal(160))
         frames[rng.random(n_rows) < 0.2] = 0.0
-        a, err, k_max = fit_ar_frames(frames, p)
+        a, err = fit_ar_frames(frames, p)
         for t, frame in enumerate(frames):
             m = estimate_ar(frame, p)
             assert np.allclose(a[t], m.ar, rtol=1e-12, atol=1e-13)
             assert err[t] == pytest.approx(m.noise_variance, rel=1e-12, abs=1e-300)
             if not np.any(frame):
                 assert np.all(a[t] == 0.0) and err[t] == 0.0
-            if k_max[t] < 1.0 - CERT_MARGIN:
-                assert root_radius(m.ar_polynomial) < 1.0
 
 
 class TestStepDownCertificate:
@@ -255,20 +258,20 @@ class TestStepDownCertificate:
     def test_never_certifies_a_root_on_or_outside(self, seed, radius, n_pairs, offsets):
         rng = np.random.default_rng(seed)
         poly = polynomial_with_roots(rng, [radius + d for d in offsets[:n_pairs]])
-        if certify_inside(poly, radius):
+        if certify(poly, radius):
             assert root_radius(poly) < radius
 
     def test_certifies_roots_well_inside(self, rng):
         for _ in range(200):
             radius = float(rng.choice([0.99, 1.0]))
             radii = rng.uniform(0.1, 0.98 * radius, int(rng.integers(1, 7)))
-            assert certify_inside(polynomial_with_roots(rng, radii), radius)
+            assert certify(polynomial_with_roots(rng, radii), radius)
 
     def test_inconclusive_near_the_circle(self, rng):
         for radius in (0.99, 1.0):
             near = polynomial_with_roots(rng, [0.5, radius - 1e-9])
-            assert not certify_inside(near, radius)
-            assert not certify_inside(polynomial_with_roots(rng, [0.5, radius + 1e-7]), radius)
+            assert not certify(near, radius)
+            assert not certify(polynomial_with_roots(rng, [0.5, radius + 1e-7]), radius)
 
     def test_is_minimum_phase_agrees_with_roots(self, rng):
         for _ in range(300):
@@ -323,7 +326,7 @@ class TestStepDownCertificate:
         assert certified.dtype == bool and certified.shape == (n_rows,)
         for t in range(n_rows):
             assert certified[t] == reference_certify_inside(polys[t], radius)
-            assert certify_inside(polys[t], radius) == certified[t]
+            assert _certify_rows(polys[t : t + 1], radius)[0] == certified[t]
 
 
 class TestEstimateArma:
@@ -398,7 +401,7 @@ class TestEstimateArma:
     def test_full_output_is_the_batched_row(self):
         x = np.random.default_rng(10).standard_normal(300)
         model, info = estimate_arma(x, 3, 2, full_output=True)
-        ar, ma, noise_variance, converged, objectives, _ = fit_arma_frames(x[None, :], 3, 2)
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(x[None, :], 3, 2)
         assert np.array_equal(model.ar, ar[0]) and np.array_equal(model.ma, ma[0])
         assert model.noise_variance == noise_variance[0] and model.converged == converged[0]
         assert info == {"objective": objectives[0], "converged": bool(converged[0])}
@@ -478,17 +481,16 @@ class TestFitArmaFrames:
     def test_ar_only_rows_are_ar_fits(self):
         frames = random_arma_frames(np.random.default_rng(11), 3, 120)
         frames[1] = 0.0
-        ar, ma, noise_variance, converged, objectives, proven = fit_arma_frames(frames, 5, 0)
-        a, err, k_max = fit_ar_frames(frames, 5)
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(frames, 5, 0)
+        a, err = fit_ar_frames(frames, 5)
         assert np.array_equal(ar, a) and np.array_equal(noise_variance, err)
         assert ma.shape == (3, 0) and converged.tolist() == [True, False, True]
         assert objectives == [[], [], []]
-        assert np.array_equal(proven, k_max < 1.0 - CERT_MARGIN)
 
     def test_no_rows(self):
-        ar, ma, noise_variance, converged, objectives, proven = fit_arma_frames(np.zeros((0, 50)), 4, 2)
+        ar, ma, noise_variance, converged, objectives = fit_arma_frames(np.zeros((0, 50)), 4, 2)
         assert ar.shape == (0, 4) and ma.shape == (0, 2) and noise_variance.shape == (0,)
-        assert converged.shape == (0,) and objectives == [] and proven.shape == (0,)
+        assert converged.shape == (0,) and objectives == []
 
 
 class TestReflectRoots:
@@ -517,10 +519,9 @@ class TestReflectRoots:
                 roots.append(0.0)
             polys.append(np.real(np.poly(roots)))
         polys = np.array(polys)
-        out, certified = _reflect_rows(polys, clip)
+        out = _reflect_rows(polys, clip)
         for t, poly in enumerate(polys):
             assert np.array_equal(out[t], reference_reflect_roots(poly, clip))
-            assert certified[t] == reference_certify_inside(poly, clip)
 
     @pytest.mark.parametrize(
         "roots",
@@ -533,7 +534,7 @@ class TestReflectRoots:
     )
     def test_factored_cases(self, roots):
         poly = np.real(np.poly(roots))
-        assert not certify_inside(poly, 0.99)
+        assert not certify(poly, 0.99)
         out = stabilize_ma(poly[1:], 0.99)
         assert np.array_equal(out, reference_reflect_roots(poly, 0.99)[1:])
         assert root_radius(np.concatenate(([1.0], out))) < 0.99 + 1e-9
@@ -548,11 +549,23 @@ class TestReflectRoots:
                 np.real(np.poly([1.2, -0.4, 0.3, 0.0])),
             ]
         )
-        out, certified = _reflect_rows(polys, _MA_CLIP)
-        assert certified.tolist() == [True, False, False, False]
+        out = _reflect_rows(polys, _MA_CLIP)
+        assert _certify_rows(polys, _MA_CLIP).tolist() == [True, False, False, False]
         assert np.array_equal(out[0], polys[0])
         for t, poly in enumerate(polys):
             assert np.array_equal(out[t], reference_reflect_roots(poly, _MA_CLIP))
+
+    @pytest.mark.parametrize("degree", [0, 1, 4, 7])
+    def test_roots_equal_np_roots(self, degree):
+        """Stacked companion eigenvalues are np.roots row for row, zero trailing
+        coefficients included."""
+        rng = np.random.default_rng(degree)
+        polys = _monic(rng.standard_normal((6, degree)) * 10.0 ** rng.uniform(-2, 1, (6, 1)))
+        polys[::3, -1] = 0.0 if degree else 1.0
+        roots = _roots_rows(polys)
+        assert roots.shape == (6, degree)
+        for t, poly in enumerate(polys):
+            assert np.array_equal(roots[t], np.roots(poly))
 
 
 class TestArmaObservations:
@@ -573,40 +586,55 @@ class TestArmaObservations:
         assert np.array_equal(build_observations(frames, self.CONFIG, speech), expected)
 
         ar, ma, *_ = fit_arma_frames(frames[fitted], 6, 4)
-        checks, refused = [], []
+        certify_rows, roots_rows, factored = karma.arma._certify_rows, karma.arma._roots_rows, []
 
-        def certify(poly, radius):
-            checks.append(1)
-            if refuse == "all" or (refuse == "some" and len(checks) % 5 == 0):
-                refused.append(1)
-                return False
-            return certify_inside(poly, radius)
+        def refusing(polys, radius):
+            proved = certify_rows(polys, radius)
+            if refuse == "all":
+                proved[:] = False
+            elif refuse == "some":
+                proved[::5] = False
+            return proved
 
-        monkeypatch.setattr(karma.arma, "certify_inside", certify)
-        ceps = arma_cepstra(ar, ma, n, np.zeros(fitted.size, dtype=bool))
-        assert np.array_equal(ceps, expected[fitted])
-        if refuse == "all":
-            assert len(refused) == fitted.size  # each row's first certificate, then roots
-        elif refuse == "some":
-            assert 0 < len(refused) < fitted.size
-        else:
-            assert not refused
+        def counted(polys):
+            factored.append(len(polys))
+            return roots_rows(polys)
 
+        monkeypatch.setattr(karma.arma, "_certify_rows", refusing)
+        monkeypatch.setattr(karma.arma, "_roots_rows", counted)
+        assert np.array_equal(arma_cepstra(ar, ma, n), expected[fitted])
+        n_refused = {"none": 0, "some": len(range(0, fitted.size, 5)), "all": fitted.size}[refuse]
+        assert factored == ([n_refused] * 2 if n_refused else [])  # AR rows, then MA rows
 
-    def test_root_check_only_on_unproven_rows(self, monkeypatch):
-        frames = nasal_frames(712)  # three of its fits leave the certificate unproven
-        proven = fit_arma_frames(frames, 6, 4)[5]
-        assert 0 < np.count_nonzero(~proven) < len(frames)
-        checked = []
-        check = ArmaModel.is_minimum_phase
+    def test_pipeline_fits_take_no_roots(self, monkeypatch):
+        """The certificate at radius 1 proves every fit of a nasal utterance and
+        of a corpus utterance, so the observation step factors nothing."""
+        roots_rows, armed, factored = karma.arma._roots_rows, [False], []
 
-        def counted(model, tol=0.0):
-            checked.append(model)
-            return check(model, tol)
+        def counted(polys):
+            factored.append((armed[0], len(polys)))
+            return roots_rows(polys)
 
-        monkeypatch.setattr(ArmaModel, "is_minimum_phase", counted)
+        def armed_cepstra(*args):
+            armed[0] = True
+            try:
+                return arma_cepstra(*args)
+            finally:
+                armed[0] = False
+
+        monkeypatch.setattr(karma.arma, "_roots_rows", counted)
+        monkeypatch.setattr(pipeline, "arma_cepstra", armed_cepstra)
+        frames = nasal_frames(712)
         build_observations(frames, self.CONFIG, np.ones(len(frames), dtype=bool))
-        assert len(checked) == np.count_nonzero(~proven)
+        assert factored and not any(in_check for in_check, _ in factored)  # only the fit's MA steps
+
+        factored.clear()
+        spec = random_trajectory(4, 10.0, seed=101, sample_rate_hz=16000.0, source="rosenberg")
+        config = RunConfig()
+        framed = window_frames(resample(synthesize(spec)[0], config.target_sample_rate_hz), 20.0, 0.5, "hamming")
+        speech = detect_activity(framed, config.energy_threshold_db).flags
+        build_observations(preemphasize(framed.frames, config.gamma), config, speech)
+        assert factored == []
 
 
 class TestLaggedMatrix:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karma.evaluation import read_tracks, read_vtr_matrix, rmse, write_tracks
+from karma.evaluation import _header, read_tracks, read_vtr_matrix, rmse, write_tracks
 from karma.frontend import ActivityMask
 from karma.tracker import TrackResult
 
@@ -122,7 +122,45 @@ class TestRmse:
         assert report.overall == 0.0
 
 
+def frozen_write_tracks(result, path):
+    """The per-row f-string writer that ``write_tracks`` replaced."""
+    times = result.times
+    variances = result.variances
+    lines = [",".join(_header(result.n_formants, result.n_antiformants))]
+    for t in range(result.n_frames):
+        row = [f"{times[t]:.6f}"]
+        row += [f"{v:.6f}" for v in result.means[t]]
+        row += [f"{v:.6f}" for v in variances[t]]
+        row.append(str(int(result.speech[t])))
+        lines.append(",".join(row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def special_values(rng, shape):
+    """Random values with NaN, infinities, signed zeros and large magnitudes mixed in."""
+    values = rng.uniform(-5e3, 5e3, shape)
+    specials = np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e20, -4.9999995e-7, 5e-7])
+    pick = rng.random(shape) < 0.3
+    values[pick] = rng.choice(specials, np.count_nonzero(pick))
+    return values
+
+
 class TestTrackCsv:
+    @pytest.mark.parametrize("n_frames,i,j", [(1, 3, 0), (1, 2, 1), (40, 3, 0), (40, 2, 2), (0, 1, 1)])
+    def test_bytes_equal_frozen_writer(self, tmp_path, n_frames, i, j):
+        rng = np.random.default_rng([n_frames, i, j])
+        dim = 2 * (i + j)
+        res = make_result(
+            special_values(rng, (n_frames, dim)),
+            n_formants=i,
+            n_antiformants=j,
+            speech=rng.random(n_frames) > 0.5,
+            variances=special_values(rng, (n_frames, dim)),
+        )
+        write_tracks(res, tmp_path / "new.csv")
+        frozen_write_tracks(res, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_roundtrip(self, tmp_path, rng):
         res = make_result(
             np.hstack([rng.uniform(100, 3000, (12, 4)), rng.uniform(30, 200, (12, 4))])[:, :8],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from karma.particle import BenchmarkSetup, _quadratic_form, ekf_pf_benchmark, pf_track
+from karma.particle import BenchmarkSetup, _quadratic_form, _systematic_resample, ekf_pf_benchmark, pf_track
 from karma.cepstrum import CepstralObservation
 from karma.tracker import LinearObservation, TrackerParams, ekf_filter
 
@@ -88,6 +88,27 @@ class TestPfTrack:
         for t in range(10):
             expected = params.F @ expected
         assert np.abs(res.means[-1] - expected).max() < 0.2
+
+
+class TestSystematicResample:
+    def test_top_draw_stays_in_range(self):
+        """The cumulative weights often end just below 1; a draw above that end
+        takes the last particle, not index n."""
+
+        class TopRng:
+            def uniform(self):
+                return np.nextafter(1.0, 0.0)
+
+        rng = np.random.default_rng(0)
+        past_the_end = 0
+        for _ in range(2000):
+            w = rng.random(1000)
+            w /= w.sum()
+            past_the_end += np.cumsum(w)[-1] < (999 + np.nextafter(1.0, 0.0)) / 1000
+            idx = _systematic_resample(w, TopRng())
+            assert idx.min() >= 0 and idx.max() == 999
+            assert np.all(np.diff(idx) >= 0)
+        assert past_the_end > 0
 
 
 class TestQuadraticForm:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
-import karma.pipeline as pipeline
+import karma.arma
 from karma.arma import ArmaModel, estimate_ar, fit_ar_frames
 from karma.cepstrum import arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
@@ -160,33 +160,45 @@ class TestBuildObservations:
             else:
                 assert np.all(obs[t] == 0.0)
 
-    @pytest.mark.parametrize("margin", [1.0, 0.05])
-    def test_uncertified_frames_take_the_root_check(self, monkeypatch, margin):
+    @pytest.mark.parametrize("share", [1.0, 0.05])
+    def test_uncertified_frames_take_the_root_check(self, monkeypatch, share):
+        """Rows the certificate refuses are decided by their roots, with the
+        same cepstra; the AR fit itself never asks for a certificate."""
         frames = resonant_frames(11, 40, 140)
         speech = np.ones(40, dtype=bool)
         config = RunConfig()
         rows = np.flatnonzero(np.any(frames, axis=1))
-        a, _, _ = fit_ar_frames(frames[rows], config.lpc_order)
+        a, _ = fit_ar_frames(frames[rows], config.lpc_order)
         expected = np.zeros((40, config.n_cepstra))
         for t, coeffs in zip(rows, a):
             expected[t] = arma_to_cepstrum(ArmaModel(coeffs, np.zeros(0)), config.n_cepstra).coeffs
         assert np.array_equal(build_observations(frames, config, speech), expected)
 
-        checks = []
-        is_minimum_phase = ArmaModel.is_minimum_phase
+        certify_rows, roots_rows, factored = karma.arma._certify_rows, karma.arma._roots_rows, []
 
-        def counting_is_minimum_phase(model, tol=0.0):
-            checks.append(1)
-            return is_minimum_phase(model, tol)
+        def refusing(polys, radius):
+            proved = certify_rows(polys, radius)
+            proved[:: round(1.0 / share)] = False
+            return proved
 
-        monkeypatch.setattr(pipeline, "CERT_MARGIN", margin)
-        monkeypatch.setattr(ArmaModel, "is_minimum_phase", counting_is_minimum_phase)
-        mixed = build_observations(frames, config, speech)
-        if margin == 1.0:
-            assert len(checks) == rows.size
-        else:
-            assert 0 < len(checks) < rows.size
-        assert np.array_equal(mixed, expected)
+        def counted(polys):
+            factored.append(len(polys))
+            return roots_rows(polys)
+
+        monkeypatch.setattr(karma.arma, "_certify_rows", refusing)
+        monkeypatch.setattr(karma.arma, "_roots_rows", counted)
+        assert np.array_equal(build_observations(frames, config, speech), expected)
+        n_refused = len(range(0, rows.size, round(1.0 / share)))
+        assert 0 < n_refused <= rows.size and (n_refused == rows.size) == (share == 1.0)
+        assert factored == [n_refused] * 2  # the AR polynomials, then the empty MA ones
+
+    def test_ar_frame_of_p_plus_one_samples_fits(self):
+        config = RunConfig()
+        frames = resonant_frames(12, 4, config.lpc_order + 1)[1:]  # row 0 is silent
+        obs = build_observations(frames, config, np.ones(3, dtype=bool))
+        for t, frame in enumerate(frames):
+            expected = arma_to_cepstrum(estimate_ar(frame, config.lpc_order), config.n_cepstra)
+            assert np.array_equal(obs[t], expected.coeffs)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 600), length=st.integers(16, 300))
