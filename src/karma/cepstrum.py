@@ -12,7 +12,9 @@ coefficient, pure gain, is always excluded):
   resonance is the pole z = exp((-pi b + 2 pi i f) / fs) and adds
   (2/n) Re z^n to C_n (an antiformant subtracts it); z^1..z^N take one
   complex exponential and a running product.  Its Jacobian,
-  -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, is read off the same powers.
+  -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, is read off the same powers:
+  one column gather of their real view and one multiply by per-column
+  scales.
   The powers are resonance-major, (N, K, ...) for K resonances over a
   stack of states, so the sum over resonances adds contiguous slabs; one
   kernel serves single states, particle stacks, ``state_to_cepstrum`` and
@@ -198,17 +200,6 @@ def _powers_cepstrum(powers, signs, weights):
     return by_n
 
 
-def _powers_jacobian(powers, signs, sample_rate_hz, freq_cols, bw_cols):
-    """Jacobian (N, 2K) at one state from its (N, K) powers:
-    dC_n/df_k = -(4 pi/fs) s_k Im z_k^n in ``freq_cols`` and
-    dC_n/db_k = -(2 pi/fs) s_k Re z_k^n in ``bw_cols``."""
-    scale = (-2.0 * np.pi / sample_rate_hz) * signs
-    jac = np.empty((powers.shape[0], 2 * powers.shape[1]))
-    jac[:, freq_cols] = (2.0 * scale) * powers.imag
-    jac[:, bw_cols] = scale * powers.real
-    return jac
-
-
 class CepstralObservation:
     """Observation model mapping a state vector to N cepstral coefficients.
 
@@ -229,6 +220,12 @@ class CepstralObservation:
         self._bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
         self._signs = np.r_[np.ones(i), -np.ones(j)]
         self._weights = 2.0 / np.arange(1, n_cepstra + 1)  # the 2/n of C_n
+        # where each Jacobian column sits in the real view of one state's
+        # (N, K) powers: resonance k's Re z^n in column 2k, Im z^n in 2k + 1
+        self._jac_gather = np.empty(2 * (i + j), dtype=np.intp)
+        self._jac_gather[self._freq_cols] = 2 * np.arange(i + j) + 1
+        self._jac_gather[self._bw_cols] = 2 * np.arange(i + j)
+        self._patterns = {}
 
     def _active_signs(self, active_f, active_a):
         """Sign of each resonance's cepstral term: +1 formant, -1 antiformant, 0 inactive."""
@@ -241,21 +238,45 @@ class CepstralObservation:
         ])
         return self._signs * keep
 
+    def _pattern(self, active_f, active_a):
+        """Signs and per-column Jacobian scales of one activation pattern,
+        computed on its first use: -(4 pi/fs) s_k on resonance k's frequency
+        column and -(2 pi/fs) s_k on its bandwidth column."""
+        key = (
+            None if active_f is None else np.asarray(active_f, dtype=bool).tobytes(),
+            None if active_a is None else np.asarray(active_a, dtype=bool).tobytes(),
+        )
+        found = self._patterns.get(key)
+        if found is None:
+            signs = self._active_signs(active_f, active_a)
+            scale = (-2.0 * np.pi / self.sample_rate_hz) * signs
+            jac_scale = np.empty(self._jac_gather.size)
+            jac_scale[self._freq_cols] = 2.0 * scale
+            jac_scale[self._bw_cols] = scale
+            found = self._patterns[key] = (signs, jac_scale)
+        return found
+
     def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
         """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
         xt = x.T
         powers = _pole_powers(
             xt[self._freq_cols], xt[self._bw_cols], self.sample_rate_hz, self.n_cepstra
         )
-        return _powers_cepstrum(powers, self._active_signs(active_f, active_a), self._weights).T
+        signs = self._pattern(active_f, active_a)[0]
+        return _powers_cepstrum(powers, signs, self._weights).T
 
     def linearize(self, x: np.ndarray, active_f=None, active_a=None):
-        """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers."""
-        signs = self._active_signs(active_f, active_a)
+        """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers.
+
+        Each Jacobian entry is one product: the power's real or imaginary
+        part, gathered into its state column, times that column's scale.
+        """
+        signs, jac_scale = self._pattern(active_f, active_a)
         powers = _pole_powers(
             x[self._freq_cols], x[self._bw_cols], self.sample_rate_hz, self.n_cepstra
         )
-        H = _powers_jacobian(powers, signs, self.sample_rate_hz, self._freq_cols, self._bw_cols)
+        H = powers.view(float).take(self._jac_gather, axis=1)
+        H *= jac_scale
         return _powers_cepstrum(powers, signs, self._weights), H
 
     def state_bounds(self):

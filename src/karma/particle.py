@@ -18,6 +18,7 @@ from .tracker import (
     TrackerParams,
     TrackResult,
     _clamp,
+    _is_identity,
     _make_result,
     _resolve_setup,
     default_params,
@@ -62,8 +63,10 @@ def pf_track(
     are systematically resampled when the effective sample size drops below
     half the particle count.  Silent frames propagate without reweighting.
     An entry with zero prior and process variance and an identity row in F
-    is known: every particle carries its ``mu0`` value.  Fixed seed gives
-    bit-identical output.
+    is known: every particle carries its ``mu0`` value.  Process noise is
+    drawn only for the nonzero columns of Q's factor, one normal per
+    particle and column per frame; an identity F is skipped.  Fixed seed
+    gives bit-identical output.
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
@@ -72,6 +75,8 @@ def pf_track(
     dim = params.state_dim
 
     chol_q = _psd_factor(params.Q)
+    chol_q = chol_q[:, np.any(chol_q != 0.0, axis=0)]
+    identity = _is_identity(params.F)
     chol_s0 = _psd_factor(params.Sigma0)
     r_inv = np.linalg.inv(params.R)
 
@@ -83,7 +88,8 @@ def pf_track(
     covs = np.zeros((n_frames, dim, dim))
 
     for t in range(n_frames):
-        particles = particles @ params.F.T + rng.standard_normal((n_particles, dim)) @ chol_q.T
+        noise = rng.standard_normal((n_particles, chol_q.shape[1])) @ chol_q.T
+        particles = particles + noise if identity else particles @ params.F.T + noise
         particles = _clamp(particles, bounds)
 
         if speech[t]:

@@ -24,6 +24,7 @@ reappears it resumes from its coasted mean and variance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -202,18 +203,22 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
+def _is_identity(mat: np.ndarray) -> bool:
+    return np.array_equal(mat, np.eye(mat.shape[0]))
+
+
 def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
     """Solve x S = rhs for a symmetric S, regularizing a singular one.
 
     The first try is one Cholesky solve (LAPACK ``dposv``), which reads
     only S's upper triangle.  Only when S is not positive definite or the
-    result is not finite does the solve fall back, first to an LU solve of
+    result is not finite (its sum is not) does the solve fall back, first to an LU solve of
     S as given and, if that fails too, to an LU solve of S plus a small
     diagonal bump, with a "singular innovation covariance" warning.  A zero
     row of ``rhs`` gives an exactly zero row of x on every route.
     """
     _, sol, info = dposv(S, rhs.T)
-    if info == 0 and np.all(np.isfinite(sol)):
+    if info == 0 and math.isfinite(sol.sum()):
         return sol.T
     try:
         sol = np.linalg.solve(S.T, rhs.T).T
@@ -265,6 +270,11 @@ def _forward(y, params, speech, activation, obs_model):
     covariance is decoupled between active and inactive entries and the
     blocked transition and process noise are rebuilt.  A returning entry
     keeps the moments it coasted to.
+
+    Where the blocked F is the identity the predict is P + Q and the mean
+    stays: with P and Q exactly symmetric that is F P Fᵀ + Q symmetrised,
+    bit for bit, and P stays exactly symmetric, since P + Q is and every
+    update ends symmetrised.
     """
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
@@ -279,8 +289,12 @@ def _forward(y, params, speech, activation, obs_model):
             Q = _blocked(params.Q, g)
             act_f, act_a = activation.formants[t], activation.antiformants[t]
             inactive = ~g if not g.all() else None
-        m = F @ m
-        P = _symmetrize(F @ P @ F.T + Q)
+            identity = _is_identity(F) and np.array_equal(Q, Q.T) and np.array_equal(P, P.T)
+        if identity:
+            P = P + Q
+        else:
+            m = F @ m
+            P = _symmetrize(F @ P @ F.T + Q)
         m = _clamp(m, bounds)
         m_pred, P_pred = m, P
 
@@ -348,7 +362,9 @@ def eks_smooth(
     Stores the predicted and filtered moments.  Where the activation flags
     change, the backward pass decouples the entering covariance and rebuilds
     the blocked transition from the flags, as the forward pass did;
-    elsewhere the filtered moments enter the next frame unchanged.  An
+    elsewhere the filtered moments enter the next frame unchanged.  Under
+    an identity transition the gain's right-hand side is the filtered
+    covariance itself.  An
     entry whose predicted variance is exactly zero is known (see
     ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
     and zero variance.
@@ -374,17 +390,19 @@ def eks_smooth(
     flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
     F = _blocked(params.F, flags[-1])
+    identity = _is_identity(F)
     # m_s/P_s hold the filtered moments until the backward pass reaches them
     for t in range(n_frames - 1, 0, -1):
         m_prev, P_prev = m_s[t - 1], P_s[t - 1]
         if rebuild[t]:
             P_prev = _blocked(P_prev, flags[t])
-        S = _solve_innovation(P_pred[t], P_prev @ F.T, "eks_smooth")
+        S = _solve_innovation(P_pred[t], P_prev if identity else P_prev @ F.T, "eks_smooth")
         m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
         P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred[t]) @ S.T)
         m_s[t - 1] = _clamp(m_s[t - 1], bounds)
         if rebuild[t]:
             F = _blocked(params.F, flags[t - 1])
+            identity = _is_identity(F)
     return _make_result(m_s, P_s, speech, activation, params)
 
 

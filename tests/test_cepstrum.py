@@ -232,6 +232,23 @@ class TestArmaToCepstrum:
         with pytest.raises(ValueError, match="reflect roots"):
             arma_to_cepstrum(m, 5)
 
+    @pytest.mark.parametrize(
+        "ar, ma",
+        [
+            (np.array([[np.nan, 0.1]]), np.zeros((1, 0))),
+            (np.array([[0.5, 0.1]]), np.array([[0.2, np.inf]])),
+            (np.array([[-np.inf]]), np.array([[0.3]])),
+        ],
+    )
+    def test_non_finite_row_is_not_minimum_phase(self, ar, ma):
+        with pytest.raises(ValueError, match="reflect roots"):
+            arma_cepstra(ar, ma, 5)
+        assert not ArmaModel(ar[0], ma[0]).is_minimum_phase()
+        good = random_minimum_phase_model(np.random.default_rng(0), ar.shape[1], ma.shape[1])
+        stacked = (np.vstack([good.ar, ar[0]]), np.vstack([good.ma, ma[0]]))
+        with pytest.raises(ValueError, match="reflect roots"):
+            arma_cepstra(*stacked, 5)
+
     @pytest.mark.parametrize("outside", ["ar", "ma"])
     def test_row_outside_raises_in_any_position(self, rng, outside):
         models = [random_minimum_phase_model(rng, 4, 2) for _ in range(3)]

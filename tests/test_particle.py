@@ -155,6 +155,45 @@ class TestBenchmark:
         assert np.array_equal(pf.means, ref.means)
         assert np.array_equal(pf.covariances, ref.covariances)
 
+    def test_process_draws_only_free_entries(self, monkeypatch):
+        setup = BenchmarkSetup(n_frames=20)
+        params = setup.make_params()
+        _, obs = setup.simulate(np.random.default_rng(4))
+        bw = np.arange(setup.n_formants, 2 * setup.n_formants)
+        draws, seen = [], []
+        make_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self._rng = make_rng(seed)
+
+            def standard_normal(self, size):
+                draws.append(size)
+                return self._rng.standard_normal(size)
+
+            def __getattr__(self, name):
+                return getattr(self._rng, name)
+
+        class RecordingObservation(CepstralObservation):
+            def value(self, x, active_f=None, active_a=None):
+                seen.append(x.copy())
+                return super().value(x, active_f, active_a)
+
+        model = RecordingObservation(setup.n_formants, 0, setup.n_cepstra, setup.sample_rate_hz)
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
+        runs = [pf_track(obs, params, n_particles=60, seed=9, obs_model=model) for _ in range(2)]
+        monkeypatch.undo()
+
+        # the initial draw, then one (particles, free entries) draw per frame, for each run
+        n_free = setup.n_formants
+        per_run = [(60, 2 * setup.n_formants)] + [(60, n_free)] * setup.n_frames
+        assert draws == per_run * 2
+        # every particle carries the known bandwidths exactly
+        assert len(seen) == 2 * setup.n_frames
+        assert all(np.all(x[:, bw] == params.mu0[bw]) for x in seen)
+        assert np.array_equal(runs[0].means, runs[1].means)
+        assert np.array_equal(runs[0].covariances, runs[1].covariances)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_stacked_simulation_equals_per_frame_loop(self, seed):
         setup = BenchmarkSetup()

@@ -12,6 +12,9 @@ from karma.tracker import (
     LinearObservation,
     TrackActivation,
     TrackerParams,
+    _blocked,
+    _entry_flags,
+    _forward,
     _resolve_setup,
     _solve_innovation,
     _symmetrize,
@@ -193,8 +196,11 @@ def stored_smooth(store, obs_model):
 
 
 @st.composite
-def tracking_problems(draw, min_known=0):
-    """Random tracking runs: activation schedules, speech masks, known entries, both models."""
+def tracking_problems(draw, min_known=0, near_identity=False):
+    """Random tracking runs: activation schedules, speech masks, known entries, both models.
+
+    ``near_identity`` makes F the identity but for one small coupling
+    between two entries."""
     n_f = draw(st.integers(1, 3))
     n_a = draw(st.integers(0, 2))
     n_frames = draw(st.integers(1, 16))
@@ -231,6 +237,10 @@ def tracking_problems(draw, min_known=0):
         model = CepstralObservation(n_f, n_a, 12, 10000.0)
         truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
         y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
+    if near_identity:
+        F = np.eye(dim)
+        F[tuple(rng.choice(dim, 2, replace=False))] = 0.01
+        params = replace(params, F=F)
     return dict(
         obs=y,
         params=with_known(params, known, known_values),
@@ -293,6 +303,15 @@ class TestStoredRecursionOracle:
     @example(problem=long_schedule_problem(known=False))
     @example(problem=long_schedule_problem(known=True))
     def test_filter_and_smoother_equal_reference(self, problem):
+        self.assert_equal_reference(problem)
+
+    @settings(deadline=None, max_examples=40)
+    @given(problem=tracking_problems(near_identity=True))
+    def test_near_identity_transition_equals_reference(self, problem):
+        # F is not the identity, so the predict takes the product route
+        self.assert_equal_reference(problem)
+
+    def assert_equal_reference(self, problem):
         # the reference solves by LU and the tracker by Cholesky, so they differ by rounding
         store, m_s, P_s = self.oracle(problem)
         filt = ekf_filter(**problem)
@@ -333,6 +352,64 @@ class TestStoredRecursionOracle:
         head = ekf_filter(**prefix)
         assert np.array_equal(head.means, full.means[:k])
         assert np.array_equal(head.covariances, full.covariances[:k])
+
+
+@st.composite
+def predict_problems(draw):
+    """Linear runs with dense, exactly symmetric Sigma0 and Q, under F = I or
+    the identity but for one coupling, with random activation flags."""
+    n_f = draw(st.integers(1, 3))
+    n_a = draw(st.integers(0, 2))
+    n_frames = draw(st.integers(1, 16))
+    dim = 2 * n_f + 2 * n_a
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a, b = rng.standard_normal((2, dim, dim))
+    F = np.eye(dim)
+    if draw(st.booleans()):
+        F[tuple(rng.choice(dim, 2, replace=False))] = 0.05
+    params = TrackerParams(
+        F=F,
+        Q=_symmetrize(0.1 * a @ a.T),
+        R=np.diag(rng.uniform(0.2, 1.0, 4)),
+        mu0=rng.standard_normal(dim),
+        Sigma0=_symmetrize(b @ b.T) + np.eye(dim),
+        n_formants=n_f,
+        n_antiformants=n_a,
+        n_cepstra=4,
+        sample_rate_hz=8000.0,
+    )
+    return dict(
+        obs=rng.standard_normal((n_frames, 4)),
+        params=params,
+        mask=draw(arrays(bool, n_frames)),
+        activation=TrackActivation(
+            draw(arrays(bool, (n_frames, n_f))), draw(arrays(bool, (n_frames, n_a)))
+        ),
+        obs_model=LinearObservation(rng.standard_normal((4, dim))),
+    )
+
+
+class TestIdentityPredict:
+    """Under F = I the predict is P + Q; it equals the symmetrised product bit for bit."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(problem=predict_problems())
+    def test_predict_equals_symmetrized_product(self, problem):
+        params = problem["params"]
+        y, _, speech, activation, obs_model = _resolve_setup(
+            problem["obs"], params, problem["mask"], problem["activation"], problem["obs_model"]
+        )
+        flags = _entry_flags(activation)
+        m, P = params.mu0, params.Sigma0
+        steps = _forward(y, params, speech, activation, obs_model)
+        for t, (m_pred, P_pred, m_filt, P_filt) in enumerate(steps):
+            g = flags[t]
+            if t == 0 or np.any(g != flags[t - 1]):
+                P = _blocked(P, g)
+            F, Q = _blocked(params.F, g), _blocked(params.Q, g)
+            assert np.array_equal(m_pred, F @ m)
+            assert np.array_equal(P_pred, _symmetrize(F @ P @ F.T + Q))
+            m, P = m_filt, P_filt
 
 
 def spd_system(rng, n=15, d=6):
