@@ -204,14 +204,12 @@ def _minimum_phase_rows(ar: np.ndarray, ma: np.ndarray, radius: float) -> np.nda
     """Whether each model in the rows of ``ar`` (T, p) and ``ma`` (T, q) has
     every pole and zero strictly inside ``radius``, (T,) bool: one step-down
     certificate per polynomial, then roots only for the rows it cannot prove.
-    A row with a NaN or infinite coefficient has no roots to find and is
-    not minimum phase."""
+    A row with a NaN or infinite coefficient, which the certificate never
+    proves, has no roots to find and is not minimum phase."""
     inside = np.ones(ar.shape[0], dtype=bool)
     for polys in (_monic(-ar), _monic(ma)):
         proved = _certify_rows(polys, radius)
-        finite = np.isfinite(polys).all(axis=1)
-        inside &= finite
-        todo = np.flatnonzero(~proved & finite)
+        todo = np.flatnonzero(~proved & np.isfinite(polys).all(axis=1))
         if todo.size:
             proved[todo] = np.abs(_roots_rows(polys[todo])).max(axis=1, initial=0.0) < radius
         inside &= proved

@@ -212,10 +212,11 @@ def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.nda
 
     The first try is one Cholesky solve (LAPACK ``dposv``), which reads
     only S's upper triangle.  Only when S is not positive definite or the
-    result is not finite (its sum is not) does the solve fall back, first to an LU solve of
-    S as given and, if that fails too, to an LU solve of S plus a small
-    diagonal bump, with a "singular innovation covariance" warning.  A zero
-    row of ``rhs`` gives an exactly zero row of x on every route.
+    result is not finite (its sum is not) does the solve fall back, first
+    to an LU solve of S as given and, if that fails too, to an LU solve of
+    S plus a small diagonal bump, with a "singular innovation covariance"
+    warning.  A zero row of ``rhs`` gives an exactly zero row of x on every
+    route.
     """
     _, sol, info = dposv(S, rhs.T)
     if info == 0 and math.isfinite(sol.sum()):
@@ -364,10 +365,9 @@ def eks_smooth(
     the blocked transition from the flags, as the forward pass did;
     elsewhere the filtered moments enter the next frame unchanged.  Under
     an identity transition the gain's right-hand side is the filtered
-    covariance itself.  An
-    entry whose predicted variance is exactly zero is known (see
-    ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
-    and zero variance.
+    covariance itself.  An entry whose predicted variance is exactly zero
+    is known (see ``ekf_filter``) and gets a zero smoother gain, so it
+    keeps its value and zero variance.
     """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model

@@ -357,7 +357,9 @@ class TestStoredRecursionOracle:
 @st.composite
 def predict_problems(draw):
     """Linear runs with dense, exactly symmetric Sigma0 and Q, under F = I or
-    the identity but for one coupling, with random activation flags."""
+    the identity but for one coupling, with random activation flags; now
+    and then Sigma0 or Q is not quite symmetric, which the identity predict
+    must not take."""
     n_f = draw(st.integers(1, 3))
     n_a = draw(st.integers(0, 2))
     n_frames = draw(st.integers(1, 16))
@@ -367,12 +369,17 @@ def predict_problems(draw):
     F = np.eye(dim)
     if draw(st.booleans()):
         F[tuple(rng.choice(dim, 2, replace=False))] = 0.05
+    Q = _symmetrize(0.1 * a @ a.T)
+    Sigma0 = _symmetrize(b @ b.T) + np.eye(dim)
+    for mat in (Q, Sigma0):
+        if draw(st.booleans()):
+            mat[0, 1] += 1e-3
     params = TrackerParams(
         F=F,
-        Q=_symmetrize(0.1 * a @ a.T),
+        Q=Q,
         R=np.diag(rng.uniform(0.2, 1.0, 4)),
         mu0=rng.standard_normal(dim),
-        Sigma0=_symmetrize(b @ b.T) + np.eye(dim),
+        Sigma0=Sigma0,
         n_formants=n_f,
         n_antiformants=n_a,
         n_cepstra=4,
