@@ -3,7 +3,7 @@
 Serves as the linearization-validity oracle for the extended Kalman
 tracker: both filters run on the same simulated observations and their
 root-mean-square errors are compared.  Systematic resampling is used, with
-the prior dynamics as proposal.
+the random-walk prior as proposal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .tracker import (
     TrackerParams,
     TrackResult,
     _clamp,
-    _is_identity,
     _make_result,
     _resolve_setup,
     default_params,
@@ -29,8 +28,8 @@ __all__ = ["pf_track", "ekf_pf_benchmark", "BenchmarkSetup"]
 
 
 def _psd_factor(mat: np.ndarray) -> np.ndarray:
-    """Matrix square root of a PSD matrix (eigenvalue clipping at zero)."""
-    vals, vecs = np.linalg.eigh(0.5 * (mat + mat.T))
+    """Matrix square root of a symmetric PSD matrix (eigenvalue clipping at zero)."""
+    vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return vecs * np.sqrt(vals)
 
@@ -58,15 +57,16 @@ def pf_track(
 ) -> TrackResult:
     """Bootstrap particle filter returning weighted means and covariances.
 
-    Particles propagate through x_{t+1} = F x_t + w_t, are weighted by the
-    Gaussian likelihood of y_t under the exact observation map and R, and
-    are systematically resampled when the effective sample size drops below
-    half the particle count.  Silent frames propagate without reweighting.
-    An entry with zero prior and process variance and an identity row in F
-    is known: every particle carries its ``mu0`` value.  Process noise is
+    Particles propagate through the random walk x_{t+1} = x_t + w_t, are
+    weighted by the Gaussian likelihood of y_t under the exact observation
+    map and R, and are systematically resampled when the effective sample
+    size drops below half the particle count.  Silent frames propagate
+    without reweighting.  An entry with zero prior and process variance is
+    known: every particle carries its ``mu0`` value.  Process noise is
     drawn only for the nonzero columns of Q's factor, one normal per
-    particle and column per frame; an identity F is skipped.  Fixed seed
-    gives bit-identical output.
+    particle and column per frame.  When the largest log-weight is not
+    finite (every weight underflowed), the weights reset to uniform with a
+    warning.  Fixed seed gives bit-identical output.
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
@@ -76,7 +76,6 @@ def pf_track(
 
     chol_q = _psd_factor(params.Q)
     chol_q = chol_q[:, np.any(chol_q != 0.0, axis=0)]
-    identity = _is_identity(params.F)
     chol_s0 = _psd_factor(params.Sigma0)
     r_inv = np.linalg.inv(params.R)
 
@@ -89,8 +88,7 @@ def pf_track(
 
     for t in range(n_frames):
         noise = rng.standard_normal((n_particles, chol_q.shape[1])) @ chol_q.T
-        particles = particles + noise if identity else particles @ params.F.T + noise
-        particles = _clamp(particles, bounds)
+        particles = _clamp(particles + noise, bounds)
 
         if speech[t]:
             resid = y[t] - obs_model.value(particles)
@@ -100,13 +98,9 @@ def pf_track(
                 warnings.warn("particle weights underflowed; resetting to uniform")
                 log_w = np.full(n_particles, -np.log(n_particles))
             else:
+                # after the shift the largest term is 1, so the sum is in [1, n]
                 log_w = log_w - shift
-                total = np.sum(np.exp(log_w))
-                if total <= 0 or not np.isfinite(total):
-                    warnings.warn("particle weights underflowed; resetting to uniform")
-                    log_w = np.full(n_particles, -np.log(n_particles))
-                else:
-                    log_w = log_w - np.log(total)
+                log_w = log_w - np.log(np.sum(np.exp(log_w)))
 
         w = np.exp(log_w)
         mean = w @ particles

@@ -91,7 +91,7 @@ class RunConfig:
             raise ValueError("n_cepstra must be at least max(lpc_order, ma_order)")
         if self.lpc_order < 2 * self.n_formants:
             raise ValueError("lpc_order must be at least 2 * n_formants")
-        if self.ma_order < 2 * self.n_antiformants:
+        if self.observation_source == "arma_cepstrum" and self.ma_order < 2 * self.n_antiformants:
             raise ValueError("ma_order must be at least 2 * n_antiformants")
         if not 0 <= self.overlap < 1:
             raise ValueError("overlap must be in [0, 1)")

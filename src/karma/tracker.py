@@ -1,7 +1,7 @@
 """Extended Kalman filtering and smoothing over resonance states.
 
 The hidden state stacks formant and antiformant frequency/bandwidth pairs,
-evolving as x_{t+1} = F x_t + w_t with cepstral observations
+evolving as a random walk x_{t+1} = x_t + w_t with cepstral observations
 y_t = h(x_t) + v_t.  The filter follows the standard extended-Kalman
 recursion with the exact nonlinear h in the innovation and its analytic
 Jacobian in the covariance update; the smoother is a fixed-interval
@@ -18,7 +18,7 @@ Silent frames coast: the Kalman gain is premultiplied by a diagonal 0/1
 mask so the update degenerates to pure prediction and uncertainty grows.
 Individual tracks may be deactivated per frame; an inactive track is an
 unobserved part of the state: it is excluded from the observation model,
-decoupled from the active block and coasts under F and Q, and when it
+decoupled from the active block and coasts under Q, and when it
 reappears it resumes from its coasted mean and variance.
 """
 
@@ -48,14 +48,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TrackerParams:
-    """State-space parameter set (F, Q, R, mu0, Sigma0) plus track geometry.
+    """State-space parameter set (Q, R, mu0, Sigma0) plus track geometry.
 
-    An entry known exactly (a bandwidth supplied from outside, say) has its
-    value in ``mu0``, zero rows and columns in ``Sigma0`` and ``Q`` and an
-    identity row in ``F``; the filter and smoother then hold it fixed.
+    Every entry is a random walk.  ``Q`` and ``Sigma0`` are symmetrised on
+    construction (a no-op for exactly symmetric input), so every predicted
+    covariance P + Q is exactly symmetric.  An entry known exactly (a
+    bandwidth supplied from outside, say) has its value in ``mu0`` and zero
+    rows and columns in ``Sigma0`` and ``Q``; the filter and smoother then
+    hold it fixed.
     """
 
-    F: np.ndarray
     Q: np.ndarray
     R: np.ndarray
     mu0: np.ndarray
@@ -67,14 +69,15 @@ class TrackerParams:
     hop_s: float = 0.01
 
     def __post_init__(self):
-        for name in ("F", "Q", "R", "Sigma0"):
+        for name in ("Q", "R", "Sigma0"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float).ravel())
         dim = self.state_dim
-        for name in ("F", "Q", "Sigma0"):
+        for name in ("Q", "Sigma0"):
             mat = getattr(self, name)
             if mat.shape != (dim, dim):
                 raise ValueError(f"{name} must be {dim}x{dim}")
+            object.__setattr__(self, name, _symmetrize(mat))
         if self.mu0.size != dim:
             raise ValueError("mu0 length inconsistent with track counts")
         if self.R.shape != (self.n_cepstra, self.n_cepstra):
@@ -203,10 +206,6 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _is_identity(mat: np.ndarray) -> bool:
-    return np.array_equal(mat, np.eye(mat.shape[0]))
-
-
 def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
     """Solve x S = rhs for a symmetric S, regularizing a singular one.
 
@@ -269,13 +268,10 @@ def _forward(y, params, speech, activation, obs_model):
     Keeps no history; the yielded arrays are never modified afterwards.
     At frames whose activation flags change, and only there, the entering
     covariance is decoupled between active and inactive entries and the
-    blocked transition and process noise are rebuilt.  A returning entry
-    keeps the moments it coasted to.
-
-    Where the blocked F is the identity the predict is P + Q and the mean
-    stays: with P and Q exactly symmetric that is F P Fᵀ + Q symmetrised,
-    bit for bit, and P stays exactly symmetric, since P + Q is and every
-    update ends symmetrised.
+    blocked process noise is rebuilt.  A returning entry keeps the moments
+    it coasted to.  The predict keeps the mean (clamped to the state
+    bounds) and adds Q to P; P stays exactly symmetric, since Q is and
+    every update ends symmetrised.
     """
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
@@ -286,16 +282,10 @@ def _forward(y, params, speech, activation, obs_model):
     for t, g in enumerate(flags):
         if rebuild[t]:
             P = _blocked(P, g)
-            F = _blocked(params.F, g)
             Q = _blocked(params.Q, g)
             act_f, act_a = activation.formants[t], activation.antiformants[t]
             inactive = ~g if not g.all() else None
-            identity = _is_identity(F) and np.array_equal(Q, Q.T) and np.array_equal(P, P.T)
-        if identity:
-            P = P + Q
-        else:
-            m = F @ m
-            P = _symmetrize(F @ P @ F.T + Q)
+        P = P + Q
         m = _clamp(m, bounds)
         m_pred, P_pred = m, P
 
@@ -361,13 +351,12 @@ def eks_smooth(
     """Fixed-interval smoother: forward filter plus RTS backward pass.
 
     Stores the predicted and filtered moments.  Where the activation flags
-    change, the backward pass decouples the entering covariance and rebuilds
-    the blocked transition from the flags, as the forward pass did;
-    elsewhere the filtered moments enter the next frame unchanged.  Under
-    an identity transition the gain's right-hand side is the filtered
-    covariance itself.  An entry whose predicted variance is exactly zero
-    is known (see ``ekf_filter``) and gets a zero smoother gain, so it
-    keeps its value and zero variance.
+    change, the backward pass decouples the entering covariance, as the
+    forward pass did; elsewhere the filtered moments enter the next frame
+    unchanged.  Under the random walk the gain's right-hand side is that
+    entering covariance itself.  An entry whose predicted variance is
+    exactly zero is known (see ``ekf_filter``) and gets a zero smoother
+    gain, so it keeps its value and zero variance.
     """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model
@@ -389,20 +378,15 @@ def eks_smooth(
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
-    F = _blocked(params.F, flags[-1])
-    identity = _is_identity(F)
     # m_s/P_s hold the filtered moments until the backward pass reaches them
     for t in range(n_frames - 1, 0, -1):
         m_prev, P_prev = m_s[t - 1], P_s[t - 1]
         if rebuild[t]:
             P_prev = _blocked(P_prev, flags[t])
-        S = _solve_innovation(P_pred[t], P_prev if identity else P_prev @ F.T, "eks_smooth")
+        S = _solve_innovation(P_pred[t], P_prev, "eks_smooth")
         m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
         P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred[t]) @ S.T)
         m_s[t - 1] = _clamp(m_s[t - 1], bounds)
-        if rebuild[t]:
-            F = _blocked(params.F, flags[t - 1])
-            identity = _is_identity(F)
     return _make_result(m_s, P_s, speech, activation, params)
 
 
@@ -453,11 +437,9 @@ def default_params(
     frequencies and 100 Hz for bandwidths; the observation covariance is
     diagonal with R_nn = 1/n.  Initial formant means start at 500 Hz and
     step by 1000 Hz (bandwidths 80, 120, 160, ...); antiformants start at
-    1000 Hz with 80 Hz bandwidths.  Sigma0 = Q and F = identity: every
-    entry is a random walk.
+    1000 Hz with 80 Hz bandwidths.  Sigma0 = Q.
     """
     i, j = n_formants, n_antiformants
-    dim = 2 * i + 2 * j
     q_diag = np.concatenate(
         [
             np.full(i, freq_process_std**2),
@@ -478,7 +460,6 @@ def default_params(
         ]
     )
     return TrackerParams(
-        F=np.eye(dim),
         Q=Q,
         R=R,
         mu0=mu0,

@@ -52,6 +52,14 @@ class TestTrackCommand:
         res = read_tracks(out)
         assert res.n_formants == 3 and res.n_antiformants == 2
 
+    @pytest.mark.parametrize("source, code", [("real_cepstrum", 0), ("arma_cepstrum", 2)])
+    def test_antiformant_without_ma_order(self, tmp_path, vowel_wav, source, code):
+        wav_path, _ = vowel_wav
+        cfg_path = tmp_path / "anti.json"
+        cfg_path.write_text(json.dumps({"n_antiformants": 1, "observation_source": source}))
+        out = tmp_path / "anti.csv"
+        assert main(["track", str(wav_path), "--config", str(cfg_path), "--out", str(out)]) == code
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["track", str(tmp_path / "nope.wav")])
         assert code == 2

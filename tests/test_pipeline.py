@@ -56,6 +56,10 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="ma_order"):
             RunConfig(n_antiformants=2, ma_order=2).validate()
 
+    def test_real_cepstrum_needs_no_ma_order(self):
+        # the real-cepstrum route fits no MA part, so ma_order does not bound it
+        RunConfig(n_antiformants=1, observation_source="real_cepstrum").validate()
+
     @pytest.mark.parametrize(
         "field,value",
         [

@@ -26,14 +26,13 @@ from karma.tracker import (
 
 
 def linear_system():
-    F = np.array([[0.9, 0.1], [0.0, 0.8]])
     Q = np.diag([0.3, 0.2])
     H = np.array([[1.0, 0.0], [0.5, 1.0]])
     R = np.diag([0.5, 0.4])
     mu0 = np.array([1.0, -2.0])
     S0 = np.diag([2.0, 1.0])
     params = TrackerParams(
-        F=F, Q=Q, R=R, mu0=mu0, Sigma0=S0,
+        Q=Q, R=R, mu0=mu0, Sigma0=S0,
         n_formants=1, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0,
     )
     return params, LinearObservation(H)
@@ -46,8 +45,7 @@ def kalman_oracle(y, params, H):
     mf = np.zeros((T, 2)); Pf = np.zeros((T, 2, 2))
     mp = np.zeros((T, 2)); Pp = np.zeros((T, 2, 2))
     for t in range(T):
-        m = params.F @ m
-        P = params.F @ P @ params.F.T + params.Q
+        P = P + params.Q
         mp[t], Pp[t] = m, P
         S = H @ P @ H.T + params.R
         K = P @ H.T @ np.linalg.inv(S)
@@ -56,7 +54,7 @@ def kalman_oracle(y, params, H):
         mf[t], Pf[t] = m, P
     ms, Ps = mf.copy(), Pf.copy()
     for t in range(T - 1, 0, -1):
-        G = Pf[t - 1] @ params.F.T @ np.linalg.inv(Pp[t])
+        G = Pf[t - 1] @ np.linalg.inv(Pp[t])
         ms[t - 1] = mf[t - 1] + G @ (ms[t] - mp[t])
         Ps[t - 1] = Pf[t - 1] + G @ (Ps[t] - Pp[t]) @ G.T
     return mf, Pf, ms, Ps
@@ -76,9 +74,9 @@ def batch_map_oracle(y, params, H):
     b[:d] += iS0 @ params.mu0
     for t in range(T):
         i0, i1 = t * d, (t + 1) * d
-        A[i0 : i0 + d, i0 : i0 + d] += params.F.T @ iQ @ params.F
-        A[i0 : i0 + d, i1 : i1 + d] -= params.F.T @ iQ
-        A[i1 : i1 + d, i0 : i0 + d] -= iQ @ params.F
+        A[i0 : i0 + d, i0 : i0 + d] += iQ
+        A[i0 : i0 + d, i1 : i1 + d] -= iQ
+        A[i1 : i1 + d, i0 : i0 + d] -= iQ
         A[i1 : i1 + d, i1 : i1 + d] += iQ + H.T @ iR @ H
         b[i1 : i1 + d] += H.T @ iR @ y[t]
     return np.linalg.solve(A, b).reshape(T + 1, d)[1:]
@@ -90,7 +88,6 @@ class _OracleStore:
     def __init__(self, n_frames: int, dim: int):
         self.m_prev = np.zeros((n_frames, dim))
         self.P_prev = np.zeros((n_frames, dim, dim))
-        self.F_eff = np.zeros((n_frames, dim, dim))
         self.m_pred = np.zeros((n_frames, dim))
         self.P_pred = np.zeros((n_frames, dim, dim))
         self.m_filt = np.zeros((n_frames, dim))
@@ -102,15 +99,13 @@ def clamp(vec, bounds):
 
 
 def with_known(params, entries, values):
-    """``params`` with ``entries`` known at ``values``: zero prior and process variance, F row e_k."""
-    mu0, Sigma0, Q, F = params.mu0.copy(), params.Sigma0.copy(), params.Q.copy(), params.F.copy()
+    """``params`` with ``entries`` known at ``values``: zero prior and process variance."""
+    mu0, Sigma0, Q = params.mu0.copy(), params.Sigma0.copy(), params.Q.copy()
     mu0[entries] = values
     for mat in (Sigma0, Q):
         mat[entries, :] = 0.0
         mat[:, entries] = 0.0
-    F[entries, :] = 0.0
-    F[entries, entries] = 1.0
-    return replace(params, mu0=mu0, Sigma0=Sigma0, Q=Q, F=F)
+    return replace(params, mu0=mu0, Sigma0=Sigma0, Q=Q)
 
 
 def lu_solve(S, rhs, warn_label):
@@ -151,11 +146,7 @@ def stored_forward(y, params, speech, activation, obs_model):
         store.P_prev[t] = P
 
         block = np.outer(g, g) | np.outer(~g, ~g)
-        F_eff = np.where(block, params.F, 0.0)
-        store.F_eff[t] = F_eff
-
-        m = F_eff @ m
-        P = _symmetrize(F_eff @ P @ F_eff.T + np.where(block, params.Q, 0.0))
+        P = P + np.where(block, params.Q, 0.0)
         m = clamp(m, bounds)
         store.m_pred[t] = m
         store.P_pred[t] = P
@@ -187,8 +178,7 @@ def stored_smooth(store, obs_model):
         P_pred = store.P_pred[t].copy()
         known = np.diag(P_pred) == 0.0
         P_pred[known, known] = 1.0
-        gain_rhs = store.P_prev[t] @ store.F_eff[t].T
-        S = lu_solve(P_pred, gain_rhs, "eks_smooth")
+        S = lu_solve(P_pred, store.P_prev[t], "eks_smooth")
         m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
         P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
         m_s[t - 1] = clamp(m_s[t - 1], bounds)
@@ -196,11 +186,8 @@ def stored_smooth(store, obs_model):
 
 
 @st.composite
-def tracking_problems(draw, min_known=0, near_identity=False):
-    """Random tracking runs: activation schedules, speech masks, known entries, both models.
-
-    ``near_identity`` makes F the identity but for one small coupling
-    between two entries."""
+def tracking_problems(draw, min_known=0):
+    """Random tracking runs: activation schedules, speech masks, known entries, both models."""
     n_f = draw(st.integers(1, 3))
     n_a = draw(st.integers(0, 2))
     n_frames = draw(st.integers(1, 16))
@@ -212,13 +199,10 @@ def tracking_problems(draw, min_known=0, near_identity=False):
     linear = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
-    # a transposed draw is Fortran-ordered, like the lstsq solution estimate_transition returns
-    coupling = rng.standard_normal((dim, dim)).T
     if linear:
         n_obs = 4
         obs_model = LinearObservation(rng.standard_normal((n_obs, dim)))
         params = TrackerParams(
-            F=0.6 * np.eye(dim) + 0.1 * coupling,
             Q=np.diag(rng.uniform(0.1, 1.0, dim)),
             R=np.diag(rng.uniform(0.2, 1.0, n_obs)),
             mu0=rng.standard_normal(dim),
@@ -232,15 +216,11 @@ def tracking_problems(draw, min_known=0, near_identity=False):
         y = rng.standard_normal((n_frames, n_obs))
     else:
         obs_model = None
-        params = replace(default_params(n_f, n_a, 10000.0, 12), F=np.eye(dim) + 0.01 * coupling)
+        params = default_params(n_f, n_a, 10000.0, 12)
         known_values = params.mu0[known] + rng.uniform(0.0, 50.0, len(known))
         model = CepstralObservation(n_f, n_a, 12, 10000.0)
         truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
         y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
-    if near_identity:
-        F = np.eye(dim)
-        F[tuple(rng.choice(dim, 2, replace=False))] = 0.01
-        params = replace(params, F=F)
     return dict(
         obs=y,
         params=with_known(params, known, known_values),
@@ -269,8 +249,7 @@ def long_schedule_problem(known):
     speech = np.ones(n_frames, dtype=bool)
     speech[60:80] = False
     speech[299] = False
-    coupling = rng.standard_normal((dim, dim)).T  # Fortran-ordered, like estimate_transition's F
-    params = replace(default_params(n_f, n_a, 10000.0, 12), F=np.eye(dim) + 0.01 * coupling)
+    params = default_params(n_f, n_a, 10000.0, 12)
     model = CepstralObservation(n_f, n_a, 12, 10000.0)
     truth = params.mu0 + rng.uniform(-100.0, 100.0, dim)
     y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
@@ -303,15 +282,6 @@ class TestStoredRecursionOracle:
     @example(problem=long_schedule_problem(known=False))
     @example(problem=long_schedule_problem(known=True))
     def test_filter_and_smoother_equal_reference(self, problem):
-        self.assert_equal_reference(problem)
-
-    @settings(deadline=None, max_examples=40)
-    @given(problem=tracking_problems(near_identity=True))
-    def test_near_identity_transition_equals_reference(self, problem):
-        # F is not the identity, so the predict takes the product route
-        self.assert_equal_reference(problem)
-
-    def assert_equal_reference(self, problem):
         # the reference solves by LU and the tracker by Cholesky, so they differ by rounding
         store, m_s, P_s = self.oracle(problem)
         filt = ekf_filter(**problem)
@@ -356,26 +326,21 @@ class TestStoredRecursionOracle:
 
 @st.composite
 def predict_problems(draw):
-    """Linear runs with dense, exactly symmetric Sigma0 and Q, under F = I or
-    the identity but for one coupling, with random activation flags; now
-    and then Sigma0 or Q is not quite symmetric, which the identity predict
-    must not take."""
+    """Linear runs with dense, exactly symmetric Sigma0 and Q and random
+    activation flags; now and then Sigma0 or Q is not quite symmetric, which
+    ``TrackerParams`` symmetrises."""
     n_f = draw(st.integers(1, 3))
     n_a = draw(st.integers(0, 2))
     n_frames = draw(st.integers(1, 16))
     dim = 2 * n_f + 2 * n_a
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a, b = rng.standard_normal((2, dim, dim))
-    F = np.eye(dim)
-    if draw(st.booleans()):
-        F[tuple(rng.choice(dim, 2, replace=False))] = 0.05
     Q = _symmetrize(0.1 * a @ a.T)
     Sigma0 = _symmetrize(b @ b.T) + np.eye(dim)
     for mat in (Q, Sigma0):
         if draw(st.booleans()):
             mat[0, 1] += 1e-3
     params = TrackerParams(
-        F=F,
         Q=Q,
         R=np.diag(rng.uniform(0.2, 1.0, 4)),
         mu0=rng.standard_normal(dim),
@@ -397,11 +362,11 @@ def predict_problems(draw):
 
 
 class TestIdentityPredict:
-    """Under F = I the predict is P + Q; it equals the symmetrised product bit for bit."""
+    """The random walk's predict keeps the clamped mean and adds the blocked Q to P."""
 
     @settings(deadline=None, max_examples=80)
     @given(problem=predict_problems())
-    def test_predict_equals_symmetrized_product(self, problem):
+    def test_predict_adds_q(self, problem):
         params = problem["params"]
         y, _, speech, activation, obs_model = _resolve_setup(
             problem["obs"], params, problem["mask"], problem["activation"], problem["obs_model"]
@@ -413,10 +378,22 @@ class TestIdentityPredict:
             g = flags[t]
             if t == 0 or np.any(g != flags[t - 1]):
                 P = _blocked(P, g)
-            F, Q = _blocked(params.F, g), _blocked(params.Q, g)
-            assert np.array_equal(m_pred, F @ m)
-            assert np.array_equal(P_pred, _symmetrize(F @ P @ F.T + Q))
+            assert np.array_equal(m_pred, clamp(m, obs_model.state_bounds()))
+            assert np.array_equal(P_pred, P + _blocked(params.Q, g))
+            assert np.array_equal(P_pred, P_pred.T)
             m, P = m_filt, P_filt
+
+    @pytest.mark.parametrize("name", ["Q", "Sigma0"])
+    def test_lopsided_input_comes_out_symmetric(self, name):
+        mat = np.array([[2.0, 0.3], [0.1, 1.0]])
+        mats = {"Q": np.eye(2), "Sigma0": np.eye(2), name: mat}
+        params = TrackerParams(
+            R=np.eye(2), mu0=np.zeros(2), n_formants=1, n_antiformants=0,
+            n_cepstra=2, sample_rate_hz=8000.0, **mats
+        )
+        got = getattr(params, name)
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(got, _symmetrize(mat))
 
 
 def spd_system(rng, n=15, d=6):
@@ -507,7 +484,6 @@ class TestLinearSurrogate:
         expected = np.zeros((10, 2))
         m = params.mu0.copy()
         for t in range(10):
-            m = params.F @ m
             expected[t] = m
         assert np.abs(res.means - expected).max() == 0.0
 
@@ -516,7 +492,7 @@ class TestLinearSurrogate:
         truth = np.array([3.0, -1.0])
         y = np.tile(truth, (50, 1))
         params = TrackerParams(
-            F=np.eye(2), Q=1e-12 * np.eye(2), R=0.0025 * np.eye(2),
+            Q=1e-12 * np.eye(2), R=0.0025 * np.eye(2),
             mu0=np.zeros(2), Sigma0=np.eye(2),
             n_formants=1, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0,
         )
@@ -657,9 +633,8 @@ class TestDefaultParams:
         assert p.mu0[6:8].tolist() == [1000.0, 2000.0]
         assert p.mu0[8:10].tolist() == [80.0, 80.0]
 
-    def test_sigma0_equals_q_and_identity_f(self):
+    def test_sigma0_equals_q(self):
         p = default_params(2, 1, 10000.0, 12)
         assert np.array_equal(p.Sigma0, p.Q)
-        assert np.array_equal(p.F, np.eye(6))
         assert p.Q[0, 0] == pytest.approx(320.0**2)
         assert p.Q[2, 2] == pytest.approx(100.0**2)
