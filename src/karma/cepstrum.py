@@ -10,15 +10,23 @@ coefficient, pure gain, is always excluded):
 * ``CepstralObservation`` -- the tracker's observation model h: closed
   form from resonance frequencies and bandwidths through pole powers.  A
   resonance is the pole z = exp((-pi b + 2 pi i f) / fs) and adds
-  (2/n) Re z^n to C_n (an antiformant subtracts it); z^1..z^N take one
-  complex exponential and a running product.  Its Jacobian,
+  (2/n) Re z^n to C_n (an antiformant subtracts it).  Its Jacobian,
   -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, is read off the same powers:
   one column gather of their real view and one multiply by per-column
   scales.
-  The powers are resonance-major, (N, K, ...) for K resonances over a
-  stack of states, so the sum over resonances adds contiguous slabs; one
-  kernel serves single states, particle stacks, ``state_to_cepstrum`` and
-  ``cepstrum_jacobian`` alike.
+  The powers come from one of two kernels, chosen by caller, with no
+  size threshold.  ``linearize``, the EKF's one call per speech
+  frame and the route of ``cepstrum_jacobian``, forms one state's powers
+  in closed form, z^n = exp(n log z): about 17 us a call at N = 15 and
+  three resonances, half the 34 us of the running product.  ``value``,
+  which serves particle stacks and ``state_to_cepstrum``, keeps the
+  running product, about 9x faster than the closed form on a 1000-state
+  stack (0.28 ms against 2.5 ms at N = 15, one BLAS thread).  A stack's
+  h matches the one-state ``linearize`` to 1e-12, not bit for bit, and
+  each state of a stack gets the same bits as its own ``value`` call.
+  The running product's powers are resonance-major, (N, K, ...) for K
+  resonances over a stack of states, so the sum over resonances adds
+  contiguous slabs.
 * ``real_cepstrum`` -- nonparametric route straight from the samples; for a
   minimum-phase frame its doubled coefficients approximate the other two.
 """
@@ -219,7 +227,8 @@ class CepstralObservation:
         self._freq_cols = np.r_[0:i, 2 * i : 2 * i + j]
         self._bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
         self._signs = np.r_[np.ones(i), -np.ones(j)]
-        self._weights = 2.0 / np.arange(1, n_cepstra + 1)  # the 2/n of C_n
+        self._orders = np.arange(1, n_cepstra + 1, dtype=float)[:, None]  # n, one per row
+        self._weights = 2.0 / self._orders[:, 0]  # the 2/n of C_n
         # where each Jacobian column sits in the real view of one state's
         # (N, K) powers: resonance k's Re z^n in column 2k, Im z^n in 2k + 1
         self._jac_gather = np.empty(2 * (i + j), dtype=np.intp)
@@ -268,16 +277,23 @@ class CepstralObservation:
     def linearize(self, x: np.ndarray, active_f=None, active_a=None):
         """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers.
 
-        Each Jacobian entry is one product: the power's real or imaginary
-        part, gathered into its state column, times that column's scale.
+        The (N, K) powers come in closed form, z^n = exp(n log z) with
+        log z = (pi/fs)(2i f - b): one complex exponential over the grid
+        and a stored column of orders n.  h is one matrix-vector product,
+        and each Jacobian entry is one product: the power's real or
+        imaginary part, gathered into its state column, times that
+        column's scale.  With one BLAS thread this call takes about 17 us
+        at N = 15 and K = 3, against 34 us through the running product;
+        ``value`` keeps the running product, which is about 9x faster on
+        a 1000-state stack.  The two agree to about 1e-12 relative, not
+        bit for bit.
         """
         signs, jac_scale = self._pattern(active_f, active_a)
-        powers = _pole_powers(
-            x[self._freq_cols], x[self._bw_cols], self.sample_rate_hz, self.n_cepstra
-        )
+        log_z = (np.pi / self.sample_rate_hz) * (2j * x[self._freq_cols] - x[self._bw_cols])
+        powers = np.exp(self._orders * log_z)
         H = powers.view(float).take(self._jac_gather, axis=1)
         H *= jac_scale
-        return _powers_cepstrum(powers, signs, self._weights), H
+        return (powers.real @ signs) * self._weights, H
 
     def state_bounds(self):
         """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.

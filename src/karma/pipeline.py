@@ -87,12 +87,13 @@ class RunConfig:
             raise ValueError("track counts must be non-negative")
         if self.n_formants + self.n_antiformants == 0:
             raise ValueError("need at least one formant or antiformant to track")
-        if self.n_cepstra < max(self.lpc_order, self.ma_order):
-            raise ValueError("n_cepstra must be at least max(lpc_order, ma_order)")
-        if self.lpc_order < 2 * self.n_formants:
-            raise ValueError("lpc_order must be at least 2 * n_formants")
-        if self.observation_source == "arma_cepstrum" and self.ma_order < 2 * self.n_antiformants:
-            raise ValueError("ma_order must be at least 2 * n_antiformants")
+        if self.observation_source == "arma_cepstrum":  # the only route that fits a model
+            if self.n_cepstra < max(self.lpc_order, self.ma_order):
+                raise ValueError("n_cepstra must be at least max(lpc_order, ma_order)")
+            if self.lpc_order < 2 * self.n_formants:
+                raise ValueError("lpc_order must be at least 2 * n_formants")
+            if self.ma_order < 2 * self.n_antiformants:
+                raise ValueError("ma_order must be at least 2 * n_antiformants")
         if not 0 <= self.overlap < 1:
             raise ValueError("overlap must be in [0, 1)")
         if self.observation_source not in OBSERVATION_SOURCES:

@@ -269,16 +269,18 @@ def _forward(y, params, speech, activation, obs_model):
     At frames whose activation flags change, and only there, the entering
     covariance is decoupled between active and inactive entries and the
     blocked process noise is rebuilt.  A returning entry keeps the moments
-    it coasted to.  The predict keeps the mean (clamped to the state
-    bounds) and adds Q to P; P stays exactly symmetric, since Q is and
-    every update ends symmetrised.
+    it coasted to.  ``mu0`` is clamped to the state bounds once, before
+    the first frame; after that only the update moves the mean, and it
+    ends with the same clamp.  The predict keeps the mean and adds Q to
+    P; P stays exactly symmetric, since Q is and every update ends
+    symmetrised.
     """
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
     update = speech & flags.any(axis=1)
 
-    m, P = params.mu0, params.Sigma0
+    m, P = _clamp(params.mu0, bounds), params.Sigma0
     for t, g in enumerate(flags):
         if rebuild[t]:
             P = _blocked(P, g)
@@ -286,7 +288,6 @@ def _forward(y, params, speech, activation, obs_model):
             act_f, act_a = activation.formants[t], activation.antiformants[t]
             inactive = ~g if not g.all() else None
         P = P + Q
-        m = _clamp(m, bounds)
         m_pred, P_pred = m, P
 
         if update[t]:

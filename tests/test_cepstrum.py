@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal as sps
@@ -10,6 +10,8 @@ from karma.cepstrum import (
     CepstralObservation,
     CepstralVector,
     ResonanceState,
+    _pole_powers,
+    _powers_cepstrum,
     arma_cepstra,
     arma_to_cepstrum,
     cepstrum_jacobian,
@@ -81,17 +83,22 @@ def exp_cos_linearize(x, n_formants, n_antiformants, fs, n_coeffs, active_f, act
     return h, np.hstack([df, db, daf, dab])
 
 
+# tolerance between h or H from two power kernels: closed form, running product, exp/cos
+CLOSE = dict(rtol=1e-12, atol=1e-14)
+
+
 @st.composite
-def resonance_problems(draw):
+def resonance_problems(draw, min_formants=1):
     """Track counts, N, fs, a state reaching the clamp bounds, and activation flags."""
-    i = draw(st.integers(1, 3))
+    i = draw(st.integers(min_formants, 3))
     j = draw(st.integers(0, 2))
-    n_coeffs = draw(st.integers(1, 30))
+    n_coeffs = draw(st.one_of(st.just(30), st.integers(1, 30)))
     fs = draw(st.floats(4000.0, 16000.0))
     lo, hi = 0.005 * fs, 0.495 * fs
     freq = st.one_of(st.just(lo), st.just(hi), st.floats(lo, hi))
     freqs = draw(st.lists(freq, min_size=i + j, max_size=i + j))
-    bws = draw(st.lists(st.floats(1.0, 5000.0), min_size=i + j, max_size=i + j))
+    bw = st.one_of(st.just(1.0), st.floats(1.0, 5000.0))
+    bws = draw(st.lists(bw, min_size=i + j, max_size=i + j))
     x = np.concatenate([freqs[:i], bws[:i], freqs[i:], bws[i:]])
     active_f = draw(arrays(bool, i))
     active_a = draw(arrays(bool, j))
@@ -108,8 +115,8 @@ class TestPolePowerFormula:
         model = CepstralObservation(i, j, n_coeffs, fs)
         h, H = model.linearize(x, active_f, active_a)
         h_ref, H_ref = exp_cos_linearize(x, i, j, fs, n_coeffs, active_f, active_a)
-        np.testing.assert_allclose(h, h_ref, rtol=1e-12, atol=1e-14)
-        np.testing.assert_allclose(H, H_ref, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(h, h_ref, **CLOSE)
+        np.testing.assert_allclose(H, H_ref, **CLOSE)
 
     @settings(deadline=None, max_examples=100)
     @given(problem=resonance_problems())
@@ -120,9 +127,9 @@ class TestPolePowerFormula:
             x, i, j, fs, n_coeffs, np.ones(i, bool), np.ones(j, bool)
         )
         np.testing.assert_allclose(
-            state_to_cepstrum(state, n_coeffs).coeffs, h_ref, rtol=1e-12, atol=1e-14
+            state_to_cepstrum(state, n_coeffs).coeffs, h_ref, **CLOSE
         )
-        np.testing.assert_allclose(cepstrum_jacobian(state, n_coeffs), H_ref, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(cepstrum_jacobian(state, n_coeffs), H_ref, **CLOSE)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -138,7 +145,23 @@ class TestPolePowerFormula:
         stacked = model.value(states, active_f, active_a)
         rows = np.array([model.linearize(s, active_f, active_a)[0] for s in states.reshape(-1, x.size)])
         assert stacked.shape == lead + (n_coeffs,)
-        assert np.array_equal(stacked.reshape(-1, n_coeffs), rows)
+        np.testing.assert_allclose(stacked.reshape(-1, n_coeffs), rows, **CLOSE)
+
+    @settings(deadline=None, max_examples=200)
+    @given(problem=resonance_problems(min_formants=0))
+    @example(problem=(0, 0, 30, 8000.0, np.zeros(0), np.zeros(0, bool), np.zeros(0, bool)))
+    def test_linearize_matches_running_product(self, problem):
+        i, j, n_coeffs, fs, x, active_f, active_a = problem
+        model = CepstralObservation(i, j, n_coeffs, fs)
+        h, H = model.linearize(x, active_f, active_a)
+        freq_cols, bw_cols, _ = frozen_columns(i, j)
+        powers = _pole_powers(x[freq_cols], x[bw_cols], fs, n_coeffs)
+        signs = model._active_signs(active_f, active_a)
+        assert h.shape == (n_coeffs,) and H.shape == (n_coeffs, x.size)
+        np.testing.assert_allclose(h, _powers_cepstrum(powers, signs, model._weights), **CLOSE)
+        np.testing.assert_allclose(
+            H, frozen_powers_jacobian(powers, signs, fs, freq_cols, bw_cols), **CLOSE
+        )
 
 
 def random_states(rng, n_formants, n_antiformants, lead, fs=10000.0):
@@ -158,7 +181,9 @@ TRACK_COUNTS = [(4, 0), (2, 1), (0, 2), (3, 2), (0, 0)]
 
 class TestFrozenReferenceKernel:
     """The resonance-major kernel against a frozen copy of the resonance-last
-    running-product and k-sum kernel it replaced: equal bit for bit."""
+    running-product and k-sum kernel it replaced: ``value`` and
+    ``state_to_cepstrum`` equal bit for bit; ``linearize`` and
+    ``cepstrum_jacobian``, whose powers are in closed form, to 1e-12."""
 
     @pytest.mark.parametrize("counts", TRACK_COUNTS)
     @pytest.mark.parametrize("lead", [(), (1000,), (1001,), (3, 4)])
@@ -188,8 +213,8 @@ class TestFrozenReferenceKernel:
                 h, H = model.linearize(x, *active)
                 h_ref, H_ref = frozen.linearize(x, *active)
                 assert h.shape == (n_coeffs,) and H.shape == (n_coeffs, 2 * i + 2 * j)
-                assert np.array_equal(h, h_ref)
-                assert np.array_equal(H, H_ref)
+                np.testing.assert_allclose(h, h_ref, **CLOSE)
+                np.testing.assert_allclose(H, H_ref, **CLOSE)
 
     @pytest.mark.parametrize("counts", TRACK_COUNTS)
     def test_state_routes_equal_frozen(self, counts):
@@ -203,9 +228,10 @@ class TestFrozenReferenceKernel:
             assert np.array_equal(
                 state_to_cepstrum(state, 12).coeffs, frozen_powers_cepstrum(powers, signs)
             )
-            assert np.array_equal(
+            np.testing.assert_allclose(
                 cepstrum_jacobian(state, 12),
                 frozen_powers_jacobian(powers, signs, 10000.0, freq_cols, bw_cols),
+                **CLOSE,
             )
 
 

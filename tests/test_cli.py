@@ -60,6 +60,14 @@ class TestTrackCommand:
         out = tmp_path / "anti.csv"
         assert main(["track", str(wav_path), "--config", str(cfg_path), "--out", str(out)]) == code
 
+    @pytest.mark.parametrize("source, code", [("real_cepstrum", 0), ("arma_cepstrum", 2)])
+    def test_fewer_cepstra_than_lpc_order(self, tmp_path, vowel_wav, source, code):
+        wav_path, _ = vowel_wav
+        cfg_path = tmp_path / "short.json"
+        cfg_path.write_text(json.dumps({"n_cepstra": 10, "observation_source": source}))
+        out = tmp_path / "short.csv"
+        assert main(["track", str(wav_path), "--config", str(cfg_path), "--out", str(out)]) == code
+
     def test_missing_input_exits_2(self, tmp_path, capsys):
         code = main(["track", str(tmp_path / "nope.wav")])
         assert code == 2

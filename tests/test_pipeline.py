@@ -60,6 +60,13 @@ class TestRunConfig:
         # the real-cepstrum route fits no MA part, so ma_order does not bound it
         RunConfig(n_antiformants=1, observation_source="real_cepstrum").validate()
 
+    @pytest.mark.parametrize("field, value", [("n_formants", 7), ("n_cepstra", 10)])
+    def test_real_cepstrum_needs_no_lpc_order(self, field, value):
+        # nor does lpc_order, which the default 12 would otherwise make binding
+        RunConfig(observation_source="real_cepstrum", **{field: value}).validate()
+        with pytest.raises(ValueError, match="lpc_order"):
+            RunConfig(**{field: value}).validate()
+
     @pytest.mark.parametrize(
         "field,value",
         [

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from karma.cepstrum import CepstralObservation
+from karma.pipeline import RunConfig, make_tracker_params
 from karma.tracker import (
     LinearObservation,
     TrackActivation,
@@ -394,6 +395,40 @@ class TestIdentityPredict:
         got = getattr(params, name)
         assert np.array_equal(got, got.T)
         assert np.array_equal(got, _symmetrize(mat))
+
+
+class TestInitialClamp:
+    """``mu0`` is clamped to the state bounds once, before frame 0; after
+    that only the update moves the mean, and it ends clamped."""
+
+    def setup_method(self):
+        # 10 Hz and 3600 Hz lie outside (35, 3465) Hz at 7 kHz; 0.5 Hz is below the 1 Hz floor
+        config = RunConfig(initial_formant_freqs=[10.0, 1500.0, 3600.0],
+                           initial_formant_bws=[0.5, 120.0, 160.0])
+        self.params = make_tracker_params(config, 0.01)
+        self.model = CepstralObservation(3, 0, 15, 7000.0)
+        self.clamped = clamp(self.params.mu0, self.model.state_bounds())
+        assert not np.array_equal(self.clamped, self.params.mu0)
+        truth = np.array([600.0, 1500.0, 2500.0, 80.0, 120.0, 160.0])
+        rng = np.random.default_rng(5)
+        self.obs = self.model.value(truth) + 0.05 * rng.standard_normal((12, 15))
+
+    def test_first_prediction_is_clamped_mu0(self):
+        y, _, speech, activation, obs_model = _resolve_setup(self.obs, self.params, None, None, None)
+        m_pred = next(_forward(y, self.params, speech, activation, obs_model))[0]
+        assert np.array_equal(m_pred, self.clamped)
+
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
+    def test_run_equals_run_from_clamped_mu0(self, run):
+        a = run(self.obs, self.params)
+        b = run(self.obs, replace(self.params, mu0=self.clamped))
+        assert np.array_equal(a.means, b.means)
+        assert np.array_equal(a.covariances, b.covariances)
+
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
+    def test_silent_run_holds_clamped_mu0(self, run):
+        res = run(self.obs, self.params, mask=np.zeros(len(self.obs), bool))
+        assert np.array_equal(res.means, np.tile(self.clamped, (len(self.obs), 1)))
 
 
 def spd_system(rng, n=15, d=6):
