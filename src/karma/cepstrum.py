@@ -15,18 +15,19 @@ coefficient, pure gain, is always excluded):
   one column gather of their real view and one multiply by per-column
   scales.
   The powers come from one of two kernels, chosen by caller, with no
-  size threshold.  ``linearize``, the EKF's one call per speech
-  frame and the route of ``cepstrum_jacobian``, forms one state's powers
-  in closed form, z^n = exp(n log z): about 17 us a call at N = 15 and
-  three resonances, half the 34 us of the running product.  ``value``,
-  which serves particle stacks and ``state_to_cepstrum``, keeps the
-  running product, about 9x faster than the closed form on a 1000-state
-  stack (0.28 ms against 2.5 ms at N = 15, one BLAS thread).  A stack's
-  h matches the one-state ``linearize`` to 1e-12, not bit for bit, and
-  each state of a stack gets the same bits as its own ``value`` call.
-  The running product's powers are resonance-major, (N, K, ...) for K
-  resonances over a stack of states, so the sum over resonances adds
-  contiguous slabs.
+  size threshold.  ``linearize``, the EKF's one call per speech frame and
+  the route of ``cepstrum_jacobian``, forms one state's powers in closed
+  form, z^n = exp(n log z): at N = 15 and three resonances a call takes
+  about half as long as through the running product (12-17 against
+  22-34 us over two runs, one BLAS thread, a 2-CPU x86-64 host).
+  ``value``, which serves particle stacks and ``state_to_cepstrum``,
+  keeps the running product, about 10x faster than the closed form on a
+  1000-state stack (0.2-0.3 ms against 2.5 ms).  A stack's h matches the
+  one-state ``linearize`` to 1e-12, not bit for bit; each state of a
+  stack gets the same bits as its own ``value`` call.  The running
+  product's powers are resonance-major, (N, K, ...) for K resonances
+  over a stack of states, so the sum over resonances adds contiguous
+  slabs.
 * ``real_cepstrum`` -- nonparametric route straight from the samples; for a
   minimum-phase frame its doubled coefficients approximate the other two.
 """
@@ -282,11 +283,11 @@ class CepstralObservation:
         and a stored column of orders n.  h is one matrix-vector product,
         and each Jacobian entry is one product: the power's real or
         imaginary part, gathered into its state column, times that
-        column's scale.  With one BLAS thread this call takes about 17 us
-        at N = 15 and K = 3, against 34 us through the running product;
-        ``value`` keeps the running product, which is about 9x faster on
-        a 1000-state stack.  The two agree to about 1e-12 relative, not
-        bit for bit.
+        column's scale.  At N = 15 and K = 3 this takes about half as
+        long as the running product (12-17 against 22-34 us a call, one
+        BLAS thread); ``value`` keeps the running product, about 10x
+        faster on a 1000-state stack.  The two agree to 1e-12, not bit
+        for bit.
         """
         signs, jac_scale = self._pattern(active_f, active_a)
         log_z = (np.pi / self.sample_rate_hz) * (2j * x[self._freq_cols] - x[self._bw_cols])
