@@ -70,7 +70,6 @@ class FrameSequence:
     frames: np.ndarray  # (n_frames, frame_length)
     frame_length: int
     hop: int
-    window_kind: str
     sample_rate_hz: float
 
     def __post_init__(self):
@@ -88,11 +87,6 @@ class FrameSequence:
     @property
     def hop_s(self) -> float:
         return self.hop / self.sample_rate_hz
-
-    @property
-    def times(self) -> np.ndarray:
-        """Start time of each frame in seconds."""
-        return np.arange(self.n_frames) * self.hop_s
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,7 @@ def window_frames(
     padded = np.zeros((n_frames - 1) * hop + frame_length)
     padded[: x.size] = x
     frames = sliding_window_view(padded, frame_length)[::hop] * window
-    return FrameSequence(frames, frame_length, hop, window_kind, w.sample_rate_hz)
+    return FrameSequence(frames, frame_length, hop, w.sample_rate_hz)
 
 
 def preemphasize(frame: np.ndarray, gamma: float) -> np.ndarray:

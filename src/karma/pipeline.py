@@ -30,7 +30,7 @@ from .frontend import (
     resample,
     window_frames,
 )
-from .tracker import TrackActivation, TrackerParams, default_params, ekf_filter, eks_smooth
+from .tracker import TrackActivation, TrackerParams, TrackResult, default_params, ekf_filter, eks_smooth
 from .tracker import estimate_transition  # noqa: F401  (looked up here by bench/tracing.py)
 
 __all__ = ["RunConfig", "make_tracker_params", "build_observations", "track_waveform"]
@@ -81,13 +81,15 @@ class RunConfig:
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{field.name} must be finite")
-        if self.lpc_order < 1:
-            raise ValueError("lpc_order must be positive")
+        if self.n_cepstra < 1:
+            raise ValueError("n_cepstra must be positive")
         if self.n_formants < 0 or self.n_antiformants < 0:
             raise ValueError("track counts must be non-negative")
         if self.n_formants + self.n_antiformants == 0:
             raise ValueError("need at least one formant or antiformant to track")
         if self.observation_source == "arma_cepstrum":  # the only route that fits a model
+            if self.lpc_order < 1:
+                raise ValueError("lpc_order must be positive")
             if self.n_cepstra < max(self.lpc_order, self.ma_order):
                 raise ValueError("n_cepstra must be at least max(lpc_order, ma_order)")
             if self.lpc_order < 2 * self.n_formants:
@@ -205,8 +207,7 @@ def track_waveform(
     config: RunConfig,
     labels: list[LabelInterval] | None = None,
     activation: TrackActivation | None = None,
-    return_details: bool = False,
-):
+) -> TrackResult:
     """Run the full tracking pipeline on a waveform.
 
     Resamples to the analysis rate, windows and pre-emphasizes frames, fits
@@ -239,7 +240,4 @@ def track_waveform(
     obs = build_observations(emphasized, config, mask.flags)
     params = make_tracker_params(config, frames.hop_s)
     run = eks_smooth if config.mode == "smooth" else ekf_filter
-    result = run(obs, params, mask, activation)
-    if return_details:
-        return result, mask, obs, params
-    return result
+    return run(obs, params, mask, activation)

@@ -19,6 +19,7 @@ from scipy.interpolate import PchipInterpolator
 from .arma import ArmaModel
 from .cepstrum import ResonanceState
 from .frontend import Waveform
+from .pipeline import RunConfig
 from .tracker import TrackResult
 
 __all__ = [
@@ -30,6 +31,7 @@ __all__ = [
     "synthesize",
     "random_trajectory",
     "nasal_utterance_spec",
+    "nasal_demo_config",
     "spec_to_json",
     "spec_from_json",
     "load_spec",
@@ -406,6 +408,24 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
             )
         )
     return TrajectorySpec(frames, frame_ms=100.0, overlap_fraction=0.5, sample_rate_hz=fs, seed=seed)
+
+
+def nasal_demo_config() -> RunConfig:
+    """The nasal demo's analysis: ARMA(6,4) on the demo's own frame grid
+    (10 kHz, 100 ms frames at 50 % overlap), pre-emphasis 0.9, two formants
+    and one antiformant.  A fresh config on each call, since ``RunConfig``
+    is mutable."""
+    return RunConfig(
+        target_sample_rate_hz=10000.0,
+        frame_ms=100.0,
+        overlap=0.5,
+        gamma=0.9,
+        lpc_order=6,
+        ma_order=4,
+        n_cepstra=15,
+        n_formants=2,
+        n_antiformants=1,
+    )
 
 
 def spec_to_json(spec: TrajectorySpec) -> dict:

@@ -4,8 +4,8 @@
 which is recorded but not gated) for six sets:
 
 * ``nasal_f`` / ``nasal_af``: the nasal ARMA(6,4) demo on seeds 700–739,
-  frames 10 onward; pooled formant RMSE and antiformant RMSE on nasal
-  frames.  Each seed also records whether it meets criterion 8.
+  scored after the tracker's start-up frames; pooled formant RMSE and
+  antiformant RMSE on nasal frames.  Each seed also records whether it meets criterion 8.
 * ``corpus_white_noise`` / ``corpus_rosenberg``: 10 s random four-resonance
   utterances on seeds 100–111 per source, default ``RunConfig``, the first
   three formants over speech frames.
@@ -32,24 +32,12 @@ import pytest
 
 from karma.particle import ekf_pf_benchmark
 from karma.pipeline import RunConfig, track_waveform
-from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
-from karma.tracker import TrackActivation
+from karma.synthesis import random_trajectory, synthesize
+
+from conftest import criterion_8_holds, nasal_rows, nasal_scores, track_nasal
 
 RECORD_PATH = Path(__file__).with_name("accuracy_record.json")
 NASAL_SEEDS = range(700, 740)
-NASAL_CONFIG = RunConfig(
-    target_sample_rate_hz=10000.0,
-    frame_ms=100.0,
-    overlap=0.5,
-    gamma=0.9,
-    lpc_order=6,
-    ma_order=4,
-    n_cepstra=15,
-    n_formants=2,
-    n_antiformants=1,
-)
-NASAL_SKIP_FRAMES = 10
-CRITERION_8_BUDGET_HZ = 50.0
 CORPUS_SEEDS = range(100, 112)
 CORPUS_SOURCES = ("white_noise", "rosenberg")
 LONG_SEED = 200
@@ -76,24 +64,18 @@ def _coverage(err, std) -> float:
 
 
 def _nasal(seed: int) -> dict:
-    wave, ref = synthesize(nasal_utterance_spec(seed=seed))
-    activation = TrackActivation(ref.formant_active, ref.antiformant_active)
-    res = track_waveform(wave, NASAL_CONFIG, activation=activation)
-    keep = np.arange(NASAL_SKIP_FRAMES, res.n_frames)
+    res, ref = track_nasal(seed)
+    keep, nasal = nasal_rows(res, ref)
     err, std = _errors(res, ref, keep, res.n_formants)
-    nasal = keep[ref.antiformant_active[keep, 0]]
     af_err = res.antiformant_freqs[nasal, 0] - ref.antiformant_freqs[nasal, 0]
     af_std = np.sqrt(res.variances[nasal, 2 * res.n_formants])
-    per_formant = np.sqrt(np.mean(err**2, axis=0))
-    af_rmse = _rmse(af_err)
+    per_formant, af_rmse = nasal_scores(res, ref)
     return dict(
         f_rmse=_rmse(err),
         f_coverage=_coverage(err, std),
         af_rmse=af_rmse,
         af_coverage=_coverage(af_err, af_std),
-        criterion_8=bool(
-            af_rmse <= CRITERION_8_BUDGET_HZ and np.all(per_formant <= CRITERION_8_BUDGET_HZ)
-        ),
+        criterion_8=criterion_8_holds(per_formant, af_rmse),
     )
 
 

@@ -27,7 +27,7 @@ import karma.pipeline as pipeline
 from karma.cepstrum import arma_cepstra, arma_to_cepstrum
 from karma.frontend import detect_activity, preemphasize, resample, window_frames
 from karma.pipeline import RunConfig, build_observations
-from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
+from karma.synthesis import nasal_demo_config, nasal_utterance_spec, random_trajectory, synthesize
 
 from conftest import random_minimum_phase_model
 
@@ -160,11 +160,12 @@ def reference_estimate_arma(frame, p, q, max_iter=50, rel_tol=1e-8):
 
 @cache
 def nasal_frames(seed=715):
-    """Pre-emphasized 100 ms frames of a nasal demo utterance, as the demo
-    configuration analyses them (10 kHz, 50 % overlap, gamma 0.9)."""
+    """Pre-emphasized frames of a nasal demo utterance, as ``nasal_demo_config``
+    analyses them (the utterance is already at its 10 kHz analysis rate)."""
     wave, _ = synthesize(nasal_utterance_spec(seed=seed))
-    frames = window_frames(wave, 100.0, 0.5, "hamming")
-    frames = preemphasize(frames.frames, 0.9)
+    config = nasal_demo_config()
+    frames = window_frames(wave, config.frame_ms, config.overlap, config.window)
+    frames = preemphasize(frames.frames, config.gamma)
     frames.setflags(write=False)
     return frames
 
@@ -569,7 +570,7 @@ class TestReflectRoots:
 
 
 class TestArmaObservations:
-    CONFIG = RunConfig(lpc_order=6, ma_order=4, n_formants=2, n_antiformants=1)  # the nasal demo's orders
+    CONFIG = nasal_demo_config()
 
     @pytest.mark.parametrize("refuse", ["none", "some", "all"])
     def test_equal_to_the_per_frame_loop(self, monkeypatch, refuse):

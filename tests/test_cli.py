@@ -86,7 +86,7 @@ class TestTrackCommand:
             {"window": "blackman"},
             {"frame_ms": 0.0},
             {"frame_ms": -20.0},
-            {"lpc_order": 0, "n_formants": 0},
+            {"lpc_order": 0, "n_formants": 0, "n_antiformants": 1, "ma_order": 2},
             {"initial_formant_freqs": [500.0]},
             {"freq_process_std": -1.0},
             {"bw_process_std": -1.0},
@@ -108,6 +108,8 @@ class TestTrackCommand:
             {"energy_threshold_db": float("nan")},
             {"gamma": float("nan")},
             {"target_sample_rate_hz": float("inf")},
+            {"observation_source": "real_cepstrum", "n_cepstra": 0},
+            {"observation_source": "real_cepstrum", "n_cepstra": -1},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
@@ -115,7 +117,8 @@ class TestTrackCommand:
              "antiformants_negative", "no_tracks", "int_as_string", "float_as_string",
              "int_as_float", "override_not_a_list", "not_an_object", "bool_as_int",
              "bool_as_float", "bool_in_override", "freq_std_infinite", "bw_std_infinite",
-             "energy_threshold_nan", "gamma_nan", "sample_rate_infinite"],
+             "energy_threshold_nan", "gamma_nan", "sample_rate_infinite",
+             "realcep_no_cepstra", "realcep_negative_cepstra"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

@@ -1,5 +1,9 @@
+import importlib
+import importlib.util
 import json
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +17,10 @@ from karma.cepstrum import arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
 from karma.evaluation import rmse
 from karma.frontend import Waveform
-from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
+from karma.synthesis import random_trajectory, synthesize
 from karma.tracker import TrackActivation
 
-from conftest import random_minimum_phase_model, root_sum_cepstrum
-from test_acceptance import NASAL_CONFIG
+from conftest import NASAL_SKIP_FRAMES, random_minimum_phase_model, root_sum_cepstrum, track_nasal
 
 
 def loop_real_cepstrum(frame, n_coeffs):
@@ -66,6 +69,17 @@ class TestRunConfig:
         RunConfig(observation_source="real_cepstrum", **{field: value}).validate()
         with pytest.raises(ValueError, match="lpc_order"):
             RunConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("source", ["arma_cepstrum", "real_cepstrum"])
+    @pytest.mark.parametrize("n_cepstra", [0, -1])
+    def test_no_cepstra_rejected(self, source, n_cepstra):
+        with pytest.raises(ValueError, match="n_cepstra must be positive"):
+            RunConfig(observation_source=source, n_cepstra=n_cepstra).validate()
+
+    def test_lpc_order_bounds_only_the_model_route(self):
+        RunConfig(observation_source="real_cepstrum", lpc_order=0).validate()
+        with pytest.raises(ValueError, match="lpc_order must be positive"):
+            RunConfig(lpc_order=0, n_formants=0, n_antiformants=1, ma_order=2).validate()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -230,8 +244,7 @@ class TestTrackWaveform:
     def test_tracks_synthetic_vowel(self):
         spec = random_trajectory(3, 1.0, seed=3, sample_rate_hz=16000.0)
         wave, ref = synthesize(spec)
-        res, mask, obs, params = track_waveform(wave, RunConfig(), return_details=True)
-        assert res.n_frames == obs.shape[0]
+        res = track_waveform(wave, RunConfig())
         assert res.n_formants == 3
         err = np.abs(res.formant_freqs[10:] - ref.formant_freqs[10 : res.n_frames])
         assert np.median(err) < 120.0
@@ -264,7 +277,8 @@ class TestTrackWaveform:
         config = RunConfig(bw_process_std=0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            res, _, _, params = track_waveform(wave, config, return_details=True)
+            res = track_waveform(wave, config)
+        params = make_tracker_params(config, res.hop_s)
         bws = slice(res.n_formants, 2 * res.n_formants)
         assert np.all(res.formant_bws == params.mu0[bws])
         assert np.all(res.variances[:, bws] == 0.0)
@@ -295,9 +309,24 @@ class TestOnePassTracking:
 
     @pytest.mark.parametrize("seed", [700, 705, 707, 719])
     def test_nasal_formants_within_100_hz(self, seed):
-        wave, ref = synthesize(nasal_utterance_spec(seed=seed))
-        activation = TrackActivation(ref.formant_active, ref.antiformant_active)
-        res = track_waveform(wave, RunConfig(**NASAL_CONFIG), activation=activation)
-        scored = ref.speech & (np.arange(ref.n_frames) >= 10)
+        res, ref = track_nasal(seed)
+        scored = ref.speech & (np.arange(ref.n_frames) >= NASAL_SKIP_FRAMES)
         report = rmse(res, ref, mask=scored, formant_count=2, offset=0)
         assert report.overall < 100.0
+
+
+def load_bench_tracing():
+    """Import ``bench/tracing.py`` under a name no other module uses."""
+    name = "_loaded_bench_tracing"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # dataclasses look it up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("probe", load_bench_tracing().PROBES, ids=lambda p: p.name)
+def test_bench_probe_resolves(probe):
+    module = importlib.import_module(probe.module)
+    assert callable(getattr(module, probe.attr, None))

@@ -25,62 +25,7 @@ from karma.tracker import (
     estimate_transition,
 )
 
-
-def linear_system():
-    Q = np.diag([0.3, 0.2])
-    H = np.array([[1.0, 0.0], [0.5, 1.0]])
-    R = np.diag([0.5, 0.4])
-    mu0 = np.array([1.0, -2.0])
-    S0 = np.diag([2.0, 1.0])
-    params = TrackerParams(
-        Q=Q, R=R, mu0=mu0, Sigma0=S0,
-        n_formants=1, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0,
-    )
-    return params, LinearObservation(H)
-
-
-def kalman_oracle(y, params, H):
-    """Straight transcription of the filtering and smoothing recursions."""
-    T = y.shape[0]
-    m, P = params.mu0.copy(), params.Sigma0.copy()
-    mf = np.zeros((T, 2)); Pf = np.zeros((T, 2, 2))
-    mp = np.zeros((T, 2)); Pp = np.zeros((T, 2, 2))
-    for t in range(T):
-        P = P + params.Q
-        mp[t], Pp[t] = m, P
-        S = H @ P @ H.T + params.R
-        K = P @ H.T @ np.linalg.inv(S)
-        m = m + K @ (y[t] - H @ m)
-        P = P - K @ H @ P
-        mf[t], Pf[t] = m, P
-    ms, Ps = mf.copy(), Pf.copy()
-    for t in range(T - 1, 0, -1):
-        G = Pf[t - 1] @ np.linalg.inv(Pp[t])
-        ms[t - 1] = mf[t - 1] + G @ (ms[t] - mp[t])
-        Ps[t - 1] = Pf[t - 1] + G @ (Ps[t] - Pp[t]) @ G.T
-    return mf, Pf, ms, Ps
-
-
-def batch_map_oracle(y, params, H):
-    """Posterior mode of the full linear-Gaussian trajectory, one linear solve."""
-    T = y.shape[0]
-    d = 2
-    n = (T + 1) * d
-    A = np.zeros((n, n))
-    b = np.zeros(n)
-    iS0 = np.linalg.inv(params.Sigma0)
-    iQ = np.linalg.inv(params.Q)
-    iR = np.linalg.inv(params.R)
-    A[:d, :d] += iS0
-    b[:d] += iS0 @ params.mu0
-    for t in range(T):
-        i0, i1 = t * d, (t + 1) * d
-        A[i0 : i0 + d, i0 : i0 + d] += iQ
-        A[i0 : i0 + d, i1 : i1 + d] -= iQ
-        A[i1 : i1 + d, i0 : i0 + d] -= iQ
-        A[i1 : i1 + d, i1 : i1 + d] += iQ + H.T @ iR @ H
-        b[i1 : i1 + d] += H.T @ iR @ y[t]
-    return np.linalg.solve(A, b).reshape(T + 1, d)[1:]
+from conftest import batch_map_oracle, kalman_oracle, linear_system
 
 
 class _OracleStore:
