@@ -18,7 +18,6 @@ from .cepstrum import (
 )
 from .evaluation import RmseReport, read_tracks, read_vtr_matrix, rmse, write_tracks
 from .frontend import (
-    ActivityMask,
     FrameSequence,
     Waveform,
     detect_activity,

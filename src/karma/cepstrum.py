@@ -109,15 +109,6 @@ class ResonanceState:
     def n_antiformants(self) -> int:
         return self.antiformant_freqs.size
 
-    def validate(self) -> None:
-        nyquist = self.sample_rate_hz / 2.0
-        freqs = np.concatenate([self.formant_freqs, self.antiformant_freqs])
-        bws = np.concatenate([self.formant_bws, self.antiformant_bws])
-        if freqs.size and not np.all((freqs > 0) & (freqs < nyquist)):
-            raise ValueError("frequencies must lie in (0, sample_rate/2)")
-        if bws.size and not np.all(bws > 0):
-            raise ValueError("bandwidths must be positive")
-
     def to_vector(self) -> np.ndarray:
         return np.concatenate(
             [self.formant_freqs, self.formant_bws, self.antiformant_freqs, self.antiformant_bws]

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .frontend import ActivityMask
 from .tracker import TrackResult, _speech_flags
 
 __all__ = ["RmseReport", "rmse", "write_tracks", "read_tracks", "read_vtr_matrix"]
@@ -63,7 +62,7 @@ def _aligned_freqs(estimated, reference, formant_count, offset):
 def rmse(
     estimated: TrackResult,
     reference: TrackResult,
-    mask: ActivityMask | np.ndarray | None = None,
+    mask: np.ndarray | None = None,
     formant_count: int = 3,
     offset: int | None = None,
 ) -> RmseReport:

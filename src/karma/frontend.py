@@ -20,7 +20,6 @@ from scipy.io import wavfile
 __all__ = [
     "Waveform",
     "FrameSequence",
-    "ActivityMask",
     "LabelInterval",
     "window_frames",
     "preemphasize",
@@ -87,19 +86,6 @@ class FrameSequence:
     @property
     def hop_s(self) -> float:
         return self.hop / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
-class ActivityMask:
-    """Per-frame boolean speech-activity flags (True = speech energy present)."""
-
-    flags: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "flags", np.asarray(self.flags, dtype=bool).ravel())
-
-    def __len__(self) -> int:
-        return self.flags.size
 
 
 @dataclass(frozen=True)
@@ -225,13 +211,13 @@ def resample(w: Waveform, target_hz: float) -> Waveform:
     return Waveform(y, float(target_hz))
 
 
-def detect_activity(frames: FrameSequence, threshold_db: float = -40.0) -> ActivityMask:
-    """Energy-based activity: frame RMS in dB relative to the loudest frame."""
+def detect_activity(frames: FrameSequence, threshold_db: float = -40.0) -> np.ndarray:
+    """Energy-based activity, (T,) bool: frame RMS in dB relative to the loudest frame."""
     rms = np.sqrt(np.mean(frames.frames**2, axis=1))
     ref = rms.max() if rms.size else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         db = np.where(rms > 0, 20.0 * np.log10(rms / ref) if ref > 0 else -np.inf, -np.inf)
-    return ActivityMask(db >= threshold_db)
+    return db >= threshold_db
 
 
 def read_label_file(path) -> list[LabelInterval]:
@@ -259,8 +245,8 @@ def activity_from_labels(
     hop: int,
     n_frames: int,
     sample_scale: float = 1.0,
-) -> ActivityMask:
-    """Label-based activity: a frame is silent only if every sample it covers
+) -> np.ndarray:
+    """Label-based activity, (T,) bool: a frame is silent only if every sample it covers
     lies inside an interval labelled with one of ``DEFAULT_SILENCE_LABELS``.
 
     ``sample_scale`` rescales label sample indices (use target_rate/source_rate
@@ -275,4 +261,4 @@ def activity_from_labels(
             hi = min(n_samples, int(round(iv.end_sample * sample_scale)))
             silent[lo:hi] = True
     covered = sliding_window_view(silent, frame_length)[::hop][:n_frames]
-    return ActivityMask(~covered.all(axis=1))
+    return ~covered.all(axis=1)

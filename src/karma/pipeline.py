@@ -237,7 +237,7 @@ def track_waveform(
     else:
         mask = detect_activity(frames, config.energy_threshold_db)
 
-    obs = build_observations(emphasized, config, mask.flags)
+    obs = build_observations(emphasized, config, mask)
     params = make_tracker_params(config, frames.hop_s)
     run = eks_smooth if config.mode == "smooth" else ekf_filter
     return run(obs, params, mask, activation)

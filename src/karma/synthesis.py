@@ -1,10 +1,13 @@
 """Ground-truth-labeled speech-like synthesis.
 
-Waveforms are built by overlap-add: each frame's stochastic or glottal
-source segment is filtered by the second-order resonator cascade for that
-frame's resonance state, windowed, and summed into the output.  The
-synthesizer returns the waveform together with reference tracks aligned to
-its frame grid, so trackers can be scored against exact truth.
+A ``TrajectorySpec`` holds one row per frame: the resonance frequencies
+and bandwidths, which tracks are audible, the excitation source and its
+pitch.  Waveforms are built by overlap-add: each frame's stochastic or
+glottal source segment is filtered by the second-order resonator cascade
+of that frame's audible resonances, windowed, and summed into the output.
+The synthesizer returns the waveform together with reference tracks, the
+spec's columns on the same frame grid, so trackers can be scored against
+exact truth.  Specs round-trip through a per-frame JSON schema.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .pipeline import RunConfig
 from .tracker import TrackResult
 
 __all__ = [
-    "FramePlan",
     "TrajectorySpec",
     "resonator_cascade",
     "resonances_from_arma",
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 SOURCES = ("white_noise", "rosenberg", "silence")
+TRACK_COLUMNS = ("formant_freqs", "formant_bws", "antiformant_freqs", "antiformant_bws")
 
 # Rosenberg glottal pulse phase fractions: polynomial opening, quadratic closing.
 OPEN_FRACTION = 0.40
@@ -52,68 +55,76 @@ MIN_FORMANT_SEPARATION = 150.0
 
 
 @dataclass(frozen=True)
-class FramePlan:
-    """Ground truth for one synthesis frame.
+class TrajectorySpec:
+    """Synthesis plan with one row per frame, plus its framing grid and noise seed.
 
-    ``state`` always carries the full track geometry; ``formant_present``
-    and ``antiformant_present`` say which tracks are audible in this frame
-    (absent tracks keep reference values but do not enter the filter).
+    ``formant_freqs``/``formant_bws`` are (T, I) and ``antiformant_freqs``/
+    ``antiformant_bws`` (T, J), in Hz; ``sources`` (T,) names each frame's
+    excitation and ``f0_hz`` (T,) its pitch, NaN where it has none.
+    ``formant_present``/``antiformant_present`` ((T, I), (T, J), all true when
+    omitted) say which tracks are audible in a frame: absent tracks keep
+    their reference values but do not enter the filter.
     """
 
-    state: ResonanceState
-    source: str = "white_noise"
-    f0_hz: float | None = None
-    formant_present: np.ndarray | None = None
-    antiformant_present: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source == "rosenberg" and (self.f0_hz is None or self.f0_hz <= 0):
-            raise ValueError("rosenberg source needs a positive f0_hz")
-        for name, count in (
-            ("formant_present", self.state.n_formants),
-            ("antiformant_present", self.state.n_antiformants),
-        ):
-            flags = getattr(self, name)
-            flags = np.ones(count, bool) if flags is None else np.asarray(flags, bool)
-            if flags.size != count:
-                raise ValueError(f"{name} length mismatch")
-            object.__setattr__(self, name, flags)
-
-    def audible_state(self) -> ResonanceState:
-        s = self.state
-        return ResonanceState(
-            s.formant_freqs[self.formant_present],
-            s.formant_bws[self.formant_present],
-            s.antiformant_freqs[self.antiformant_present],
-            s.antiformant_bws[self.antiformant_present],
-            s.sample_rate_hz,
-        )
-
-
-@dataclass(frozen=True)
-class TrajectorySpec:
-    """Frame-by-frame synthesis plan with its framing grid and noise seed."""
-
-    frames: list[FramePlan]
+    formant_freqs: np.ndarray
+    formant_bws: np.ndarray
+    antiformant_freqs: np.ndarray
+    antiformant_bws: np.ndarray
+    sources: np.ndarray
     frame_ms: float
     overlap_fraction: float
     sample_rate_hz: float
     seed: int = 0
+    f0_hz: np.ndarray | None = None
+    formant_present: np.ndarray | None = None
+    antiformant_present: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.frames:
-            raise ValueError("spec needs at least one frame")
+        sources = np.asarray(self.sources, dtype=str)
+        if sources.ndim != 1 or sources.size == 0:
+            raise ValueError("spec needs at least one frame, each with one source")
+        unknown = sorted(set(sources.tolist()) - set(SOURCES))
+        if unknown:
+            raise ValueError(f"unknown source {unknown[0]!r}")
+        fs = self.sample_rate_hz
+        if not 0 < fs < np.inf:
+            raise ValueError("sample_rate_hz must be positive and finite")
+        if not (np.isfinite(self.frame_ms) and self.frame_length >= 1):
+            raise ValueError("frame_ms must span at least one sample")
         if not 0 <= self.overlap_fraction < 1:
             raise ValueError("overlap_fraction must be in [0, 1)")
-        counts = {(f.state.n_formants, f.state.n_antiformants) for f in self.frames}
-        if len(counts) != 1:
-            raise ValueError("all frames must share one track geometry")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "sources", sources)
+
+        for kind in ("formant", "antiformant"):
+            freqs = np.asarray(getattr(self, f"{kind}_freqs"), dtype=float)
+            bws = np.asarray(getattr(self, f"{kind}_bws"), dtype=float)
+            present = getattr(self, f"{kind}_present")
+            present = np.ones(freqs.shape, bool) if present is None else np.asarray(present, dtype=bool)
+            if freqs.ndim != 2 or freqs.shape[0] != sources.size or not freqs.shape == bws.shape == present.shape:
+                raise ValueError(f"{kind} columns must be (frames, tracks) arrays of one shape")
+            if not np.all((freqs > 0) & (freqs < fs / 2)):
+                raise ValueError(f"{kind} frequencies must lie in (0, sample_rate_hz/2)")
+            if not np.all(bws > 0):
+                raise ValueError(f"{kind} bandwidths must be positive")
+            object.__setattr__(self, f"{kind}_freqs", freqs)
+            object.__setattr__(self, f"{kind}_bws", bws)
+            object.__setattr__(self, f"{kind}_present", present)
+
+        f0 = np.full(sources.size, np.nan) if self.f0_hz is None else np.asarray(self.f0_hz, dtype=float)
+        if f0.shape != sources.shape:
+            raise ValueError("f0_hz must hold one value per frame")
+        pitched = ~np.isnan(f0)
+        if not np.all((f0[pitched] > 0) & (f0[pitched] < fs / 2)):
+            raise ValueError("f0_hz must lie in (0, sample_rate_hz/2)")
+        if not pitched[sources == "rosenberg"].all():
+            raise ValueError("rosenberg source needs a positive f0_hz")
+        object.__setattr__(self, "f0_hz", f0)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.sources.size
 
     @property
     def frame_length(self) -> int:
@@ -125,11 +136,22 @@ class TrajectorySpec:
 
     @property
     def n_formants(self) -> int:
-        return self.frames[0].state.n_formants
+        return self.formant_freqs.shape[1]
 
     @property
     def n_antiformants(self) -> int:
-        return self.frames[0].state.n_antiformants
+        return self.antiformant_freqs.shape[1]
+
+    def _audible_state(self, t: int) -> ResonanceState:
+        """Frame t's audible tracks, the input to its synthesis filter."""
+        f, a = self.formant_present[t], self.antiformant_present[t]
+        return ResonanceState(
+            self.formant_freqs[t, f],
+            self.formant_bws[t, f],
+            self.antiformant_freqs[t, a],
+            self.antiformant_bws[t, a],
+            self.sample_rate_hz,
+        )
 
 
 def resonator_cascade(x: ResonanceState) -> ArmaModel:
@@ -223,40 +245,34 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     fs = spec.sample_rate_hz
 
     rng = np.random.default_rng(spec.seed)
-    noise = rng.standard_normal(total)
-    f0 = np.array([f.f0_hz if f.f0_hz else 100.0 for f in spec.frames])
-    flow = rosenberg_source(f0, length, fs, hop=hop)
-    # radiated pressure excitation: first difference of the glottal flow
-    voiced = np.empty_like(flow)
-    voiced[0] = flow[0]
-    voiced[1:] = np.diff(flow)
+    excitation = {"white_noise": rng.standard_normal(total)}
+    if (spec.sources == "rosenberg").any():
+        flow = rosenberg_source(np.where(np.isnan(spec.f0_hz), 100.0, spec.f0_hz), length, fs, hop=hop)
+        # radiated pressure excitation: first difference of the glottal flow
+        excitation["rosenberg"] = np.diff(flow, prepend=0.0)
 
     window = sps.get_window("hann", length, fftbins=True)
     out = np.zeros(total)
-    for t, plan in enumerate(spec.frames):
-        if plan.source == "silence":
-            continue
+    speech = spec.sources != "silence"
+    for t in np.flatnonzero(speech):
         start = t * hop
-        seg = noise[start : start + length] if plan.source == "white_noise" else voiced[start : start + length]
-        model = resonator_cascade(plan.audible_state())
-        filtered = sps.lfilter(model.ma_polynomial, model.ar_polynomial, seg)
-        out[start : start + length] += window * filtered
+        model = resonator_cascade(spec._audible_state(t))
+        seg = excitation[spec.sources[t]][start : start + length]
+        out[start : start + length] += window * sps.lfilter(model.ma_polynomial, model.ar_polynomial, seg)
 
     peak = np.abs(out).max()
     if peak > 0:
         out *= 0.9 / peak
 
-    i, j = spec.n_formants, spec.n_antiformants
-    dim = 2 * (i + j)
-    means = np.vstack([f.state.to_vector() for f in spec.frames])
+    dim = 2 * (spec.n_formants + spec.n_antiformants)
     reference = TrackResult(
-        means=means,
+        means=np.hstack([spec.formant_freqs, spec.formant_bws, spec.antiformant_freqs, spec.antiformant_bws]),
         covariances=np.zeros((n_frames, dim, dim)),
-        speech=np.array([f.source != "silence" for f in spec.frames]),
-        formant_active=np.vstack([f.formant_present for f in spec.frames]),
-        antiformant_active=np.vstack([f.antiformant_present for f in spec.frames]).reshape(n_frames, j),
-        n_formants=i,
-        n_antiformants=j,
+        speech=speech,
+        formant_active=spec.formant_present.copy(),
+        antiformant_active=spec.antiformant_present.copy(),
+        n_formants=spec.n_formants,
+        n_antiformants=spec.n_antiformants,
         n_cepstra=0,
         sample_rate_hz=fs,
         hop_s=hop / fs,
@@ -291,7 +307,8 @@ def random_trajectory(
 
     Frequencies stay inside per-formant plausible ranges with ascending
     order and at least 150 Hz separation; bandwidths stay in [40, 250] Hz.
-    Deterministic for a fixed seed.
+    Deterministic for a fixed seed.  A frequency at or above the Nyquist
+    rate is rejected, so four formants need a sample rate of 7.8 kHz or more.
     """
     if n_formants > len(FORMANT_RANGES):
         raise ValueError("no frequency range defined for that many formants")
@@ -325,17 +342,10 @@ def random_trajectory(
         freqs[:, k] = np.maximum(freqs[:, k], floor)
 
     f0 = _smooth_contour(rng, n_frames, hop_s, *F0_RANGE) if source == "rosenberg" else None
-    frames = []
-    for t in range(n_frames):
-        state = ResonanceState(freqs[t], bws[t], [], [], fs)
-        frames.append(
-            FramePlan(
-                state=state,
-                source=source,
-                f0_hz=float(f0[t]) if f0 is not None else None,
-            )
-        )
-    return TrajectorySpec(frames, frame_ms, overlap_fraction, fs, seed=seed)
+    no_tracks = np.zeros((n_frames, 0))
+    return TrajectorySpec(
+        freqs, bws, no_tracks, no_tracks, np.full(n_frames, source), frame_ms, overlap_fraction, fs, seed, f0
+    )
 
 
 def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
@@ -349,7 +359,9 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
     Segment boundaries interpolate linearly over 5 frames; every frequency
     follows a seeded random walk (std 10 Hz per frame) while bandwidths get
     independent per-frame jitter around their nominal values (std 10/3 Hz,
-    floored at 8 Hz) so resonances stay observable.
+    floored at 8 Hz) so resonances stay observable.  A seed whose walk
+    leaves (0, 5000) Hz is rejected with ``ValueError`` (7 of seeds
+    0-2999, the first 155).
     """
     n_segment_frames, transition_frames, walk_std_hz = 25, 5, 10.0
     fs = 10000.0
@@ -394,20 +406,19 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
     )
     anti_freq = anti_f + walk(walk_std_hz)
     anti_bw = np.maximum(anti_b + jitter(walk_std_hz / 3.0), 8.0)
-    f0 = np.linspace(128.0, 96.0, n_frames)
-
-    frames = []
-    for t in range(n_frames):
-        state = ResonanceState(freq_tracks[t], bw_tracks[t], [anti_freq[t]], [anti_bw[t]], fs)
-        frames.append(
-            FramePlan(
-                state=state,
-                source="rosenberg",
-                f0_hz=float(f0[t]),
-                antiformant_present=np.array([segment[t] == 0]),
-            )
-        )
-    return TrajectorySpec(frames, frame_ms=100.0, overlap_fraction=0.5, sample_rate_hz=fs, seed=seed)
+    return TrajectorySpec(
+        freq_tracks,
+        bw_tracks,
+        anti_freq[:, None],
+        anti_bw[:, None],
+        np.full(n_frames, "rosenberg"),
+        frame_ms=100.0,
+        overlap_fraction=0.5,
+        sample_rate_hz=fs,
+        seed=seed,
+        f0_hz=np.linspace(128.0, 96.0, n_frames),
+        antiformant_present=(segment == 0)[:, None],
+    )
 
 
 def nasal_demo_config() -> RunConfig:
@@ -429,22 +440,17 @@ def nasal_demo_config() -> RunConfig:
 
 
 def spec_to_json(spec: TrajectorySpec) -> dict:
-    """Plain-dict form of a trajectory spec (schema documented in README)."""
+    """Plain-dict form of a trajectory spec, one entry per frame (schema documented in README)."""
     frames = []
-    for f in spec.frames:
-        entry = {
-            "source": f.source,
-            "formant_freqs": f.state.formant_freqs.tolist(),
-            "formant_bws": f.state.formant_bws.tolist(),
-            "antiformant_freqs": f.state.antiformant_freqs.tolist(),
-            "antiformant_bws": f.state.antiformant_bws.tolist(),
-        }
-        if f.f0_hz is not None:
-            entry["f0_hz"] = f.f0_hz
-        if not f.formant_present.all():
-            entry["formant_present"] = f.formant_present.tolist()
-        if not f.antiformant_present.all():
-            entry["antiformant_present"] = f.antiformant_present.tolist()
+    for t, source in enumerate(spec.sources.tolist()):
+        entry = {"source": source}
+        for key in TRACK_COLUMNS:
+            entry[key] = getattr(spec, key)[t].tolist()
+        if not np.isnan(spec.f0_hz[t]):
+            entry["f0_hz"] = float(spec.f0_hz[t])
+        for key in ("formant_present", "antiformant_present"):
+            if not getattr(spec, key)[t].all():
+                entry[key] = getattr(spec, key)[t].tolist()
         frames.append(entry)
     return {
         "sample_rate_hz": spec.sample_rate_hz,
@@ -456,34 +462,27 @@ def spec_to_json(spec: TrajectorySpec) -> dict:
 
 
 def spec_from_json(data: dict) -> TrajectorySpec:
+    """Columnar spec from the per-frame dict form; a malformed one raises ``ValueError``."""
     try:
-        fs = float(data["sample_rate_hz"])
-        frames = []
-        for entry in data["frames"]:
-            state = ResonanceState(
-                entry.get("formant_freqs", []),
-                entry.get("formant_bws", []),
-                entry.get("antiformant_freqs", []),
-                entry.get("antiformant_bws", []),
-                fs,
-            )
-            frames.append(
-                FramePlan(
-                    state=state,
-                    source=entry.get("source", "white_noise"),
-                    f0_hz=entry.get("f0_hz"),
-                    formant_present=entry.get("formant_present"),
-                    antiformant_present=entry.get("antiformant_present"),
-                )
-            )
+        frames = data["frames"]
+
+        def column(key, default, dtype=float):
+            return np.array([entry.get(key, default) for entry in frames], dtype=dtype)
+
+        tracks = {key: column(key, []) for key in TRACK_COLUMNS}
+        n_formants, n_antiformants = tracks["formant_freqs"].shape[-1], tracks["antiformant_freqs"].shape[-1]
         return TrajectorySpec(
-            frames=frames,
+            **tracks,
+            sources=column("source", "white_noise", str),
             frame_ms=float(data["frame_ms"]),
             overlap_fraction=float(data["overlap_fraction"]),
-            sample_rate_hz=fs,
-            seed=int(data.get("seed", 0)),
+            sample_rate_hz=float(data["sample_rate_hz"]),
+            seed=data.get("seed", 0),
+            f0_hz=column("f0_hz", None),
+            formant_present=column("formant_present", [True] * n_formants, bool),
+            antiformant_present=column("antiformant_present", [True] * n_antiformants, bool),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"invalid trajectory spec: {exc}") from exc
 
 

@@ -32,7 +32,6 @@ import numpy as np
 from scipy.linalg.lapack import dposv
 
 from .cepstrum import CepstralObservation
-from .frontend import ActivityMask
 
 __all__ = [
     "TrackerParams",
@@ -178,7 +177,7 @@ class LinearObservation:
 def _speech_flags(mask, n_frames: int) -> np.ndarray:
     if mask is None:
         return np.ones(n_frames, dtype=bool)
-    flags = mask.flags if isinstance(mask, ActivityMask) else np.asarray(mask, dtype=bool)
+    flags = np.asarray(mask, dtype=bool)
     if flags.size != n_frames:
         raise ValueError("activity mask length does not match observation count")
     return flags

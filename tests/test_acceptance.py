@@ -21,7 +21,6 @@ from karma.frontend import Waveform
 from karma.particle import ekf_pf_benchmark
 from karma.pipeline import RunConfig, track_waveform
 from karma.synthesis import (
-    FramePlan,
     TrajectorySpec,
     nasal_demo_config,
     random_trajectory,
@@ -252,24 +251,22 @@ def test_criterion_10_antiformant_observability(nasal_run):
     nasal_var = float(res8.variances[nasal, af_var_col].mean())
     demo_vowel_var = float(res8.variances[~nasal, af_var_col].mean())
 
+    # the vowel formants jitter around (850, 1500) Hz, drawn frame by frame, F1 before F2
     rng = np.random.default_rng(11)
-    f0 = np.linspace(128.0, 96.0, 75)
-    frames = [
-        FramePlan(
-            state=ResonanceState(
-                [850.0 + rng.normal(0, 3), 1500.0 + rng.normal(0, 3)],
-                [80.0, 120.0],
-                [1223.0],
-                [52.0],
-                10000.0,
-            ),
-            source="rosenberg",
-            f0_hz=float(f0[t]),
-            antiformant_present=np.array([False]),
-        )
-        for t in range(75)
-    ]
-    wave, _ = synthesize(TrajectorySpec(frames, 100.0, 0.5, 10000.0, seed=33))
+    vowel = TrajectorySpec(
+        np.array([850.0, 1500.0]) + rng.normal(0.0, 3.0, (75, 2)),
+        np.tile([80.0, 120.0], (75, 1)),
+        np.full((75, 1), 1223.0),
+        np.full((75, 1), 52.0),
+        np.full(75, "rosenberg"),
+        100.0,
+        0.5,
+        10000.0,
+        seed=33,
+        f0_hz=np.linspace(128.0, 96.0, 75),
+        antiformant_present=np.zeros((75, 1), bool),
+    )
+    wave, _ = synthesize(vowel)
     res_vowel = track_waveform(wave, nasal_demo_config())
     vowel_var = float(res_vowel.variances[:, af_var_col].mean())
     report(10, vowel_var > nasal_var,

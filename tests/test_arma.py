@@ -369,14 +369,23 @@ class TestEstimateArma:
 
     def test_nasal_frame_has_spectral_valley(self):
         """An ARMA(16,4) fit of a synthesized nasal frame shows the zero."""
-        from karma.cepstrum import ResonanceState
-        from karma.synthesis import FramePlan, TrajectorySpec, synthesize
+        from karma.synthesis import TrajectorySpec, synthesize
         from karma.frontend import window_frames, preemphasize
 
         fs = 10000.0
-        state = ResonanceState([257.0, 1891.0], [32.0, 100.0], [1223.0], [52.0], fs)
-        plans = [FramePlan(state=state, source="rosenberg", f0_hz=110.0) for _ in range(9)]
-        wave, _ = synthesize(TrajectorySpec(plans, 100.0, 0.5, fs, seed=2))
+        spec = TrajectorySpec(
+            np.tile([257.0, 1891.0], (9, 1)),
+            np.tile([32.0, 100.0], (9, 1)),
+            np.full((9, 1), 1223.0),
+            np.full((9, 1), 52.0),
+            np.full(9, "rosenberg"),
+            100.0,
+            0.5,
+            fs,
+            seed=2,
+            f0_hz=np.full(9, 110.0),
+        )
+        wave, _ = synthesize(spec)
         frames = window_frames(wave, 100.0, 0.5, "hamming")
         emph = preemphasize(frames.frames, 0.7)
         m = estimate_arma(emph[4], 16, 4)
@@ -633,7 +642,7 @@ class TestArmaObservations:
         spec = random_trajectory(4, 10.0, seed=101, sample_rate_hz=16000.0, source="rosenberg")
         config = RunConfig()
         framed = window_frames(resample(synthesize(spec)[0], config.target_sample_rate_hz), 20.0, 0.5, "hamming")
-        speech = detect_activity(framed, config.energy_threshold_db).flags
+        speech = detect_activity(framed, config.energy_threshold_db)
         build_observations(preemphasize(framed.frames, config.gamma), config, speech)
         assert factored == []
 

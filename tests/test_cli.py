@@ -217,10 +217,54 @@ class TestSynthCommand:
     def test_missing_spec_exits_2(self, capsys):
         assert main(["synth", "does-not-exist.json"]) == 2
 
-    def test_schema_violation_exits_2(self, tmp_path):
+    VALID_SPEC = {
+        "sample_rate_hz": 8000.0,
+        "frame_ms": 20.0,
+        "overlap_fraction": 0.5,
+        "seed": 3,
+        "frames": [{"source": "rosenberg", "f0_hz": 120.0, "formant_freqs": [600.0], "formant_bws": [90.0]}] * 3,
+    }
+
+    def test_valid_spec_exits_0(self, tmp_path):
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(self.VALID_SPEC))
+        assert main(["synth", str(path), "--out", str(tmp_path / "good.wav")]) == 0
+
+    @pytest.mark.parametrize(
+        "top, frame",
+        [
+            ({"frames": []}, {}),
+            ({"frames": [5]}, {}),
+            ({"frame_ms": 0.01}, {}),
+            ({}, {"f0_hz": 4000.0}),
+            ({"sample_rate_hz": 0}, {}),
+            ({}, {"formant_freqs": [float("nan")]}),
+            ({"seed": -1}, {}),
+            ({}, {"formant_freqs": [5000.0]}),
+            ({}, {"formant_bws": [-80.0]}),
+            ({"seed": 1.9}, {}),
+        ],
+        ids=[
+            "no_frames",
+            "frame_not_object",
+            "frame_below_one_sample",
+            "f0_at_nyquist",
+            "zero_sample_rate",
+            "nan_frequency",
+            "negative_seed",
+            "formant_above_nyquist",
+            "negative_bandwidth",
+            "fractional_seed",
+        ],
+    )
+    def test_schema_violation_exits_2(self, tmp_path, capsys, top, frame):
+        spec = {**self.VALID_SPEC, **top}
+        spec["frames"] = [{**entry, **frame} if isinstance(entry, dict) else entry for entry in spec["frames"]]
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"frames": []}))
-        assert main(["synth", str(bad)]) == 2
+        bad.write_text(json.dumps(spec))
+        assert main(["synth", str(bad), "--out", str(tmp_path / "bad.wav")]) == 2
+        assert "bad spec" in capsys.readouterr().err
+        assert not (tmp_path / "bad.wav").exists()
 
 
 class TestEvalCommand:

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from karma.evaluation import _header, read_tracks, read_vtr_matrix, rmse, write_tracks
-from karma.frontend import ActivityMask
 from karma.tracker import TrackResult
 
 
@@ -84,7 +83,7 @@ class TestRmse:
         est_means = ref.means.copy()
         est_means[5:, 0] += 100.0
         est = make_result(est_means)
-        mask = ActivityMask(np.r_[np.ones(5, bool), np.zeros(5, bool)])
+        mask = np.r_[np.ones(5, bool), np.zeros(5, bool)]
         report = rmse(est, ref, mask=mask)
         assert report.overall == 0.0
         assert report.frames_counted == 5

@@ -287,9 +287,11 @@ class TestTrackWaveform:
 def filter_prefix_runs(source, observation_source):
     """Filter-mode runs on a 4 s, 7 kHz utterance and on its first half, labelled all speech.
 
-    Labels fix the activity mask, so only the tracker could look ahead.
+    Labels fix the activity mask, so only the tracker could look ahead.  The
+    utterance has three formants, as many as the default config tracks: a
+    fourth would reach 3770 Hz on this seed, above the 3.5 kHz Nyquist rate.
     """
-    spec = random_trajectory(4, 4.0, seed=5, sample_rate_hz=7000.0, source=source)
+    spec = random_trajectory(3, 4.0, seed=5, sample_rate_hz=7000.0, source=source)
     wave, _ = synthesize(spec)
     half = Waveform(wave.samples[: wave.samples.size // 2], wave.sample_rate_hz)
     config = RunConfig(mode="filter", observation_source=observation_source)

@@ -1,4 +1,4 @@
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from scipy import signal as sps
 
 from karma.cepstrum import ResonanceState, arma_to_cepstrum, state_to_cepstrum
 from karma.synthesis import (
-    FramePlan,
     TrajectorySpec,
     load_spec,
     nasal_utterance_spec,
@@ -19,6 +18,23 @@ from karma.synthesis import (
     spec_to_json,
     synthesize,
 )
+
+
+def constant_spec(formants, n_frames, source, frame_ms, fs, seed=0, f0_hz=None):
+    """A spec with the same (frequency, bandwidth) formant pairs on every frame."""
+    freqs, bws = np.array(formants, dtype=float).T
+    return TrajectorySpec(
+        np.tile(freqs, (n_frames, 1)),
+        np.tile(bws, (n_frames, 1)),
+        np.zeros((n_frames, 0)),
+        np.zeros((n_frames, 0)),
+        np.full(n_frames, source),
+        frame_ms,
+        0.5,
+        fs,
+        seed,
+        None if f0_hz is None else np.full(n_frames, f0_hz),
+    )
 
 
 class TestResonatorCascade:
@@ -100,19 +116,11 @@ class TestRosenbergSource:
 
 class TestSynthesize:
     def vowel_spec(self, n_frames=8, seed=0, source="white_noise"):
-        fs = 10000.0
-        state = ResonanceState([600.0, 1600.0], [80.0, 120.0], [], [], fs)
-        plans = [
-            FramePlan(state=state, source=source, f0_hz=110.0 if source == "rosenberg" else None)
-            for _ in range(n_frames)
-        ]
-        return TrajectorySpec(plans, 40.0, 0.5, fs, seed=seed)
+        f0_hz = 110.0 if source == "rosenberg" else None
+        return constant_spec([(600.0, 80.0), (1600.0, 120.0)], n_frames, source, 40.0, 10000.0, seed, f0_hz)
 
     def test_all_silence_gives_zero_waveform(self):
-        fs = 8000.0
-        state = ResonanceState([500.0], [100.0], [], [], fs)
-        plans = [FramePlan(state=state, source="silence") for _ in range(5)]
-        wave, ref = synthesize(TrajectorySpec(plans, 20.0, 0.5, fs, seed=1))
+        wave, ref = synthesize(constant_spec([(500.0, 100.0)], 5, "silence", 20.0, 8000.0, seed=1))
         assert np.all(wave.samples == 0.0)
         assert not ref.speech.any()
 
@@ -132,11 +140,9 @@ class TestSynthesize:
 
     def test_spectral_peaks_at_formants(self):
         fs = 10000.0
-        state = ResonanceState([700.0, 2000.0], [60.0, 90.0], [], [], fs)
         psd_acc = None
         for seed in range(100):
-            plans = [FramePlan(state=state, source="white_noise")]
-            wave, _ = synthesize(TrajectorySpec(plans, 100.0, 0.5, fs, seed=seed))
+            wave, _ = synthesize(constant_spec([(700.0, 60.0), (2000.0, 90.0)], 1, "white_noise", 100.0, fs, seed))
             f, psd = sps.periodogram(wave.samples, fs=fs)
             psd_acc = psd if psd_acc is None else psd_acc + psd
         for target in (700.0, 2000.0):
@@ -167,7 +173,7 @@ class TestSynthesize:
         assert spec.n_frames == 75
         assert spec.sample_rate_hz == 10000.0
         assert spec.frame_length == 1000 and spec.hop == 500
-        active = np.array([f.antiformant_present[0] for f in spec.frames])
+        active = spec.antiformant_present[:, 0]
         assert active[:25].all() and active[50:].all()
         assert not active[25:50].any()
 
@@ -176,51 +182,89 @@ class TestRandomTrajectory:
     def test_deterministic(self):
         a = random_trajectory(3, 1.0, seed=4, sample_rate_hz=16000.0)
         b = random_trajectory(3, 1.0, seed=4, sample_rate_hz=16000.0)
-        for fa, fb in zip(a.frames, b.frames):
-            assert np.array_equal(fa.state.formant_freqs, fb.state.formant_freqs)
+        assert np.array_equal(a.formant_freqs, b.formant_freqs)
+        assert np.array_equal(a.formant_bws, b.formant_bws)
 
     def test_ordering_and_separation(self):
         for seed in range(20):
             spec = random_trajectory(3, 1.0, seed=seed, sample_rate_hz=16000.0)
-            for f in spec.frames:
-                freqs = f.state.formant_freqs
-                assert np.all(np.diff(freqs) >= 150.0 - 1e-9)
+            assert np.all(np.diff(spec.formant_freqs, axis=1) >= 150.0 - 1e-9)
 
     def test_frequencies_below_nyquist(self):
         spec = random_trajectory(4, 5.0, seed=1, sample_rate_hz=16000.0)
-        for f in spec.frames:
-            assert np.all(f.state.formant_freqs < 8000.0)
-            assert np.all((f.state.formant_bws >= 40.0) & (f.state.formant_bws <= 250.0))
+        assert np.all(spec.formant_freqs < 8000.0)
+        assert np.all((spec.formant_bws >= 40.0) & (spec.formant_bws <= 250.0))
 
     def test_voiced_variant_has_f0(self):
         spec = random_trajectory(3, 0.5, seed=2, sample_rate_hz=16000.0, source="rosenberg")
-        assert all(90.0 <= f.f0_hz <= 220.0 for f in spec.frames)
+        assert np.all((spec.f0_hz >= 90.0) & (spec.f0_hz <= 220.0))
 
 
 class TestSpecSerialization:
     def test_json_roundtrip(self, tmp_path):
-        spec = nasal_utterance_spec()
-        path = tmp_path / "spec.json"
-        save_spec(spec, path)
-        back = load_spec(path)
-        assert back.n_frames == spec.n_frames
-        assert back.sample_rate_hz == spec.sample_rate_hz
-        for fa, fb in zip(spec.frames, back.frames):
-            assert np.allclose(fa.state.to_vector(), fb.state.to_vector())
-            assert np.array_equal(fa.antiformant_present, fb.antiformant_present)
-            assert fa.source == fb.source
+        voiced = random_trajectory(3, 0.5, seed=2, sample_rate_hz=16000.0, source="rosenberg")
+        for spec in (nasal_utterance_spec(), voiced):
+            path = tmp_path / "spec.json"
+            save_spec(spec, path)
+            back = load_spec(path)
+            for field in dataclasses.fields(TrajectorySpec):
+                a, b = np.asarray(getattr(spec, field.name)), np.asarray(getattr(back, field.name))
+                assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f"), field.name
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError, match="invalid trajectory spec"):
             spec_from_json({"frames": [{}]})
 
     def test_bad_source_rejected(self):
-        fs = 8000.0
-        state = ResonanceState([500.0], [80.0], [], [], fs)
         with pytest.raises(ValueError, match="unknown source"):
-            FramePlan(state=state, source="square_wave")
+            constant_spec([(500.0, 80.0)], 1, "square_wave", 20.0, 8000.0)
 
     def test_rosenberg_requires_f0(self):
-        state = ResonanceState([500.0], [80.0], [], [], 8000.0)
         with pytest.raises(ValueError, match="f0"):
-            FramePlan(state=state, source="rosenberg")
+            constant_spec([(500.0, 80.0)], 1, "rosenberg", 20.0, 8000.0)
+
+
+class TestSpecValidation:
+    BASE = constant_spec([(500.0, 80.0), (1500.0, 120.0)], 3, "rosenberg", 20.0, 8000.0, seed=3, f0_hz=120.0)
+
+    # cases beyond the malformed spec files that test_cli feeds to ``karma synth``
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"sample_rate_hz": np.nan}, "sample_rate_hz"),
+            ({"frame_ms": np.inf}, "frame_ms"),
+            ({"overlap_fraction": 1.0}, "overlap_fraction"),
+            ({"formant_freqs": np.tile([500.0, 4000.0], (3, 1))}, "frequencies"),
+            ({"formant_freqs": np.tile([0.0, 1500.0], (3, 1))}, "frequencies"),
+            ({"antiformant_freqs": np.full((3, 1), 1200.0)}, "antiformant columns"),
+            ({"formant_present": np.ones((3, 1), bool)}, "formant columns"),
+            ({"formant_freqs": np.array([500.0, 1500.0])}, "formant columns"),
+            ({"f0_hz": np.full(2, 120.0)}, "f0_hz"),
+            ({"f0_hz": np.array([120.0, np.nan, 120.0])}, "rosenberg"),
+        ],
+        ids=[
+            "nan_rate",
+            "infinite_frame",
+            "full_overlap",
+            "formant_at_nyquist",
+            "zero_frequency",
+            "antiformant_without_bandwidth",
+            "presence_shape",
+            "one_dimensional_column",
+            "f0_length",
+            "rosenberg_frame_without_f0",
+        ],
+    )
+    def test_rejected(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(self.BASE, **change)
+
+    def test_white_noise_frames_need_no_f0(self):
+        spec = dataclasses.replace(
+            self.BASE,
+            sources=np.array(["white_noise", "silence", "rosenberg"]),
+            f0_hz=np.array([np.nan, np.nan, 120.0]),
+        )
+        wave, ref = synthesize(spec)
+        assert ref.speech.tolist() == [True, False, True]
+        assert np.all(np.isfinite(wave.samples))
