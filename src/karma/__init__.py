@@ -7,16 +7,9 @@ uncertainties.  A synthesis harness with exact ground truth and a particle
 filter oracle support verification.
 """
 
-from .arma import ArmaModel, enforce_minimum_phase, estimate_ar, estimate_arma
-from .cepstrum import (
-    CepstralVector,
-    ResonanceState,
-    arma_to_cepstrum,
-    cepstrum_jacobian,
-    real_cepstrum,
-    state_to_cepstrum,
-)
-from .evaluation import RmseReport, read_tracks, read_vtr_matrix, rmse, write_tracks
+from .arma import ArmaModel, estimate_ar, estimate_arma
+from .cepstrum import arma_to_cepstrum, real_cepstrum
+from .evaluation import RmseReport, read_tracks, rmse, write_tracks
 from .frontend import (
     FrameSequence,
     Waveform,

@@ -11,7 +11,9 @@ followed by damped Gauss-Newton refinement of the one-step prediction
 error, with both polynomials root-reflected into the unit circle at the end.
 
 ``_minimum_phase_rows`` is the one minimum-phase check, which
-``ArmaModel.is_minimum_phase`` and ``cepstrum.arma_cepstra`` both call.
+``cepstrum.arma_cepstra`` calls on every stack of fits; ``_reflect_rows``
+is the one root reflection.  ``ArmaModel`` is the one-frame result of
+``estimate_ar`` and ``estimate_arma``; the batched fits return arrays.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "fit_arma_frames",
     "estimate_ar",
     "estimate_arma",
-    "enforce_minimum_phase",
 ]
 
 MAX_ROOT_RADIUS = 1.0 - 1e-6  # post-fit clip keeps the cepstral recursion stable
@@ -73,16 +74,6 @@ class ArmaModel:
 
     def zeros(self) -> np.ndarray:
         return np.roots(self.ma_polynomial) if self.q else np.zeros(0, dtype=complex)
-
-    def is_minimum_phase(self, tol: float = 0.0) -> bool:
-        """All poles and zeros strictly inside radius ``1 - tol``: the
-        one-row call of ``_minimum_phase_rows``."""
-        return bool(_minimum_phase_rows(self.ar[None, :], self.ma[None, :], 1.0 - tol)[0])
-
-    def log_magnitude(self, n_points: int = 512) -> np.ndarray:
-        """log |T(e^jw)| on an n_points grid over [0, pi)."""
-        w, h = sps.freqz(self.ma_polynomial, self.ar_polynomial, worN=n_points)
-        return np.log(np.abs(h) + 1e-300)
 
 
 def _autocorrelation(frames: np.ndarray, max_lag: int) -> np.ndarray:
@@ -248,17 +239,6 @@ def _reflect_rows(polys: np.ndarray, clip_radius: float) -> np.ndarray:
             product = np.convolve(product, np.array([1, -r], dtype=factors.dtype))
         out[t] = product.real
     return out
-
-
-def enforce_minimum_phase(m: ArmaModel, clip_radius: float = 1.0 - 1e-9) -> ArmaModel:
-    """Replace every root r with |r| >= 1 by 1/conj(r).
-
-    The magnitude spectrum is unchanged up to a constant gain, which is
-    irrelevant for cepstral coefficients beyond the zeroth.
-    """
-    ar_poly = _reflect_rows(m.ar_polynomial[None, :], clip_radius)
-    ma_poly = _reflect_rows(m.ma_polynomial[None, :], clip_radius)
-    return ArmaModel(-ar_poly[0, 1:], ma_poly[0, 1:], m.noise_variance, m.converged)
 
 
 _STEP_SCALES = 2.0 ** -np.arange(11)  # Gauss-Newton step halving

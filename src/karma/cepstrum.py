@@ -1,7 +1,8 @@
 """Cepstral mappings used as tracking observations.
 
 Three routes produce comparable cepstral coefficients C_1..C_N (the zeroth
-coefficient, pure gain, is always excluded):
+coefficient, pure gain, is always excluded), each as a plain (N,) array or
+a (T, N) stack of them:
 
 * ``arma_cepstra`` -- exact log-series recursion from fitted ARMA
   coefficients, a stack of models at a time, valid for minimum-phase
@@ -15,13 +16,12 @@ coefficient, pure gain, is always excluded):
   one column gather of their real view and one multiply by per-column
   scales.
   The powers come from one of two kernels, chosen by caller, with no
-  size threshold.  ``linearize``, the EKF's one call per speech frame and
-  the route of ``cepstrum_jacobian``, forms one state's powers in closed
-  form, z^n = exp(n log z): at N = 15 and three resonances a call takes
-  about half as long as through the running product (12-17 against
-  22-34 us over two runs, one BLAS thread, a 2-CPU x86-64 host).
-  ``value``, which serves particle stacks and ``state_to_cepstrum``,
-  keeps the running product, about 10x faster than the closed form on a
+  size threshold.  ``linearize``, the EKF's one call per speech frame,
+  forms one state's powers in closed form, z^n = exp(n log z): at N = 15
+  and three resonances a call takes about half as long as through the
+  running product (12-17 against 22-34 us over two runs, one BLAS thread,
+  a 2-CPU x86-64 host).  ``value``, which serves particle stacks, keeps
+  the running product, about 10x faster than the closed form on a
   1000-state stack (0.2-0.3 ms against 2.5 ms).  A stack's h matches the
   one-state ``linearize`` to 1e-12, not bit for bit; each state of a
   stack gets the same bits as its own ``value`` call.  The running
@@ -34,91 +34,13 @@ coefficient, pure gain, is always excluded):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arma import ArmaModel, _minimum_phase_rows
 
-__all__ = [
-    "CepstralVector",
-    "ResonanceState",
-    "CepstralObservation",
-    "arma_cepstra",
-    "arma_to_cepstrum",
-    "state_to_cepstrum",
-    "cepstrum_jacobian",
-    "real_cepstrum",
-]
+__all__ = ["CepstralObservation", "arma_cepstra", "arma_to_cepstrum", "real_cepstrum"]
 
 _FFT_BLOCK = 256  # frames per batched FFT in _real_cepstra
-
-
-@dataclass(frozen=True)
-class CepstralVector:
-    """Cepstral coefficients C_1..C_N (index 1-based, C_0 excluded)."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if coeffs.size < 1:
-            raise ValueError("need at least one coefficient")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("non-finite cepstral coefficients")
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size
-
-    def __getitem__(self, n: int) -> float:
-        """1-based access: self[n] is C_n."""
-        if not 1 <= n <= self.order:
-            raise IndexError("cepstral index is 1-based")
-        return float(self.coeffs[n - 1])
-
-
-@dataclass(frozen=True)
-class ResonanceState:
-    """Tracked resonance parameters: frequency/bandwidth pairs in Hz.
-
-    Layout matches the tracker state vector:
-    (f_1..f_I, b_1..b_I, f'_1..f'_J, b'_1..b'_J).
-    """
-
-    formant_freqs: np.ndarray
-    formant_bws: np.ndarray
-    antiformant_freqs: np.ndarray
-    antiformant_bws: np.ndarray
-    sample_rate_hz: float
-
-    def __post_init__(self):
-        for name in ("formant_freqs", "formant_bws", "antiformant_freqs", "antiformant_bws"):
-            object.__setattr__(self, name, np.atleast_1d(np.asarray(getattr(self, name), dtype=float)))
-        if self.formant_freqs.size != self.formant_bws.size:
-            raise ValueError("formant frequency/bandwidth counts differ")
-        if self.antiformant_freqs.size != self.antiformant_bws.size:
-            raise ValueError("antiformant frequency/bandwidth counts differ")
-
-    @property
-    def n_formants(self) -> int:
-        return self.formant_freqs.size
-
-    @property
-    def n_antiformants(self) -> int:
-        return self.antiformant_freqs.size
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.formant_freqs, self.formant_bws, self.antiformant_freqs, self.antiformant_bws]
-        )
-
-    @classmethod
-    def from_vector(cls, vec, n_formants: int, n_antiformants: int, sample_rate_hz: float):
-        vec = np.asarray(vec, dtype=float)
-        i, j = n_formants, n_antiformants
-        return cls(vec[:i], vec[i : 2 * i], vec[2 * i : 2 * i + j], vec[2 * i + j :], sample_rate_hz)
 
 
 def _log_inverse_series(a: np.ndarray, n_coeffs: int) -> np.ndarray:
@@ -159,10 +81,9 @@ def arma_cepstra(ar: np.ndarray, ma: np.ndarray, n_coeffs: int) -> np.ndarray:
     return c
 
 
-def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> CepstralVector:
-    """Exact cepstrum of one minimum-phase ARMA model (see ``arma_cepstra``)."""
-    c = arma_cepstra(m.ar[None, :], m.ma[None, :], n_coeffs)
-    return CepstralVector(c[0])
+def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> np.ndarray:
+    """Exact cepstrum C_1..C_N (N,) of one minimum-phase ARMA model (see ``arma_cepstra``)."""
+    return arma_cepstra(m.ar[None, :], m.ma[None, :], n_coeffs)[0]
 
 
 def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
@@ -203,9 +124,11 @@ def _powers_cepstrum(powers, signs, weights):
 class CepstralObservation:
     """Observation model mapping a state vector to N cepstral coefficients.
 
-    The state is laid out as ``ResonanceState.to_vector``.  Inactive tracks
-    are dropped from the sum and their Jacobian columns are zero, which is
-    how the tracker omits a track from the state.
+    The state vector holds the I formant frequencies, then their I
+    bandwidths, then the J antiformant frequencies and their J bandwidths,
+    all in Hz: (f_1..f_I, b_1..b_I, f'_1..f'_J, b'_1..b'_J).  Inactive
+    tracks are dropped from the sum and their Jacobian columns are zero,
+    which is how the tracker omits a track from the state.
     """
 
     def __init__(self, n_formants: int, n_antiformants: int, n_cepstra: int, sample_rate_hz: float):
@@ -304,24 +227,11 @@ class CepstralObservation:
         return lo, hi
 
 
-def state_to_cepstrum(x: ResonanceState, n_coeffs: int) -> CepstralVector:
-    """Closed-form cepstrum of a resonance state:
-
-    C_n = (2/n) sum_i exp(-pi n b_i / fs) cos(2 pi n f_i / fs)
-        - (2/n) sum_j exp(-pi n b'_j / fs) cos(2 pi n f'_j / fs),
-
-    evaluated as (2/n) Re z^n over the poles z = exp((-pi b + 2 pi i f) / fs).
-    """
-    model = CepstralObservation(x.n_formants, x.n_antiformants, n_coeffs, x.sample_rate_hz)
-    return CepstralVector(model.value(x.to_vector()))
-
-
-def cepstrum_jacobian(x: ResonanceState, n_coeffs: int) -> np.ndarray:
-    """Analytic Jacobian of ``state_to_cepstrum``: N rows by 2I + 2J columns,
-    columns ordered as the state vector (formant freqs, formant bws,
-    antiformant freqs, antiformant bws)."""
-    model = CepstralObservation(x.n_formants, x.n_antiformants, n_coeffs, x.sample_rate_hz)
-    return model.linearize(x.to_vector())[1]
+def _fft_size(frame_length: int) -> int:
+    """FFT size of the real-cepstrum route: the next power of two at least
+    4x the frame length, and at least 8.  It yields at most this size
+    minus one cepstral coefficients."""
+    return 1 << max(int(np.ceil(np.log2(4 * frame_length))), 3)
 
 
 def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.ndarray:
@@ -331,8 +241,7 @@ def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.nda
     frames, so neither a copy of the selected frames nor the complex
     spectra of a long input ever exist all at once.
     """
-    n = frames.shape[1]
-    nfft = 1 << max(int(np.ceil(np.log2(4 * n))), 3)
+    nfft = _fft_size(frames.shape[1])
     out = np.empty((len(rows), min(n_coeffs, nfft - 1)))
     for lo in range(0, len(rows), _FFT_BLOCK):
         spec = np.abs(np.fft.rfft(frames[rows[lo : lo + _FFT_BLOCK]], nfft, axis=1))
@@ -342,15 +251,20 @@ def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.nda
     return out
 
 
-def real_cepstrum(frame: np.ndarray, n_coeffs: int) -> CepstralVector:
-    """Nonparametric cepstrum from the log magnitude spectrum of the frame.
+def real_cepstrum(frame: np.ndarray, n_coeffs: int) -> np.ndarray:
+    """Nonparametric cepstrum C_1..C_N (N,) from the log magnitude spectrum of the frame.
 
     Coefficients 1..N are doubled so that, for a minimum-phase frame, they
     line up with the one-sided cepstra produced by the parametric routes.
-    The FFT size is the next power of two at least 4x the frame length and
-    the log argument is floored at 1e-12 of the spectral maximum.
+    The FFT size is ``_fft_size`` of the frame length and the log argument
+    is floored at 1e-12 of the spectral maximum.  A frame that is all zero
+    or holds a NaN or infinite sample raises ``ValueError``.
     """
     x = np.asarray(frame, dtype=float).ravel()
+    if n_coeffs < 1:
+        raise ValueError("need at least one coefficient")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite samples")
     if not np.any(x):
         raise ValueError("undefined log spectrum")
-    return CepstralVector(_real_cepstra(x[None, :], [0], n_coeffs)[0])
+    return _real_cepstra(x[None, :], [0], n_coeffs)[0]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .tracker import TrackResult, _speech_flags
 
-__all__ = ["RmseReport", "rmse", "write_tracks", "read_tracks", "read_vtr_matrix"]
+__all__ = ["RmseReport", "rmse", "write_tracks", "read_tracks"]
 
 
 @dataclass(frozen=True)
@@ -179,40 +179,3 @@ def read_tracks(path) -> TrackResult:
         hop_s=hop_s,
     )
 
-
-def read_vtr_matrix(path, n_tracks: int = 4, hop_s: float = 0.01) -> TrackResult:
-    """Read a reference-database-style matrix of per-frame tracks.
-
-    Each row holds ``n_tracks`` center frequencies followed by ``n_tracks``
-    bandwidths, all in kHz, whitespace or comma separated.  Values are
-    returned in Hz.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.replace(",", " ").split()
-            if not parts:
-                continue
-            if len(parts) != 2 * n_tracks:
-                raise ValueError(f"line {lineno}: expected {2 * n_tracks} values")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: malformed value") from exc
-    if not rows:
-        raise ValueError("no frames")
-    data = np.asarray(rows) * 1000.0  # kHz to Hz
-    n_frames = data.shape[0]
-    means = np.hstack([data[:, :n_tracks], data[:, n_tracks:]])
-    return TrackResult(
-        means=means,
-        covariances=np.zeros((n_frames, 2 * n_tracks, 2 * n_tracks)),
-        speech=np.ones(n_frames, dtype=bool),
-        formant_active=np.ones((n_frames, n_tracks), dtype=bool),
-        antiformant_active=np.ones((n_frames, 0), dtype=bool),
-        n_formants=n_tracks,
-        n_antiformants=0,
-        n_cepstra=0,
-        sample_rate_hz=0.0,
-        hop_s=hop_s,
-    )

@@ -21,6 +21,7 @@ __all__ = [
     "Waveform",
     "FrameSequence",
     "LabelInterval",
+    "frame_length_and_hop",
     "window_frames",
     "preemphasize",
     "read_wav",
@@ -97,6 +98,14 @@ class LabelInterval:
     label: str
 
 
+def frame_length_and_hop(frame_ms: float, overlap_fraction: float, sample_rate_hz: float) -> tuple[int, int]:
+    """Samples per frame, round(frame_ms * fs / 1000), and per hop,
+    round(frame_length * (1 - overlap_fraction)) but at least one: the one
+    framing formula, shared by analysis, synthesis and config checks."""
+    frame_length = int(round(frame_ms * 1e-3 * sample_rate_hz))
+    return frame_length, max(1, int(round(frame_length * (1.0 - overlap_fraction))))
+
+
 def window_frames(
     w: Waveform,
     frame_ms: float,
@@ -113,13 +122,12 @@ def window_frames(
         raise ValueError("overlap_fraction must be in [0, 1)")
     if window_kind not in _WINDOWS:
         raise ValueError(f"unknown window kind {window_kind!r}")
-    frame_length = int(round(frame_ms * 1e-3 * w.sample_rate_hz))
+    frame_length, hop = frame_length_and_hop(frame_ms, overlap_fraction, w.sample_rate_hz)
     if frame_length < 1:
         raise ValueError("frame_ms yields no samples at this rate")
     x = w.samples
     if x.size < frame_length:
         raise ValueError("input too short")
-    hop = max(1, int(round(frame_length * (1.0 - overlap_fraction))))
 
     n_full = (x.size - frame_length) // hop + 1
     covered = (n_full - 1) * hop + frame_length

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arma import fit_arma_frames
 from .arma import estimate_ar, estimate_arma  # noqa: F401  (looked up here by bench/tracing.py)
-from .cepstrum import _real_cepstra, arma_cepstra
+from .cepstrum import _fft_size, _real_cepstra, arma_cepstra
 from .cepstrum import arma_to_cepstrum, real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
 from .frontend import (
     _WINDOWS,
@@ -26,6 +26,7 @@ from .frontend import (
     Waveform,
     activity_from_labels,
     detect_activity,
+    frame_length_and_hop,
     preemphasize,
     resample,
     window_frames,
@@ -108,9 +109,18 @@ class RunConfig:
             raise ValueError("|gamma| must be <= 1")
         if self.window not in _WINDOWS:
             raise ValueError(f"window must be one of {tuple(_WINDOWS)}")
-        # window_frames rounds the frame to whole samples: round(x) >= 1 iff x > 0.5
-        if not self.frame_ms * 1e-3 * self.target_sample_rate_hz > 0.5:
+        n = frame_length_and_hop(self.frame_ms, self.overlap, self.target_sample_rate_hz)[0]
+        if n < 1:
             raise ValueError("frame_ms must span at least one sample at the analysis rate")
+        if self.observation_source == "real_cepstrum":
+            n_max = _fft_size(n) - 1  # the columns _real_cepstra returns
+            if self.n_cepstra > n_max:
+                raise ValueError(f"n_cepstra must be at most {n_max} for a {n}-sample frame")
+        elif n <= self.lpc_order + (self.ma_order + 1 if self.ma_order else 0):  # fit_arma_frames' limits
+            raise ValueError(
+                f"a {n}-sample frame is too short for lpc_order {self.lpc_order} and ma_order "
+                f"{self.ma_order}: it must exceed p, or p + q + 1 when q > 0"
+            )
         # zero is valid: a zero process std makes those entries known
         if not (self.freq_process_std >= 0 and self.bw_process_std >= 0):
             raise ValueError("process stds must be non-negative")

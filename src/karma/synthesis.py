@@ -19,16 +19,13 @@ import numpy as np
 from scipy import signal as sps
 from scipy.interpolate import PchipInterpolator
 
-from .arma import ArmaModel
-from .cepstrum import ResonanceState
-from .frontend import Waveform
+from .frontend import Waveform, frame_length_and_hop
 from .pipeline import RunConfig
 from .tracker import TrackResult
 
 __all__ = [
     "TrajectorySpec",
     "resonator_cascade",
-    "resonances_from_arma",
     "rosenberg_source",
     "synthesize",
     "random_trajectory",
@@ -128,11 +125,11 @@ class TrajectorySpec:
 
     @property
     def frame_length(self) -> int:
-        return int(round(self.frame_ms * 1e-3 * self.sample_rate_hz))
+        return frame_length_and_hop(self.frame_ms, self.overlap_fraction, self.sample_rate_hz)[0]
 
     @property
     def hop(self) -> int:
-        return max(1, int(round(self.frame_length * (1.0 - self.overlap_fraction))))
+        return frame_length_and_hop(self.frame_ms, self.overlap_fraction, self.sample_rate_hz)[1]
 
     @property
     def n_formants(self) -> int:
@@ -142,58 +139,22 @@ class TrajectorySpec:
     def n_antiformants(self) -> int:
         return self.antiformant_freqs.shape[1]
 
-    def _audible_state(self, t: int) -> ResonanceState:
-        """Frame t's audible tracks, the input to its synthesis filter."""
-        f, a = self.formant_present[t], self.antiformant_present[t]
-        return ResonanceState(
-            self.formant_freqs[t, f],
-            self.formant_bws[t, f],
-            self.antiformant_freqs[t, a],
-            self.antiformant_bws[t, a],
-            self.sample_rate_hz,
-        )
 
+def resonator_cascade(freqs, bws, sample_rate_hz: float) -> np.ndarray:
+    """Monic polynomial, in powers of z^-1, of a cascade of second-order
+    digital resonators, one per (frequency, bandwidth) pair in Hz.
 
-def resonator_cascade(x: ResonanceState) -> ArmaModel:
-    """Pole/zero polynomials of a cascade of second-order digital resonators.
-
-    Each formant (f, b) contributes a denominator section
-    1 - 2 exp(-pi b/fs) cos(2 pi f/fs) z^-1 + exp(-2 pi b/fs) z^-2;
-    antiformants contribute the analogous numerator sections.
+    Each resonance (f, b) contributes the section
+    1 - 2 exp(-pi b/fs) cos(2 pi f/fs) z^-1 + exp(-2 pi b/fs) z^-2.  The
+    formants' cascade is a synthesis filter's denominator, the
+    antiformants' its numerator; no pairs give [1].
     """
-    fs = x.sample_rate_hz
-
-    def cascade(freqs, bws):
-        poly = np.array([1.0])
-        for f, b in zip(freqs, bws):
-            radius = np.exp(-np.pi * b / fs)
-            section = np.array([1.0, -2.0 * radius * np.cos(2.0 * np.pi * f / fs), radius**2])
-            poly = np.convolve(poly, section)
-        return poly
-
-    den = cascade(x.formant_freqs, x.formant_bws)
-    num = cascade(x.antiformant_freqs, x.antiformant_bws)
-    return ArmaModel(ar=-den[1:], ma=num[1:], noise_variance=1.0)
-
-
-def resonances_from_arma(model: ArmaModel, sample_rate_hz: float) -> ResonanceState:
-    """Invert the cascade: recover (frequency, bandwidth) pairs from roots.
-
-    Keeps one representative of each conjugate pair (positive angle),
-    sorted by frequency; real roots are ignored.
-    """
-    fs = sample_rate_hz
-
-    def pairs(roots):
-        sel = roots[np.imag(roots) > 1e-12]
-        freq = np.angle(sel) * fs / (2.0 * np.pi)
-        bw = -np.log(np.abs(sel)) * fs / np.pi
-        order = np.argsort(freq)
-        return freq[order], bw[order]
-
-    f, b = pairs(model.poles())
-    fa, ba = pairs(model.zeros())
-    return ResonanceState(f, b, fa, ba, fs)
+    poly = np.array([1.0])
+    for f, b in zip(freqs, bws):
+        radius = np.exp(-np.pi * b / sample_rate_hz)
+        section = np.array([1.0, -2.0 * radius * np.cos(2.0 * np.pi * f / sample_rate_hz), radius**2])
+        poly = np.convolve(poly, section)
+    return poly
 
 
 def rosenberg_source(
@@ -256,9 +217,11 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     speech = spec.sources != "silence"
     for t in np.flatnonzero(speech):
         start = t * hop
-        model = resonator_cascade(spec._audible_state(t))
+        f, a = spec.formant_present[t], spec.antiformant_present[t]
+        den = resonator_cascade(spec.formant_freqs[t, f], spec.formant_bws[t, f], fs)
+        num = resonator_cascade(spec.antiformant_freqs[t, a], spec.antiformant_bws[t, a], fs)
         seg = excitation[spec.sources[t]][start : start + length]
-        out[start : start + length] += window * sps.lfilter(model.ma_polynomial, model.ar_polynomial, seg)
+        out[start : start + length] += window * sps.lfilter(num, den, seg)
 
     peak = np.abs(out).max()
     if peak > 0:
@@ -313,8 +276,7 @@ def random_trajectory(
     if n_formants > len(FORMANT_RANGES):
         raise ValueError("no frequency range defined for that many formants")
     fs = sample_rate_hz
-    length = int(round(frame_ms * 1e-3 * fs))
-    hop = max(1, int(round(length * (1.0 - overlap_fraction))))
+    length, hop = frame_length_and_hop(frame_ms, overlap_fraction, fs)
     n_frames = max(1, 1 + int(round((duration_s * fs - length) / hop)))
     hop_s = hop / fs
 
@@ -359,11 +321,12 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
     Segment boundaries interpolate linearly over 5 frames; every frequency
     follows a seeded random walk (std 10 Hz per frame) while bandwidths get
     independent per-frame jitter around their nominal values (std 10/3 Hz,
-    floored at 8 Hz) so resonances stay observable.  A seed whose walk
-    leaves (0, 5000) Hz is rejected with ``ValueError`` (7 of seeds
-    0-2999, the first 155).
+    floored at 8 Hz) so resonances stay observable.  A frequency that
+    walks below 50 Hz is reflected about 50 Hz (F1 does on 7 of seeds
+    0-2999, the first 155; never on seeds 700-739, whose lowest F1 is
+    122 Hz), so every seed gives a valid spec.
     """
-    n_segment_frames, transition_frames, walk_std_hz = 25, 5, 10.0
+    n_segment_frames, transition_frames, walk_std_hz, min_freq_hz = 25, 5, 10.0, 50.0
     fs = 10000.0
     nasal_f = np.array([257.0, 1891.0])
     nasal_b = np.array([32.0, 100.0])
@@ -395,16 +358,19 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
     def jitter(std):
         return rng.normal(0.0, std, n_frames)
 
-    freq_tracks = np.column_stack(
+    def reflect(freqs):
+        return np.where(freqs < min_freq_hz, 2.0 * min_freq_hz - freqs, freqs)
+
+    freq_tracks = reflect(np.column_stack(
         [blend(nasal_f[0], vowel_f[0]) + walk(walk_std_hz), blend(nasal_f[1], vowel_f[1]) + walk(walk_std_hz)]
-    )
+    ))
     bw_tracks = np.column_stack(
         [
             np.maximum(blend(nasal_b[0], vowel_b[0]) + jitter(walk_std_hz / 3.0), 8.0),
             np.maximum(blend(nasal_b[1], vowel_b[1]) + jitter(walk_std_hz / 3.0), 8.0),
         ]
     )
-    anti_freq = anti_f + walk(walk_std_hz)
+    anti_freq = reflect(anti_f + walk(walk_std_hz))
     anti_bw = np.maximum(anti_b + jitter(walk_std_hz / 3.0), 8.0)
     return TrajectorySpec(
         freq_tracks,

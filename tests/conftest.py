@@ -9,7 +9,7 @@ import pytest
 from karma.arma import ArmaModel
 from karma.cepstrum import CepstralObservation
 from karma.pipeline import track_waveform
-from karma.synthesis import nasal_demo_config, nasal_utterance_spec, synthesize
+from karma.synthesis import nasal_demo_config, nasal_utterance_spec, resonator_cascade, synthesize
 from karma.tracker import LinearObservation, TrackActivation, TrackerParams
 
 NASAL_SKIP_FRAMES = 10  # tracker start-up, left out of every nasal demo score
@@ -44,6 +44,15 @@ def random_minimum_phase_model(rng, p: int, q: int, max_radius: float = 0.95) ->
     den = polynomial(p)
     num = polynomial(q)
     return ArmaModel(-den[1:], num[1:], 1.0)
+
+
+def cascade_model(x, n_formants: int, n_antiformants: int, sample_rate_hz: float) -> ArmaModel:
+    """The resonator cascade of state vector ``x`` as an ARMA model: the
+    formants' cascade is its AR polynomial, the antiformants' its MA one."""
+    i, j = n_formants, n_antiformants
+    den = resonator_cascade(x[:i], x[i : 2 * i], sample_rate_hz)
+    num = resonator_cascade(x[2 * i : 2 * i + j], x[2 * i + j :], sample_rate_hz)
+    return ArmaModel(-den[1:], num[1:])
 
 
 def root_sum_cepstrum(model: ArmaModel, n_coeffs: int) -> np.ndarray:

@@ -5,23 +5,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import signal as sps
 
-from karma.arma import ArmaModel
+from karma.arma import ArmaModel, _minimum_phase_rows
 from karma.cepstrum import (
     CepstralObservation,
-    CepstralVector,
-    ResonanceState,
     _pole_powers,
     _powers_cepstrum,
     arma_cepstra,
     arma_to_cepstrum,
-    cepstrum_jacobian,
     real_cepstrum,
-    state_to_cepstrum,
 )
-from karma.synthesis import resonator_cascade
 
 from conftest import (
     FrozenCepstralObservation,
+    cascade_model,
     frozen_columns,
     frozen_pole_powers,
     frozen_powers_cepstrum,
@@ -32,15 +28,17 @@ from conftest import (
 
 
 def random_state(rng, n_formants=None, n_antiformants=None, fs=10000.0):
+    """A state vector (f_1..f_I, b_1..b_I, f'_1..f'_J, b'_1..b'_J) with sorted
+    frequencies, and its track counts I and J."""
     i = int(rng.integers(1, 5)) if n_formants is None else n_formants
     j = int(rng.integers(0, 3)) if n_antiformants is None else n_antiformants
-    return ResonanceState(
+    x = np.concatenate([
         np.sort(rng.uniform(100.0, fs / 2 - 100.0, i)),
         rng.uniform(20.0, 400.0, i),
         np.sort(rng.uniform(100.0, fs / 2 - 100.0, j)),
         rng.uniform(20.0, 400.0, j),
-        fs,
-    )
+    ])
+    return x, i, j
 
 
 def exp_cos_terms(freqs, bws, fs, n_coeffs):
@@ -121,15 +119,16 @@ class TestPolePowerFormula:
     @settings(deadline=None, max_examples=100)
     @given(problem=resonance_problems())
     def test_state_routes_match_exp_cos(self, problem):
+        """``value`` and ``linearize`` of one state with no activation flags."""
         i, j, n_coeffs, fs, x, _, _ = problem
-        state = ResonanceState.from_vector(x, i, j, fs)
+        model = CepstralObservation(i, j, n_coeffs, fs)
         h_ref, H_ref = exp_cos_linearize(
             x, i, j, fs, n_coeffs, np.ones(i, bool), np.ones(j, bool)
         )
-        np.testing.assert_allclose(
-            state_to_cepstrum(state, n_coeffs).coeffs, h_ref, **CLOSE
-        )
-        np.testing.assert_allclose(cepstrum_jacobian(state, n_coeffs), H_ref, **CLOSE)
+        h, H = model.linearize(x)
+        np.testing.assert_allclose(model.value(x), h_ref, **CLOSE)
+        np.testing.assert_allclose(h, h_ref, **CLOSE)
+        np.testing.assert_allclose(H, H_ref, **CLOSE)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -181,9 +180,8 @@ TRACK_COUNTS = [(4, 0), (2, 1), (0, 2), (3, 2), (0, 0)]
 
 class TestFrozenReferenceKernel:
     """The resonance-major kernel against a frozen copy of the resonance-last
-    running-product and k-sum kernel it replaced: ``value`` and
-    ``state_to_cepstrum`` equal bit for bit; ``linearize`` and
-    ``cepstrum_jacobian``, whose powers are in closed form, to 1e-12."""
+    running-product and k-sum kernel it replaced: ``value`` equal bit for
+    bit; ``linearize``, whose powers are in closed form, to 1e-12."""
 
     @pytest.mark.parametrize("counts", TRACK_COUNTS)
     @pytest.mark.parametrize("lead", [(), (1000,), (1001,), (3, 4)])
@@ -221,15 +219,13 @@ class TestFrozenReferenceKernel:
         i, j = counts
         rng = np.random.default_rng(11 * i + j)
         freq_cols, bw_cols, signs = frozen_columns(i, j)
+        model = CepstralObservation(i, j, 12, 10000.0)
         for _ in range(20):
             x = random_states(rng, i, j, ())
-            state = ResonanceState.from_vector(x, i, j, 10000.0)
             powers = frozen_pole_powers(x[freq_cols], x[bw_cols], 10000.0, 12)
-            assert np.array_equal(
-                state_to_cepstrum(state, 12).coeffs, frozen_powers_cepstrum(powers, signs)
-            )
+            assert np.array_equal(model.value(x), frozen_powers_cepstrum(powers, signs))
             np.testing.assert_allclose(
-                cepstrum_jacobian(state, 12),
+                model.linearize(x)[1],
                 frozen_powers_jacobian(powers, signs, 10000.0, freq_cols, bw_cols),
                 **CLOSE,
             )
@@ -238,19 +234,19 @@ class TestFrozenReferenceKernel:
 class TestArmaToCepstrum:
     def test_empty_model_zero_cepstrum(self):
         m = ArmaModel([], [], 1.0)
-        assert np.all(arma_to_cepstrum(m, 10).coeffs == 0.0)
+        assert np.all(arma_to_cepstrum(m, 10) == 0.0)
 
     def test_single_pole_series(self):
         m = ArmaModel([0.5], [], 1.0)
         c = arma_to_cepstrum(m, 3)
-        assert c.coeffs == pytest.approx([0.5, 0.125, 0.0416667], abs=1e-7)
+        assert c == pytest.approx([0.5, 0.125, 0.0416667], abs=1e-7)
 
     def test_matches_root_sum_oracle(self, rng):
         for _ in range(100):
             p = int(rng.integers(1, 21))
             q = int(rng.integers(0, 9))
             m = random_minimum_phase_model(rng, p, q)
-            c = arma_to_cepstrum(m, 30).coeffs
+            c = arma_to_cepstrum(m, 30)
             assert np.abs(c - root_sum_cepstrum(m, 30)).max() < 1e-10
 
     def test_non_minimum_phase_rejected(self):
@@ -269,7 +265,7 @@ class TestArmaToCepstrum:
     def test_non_finite_row_is_not_minimum_phase(self, ar, ma):
         with pytest.raises(ValueError, match="reflect roots"):
             arma_cepstra(ar, ma, 5)
-        assert not ArmaModel(ar[0], ma[0]).is_minimum_phase()
+        assert not _minimum_phase_rows(ar, ma, 1.0)[0]
         good = random_minimum_phase_model(np.random.default_rng(0), ar.shape[1], ma.shape[1])
         stacked = (np.vstack([good.ar, ar[0]]), np.vstack([good.ma, ma[0]]))
         with pytest.raises(ValueError, match="reflect roots"):
@@ -291,68 +287,66 @@ class TestArmaToCepstrum:
         # single zero at -0.5 (numerator 1 + 0.5 z^-1): C_n = -(-0.5)^n / n
         m = ArmaModel([], [0.5], 1.0)
         c = arma_to_cepstrum(m, 3)
-        assert c.coeffs == pytest.approx([0.5, -0.125, 0.125 / 3.0], abs=1e-12)
+        assert c == pytest.approx([0.5, -0.125, 0.125 / 3.0], abs=1e-12)
 
 
 class TestStateToCepstrum:
+    """``CepstralObservation.value`` of one state vector."""
+
     def test_quarter_rate_pattern(self):
-        st_ = ResonanceState([2500.0], [0.0], [], [], 10000.0)
-        c = state_to_cepstrum(st_, 4)
-        assert c.coeffs == pytest.approx([0.0, -1.0, 0.0, 0.5], abs=1e-12)
+        c = CepstralObservation(1, 0, 4, 10000.0).value(np.array([2500.0, 0.0]))
+        assert c == pytest.approx([0.0, -1.0, 0.0, 0.5], abs=1e-12)
 
     def test_formant_antiformant_cancellation(self):
-        st_ = ResonanceState([1200.0], [90.0], [1200.0], [90.0], 8000.0)
-        assert np.all(np.abs(state_to_cepstrum(st_, 20).coeffs) < 1e-15)
+        c = CepstralObservation(1, 1, 20, 8000.0).value(np.array([1200.0, 90.0, 1200.0, 90.0]))
+        assert np.all(np.abs(c) < 1e-15)
 
     def test_matches_cascade_cepstrum(self, rng):
+        fs = 10000.0
         for _ in range(50):
-            x = random_state(rng)
-            c1 = state_to_cepstrum(x, 30).coeffs
-            c2 = arma_to_cepstrum(resonator_cascade(x), 30).coeffs
+            x, i, j = random_state(rng, fs=fs)
+            c1 = CepstralObservation(i, j, 30, fs).value(x)
+            c2 = arma_to_cepstrum(cascade_model(x, i, j, fs), 30)
             assert np.abs(c1 - c2).max() < 1e-9
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 2**31))
     def test_decay_bound(self, seed):
-        x = random_state(np.random.default_rng(seed))
-        c = state_to_cepstrum(x, 25).coeffs
+        x, i, j = random_state(np.random.default_rng(seed))
+        c = CepstralObservation(i, j, 25, 10000.0).value(x)
         n = np.arange(1, 26)
-        bound = (2.0 / n) * (x.n_formants + x.n_antiformants)
+        bound = (2.0 / n) * (i + j)
         assert np.all(np.abs(c) <= bound + 1e-12)
 
 
 class TestCepstrumJacobian:
+    """The Jacobian from ``CepstralObservation.linearize`` at one state vector."""
+
     def test_zero_frequency_limit(self):
-        x = ResonanceState([1e-9], [50.0], [], [], 8000.0)
-        jac = cepstrum_jacobian(x, 5)
+        jac = CepstralObservation(1, 0, 5, 8000.0).linearize(np.array([1e-9, 50.0]))[1]
         assert np.abs(jac[:, 0]).max() < 1e-10
 
     def test_bandwidth_column_zero_at_quarter_rate(self):
-        x = ResonanceState([2000.0], [50.0], [], [], 8000.0)
-        jac = cepstrum_jacobian(x, 1)
+        jac = CepstralObservation(1, 0, 1, 8000.0).linearize(np.array([2000.0, 50.0]))[1]
         assert jac[0, 1] == pytest.approx(0.0, abs=1e-12)
 
     def test_finite_difference_match(self, rng):
         fs = 10000.0
         for _ in range(20):
-            x = random_state(rng, fs=fs)
-            i, j = x.n_formants, x.n_antiformants
-            jac = cepstrum_jacobian(x, 15)
-            vec = x.to_vector()
+            x, i, j = random_state(rng, fs=fs)
+            model = CepstralObservation(i, j, 15, fs)
+            jac = model.linearize(x)[1]
             fd = np.zeros_like(jac)
-            for k in range(vec.size):
-                up, dn = vec.copy(), vec.copy()
+            for k in range(x.size):
+                up, dn = x.copy(), x.copy()
                 up[k] += 1e-4
                 dn[k] -= 1e-4
-                cu = state_to_cepstrum(ResonanceState.from_vector(up, i, j, fs), 15).coeffs
-                cd = state_to_cepstrum(ResonanceState.from_vector(dn, i, j, fs), 15).coeffs
-                fd[:, k] = (cu - cd) / 2e-4
+                fd[:, k] = (model.value(up) - model.value(dn)) / 2e-4
             assert np.abs(jac - fd).max() / np.abs(jac).max() < 1e-6
 
     def test_antiformant_columns_negate_formant_columns(self):
-        fs = 9000.0
-        x = ResonanceState([1400.0], [110.0], [1400.0], [110.0], fs)
-        jac = cepstrum_jacobian(x, 12)
+        x = np.array([1400.0, 110.0, 1400.0, 110.0])
+        jac = CepstralObservation(1, 1, 12, 9000.0).linearize(x)[1]
         # columns: f, b, f', b'
         assert np.allclose(jac[:, 2], -jac[:, 0])
         assert np.allclose(jac[:, 3], -jac[:, 1])
@@ -362,36 +356,35 @@ class TestRealCepstrum:
     def test_unit_impulse_flat(self):
         frame = np.zeros(64)
         frame[0] = 1.0
-        assert np.abs(real_cepstrum(frame, 10).coeffs).max() < 1e-12
+        assert np.abs(real_cepstrum(frame, 10)).max() < 1e-12
 
     def test_matches_model_cepstrum_for_long_impulse_response(self):
         impulse = np.zeros(4096)
         impulse[0] = 1.0
         h = sps.lfilter([1.0], [1.0, -1.0, 0.5], impulse)
-        c = real_cepstrum(h, 5).coeffs
-        ref = arma_to_cepstrum(ArmaModel([1.0, -0.5], [], 1.0), 5).coeffs
+        c = real_cepstrum(h, 5)
+        ref = arma_to_cepstrum(ArmaModel([1.0, -0.5], [], 1.0), 5)
         assert np.abs(c - ref).max() < 0.01
 
     @settings(deadline=None, max_examples=25)
     @given(scale=st.floats(0.1, 100.0), seed=st.integers(0, 2**31))
     def test_gain_invariant(self, scale, seed):
         frame = np.random.default_rng(seed).standard_normal(256)
-        c1 = real_cepstrum(frame, 8).coeffs
-        c2 = real_cepstrum(scale * frame, 8).coeffs
+        c1 = real_cepstrum(frame, 8)
+        c2 = real_cepstrum(scale * frame, 8)
         assert np.abs(c1 - c2).max() < 1e-9
 
     def test_zero_frame_rejected(self):
         with pytest.raises(ValueError, match="log spectrum"):
             real_cepstrum(np.zeros(32), 4)
 
+    def test_no_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="at least one coefficient"):
+            real_cepstrum(np.ones(32), 0)
 
-class TestCepstralVector:
-    def test_one_based_indexing(self):
-        c = CepstralVector([0.5, 0.25])
-        assert c[1] == 0.5 and c[2] == 0.25
-        with pytest.raises(IndexError):
-            _ = c[0]
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            CepstralVector([np.nan])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_frame_rejected(self, bad):
+        frame = np.random.default_rng(0).standard_normal(32)
+        frame[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            real_cepstrum(frame, 4)

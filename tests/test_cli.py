@@ -110,6 +110,9 @@ class TestTrackCommand:
             {"target_sample_rate_hz": float("inf")},
             {"observation_source": "real_cepstrum", "n_cepstra": 0},
             {"observation_source": "real_cepstrum", "n_cepstra": -1},
+            {"lpc_order": 200, "n_cepstra": 200},
+            {"ma_order": 140, "n_cepstra": 140},
+            {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 40},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
@@ -118,7 +121,8 @@ class TestTrackCommand:
              "int_as_float", "override_not_a_list", "not_an_object", "bool_as_int",
              "bool_as_float", "bool_in_override", "freq_std_infinite", "bw_std_infinite",
              "energy_threshold_nan", "gamma_nan", "sample_rate_infinite",
-             "realcep_no_cepstra", "realcep_negative_cepstra"],
+             "realcep_no_cepstra", "realcep_negative_cepstra", "ar_order_fills_frame",
+             "arma_orders_fill_frame", "realcep_cepstra_beyond_fft"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

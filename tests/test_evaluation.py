@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from karma.evaluation import _header, read_tracks, read_vtr_matrix, rmse, write_tracks
+from karma.evaluation import _header, read_tracks, rmse, write_tracks
 from karma.tracker import TrackResult
 
 
@@ -210,18 +210,3 @@ class TestTrackCsv:
         with pytest.raises(ValueError, match="line 2"):
             read_tracks(path)
 
-
-class TestVtrMatrix:
-    def test_khz_to_hz(self, tmp_path):
-        path = tmp_path / "vtr.txt"
-        path.write_text("0.5 1.5 2.5 3.5 0.08 0.12 0.16 0.2\n0.6 1.6 2.6 3.6 0.08 0.12 0.16 0.2\n")
-        res = read_vtr_matrix(path)
-        assert res.n_formants == 4
-        assert res.formant_freqs[0].tolist() == [500.0, 1500.0, 2500.0, 3500.0]
-        assert res.formant_bws[1, 0] == pytest.approx(80.0)
-
-    def test_wrong_width(self, tmp_path):
-        path = tmp_path / "vtr.txt"
-        path.write_text("0.5 1.5\n")
-        with pytest.raises(ValueError, match="expected 8"):
-            read_vtr_matrix(path)

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 import karma.arma
-from karma.arma import ArmaModel, estimate_ar, fit_ar_frames
-from karma.cepstrum import arma_to_cepstrum
+from karma.arma import ArmaModel, estimate_ar, fit_ar_frames, fit_arma_frames
+from karma.cepstrum import _real_cepstra, arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
 from karma.evaluation import rmse
 from karma.frontend import Waveform
@@ -80,6 +80,31 @@ class TestRunConfig:
         RunConfig(observation_source="real_cepstrum", lpc_order=0).validate()
         with pytest.raises(ValueError, match="lpc_order must be positive"):
             RunConfig(lpc_order=0, n_formants=0, n_antiformants=1, ma_order=2).validate()
+
+    @pytest.mark.parametrize("p, q", [(2, 0), (12, 0), (4, 2), (6, 4)])
+    def test_frame_limits_are_the_fits_own(self, p, q):
+        """validate accepts a frame length exactly when ``fit_arma_frames`` fits it."""
+        rng = np.random.default_rng(p + q)
+        for n in range(1, p + q + 4):
+            config = RunConfig(
+                target_sample_rate_hz=1000.0, frame_ms=float(n), lpc_order=p, ma_order=q, n_cepstra=max(p, q), n_formants=1
+            )
+            try:
+                fit_arma_frames(rng.standard_normal((1, n)), p, q)
+            except ValueError:
+                with pytest.raises(ValueError, match="too short"):
+                    config.validate()
+            else:
+                config.validate()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 140])
+    def test_real_cepstrum_count_bounded_by_the_fft(self, n):
+        """n_cepstra may reach the number of columns ``_real_cepstra`` returns."""
+        limit = _real_cepstra(np.ones((1, n)), [0], 10**6).shape[1]
+        fields = dict(observation_source="real_cepstrum", target_sample_rate_hz=1000.0, frame_ms=float(n))
+        RunConfig(**fields, n_cepstra=limit).validate()
+        with pytest.raises(ValueError, match="n_cepstra must be at most"):
+            RunConfig(**fields, n_cepstra=limit + 1).validate()
 
     @pytest.mark.parametrize(
         "field,value",
@@ -196,7 +221,7 @@ class TestBuildObservations:
         a, _ = fit_ar_frames(frames[rows], config.lpc_order)
         expected = np.zeros((40, config.n_cepstra))
         for t, coeffs in zip(rows, a):
-            expected[t] = arma_to_cepstrum(ArmaModel(coeffs, np.zeros(0)), config.n_cepstra).coeffs
+            expected[t] = arma_to_cepstrum(ArmaModel(coeffs, np.zeros(0)), config.n_cepstra)
         assert np.array_equal(build_observations(frames, config, speech), expected)
 
         certify_rows, roots_rows, factored = karma.arma._certify_rows, karma.arma._roots_rows, []
@@ -223,7 +248,7 @@ class TestBuildObservations:
         obs = build_observations(frames, config, np.ones(3, dtype=bool))
         for t, frame in enumerate(frames):
             expected = arma_to_cepstrum(estimate_ar(frame, config.lpc_order), config.n_cepstra)
-            assert np.array_equal(obs[t], expected.coeffs)
+            assert np.array_equal(obs[t], expected)
 
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 2**32 - 1), n_frames=st.integers(1, 600), length=st.integers(16, 300))

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from karma.cepstrum import ResonanceState, arma_to_cepstrum, state_to_cepstrum
+from karma.cepstrum import CepstralObservation, arma_to_cepstrum
 from karma.synthesis import (
     TrajectorySpec,
     load_spec,
     nasal_utterance_spec,
     random_trajectory,
-    resonances_from_arma,
     resonator_cascade,
     rosenberg_source,
     save_spec,
@@ -18,6 +17,8 @@ from karma.synthesis import (
     spec_to_json,
     synthesize,
 )
+
+from conftest import cascade_model
 
 
 def constant_spec(formants, n_frames, source, frame_ms, fs, seed=0, f0_hz=None):
@@ -41,40 +42,37 @@ class TestResonatorCascade:
     def test_quarter_rate_section(self):
         fs = 8000.0
         b = 120.0
-        x = ResonanceState([fs / 4], [b], [], [], fs)
-        m = resonator_cascade(x)
-        assert m.ar[0] == pytest.approx(0.0, abs=1e-12)
-        assert m.ar[1] == pytest.approx(-np.exp(-2 * np.pi * b / fs))
+        poly = resonator_cascade([fs / 4], [b], fs)
+        assert poly[0] == 1.0
+        assert poly[1] == pytest.approx(0.0, abs=1e-12)
+        assert poly[2] == pytest.approx(np.exp(-2 * np.pi * b / fs))
 
     def test_pole_radius_value(self):
-        x = ResonanceState([257.0], [32.0], [], [], 10000.0)
-        m = resonator_cascade(x)
-        radius = np.abs(m.poles())[0]
+        radius = np.abs(np.roots(resonator_cascade([257.0], [32.0], 10000.0)))[0]
         assert radius == pytest.approx(np.exp(-np.pi * 32.0 / 10000.0), abs=1e-12)
         assert radius == pytest.approx(0.98999, abs=1e-5)
 
     def test_root_inversion_roundtrip(self, rng):
-        for _ in range(50):
-            fs = 10000.0
-            i, j = int(rng.integers(1, 4)), int(rng.integers(0, 3))
-            x = ResonanceState(
-                np.sort(rng.uniform(150, fs / 2 - 150, i)),
-                rng.uniform(30, 300, i),
-                np.sort(rng.uniform(150, fs / 2 - 150, j)),
-                rng.uniform(30, 300, j),
-                fs,
-            )
-            back = resonances_from_arma(resonator_cascade(x), fs)
-            assert np.abs(back.formant_freqs - x.formant_freqs).max() < 1e-9
-            assert np.abs(back.formant_bws - x.formant_bws).max() < 1e-9
-            if j:
-                assert np.abs(back.antiformant_freqs - x.antiformant_freqs).max() < 1e-9
-
-    def test_cepstral_consistency_with_state_map(self, rng):
+        """The cascade's roots, one per conjugate pair, give back each
+        resonance: frequency from the angle, bandwidth from the radius."""
         fs = 10000.0
-        x = ResonanceState([500.0, 1500.0], [80.0, 120.0], [1100.0], [90.0], fs)
-        c1 = state_to_cepstrum(x, 24).coeffs
-        c2 = arma_to_cepstrum(resonator_cascade(x), 24).coeffs
+        for _ in range(50):
+            k = int(rng.integers(1, 4))
+            freqs = np.sort(rng.uniform(150, fs / 2 - 150, k))
+            bws = rng.uniform(30, 300, k)
+            roots = np.roots(resonator_cascade(freqs, bws, fs))
+            roots = roots[roots.imag > 1e-12]
+            order = np.argsort(np.angle(roots))
+            back_f = np.angle(roots[order]) * fs / (2.0 * np.pi)
+            back_b = -np.log(np.abs(roots[order])) * fs / np.pi
+            assert np.abs(back_f - freqs).max() < 1e-9
+            assert np.abs(back_b - bws).max() < 1e-9
+
+    def test_cepstral_consistency_with_state_map(self):
+        fs = 10000.0
+        x = np.array([500.0, 1500.0, 80.0, 120.0, 1100.0, 90.0])
+        c1 = CepstralObservation(2, 1, 24, fs).value(x)
+        c2 = arma_to_cepstrum(cascade_model(x, 2, 1, fs), 24)
         assert np.abs(c1 - c2).max() < 1e-9
 
 
@@ -167,6 +165,16 @@ class TestSynthesize:
                 nearest = np.abs(f[band][valleys] - ref.antiformant_freqs[t, 0]).min()
                 hits += nearest < 100.0
         assert hits / len(nasal_frames) > 0.8
+
+    @pytest.mark.parametrize("seed", [155, 1008, 1060, 1113, 1358, 1450, 1668])
+    def test_nasal_walk_reflected_above_50_hz(self, seed):
+        """Seeds whose F1 walk crosses 0 Hz keep every frequency above 50 Hz
+        and synthesize; below that floor the walk is mirrored."""
+        spec = nasal_utterance_spec(seed)
+        assert spec.formant_freqs[:, 0].min() >= 50.0
+        wave, ref = synthesize(spec)
+        assert np.all(np.isfinite(wave.samples)) and np.abs(wave.samples).max() > 0
+        assert np.array_equal(ref.formant_freqs, spec.formant_freqs)
 
     def test_nasal_spec_plan(self):
         spec = nasal_utterance_spec()
