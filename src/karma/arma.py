@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import signal as sps
 
 __all__ = [
     "ArmaModel",
@@ -304,6 +303,10 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     ``fit_ar_frames`` row, which needs only n > p; an all-zero row gets
     zero coefficients, zero variance, ``converged`` False and no objective
     values.
+
+    Only this route needs an IIR filter in the loop, so ``scipy.signal``
+    (``lfilter``) is imported at the first fit with q > 0, not with the
+    package: an AR or real-cepstrum run never loads it.
     """
     frames = np.asarray(frames, dtype=float)
     if p < 0 or q < 0 or p + q == 0:
@@ -315,6 +318,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         return a, np.zeros((n_rows, 0)), err, nonzero, [[] for _ in range(n_rows)]
     if n <= p + q + 1:
         raise ValueError("frame length must exceed p + q + 1")
+    from scipy.signal import lfilter  # it loads scipy.stats too: import only on this route
 
     objectives = [[] for _ in range(n_rows)]
     ar, ma = np.zeros((n_rows, p)), np.zeros((n_rows, q))
@@ -330,7 +334,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     theta = np.empty((rows.size, p + q))
     for i, t in enumerate(rows):
         x = frames[t]
-        u = sps.lfilter(np.concatenate(([1.0], -long_ar[i])), [1.0], x)
+        u = lfilter(np.concatenate(([1.0], -long_ar[i])), [1.0], x)
         design = np.hstack([_lagged(x, p), _lagged(u, q)])[k0:]
         theta[i] = np.linalg.lstsq(design, x[k0:], rcond=None)[0]
     a = theta[:, :p]
@@ -338,7 +342,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     e = np.empty((rows.size, n))
     sse = np.empty(rows.size)
     for i, (t, a_poly) in enumerate(zip(rows, _monic(-a))):
-        e[i] = sps.lfilter(a_poly, b_polys[i], frames[t])
+        e[i] = lfilter(a_poly, b_polys[i], frames[t])
         sse[i] = e[i] @ e[i]
         objectives[t].append(float(sse[i]))
 
@@ -359,7 +363,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         for j, i in enumerate(live):
             signals[0] = frames[rows[i]]
             signals[1] = e[i]
-            padded[:, k0:] = sps.lfilter([1.0], b_polys[i], signals)[:, :-1]
+            padded[:, k0:] = lfilter([1.0], b_polys[i], signals)[:, :-1]
             np.negative(x_lags, out=jac[:, :p])
             np.negative(e_lags, out=jac[:, p:])
             h = jac.T @ jac
@@ -381,7 +385,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
             b_try = _reflect_rows(_monic(b_polys[idx, 1:] - scale * delta[searching, p:]), _MA_CLIP)
             a_try_polys = _monic(-a_try)
             for k, (s, i) in enumerate(zip(searching, idx)):
-                e_try = sps.lfilter(a_try_polys[k], b_try[k], frames[rows[i]])
+                e_try = lfilter(a_try_polys[k], b_try[k], frames[rows[i]])
                 sse_try = float(e_try @ e_try)
                 if np.isfinite(sse_try) and sse_try < sse[i]:
                     gain[s] = (sse[i] - sse_try) / max(sse[i], 1e-300)
@@ -397,7 +401,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     ma_polys = _reflect_rows(b_polys, MAX_ROOT_RADIUS)
     ar[rows], ma[rows] = -ar_polys[:, 1:], ma_polys[:, 1:]
     for i, t in enumerate(rows):
-        resid = sps.lfilter(ar_polys[i], ma_polys[i], frames[t])
+        resid = lfilter(ar_polys[i], ma_polys[i], frames[t])
         noise_variance[t] = np.mean(resid**2)
     return ar, ma, noise_variance, converged, objectives
 

@@ -229,8 +229,9 @@ class CepstralObservation:
 
 def _fft_size(frame_length: int) -> int:
     """FFT size of the real-cepstrum route: the next power of two at least
-    4x the frame length, and at least 8.  It yields at most this size
-    minus one cepstral coefficients."""
+    4x the frame length, and at least 8.  It yields at most half this
+    size of cepstral coefficients: the real cepstrum is even about half
+    the FFT size, so coefficient nfft - k repeats coefficient k."""
     return 1 << max(int(np.ceil(np.log2(4 * frame_length))), 3)
 
 
@@ -242,12 +243,12 @@ def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.nda
     spectra of a long input ever exist all at once.
     """
     nfft = _fft_size(frames.shape[1])
-    out = np.empty((len(rows), min(n_coeffs, nfft - 1)))
+    out = np.empty((len(rows), min(n_coeffs, nfft // 2)))
     for lo in range(0, len(rows), _FFT_BLOCK):
         spec = np.abs(np.fft.rfft(frames[rows[lo : lo + _FFT_BLOCK]], nfft, axis=1))
         floor = 1e-12 * spec.max(axis=1, keepdims=True)
         ceps = np.fft.irfft(np.log(np.maximum(spec, floor)), nfft, axis=1)
-        out[lo : lo + _FFT_BLOCK] = 2.0 * ceps[:, 1 : n_coeffs + 1]
+        out[lo : lo + _FFT_BLOCK] = 2.0 * ceps[:, 1 : out.shape[1] + 1]
     return out
 
 
@@ -256,9 +257,10 @@ def real_cepstrum(frame: np.ndarray, n_coeffs: int) -> np.ndarray:
 
     Coefficients 1..N are doubled so that, for a minimum-phase frame, they
     line up with the one-sided cepstra produced by the parametric routes.
-    The FFT size is ``_fft_size`` of the frame length and the log argument
-    is floored at 1e-12 of the spectral maximum.  A frame that is all zero
-    or holds a NaN or infinite sample raises ``ValueError``.
+    The FFT size is ``_fft_size`` of the frame length, and N is capped at
+    half of it; the log argument is floored at 1e-12 of the spectral
+    maximum.  A frame that is all zero or holds a NaN or infinite sample
+    raises ``ValueError``.
     """
     x = np.asarray(frame, dtype=float).ravel()
     if n_coeffs < 1:

@@ -8,13 +8,13 @@ masks can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import signal as sps
 from scipy.io import wavfile
 
 __all__ = [
@@ -38,8 +38,13 @@ DEFAULT_SILENCE_LABELS = frozenset(
     {"pau", "epi", "h#", "bcl", "dcl", "gcl", "pcl", "tcl", "kcl", "q"}
 )
 
-# Periodic (DFT-even) windows so 50 % overlap-add sums to a constant.
-_WINDOWS = {"hamming": "hamming", "hanning": "hann", "rectangular": "boxcar"}
+# Periodic (DFT-even) windows so 50 % overlap-add sums to a constant: the
+# coefficients a_k of each kind's cosine sum, sum_k a_k cos(k x).
+_WINDOWS = {"hamming": (0.54, 1.0 - 0.54), "hanning": (0.5, 0.5), "rectangular": (1.0,)}
+
+# Multiply-adds per matrix product in the resampler, below OpenBLAS's
+# threshold for threading one (4 * 65536).
+_GEMM_WORK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,26 @@ class LabelInterval:
 def frame_length_and_hop(frame_ms: float, overlap_fraction: float, sample_rate_hz: float) -> tuple[int, int]:
     """Samples per frame, round(frame_ms * fs / 1000), and per hop,
     round(frame_length * (1 - overlap_fraction)) but at least one: the one
-    framing formula, shared by analysis, synthesis and config checks."""
-    frame_length = int(round(frame_ms * 1e-3 * sample_rate_hz))
+    framing formula, shared by analysis, synthesis and config checks.
+    A non-finite frame length (a huge ``frame_ms`` overflows) raises
+    ``ValueError``."""
+    samples = frame_ms * 1e-3 * sample_rate_hz
+    if not math.isfinite(samples):
+        raise ValueError("frame_ms yields a non-finite frame length")
+    frame_length = int(round(samples))
     return frame_length, max(1, int(round(frame_length * (1.0 - overlap_fraction))))
+
+
+def _periodic_window(kind: str, length: int) -> np.ndarray:
+    """Periodic cosine-sum window of ``length`` samples, by the operations of
+    ``scipy.signal.get_window(..., fftbins=True)``, so its values are the same bits."""
+    if length <= 1:
+        return np.ones(length)
+    fac = np.linspace(-np.pi, np.pi, length + 1)
+    w = np.zeros(length + 1)
+    for k, a in enumerate(_WINDOWS[kind]):
+        w += a * np.cos(k * fac)
+    return w[:-1]
 
 
 def window_frames(
@@ -133,7 +155,7 @@ def window_frames(
     covered = (n_full - 1) * hop + frame_length
     n_frames = n_full + (1 if covered < x.size else 0)
 
-    window = sps.get_window(_WINDOWS[window_kind], frame_length, fftbins=True)
+    window = _periodic_window(window_kind, frame_length)
     padded = np.zeros((n_frames - 1) * hop + frame_length)
     padded[: x.size] = x
     frames = sliding_window_view(padded, frame_length)[::hop] * window
@@ -192,11 +214,69 @@ def write_wav(path, w: Waveform) -> None:
     wavfile.write(Path(path), int(round(w.sample_rate_hz)), scaled)
 
 
+def _kaiser_lowpass(cutoff_hz: float, width_hz: float, fs: float) -> np.ndarray:
+    """Linear-phase Kaiser-window low-pass FIR with unit DC gain, the design
+    of ``scipy.signal.kaiserord`` and ``firwin``: 75 dB of stop-band
+    attenuation over a ``width_hz`` transition centred on ``cutoff_hz``,
+    and an odd number of taps."""
+    nyq = 0.5 * fs
+    atten = 75.0
+    beta = 0.1102 * (atten - 8.7)  # Kaiser's beta for an attenuation above 50 dB
+    n_taps = math.ceil((atten - 7.95) / 2.285 / (np.pi * (width_hz / nyq)) + 1) | 1
+    c = (cutoff_hz - width_hz / 2.0) / nyq
+    m = np.arange(n_taps) - 0.5 * (n_taps - 1)
+    h = c * np.sinc(c * m) * np.kaiser(n_taps, beta)
+    return h / h.sum()
+
+
+def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
+    """Upsample ``x`` by ``up``, filter with ``h`` scaled by ``up``, keep every
+    ``down``-th sample: y[j] = up * sum_i x[i] h[j*down + half - i*up], with
+    half = (len(h) - 1) // 2, for the ceil(len(x)*up/down) samples of
+    ``scipy.signal.resample_poly``, centred as it centres them.
+
+    With j = b*up + u and i = c*down + d, the tap index is
+    (b - c)*up*down + u*down - d*up + half, so output block b (``up``
+    samples) is the sum over block shifts s = b - c of input block b - s
+    (``down`` samples) times a (down, up) tap matrix G_s: one batched
+    matmul over all blocks per shift, about len(h)/(up*down) + 2 of them.
+    """
+    n_taps, half, span = h.size, (h.size - 1) // 2, up * down
+    n_out = -(-x.size * up // down)
+    n_blocks = -(-n_out // up)
+    s_lo = -((half + (up - 1) * down) // span)  # the shifts that reach a tap
+    s_hi = (n_taps - 1 - half + (down - 1) * up) // span
+    taps = np.arange(s_lo, s_hi + 1)[:, None, None] * span + (
+        np.arange(up) * down - np.arange(down)[:, None] * up + half
+    )
+    inside = (taps >= 0) & (taps < n_taps)
+    g = np.where(inside, up * h[np.clip(taps, 0, n_taps - 1)], 0.0)  # (shifts, down, up)
+    # Blocks go through in groups small enough that BLAS runs each product
+    # on one thread: a threaded product this small is slower, and far
+    # slower on a busy host.
+    group = max(1, _GEMM_WORK // span)
+    n_groups = -(-n_blocks // group)
+    n_rows = n_groups * group
+    # input blocks b - s for every output block b and shift s, zeros outside x
+    rows = np.zeros((n_rows + s_hi - s_lo, down))
+    rows.reshape(-1)[s_hi * down : s_hi * down + x.size] = x
+    y = np.zeros((n_groups, group, up))
+    for k, s in enumerate(range(s_lo, s_hi + 1)):
+        y += rows[s_hi - s : s_hi - s + n_rows].reshape(n_groups, group, down) @ g[k]
+    return y.reshape(-1)[:n_out].copy()  # a view would keep the last group's padding alive
+
+
 def resample(w: Waveform, target_hz: float) -> Waveform:
     """Band-limited polyphase resampling to ``target_hz``.
 
-    Content above the smaller Nyquist rate is attenuated by at least 75 dB;
-    output length is round(len * target / source).
+    The rate ratio is approximated as up/down with down at most 1000.  The
+    anti-aliasing filter is a Kaiser-window low-pass at the upsampled rate
+    (``_kaiser_lowpass``): content above the smaller Nyquist rate is
+    attenuated by at least 75 dB, over a transition 10 % of that rate wide.
+    ``_polyphase`` applies it in blocks, as a few small matmuls over the
+    whole signal, with ``scipy.signal.resample_poly``'s centring; the two
+    agree to rounding.  Output length is round(len * target / source),
+    trimmed or zero padded.
     """
     if target_hz <= 0:
         raise ValueError("target rate must be positive")
@@ -204,13 +284,12 @@ def resample(w: Waveform, target_hz: float) -> Waveform:
         return Waveform(w.samples.copy(), w.sample_rate_hz)
     ratio = Fraction(target_hz / w.sample_rate_hz).limit_denominator(1000)
     up, down = ratio.numerator, ratio.denominator
-    fs_up = w.sample_rate_hz * up
-    cutoff = 0.5 * min(w.sample_rate_hz, target_hz)
-    width = 0.10 * cutoff
-    ntaps, beta = sps.kaiserord(75.0, width / (fs_up / 2.0))
-    ntaps |= 1
-    fir = sps.firwin(ntaps, cutoff - width / 2.0, window=("kaiser", beta), fs=fs_up)
-    y = sps.resample_poly(w.samples, up, down, window=fir)
+    if up == down:
+        y = w.samples.copy()
+    else:
+        cutoff = 0.5 * min(w.sample_rate_hz, target_hz)
+        fir = _kaiser_lowpass(cutoff, 0.10 * cutoff, w.sample_rate_hz * up)
+        y = _polyphase(w.samples, fir, up, down)
     n_out = int(round(w.samples.size * target_hz / w.sample_rate_hz))
     if y.size > n_out:
         y = y[:n_out]

@@ -113,7 +113,7 @@ class RunConfig:
         if n < 1:
             raise ValueError("frame_ms must span at least one sample at the analysis rate")
         if self.observation_source == "real_cepstrum":
-            n_max = _fft_size(n) - 1  # the columns _real_cepstra returns
+            n_max = _fft_size(n) // 2  # the columns _real_cepstra returns
             if self.n_cepstra > n_max:
                 raise ValueError(f"n_cepstra must be at most {n_max} for a {n}-sample frame")
         elif n <= self.lpc_order + (self.ma_order + 1 if self.ma_order else 0):  # fit_arma_frames' limits

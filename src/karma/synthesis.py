@@ -16,10 +16,9 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
-from scipy.interpolate import PchipInterpolator
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .frontend import Waveform, frame_length_and_hop
+from .frontend import Waveform, _periodic_window, frame_length_and_hop
 from .pipeline import RunConfig
 from .tracker import TrackResult
 
@@ -191,12 +190,45 @@ def rosenberg_source(
     return out
 
 
+def _filter_rows(nums: list, dens: list, x: np.ndarray) -> np.ndarray:
+    """Filter each row of ``x`` (T, n) by its own num[t](z)/den[t](z), from
+    zero state, all rows at once; every den[t] is monic.
+
+    The recursion is ``scipy.signal.lfilter``'s direct form II transposed
+    in its operation order: y = z0 + b0 x, then
+    z[j] = (z[j+1] + x b[j+1]) - y a[j+1].  A coefficient past a row's
+    own order is zero and its term is left out, which can change only the
+    sign of a zero, so each row equals ``lfilter(num[t], den[t], x[t])``
+    wherever den[t] has a pole (a row without one gets its FIR output to
+    rounding).  The delays of sample m are rows m..m+order of one buffer,
+    so the shift of the delay line is a moving offset, not a copy.
+    """
+    nb, na = max(c.size for c in nums) - 1, max(c.size for c in dens) - 1
+    b, a = np.zeros((nb + 1, len(x))), np.zeros((na + 1, len(x)))  # coefficient k of every row
+    for t, (num, den) in enumerate(zip(nums, dens)):
+        b[: num.size, t], a[: den.size, t] = num, den
+    a = a[1:]
+    xs = np.ascontiguousarray(x.T)
+    ys = np.empty_like(xs)
+    z = np.zeros((xs.shape[0] + max(nb, na) + 1, len(x)))
+    xb, ya = np.empty_like(b), np.empty_like(a)
+    for m, (xm, ym) in enumerate(zip(xs, ys)):
+        np.multiply(xm, b, out=xb)
+        np.add(z[m], xb[0], out=ym)
+        np.multiply(ym, a, out=ya)
+        z[m + 1 : m + 1 + nb] += xb[1:]
+        z[m + 1 : m + 1 + na] -= ya
+    return ys.T
+
+
 def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     """Overlap-add synthesis of a trajectory spec.
 
     Every frame's source segment is filtered with zero initial filter state,
     multiplied by a periodic Hann window, and summed at 50 % (or the spec's)
-    overlap.  Silence frames contribute zeros.  Returns the waveform and the
+    overlap.  Silence frames contribute zeros.  All speech frames are
+    filtered in one ``_filter_rows`` call, whose samples are the same bits
+    as a per-frame ``scipy.signal.lfilter``.  Returns the waveform and the
     ground-truth tracks aligned to the same frame grid.
     """
     length = spec.frame_length
@@ -212,16 +244,22 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
         # radiated pressure excitation: first difference of the glottal flow
         excitation["rosenberg"] = np.diff(flow, prepend=0.0)
 
-    window = sps.get_window("hann", length, fftbins=True)
+    window = _periodic_window("hanning", length)
     out = np.zeros(total)
-    speech = spec.sources != "silence"
-    for t in np.flatnonzero(speech):
-        start = t * hop
-        f, a = spec.formant_present[t], spec.antiformant_present[t]
-        den = resonator_cascade(spec.formant_freqs[t, f], spec.formant_bws[t, f], fs)
-        num = resonator_cascade(spec.antiformant_freqs[t, a], spec.antiformant_bws[t, a], fs)
-        seg = excitation[spec.sources[t]][start : start + length]
-        out[start : start + length] += window * sps.lfilter(num, den, seg)
+    speech = np.flatnonzero(spec.sources != "silence")
+    if speech.size:
+        segments = np.empty((speech.size, length))
+        for name, signal in excitation.items():
+            rows = spec.sources[speech] == name
+            segments[rows] = sliding_window_view(signal, length)[::hop][speech[rows]]
+        nums, dens = [], []
+        for t in speech:
+            f, a = spec.formant_present[t], spec.antiformant_present[t]
+            dens.append(resonator_cascade(spec.formant_freqs[t, f], spec.formant_bws[t, f], fs))
+            nums.append(resonator_cascade(spec.antiformant_freqs[t, a], spec.antiformant_bws[t, a], fs))
+        filtered = _filter_rows(nums, dens, segments)
+        for row, t in enumerate(speech):
+            out[t * hop : t * hop + length] += window * filtered[row]
 
     peak = np.abs(out).max()
     if peak > 0:
@@ -231,7 +269,7 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     reference = TrackResult(
         means=np.hstack([spec.formant_freqs, spec.formant_bws, spec.antiformant_freqs, spec.antiformant_bws]),
         covariances=np.zeros((n_frames, dim, dim)),
-        speech=speech,
+        speech=spec.sources != "silence",
         formant_active=spec.formant_present.copy(),
         antiformant_active=spec.antiformant_present.copy(),
         n_formants=spec.n_formants,
@@ -250,11 +288,57 @@ def _keyframe_grid(n_frames: int, hop_s: float) -> tuple[np.ndarray, np.ndarray]
     return times, np.linspace(0.0, max(times[-1], hop_s), n_keys)
 
 
+def _pchip_slopes(h: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Knot slopes (K,) of a monotone cubic (Fritsch-Carlson) through knots
+    spaced ``h`` (K-1,) with secant slopes ``m`` (K-1,), by the operations
+    of ``scipy.interpolate.PchipInterpolator``: the weighted harmonic mean
+    of the neighbouring secants inside, zero where they differ in sign or
+    one is zero, and a one-sided three-point estimate at each end, zeroed
+    when its sign differs from the end secant's and capped at three times
+    that secant where the two secants at that end differ in sign.  Two
+    knots get the one secant at both."""
+    if m.size == 1:
+        return np.concatenate((m, m))
+    d = np.zeros(m.size + 1)
+    flat_or_turn = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+    w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+    d[1:-1][~flat_or_turn] = 1.0 / whmean[~flat_or_turn]
+    for end, far in ((0, 1), (-1, -2)):
+        h0, h1, m0, m1 = h[end], h[far], m[end], m[far]
+        edge = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(edge) != np.sign(m0):
+            edge = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(edge) > 3.0 * abs(m0):
+            edge = 3.0 * m0
+        d[end] = edge
+    return d
+
+
+def _pchip(knots: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Piecewise cubic Hermite interpolant through (``knots``, ``values``)
+    with ``_pchip_slopes``, evaluated ``at`` (extrapolating past either end
+    with the end piece): the same bits as
+    ``scipy.interpolate.PchipInterpolator(knots, values)(at)``, as its
+    ``PPoly`` forms the piece coefficients and sums their terms in
+    ascending powers."""
+    h = np.diff(knots)
+    m = np.diff(values) / h
+    d = _pchip_slopes(h, m)
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    c3, c2, c1, c0 = t / h, (m - d[:-1]) / h - t, d[:-1], values[:-1]
+    k = np.clip(np.searchsorted(knots, at, side="right") - 1, 0, h.size - 1)
+    s = at - knots[k]
+    s2 = s * s
+    return ((c0[k] + c1[k] * s) + c2[k] * s2) + c3[k] * (s2 * s)
+
+
 def _smooth_contour(rng, n_frames: int, hop_s: float, lo: float, hi: float) -> np.ndarray:
     """Piecewise-smooth random contour: pchip through keyframes ~0.4 s apart."""
     times, key_t = _keyframe_grid(n_frames, hop_s)
     key_v = rng.uniform(lo, hi, key_t.size)
-    return PchipInterpolator(key_t, key_v)(times)
+    return _pchip(key_t, key_v, times)
 
 
 def random_trajectory(
@@ -296,7 +380,7 @@ def random_trajectory(
             lo_vec = np.full(n_keys, lo)
         key_f[:, k] = rng.uniform(lo_vec, np.maximum(lo_vec + 1.0, hi))
     for k in range(n_formants):
-        freqs[:, k] = PchipInterpolator(key_t, key_f[:, k])(times)
+        freqs[:, k] = _pchip(key_t, key_f[:, k], times)
         bws[:, k] = _smooth_contour(rng, n_frames, hop_s, *BANDWIDTH_RANGE)
     for k in range(1, n_formants):
         lo, hi = FORMANT_RANGES[k]

@@ -91,6 +91,7 @@ class TestTrackCommand:
             {"freq_process_std": -1.0},
             {"bw_process_std": -1.0},
             {"frame_ms": 0.05},
+            {"frame_ms": 1e308},  # the frame length overflows to inf
             {"fit_transition": False},
             {"n_formants": -1},
             {"n_antiformants": -1},
@@ -113,16 +114,17 @@ class TestTrackCommand:
             {"lpc_order": 200, "n_cepstra": 200},
             {"ma_order": 140, "n_cepstra": 140},
             {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 40},
+            {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 17},  # past half the FFT size
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
-             "frame_ms_below_one_sample", "retired_key", "formants_negative",
+             "frame_ms_below_one_sample", "frame_ms_overflows", "retired_key", "formants_negative",
              "antiformants_negative", "no_tracks", "int_as_string", "float_as_string",
              "int_as_float", "override_not_a_list", "not_an_object", "bool_as_int",
              "bool_as_float", "bool_in_override", "freq_std_infinite", "bw_std_infinite",
              "energy_threshold_nan", "gamma_nan", "sample_rate_infinite",
              "realcep_no_cepstra", "realcep_negative_cepstra", "ar_order_fills_frame",
-             "arma_orders_fill_frame", "realcep_cepstra_beyond_fft"],
+             "arma_orders_fill_frame", "realcep_cepstra_beyond_fft", "realcep_cepstra_mirrored"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,11 @@ from karma.frontend import (
     DEFAULT_SILENCE_LABELS,
     LabelInterval,
     Waveform,
+    _kaiser_lowpass,
+    _periodic_window,
     activity_from_labels,
     detect_activity,
+    frame_length_and_hop,
     preemphasize,
     read_label_file,
     read_wav,
@@ -112,6 +117,16 @@ class TestWindowFrames:
         assert np.array_equal(fr.frames, expected)
 
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 140, 320])
+    @pytest.mark.parametrize("kind,name", [("hamming", "hamming"), ("hanning", "hann"), ("rectangular", "boxcar")])
+    def test_window_equals_scipy_periodic_window(self, kind, name, n):
+        assert np.array_equal(_periodic_window(kind, n), sps.get_window(name, n, fftbins=True))
+
+    def test_non_finite_frame_length_raises_value_error(self):
+        with pytest.raises(ValueError, match="non-finite frame length"):
+            frame_length_and_hop(1e308, 0.5, 16000.0)
+
+
 class TestPreemphasize:
     def test_gamma_zero_identity(self):
         x = np.arange(5.0)
@@ -212,6 +227,29 @@ class TestResample:
         w = Waveform(np.sin(2 * np.pi * 5000 * t), fs)
         out = resample(w, 8000.0)
         assert np.abs(out.samples[1000:7000]).max() < 0.001
+
+    @pytest.mark.parametrize(
+        "source_hz,target_hz,n",
+        [(16000, 7000, 16000), (44100, 7000, 44100), (8000, 7000, 8000), (10000, 7000, 10000), (7000, 16000, 7000),
+         (16000, 7000, 300)],  # the last input is shorter than the filter
+    )
+    def test_matches_resample_poly_with_the_same_filter(self, source_hz, target_hz, n):
+        w = make_wave(n, fs=float(source_hz), rng=np.random.default_rng(n))
+        ratio = Fraction(target_hz / source_hz).limit_denominator(1000)
+        up, down = ratio.numerator, ratio.denominator
+        fs_up = source_hz * up
+        cutoff = 0.5 * min(source_hz, target_hz)
+        width = 0.10 * cutoff
+        n_taps, beta = sps.kaiserord(75.0, width / (fs_up / 2.0))
+        fir = sps.firwin(n_taps | 1, cutoff - width / 2.0, window=("kaiser", beta), fs=fs_up)
+        assert fir.size > 300
+        assert np.allclose(_kaiser_lowpass(cutoff, width, fs_up), fir, rtol=0, atol=1e-15)
+        expected = sps.resample_poly(w.samples, up, down, window=fir)
+        n_out = int(round(n * target_hz / source_hz))
+        expected = np.pad(expected, (0, max(0, n_out - expected.size)))[:n_out]
+        out = resample(w, float(target_hz)).samples
+        assert out.size == expected.size == n_out
+        assert np.allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_output_length_rounding(self):
         w = make_wave(1001)

@@ -106,6 +106,21 @@ class TestRunConfig:
         with pytest.raises(ValueError, match="n_cepstra must be at most"):
             RunConfig(**fields, n_cepstra=limit + 1).validate()
 
+    @pytest.mark.parametrize("n", [2, 7, 8, 33, 140])  # a one-sample frame has a flat spectrum
+    def test_real_cepstrum_coefficients_distinct_from_their_mirrors(self, n):
+        """Coefficient nfft - k of the real cepstrum repeats coefficient k; no
+        allowed coefficient is the mirror of another one."""
+        frame = np.random.default_rng(n).standard_normal(n)
+        allowed = _real_cepstra(frame[None, :], [0], 10**6)[0]
+        nfft = 1 << max(int(np.ceil(np.log2(4 * n))), 3)
+        every = loop_real_cepstrum(frame, nfft - 1)  # C_1 .. C_{nfft-1}
+        assert np.array_equal(allowed, every[: allowed.size])
+        k = np.arange(1, allowed.size + 1)
+        assert np.allclose(every[nfft - k - 1], every[k - 1], rtol=0, atol=1e-12)  # the mirrors
+        assert np.all((nfft - k > allowed.size) | (nfft - k == k))  # none of them allowed but itself
+        gaps = np.abs(allowed[:, None] - allowed[None, :]) + np.eye(allowed.size)
+        assert gaps.min() > 1e-9
+
     @pytest.mark.parametrize(
         "field,value",
         [

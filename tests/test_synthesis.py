@@ -3,10 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy import signal as sps
+from scipy.interpolate import PchipInterpolator
 
 from karma.cepstrum import CepstralObservation, arma_to_cepstrum
 from karma.synthesis import (
     TrajectorySpec,
+    _filter_rows,
+    _pchip,
     load_spec,
     nasal_utterance_spec,
     random_trajectory,
@@ -184,6 +187,40 @@ class TestSynthesize:
         active = spec.antiformant_present[:, 0]
         assert active[:25].all() and active[50:].all()
         assert not active[25:50].any()
+
+
+class TestFilterRows:
+    def test_equals_per_row_lfilter(self, rng):
+        """Mixed formant and antiformant counts, including none (numerator [1])."""
+        fs, n_rows = 10000.0, 12
+        x = rng.standard_normal((n_rows, 200))
+        nums, dens = [], []
+        for t in range(n_rows):
+            n_f, n_af = 1 + t % 4, t % 3
+            dens.append(resonator_cascade(rng.uniform(100, 4900, n_f), rng.uniform(20, 300, n_f), fs))
+            nums.append(resonator_cascade(rng.uniform(100, 4900, n_af), rng.uniform(20, 300, n_af), fs))
+        y = _filter_rows(nums, dens, x)
+        for t in range(n_rows):
+            assert np.array_equal(y[t], sps.lfilter(nums[t], dens[t], x[t]))
+
+
+class TestPchip:
+    @pytest.mark.parametrize(
+        "knots,values",
+        [
+            ([0.0, 0.4], [300.0, 700.0]),  # two keyframes: the secant
+            ([0.0, 0.4, 0.8], [300.0, 700.0, 500.0]),  # a sign change
+            ([0.0, 0.3, 0.5, 1.2], [2.0, 2.0, 5.0, -1.0]),  # a flat segment first
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 6.0, 7.0]),  # end slopes of the wrong sign: zeroed
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, -9.0, -8.0]),  # end slopes capped at 3x the secant
+            ([0.0, 0.1, 0.2, 0.7, 0.9, 1.0, 1.6, 2.0], [0.0, 1.0, 1.0, 4.0, -2.0, -2.5, 3.0, 3.0]),
+            (np.linspace(0.0, 6.0, 16), np.random.default_rng(5).uniform(40.0, 250.0, 16)),
+        ],
+    )
+    def test_equals_scipy_pchip(self, knots, values):
+        knots, values = np.asarray(knots, dtype=float), np.asarray(values, dtype=float)
+        at = np.concatenate((np.linspace(-0.1, knots[-1] + 0.1, 997), knots))  # knots and both ends
+        assert np.array_equal(_pchip(knots, values, at), PchipInterpolator(knots, values)(at))
 
 
 class TestRandomTrajectory:
