@@ -5,7 +5,7 @@ evolving as a random walk x_{t+1} = x_t + w_t with cepstral observations
 y_t = h(x_t) + v_t.  The filter follows the standard extended-Kalman
 recursion with the exact nonlinear h in the innovation and its analytic
 Jacobian in the covariance update; the smoother is a fixed-interval
-Rauch-Tung-Striebel backward pass over the stored filtered moments.
+Rauch-Tung-Striebel backward pass run in place over the filter's output.
 
 Both linear systems, the innovation covariance S = H P Hᵀ + R of the
 filter gain and the predicted covariance of the smoother gain, are
@@ -37,7 +37,6 @@ __all__ = [
     "TrackerParams",
     "TrackActivation",
     "TrackResult",
-    "LinearObservation",
     "ekf_filter",
     "eks_smooth",
     "estimate_transition",
@@ -158,22 +157,6 @@ class TrackResult:
         return np.einsum("tii->ti", self.covariances)
 
 
-class LinearObservation:
-    """Fixed linear observation y = H x, mainly for surrogate tests."""
-
-    def __init__(self, H: np.ndarray):
-        self.H = np.asarray(H, dtype=float)
-
-    def value(self, x, active_f=None, active_a=None):
-        return x @ self.H.T
-
-    def linearize(self, x, active_f=None, active_a=None):
-        return x @ self.H.T, self.H
-
-    def state_bounds(self):
-        return None
-
-
 def _speech_flags(mask, n_frames: int) -> np.ndarray:
     if mask is None:
         return np.ones(n_frames, dtype=bool)
@@ -236,6 +219,10 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
     n_frames = y.shape[0]
     if n_frames < 1:
         raise ValueError("need at least one observation frame")
+    if y.shape[1] != params.n_cepstra:
+        raise ValueError(
+            f"observations have {y.shape[1]} columns; params expect {params.n_cepstra} cepstra"
+        )
     speech = _speech_flags(mask, n_frames)
     if activation is None:
         activation = TrackActivation.all_active(n_frames, params.n_formants, params.n_antiformants)
@@ -262,12 +249,13 @@ def _clamp(vec, bounds):
 
 
 def _forward(y, params, speech, activation, obs_model):
-    """Forward EKF recursion, yielding ``(m_pred, P_pred, m_filt, P_filt)`` per frame.
+    """Forward EKF recursion, yielding the filtered ``(m, P)`` per frame.
 
-    Keeps no history; the yielded arrays are never modified afterwards.
-    At frames whose activation flags change, and only there, the entering
-    covariance is decoupled between active and inactive entries and the
-    blocked process noise is rebuilt.  A returning entry keeps the moments
+    On a frame with no update these are the predicted moments.  Keeps no
+    history; the yielded arrays are never modified afterwards.  At frames
+    whose activation flags change, and only there, the entering covariance
+    is decoupled between active and inactive entries and the blocked
+    process noise is rebuilt.  A returning entry keeps the moments
     it coasted to.  ``mu0`` is clamped to the state bounds once, before
     the first frame; after that only the update moves the mean, and it
     ends with the same clamp.  The predict keeps the mean and adds Q to
@@ -287,7 +275,6 @@ def _forward(y, params, speech, activation, obs_model):
             act_f, act_a = activation.formants[t], activation.antiformants[t]
             inactive = ~g if not g.all() else None
         P = P + Q
-        m_pred, P_pred = m, P
 
         if update[t]:
             h_val, H = obs_model.linearize(m, act_f, act_a)
@@ -300,7 +287,7 @@ def _forward(y, params, speech, activation, obs_model):
             P = _symmetrize(P - K @ H @ P)
             m = _clamp(m, bounds)
 
-        yield m_pred, P_pred, m, P
+        yield m, P
 
 
 def _make_result(means, covs, speech, activation, params) -> TrackResult:
@@ -336,7 +323,7 @@ def ekf_filter(
     means = np.empty((len(y), params.state_dim))
     covs = np.empty((len(y), params.state_dim, params.state_dim))
     steps = _forward(y, params, speech, activation, obs_model)
-    for t, (_, _, m, P) in enumerate(steps):
+    for t, (m, P) in enumerate(steps):
         means[t], covs[t] = m, P
     return _make_result(means, covs, speech, activation, params)
 
@@ -348,46 +335,46 @@ def eks_smooth(
     activation: TrackActivation | None = None,
     obs_model=None,
 ) -> TrackResult:
-    """Fixed-interval smoother: forward filter plus RTS backward pass.
+    """Fixed-interval smoother: ``ekf_filter`` plus an RTS backward pass.
 
-    Stores the predicted and filtered moments.  Where the activation flags
-    change, the backward pass decouples the entering covariance, as the
-    forward pass did; elsewhere the filtered moments enter the next frame
-    unchanged.  Under the random walk the gain's right-hand side is that
-    entering covariance itself.  An entry whose predicted variance is
-    exactly zero is known (see ``ekf_filter``) and gets a zero smoother
-    gain, so it keeps its value and zero variance.
+    The backward pass overwrites the filter's output in place and stores
+    no predictions: it rebuilds frame t's predicted moments from frame
+    t-1's filtered ones by the forward pass's rule.  The mean carries
+    over, and the entering covariance, decoupled where the activation
+    flags change, gains the blocked Q.  Under the random walk the gain's
+    right-hand side is that entering covariance itself.  An
+    entry whose predicted variance is exactly zero is known (see
+    ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
+    and zero variance.
     """
     y, n_frames, speech, activation, obs_model = _resolve_setup(
         obs, params, mask, activation, obs_model
     )
-    dim = params.state_dim
-    m_pred = np.empty((n_frames, dim))
-    P_pred = np.empty((n_frames, dim, dim))
-    m_s = np.empty((n_frames, dim))
-    P_s = np.empty((n_frames, dim, dim))
-    steps = _forward(y, params, speech, activation, obs_model)
-    for t, (m, P, m_f, P_f) in enumerate(steps):
-        m_pred[t], P_pred[t], m_s[t], P_s[t] = m, P, m_f, P_f
-
-    # a known entry has zero predicted variance; a unit diagonal keeps the
-    # gain solve positive definite and still gives that entry a zero gain
-    frames, known = np.nonzero(np.einsum("tii->ti", P_pred) == 0.0)
-    P_pred[frames, known, known] = 1.0
+    result = ekf_filter(y, params, speech, activation, obs_model)
+    m_s, P_s = result.means, result.covariances
 
     bounds = obs_model.state_bounds()
     flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
+    # only an entry without process noise can have zero predicted variance
+    no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
     # m_s/P_s hold the filtered moments until the backward pass reaches them
     for t in range(n_frames - 1, 0, -1):
         m_prev, P_prev = m_s[t - 1], P_s[t - 1]
         if rebuild[t]:
             P_prev = _blocked(P_prev, flags[t])
-        S = _solve_innovation(P_pred[t], P_prev, "eks_smooth")
-        m_s[t - 1] = m_prev + S @ (m_s[t] - m_pred[t])
-        P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred[t]) @ S.T)
-        m_s[t - 1] = _clamp(m_s[t - 1], bounds)
-    return _make_result(m_s, P_s, speech, activation, params)
+        if t == n_frames - 1 or rebuild[t + 1]:
+            Q = _blocked(params.Q, flags[t])
+        P_pred = P_prev + Q
+        if no_noise.size:
+            # a unit diagonal keeps the gain solve positive definite and
+            # still gives a known entry a zero gain
+            known = no_noise[P_pred[no_noise, no_noise] == 0.0]
+            P_pred[known, known] = 1.0
+        S = _solve_innovation(P_pred, P_prev, "eks_smooth")
+        m_s[t - 1] = _clamp(m_prev + S @ (m_s[t] - m_prev), bounds)
+        P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred) @ S.T)
+    return result
 
 
 _MAX_SPECTRAL_RADIUS = 0.999  # estimate_transition scales F down to this

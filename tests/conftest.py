@@ -10,7 +10,7 @@ from karma.arma import ArmaModel
 from karma.cepstrum import CepstralObservation
 from karma.pipeline import track_waveform
 from karma.synthesis import nasal_demo_config, nasal_utterance_spec, resonator_cascade, synthesize
-from karma.tracker import LinearObservation, TrackActivation, TrackerParams
+from karma.tracker import TrackActivation, TrackerParams
 
 NASAL_SKIP_FRAMES = 10  # tracker start-up, left out of every nasal demo score
 CRITERION_8_BUDGET_HZ = 50.0  # per formant and for the antiformant on nasal frames
@@ -122,6 +122,22 @@ class FrozenCepstralObservation(CepstralObservation):
         powers = frozen_pole_powers(x[freq_cols], x[bw_cols], self.sample_rate_hz, self.n_cepstra)
         H = frozen_powers_jacobian(powers, signs, self.sample_rate_hz, freq_cols, bw_cols)
         return frozen_powers_cepstrum(powers, signs), H
+
+
+class LinearObservation:
+    """Fixed linear observation y = H x, for the linear-Gaussian oracles and surrogate tests."""
+
+    def __init__(self, H: np.ndarray):
+        self.H = np.asarray(H, dtype=float)
+
+    def value(self, x, active_f=None, active_a=None):
+        return x @ self.H.T
+
+    def linearize(self, x, active_f=None, active_a=None):
+        return x @ self.H.T, self.H
+
+    def state_bounds(self):
+        return None
 
 
 def linear_system():

@@ -3,9 +3,9 @@ import pytest
 
 from karma.particle import BenchmarkSetup, _quadratic_form, _systematic_resample, ekf_pf_benchmark, pf_track
 from karma.cepstrum import CepstralObservation
-from karma.tracker import LinearObservation, TrackerParams, ekf_filter
+from karma.tracker import TrackerParams, ekf_filter
 
-from conftest import FrozenCepstralObservation
+from conftest import FrozenCepstralObservation, LinearObservation
 
 
 def linear_params(q_scale=0.3, r_scale=0.5, sigma0_scale=1.0):

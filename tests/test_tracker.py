@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from karma.cepstrum import CepstralObservation
+from karma.particle import pf_track
 from karma.pipeline import RunConfig, make_tracker_params
 from karma.tracker import (
-    LinearObservation,
     TrackActivation,
     TrackerParams,
     _blocked,
@@ -25,7 +26,7 @@ from karma.tracker import (
     estimate_transition,
 )
 
-from conftest import batch_map_oracle, kalman_oracle, linear_system
+from conftest import LinearObservation, batch_map_oracle, kalman_oracle, linear_system
 
 
 class _OracleStore:
@@ -318,16 +319,20 @@ class TestIdentityPredict:
             problem["obs"], params, problem["mask"], problem["activation"], problem["obs_model"]
         )
         flags = _entry_flags(activation)
+        filtered = list(_forward(y, params, speech, activation, obs_model))
         m, P = params.mu0, params.Sigma0
-        steps = _forward(y, params, speech, activation, obs_model)
-        for t, (m_pred, P_pred, m_filt, P_filt) in enumerate(steps):
-            g = flags[t]
+        for t, g in enumerate(flags):
+            # a frame with no update yields its predicted moments; the frames
+            # before it are unchanged, since the pass is causal
+            coast = speech.copy()
+            coast[t] = False
+            m_pred, P_pred = list(_forward(y, params, coast, activation, obs_model))[t]
             if t == 0 or np.any(g != flags[t - 1]):
                 P = _blocked(P, g)
             assert np.array_equal(m_pred, clamp(m, obs_model.state_bounds()))
             assert np.array_equal(P_pred, P + _blocked(params.Q, g))
             assert np.array_equal(P_pred, P_pred.T)
-            m, P = m_filt, P_filt
+            m, P = filtered[t]
 
     @pytest.mark.parametrize("name", ["Q", "Sigma0"])
     def test_lopsided_input_comes_out_symmetric(self, name):
@@ -359,7 +364,10 @@ class TestInitialClamp:
         self.obs = self.model.value(truth) + 0.05 * rng.standard_normal((12, 15))
 
     def test_first_prediction_is_clamped_mu0(self):
-        y, _, speech, activation, obs_model = _resolve_setup(self.obs, self.params, None, None, None)
+        # frame 0 is silent, so the pass yields its predicted moments there
+        mask = np.ones(len(self.obs), bool)
+        mask[0] = False
+        y, _, speech, activation, obs_model = _resolve_setup(self.obs, self.params, mask, None, None)
         m_pred = next(_forward(y, self.params, speech, activation, obs_model))[0]
         assert np.array_equal(m_pred, self.clamped)
 
@@ -545,12 +553,48 @@ class TestCepstralTracking:
         with pytest.raises(ValueError, match=match):
             run(self.obs, self.params, activation=activation)
 
+    @pytest.mark.parametrize("width", [1, 11, 13])
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth, pf_track])
+    def test_observation_width_checked(self, run, width):
+        match = f"observations have {width} columns; params expect 12 cepstra"
+        with pytest.raises(ValueError, match=match):
+            run(self.obs[:, :1].repeat(width, axis=1), self.params)
+
     def test_frozen_entries_pinned(self):
         params = with_known(self.params, [2, 3], [50.0, 110.0])
         res = eks_smooth(self.obs, params)
         assert np.all(res.means[:, 2] == 50.0)
         assert np.all(res.means[:, 3] == 110.0)
         assert np.all(res.variances[:, 2] == 0.0)
+
+
+def traced_peak(run, *args):
+    """``run(*args)`` and the peak of the memory it allocated, in bytes."""
+    tracemalloc.start()
+    try:
+        result = run(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_smoother_stores_no_more_than_the_filter():
+    """The RTS pass runs in place over the filter's output: no second (T, d, d) stack."""
+    n_f, n_a, n_frames = 3, 2, 2000
+    rng = np.random.default_rng(21)
+    params = default_params(n_f, n_a, 10000.0, 12)
+    model = CepstralObservation(n_f, n_a, 12, 10000.0)
+    truth = params.mu0 + rng.uniform(-100.0, 100.0, params.state_dim)
+    y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, 12))
+    activation = TrackActivation(
+        np.ones((n_frames, n_f), bool), rng.random((n_frames, n_a)) < 0.7
+    )
+    filt, filt_peak = traced_peak(ekf_filter, y, params, None, activation)
+    smth, smth_peak = traced_peak(eks_smooth, y, params, None, activation)
+    assert smth_peak <= 1.1 * filt_peak
+    assert np.array_equal(smth.means[-1], filt.means[-1])
+    assert np.array_equal(smth.covariances[-1], filt.covariances[-1])
 
 
 class TestEstimateTransition:
