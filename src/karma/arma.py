@@ -9,6 +9,11 @@ AR fitting uses the autocorrelation method (Levinson-Durbin), which is
 minimum phase by construction.  ARMA fitting uses a Hannan-Rissanen start
 followed by damped Gauss-Newton refinement of the one-step prediction
 error, with both polynomials root-reflected into the unit circle at the end.
+The refinement stops on the Gauss-Newton decrement (Boyd & Vandenberghe,
+*Convex Optimization*, 2004, sec. 9.5.1): once the fall in the objective
+that the next step predicts is under 1e-6 of the objective, which on a
+1000-sample frame is a log-likelihood gain under 5e-4 nats, far below what
+the tracker's cepstral noise R = diag(1/n) resolves.
 
 ``_minimum_phase_rows`` is the one minimum-phase check, which
 ``cepstrum.arma_cepstra`` calls on every stack of fits; ``_reflect_rows``
@@ -117,13 +122,16 @@ def fit_ar_frames(frames: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
     ``frames`` is (T, n) with n > p.  Returns the AR coefficients (T, p)
     and the prediction error variances (T,); zero rows give all-zero
-    coefficients and zero variance.
+    coefficients and zero variance.  A NaN or infinite sample raises
+    ``ValueError``, as it does in ``real_cepstrum``.
     """
     frames = np.asarray(frames, dtype=float)
     if p < 1:
         raise ValueError("order p must be positive")
     if frames.shape[-1] <= p:
         raise ValueError("frame length must exceed the AR order")
+    if not np.all(np.isfinite(frames)):
+        raise ValueError("non-finite samples")
     return _levinson(_autocorrelation(frames, p))
 
 
@@ -242,24 +250,24 @@ def _reflect_rows(polys: np.ndarray, clip_radius: float) -> np.ndarray:
 
 _STEP_SCALES = 2.0 ** -np.arange(11)  # Gauss-Newton step halving
 _MAX_GN_ITER = 50  # Gauss-Newton iterations per fit
-_GN_REL_TOL = 1e-8  # stop once an iteration gains less than this share of the objective
+_GN_REL_TOL = 1e-6  # stop once the Gauss-Newton decrement is under this share of the objective
 _MA_CLIP = 0.99  # MA roots stay inside this radius during the search, so 1/B(z) stays usable
 
 
-def _lag_view(padded: np.ndarray, n: int, k: int) -> np.ndarray:
-    """(n, k) read-only view of the 1-D ``padded``, which holds a signal's
-    first n - 1 samples at its end behind at least k zeros; column i-1 is
-    the signal delayed by i samples.  Row m reads padded[start + m],
-    padded[start + m - 1], ..., with start = padded.size - n."""
+def _lag_rows(padded: np.ndarray, n: int, k: int) -> np.ndarray:
+    """(k, n) read-only view of the 1-D ``padded``, which holds a signal's
+    first n - 1 samples at its end behind at least k zeros; row r is the
+    signal delayed by r + 1 samples.  Each row is contiguous; row r starts
+    r samples before row 0, at padded[padded.size - n - r]."""
     step = padded.strides[0]
     start = padded.size - n
-    return as_strided(padded[start:], shape=(n, k), strides=(step, -step), writeable=False)
+    return as_strided(padded[start:], shape=(k, n), strides=(-step, step), writeable=False)
 
 
 def _lagged(s: np.ndarray, k: int) -> np.ndarray:
     """(n, k) read-only view whose column i-1 is ``s`` delayed by i samples,
     zero before the start."""
-    return _lag_view(np.concatenate((np.zeros(k), s[: s.size - 1])), s.size, k)
+    return _lag_rows(np.concatenate((np.zeros(k), s[: s.size - 1])), s.size, k).T
 
 
 def _solve_rows(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,16 +294,20 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     long-AR stage one ``fit_ar_frames`` call over all nonzero rows; damped
     Gauss-Newton then minimizes each row's sum of squared one-step
     prediction errors with step halving, so the objective is nonincreasing
-    by construction, for at most 50 iterations or until one gains less
-    than 1e-8 of the objective.  Both polynomials are root-reflected into
-    the unit circle afterwards.
+    by construction.  A row stops, converged, when its Gauss-Newton
+    decrement grad' delta (the fall in the objective that the step
+    predicts) is under 1e-6 of the objective, or when no step size lowers
+    the objective; it stops unconverged after 50 iterations or when its
+    solve fails.  Both polynomials are root-reflected into the unit circle
+    afterwards.
 
     The rows iterate in lock step, a row leaving once it stops.  Per row
-    stay the regression, every ``lfilter`` call and the Jacobian with its
-    normal equations; each round then makes one stacked solve, and each
-    step size one MA stabilisation (``_reflect_rows``) for all rows still
-    searching.  The final reflection is one ``_reflect_rows`` call per
-    polynomial.  Every row gets the same bits as a fit of that row alone.
+    stay the regression, every ``lfilter`` call and the normal equations,
+    formed from one (p + q, n) matrix of contiguous lagged rows; each round
+    then makes one stacked solve, and each step size one MA stabilisation
+    (``_reflect_rows``) for all rows still searching.  The final reflection
+    is one ``_reflect_rows`` call per polynomial.  Every row gets the same
+    bits as a fit of that row alone.
 
     Returns the AR coefficients (T, p), the MA coefficients (T, q), the
     residual variances (T,), the ``converged`` flags (T,) and a list of
@@ -347,13 +359,13 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         objectives[t].append(float(sse[i]))
 
     # Stage 3: damped Gauss-Newton on the prediction-error sum of squares.
-    # x and e go through 1/B(z) in one call; the Jacobian's columns are
-    # delayed copies of the two filtered signals, read out of one
-    # zero-padded buffer into one preallocated matrix.
+    # x and e go through 1/B(z) in one call into one zero-padded buffer.
+    # The Jacobian is -jt.T: row r of jt is a filtered signal delayed r + 1
+    # samples, copied out of a lag view of that buffer.
     signals = np.empty((2, n))
     padded = np.zeros((2, n - 1 + k0))
-    x_lags, e_lags = _lag_view(padded[0], n, p), _lag_view(padded[1], n, q)
-    jac = np.empty((n, p + q))
+    x_lags, e_lags = _lag_rows(padded[0], n, p), _lag_rows(padded[1], n, q)
+    jt = np.empty((p + q, n))
     live = np.arange(rows.size)  # positions of the rows still iterating
     for _ in range(_MAX_GN_ITER):
         if not live.size:
@@ -364,17 +376,21 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
             signals[0] = frames[rows[i]]
             signals[1] = e[i]
             padded[:, k0:] = lfilter([1.0], b_polys[i], signals)[:, :-1]
-            np.negative(x_lags, out=jac[:, :p])
-            np.negative(e_lags, out=jac[:, p:])
-            h = jac.T @ jac
+            np.copyto(jt[:p], x_lags)
+            np.copyto(jt[p:], e_lags)
+            h = jt @ jt.T
             h.flat[:: p + q + 1] += 1e-10 * max(np.trace(h), 1.0)
             hess[j] = h
-            grad[j, :, 0] = jac.T @ e[i]
+            grad[j, :, 0] = -(jt @ e[i])
         delta, solved = _solve_rows(hess, grad)
-        live, delta = live[solved], delta[solved]  # a row whose solve fails stops
+        # A row whose solve fails stops; so does one whose Gauss-Newton
+        # decrement grad' delta, the fall its step predicts, is too small.
+        live, grad, delta = live[solved], grad[solved, :, 0], delta[solved]
+        small = np.sum(grad * delta, axis=1) < _GN_REL_TOL * sse[live]
+        converged[rows[live[small]]] = True
+        live, delta = live[~small], delta[~small]
 
         # Step halving: at each scale, all rows still searching try a step.
-        gain = np.zeros(live.size)
         accepted = np.zeros(live.size, dtype=bool)
         searching = np.arange(live.size)
         for scale in _STEP_SCALES:
@@ -388,14 +404,12 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
                 e_try = lfilter(a_try_polys[k], b_try[k], frames[rows[i]])
                 sse_try = float(e_try @ e_try)
                 if np.isfinite(sse_try) and sse_try < sse[i]:
-                    gain[s] = (sse[i] - sse_try) / max(sse[i], 1e-300)
                     a[i], b_polys[i], e[i], sse[i] = a_try[k], b_try[k], e_try, sse_try
                     objectives[rows[i]].append(sse_try)
                     accepted[s] = True
             searching = searching[~accepted[searching]]
-        done = ~accepted | (gain < _GN_REL_TOL)  # no descent direction left, or too small a gain
-        converged[rows[live[done]]] = True
-        live = live[~done]
+        converged[rows[live[~accepted]]] = True  # no descent step left
+        live = live[accepted]
 
     ar_polys = _reflect_rows(_monic(-a), MAX_ROOT_RADIUS)
     ma_polys = _reflect_rows(b_polys, MAX_ROOT_RADIUS)

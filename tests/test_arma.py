@@ -71,11 +71,12 @@ def certify(poly, radius):
     return certified
 
 
-# Frozen per-frame ARMA fit that the batched route replaced.  Every row of
+# Per-frame ARMA fit that the batched route must equal.  Every row of
 # ``fit_arma_frames`` and every ARMA observation must reproduce it bit for
 # bit: the nasal tracks react chaotically to rounding, so "close" is not
 # enough.  It certifies with the scalar step-down recursion, factors with
-# np.roots/np.poly and builds every lag matrix anew.
+# np.roots/np.poly and builds every lag matrix anew; its normal equations
+# take the same operations in the same (p + q, n) layout as the batch.
 
 
 def reference_certify_inside(poly, radius):
@@ -110,7 +111,14 @@ def reference_lagged(s, k):
     return out
 
 
-def reference_estimate_arma(frame, p, q, max_iter=50, rel_tol=1e-8):
+def reference_lag_rows(s, k):
+    out = np.zeros((k, s.size))
+    for i in range(1, k + 1):
+        out[i - 1, i:] = s[: s.size - i]
+    return out
+
+
+def reference_estimate_arma(frame, p, q, max_iter=50, rel_tol=1e-6):
     """(model, objective history) of the per-frame fit."""
     x = np.asarray(frame, dtype=float).ravel()
     if q == 0:
@@ -141,12 +149,16 @@ def reference_estimate_arma(frame, p, q, max_iter=50, rel_tol=1e-8):
         b_poly = np.concatenate(([1.0], b))
         x_b = sps.lfilter([1.0], b_poly, x)
         e_b = sps.lfilter([1.0], b_poly, e)
-        jac = -np.hstack([reference_lagged(x_b, p), reference_lagged(e_b, q)])
-        hess = jac.T @ jac
+        jt = np.vstack([reference_lag_rows(x_b, p), reference_lag_rows(e_b, q)])  # minus the Jacobian, transposed
+        hess = jt @ jt.T
         hess[np.diag_indices_from(hess)] += 1e-10 * max(np.trace(hess), 1.0)
+        grad = -(jt @ e)
         try:
-            delta = np.linalg.solve(hess, jac.T @ e)
+            delta = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
+            break
+        if np.sum(grad * delta) < rel_tol * sse:  # the Gauss-Newton decrement
+            converged = True
             break
         accepted = False
         for scale in 2.0 ** -np.arange(11):
@@ -160,12 +172,8 @@ def reference_estimate_arma(frame, p, q, max_iter=50, rel_tol=1e-8):
         if not accepted:
             converged = True
             break
-        rel_gain = (sse - sse_new) / max(sse, 1e-300)
         a, b, e, sse = a_new, b_new, e_new, sse_new
         history.append(sse)
-        if rel_gain < rel_tol:
-            converged = True
-            break
     ar_poly = reference_reflect_roots(np.concatenate(([1.0], -a)), MAX_ROOT_RADIUS)
     ma_poly = reference_reflect_roots(np.concatenate(([1.0], b)), MAX_ROOT_RADIUS)
     a, b = -ar_poly[1:], ma_poly[1:]
@@ -185,11 +193,11 @@ def nasal_frames(seed=715):
     return frames
 
 
-def assert_rows_equal_the_reference(frames, p, q, fit):
-    """Every row of a ``fit_arma_frames`` result is the frozen per-frame fit."""
+def assert_rows_equal_the_reference(frames, p, q, fit, **reference_options):
+    """Every row of a ``fit_arma_frames`` result is the per-frame fit."""
     ar, ma, noise_variance, converged, objectives = fit
     for t, frame in enumerate(frames):
-        model, history = reference_estimate_arma(frame, p, q)
+        model, history = reference_estimate_arma(frame, p, q, **reference_options)
         assert np.array_equal(ar[t], model.ar)
         assert np.array_equal(ma[t], model.ma)
         assert noise_variance[t] == model.noise_variance
@@ -230,6 +238,15 @@ class TestEstimateAr:
     def test_too_short_raises(self):
         with pytest.raises(ValueError):
             estimate_ar(np.ones(4), 4)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_raises(self, bad):
+        frames = np.random.default_rng(13).standard_normal((3, 100))
+        frames[2, 7] = bad
+        with pytest.raises(ValueError, match="non-finite samples"):
+            fit_ar_frames(frames, 4)
+        with pytest.raises(ValueError, match="non-finite samples"):
+            estimate_ar(frames[2], 4)
 
     def test_always_minimum_phase(self):
         rng = np.random.default_rng(2)
@@ -420,6 +437,16 @@ class TestEstimateArma:
         assert np.all(np.isfinite(m.ar)) and np.all(np.isfinite(m.ma)) and np.isfinite(m.noise_variance)
         assert minimum_phase(m)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_non_finite_sample_raises(self, bad, q):
+        frames = np.random.default_rng(12).standard_normal((3, 200))
+        frames[1, 50] = bad
+        with pytest.raises(ValueError, match="non-finite samples"):
+            fit_arma_frames(frames, 4, q)
+        with pytest.raises(ValueError, match="non-finite samples"):
+            estimate_arma(frames[1], 4, q)
+
     def test_frame_one_sample_shorter_raises(self):
         with pytest.raises(ValueError, match="frame length must exceed p \\+ q \\+ 1"):
             estimate_arma(np.random.default_rng(9).standard_normal(7), 4, 2)
@@ -463,12 +490,31 @@ class TestFitArmaFrames:
         frames[[0, 40]] = 0.0
         fit = fit_arma_frames(frames, 6, 4)
         assert_rows_equal_the_reference(frames, 6, 4, fit)
-        converged, objectives = fit[3], fit[4]
-        lengths = [len(h) for h in objectives]
+        lengths = [len(h) for h in fit[4]]
         assert lengths[0] == lengths[40] == 0
         assert len(set(lengths)) > 10  # rows stop in many different rounds
-        if seed == 719:  # rows that hit the 50-iteration cap
-            assert sum(n == 51 and not c for n, c in zip(lengths, converged)) == 2
+
+    def test_iteration_cap_stops_rows_unconverged(self, monkeypatch):
+        max_iter = 4
+        monkeypatch.setattr(karma.arma, "_MAX_GN_ITER", max_iter)
+        frames = nasal_frames(719)[::3]
+        fit = fit_arma_frames(frames, 6, 4)
+        assert_rows_equal_the_reference(frames, 6, 4, fit, max_iter=max_iter)
+        converged, lengths = fit[3], [len(h) for h in fit[4]]
+        capped = [n == max_iter + 1 and not c for n, c in zip(lengths, converged)]
+        assert any(capped) and not all(capped)
+
+    @pytest.mark.parametrize("seed", [715, 719])
+    def test_stops_within_the_tracker_precision(self, monkeypatch, seed):
+        """Stopping on the decrement costs little log-likelihood: for 95 % of
+        the frames, n/2 ln(sse / sse_tight) is under 0.01 nats, sse_tight the
+        objective of a fit run to a far tighter tolerance."""
+        frames = nasal_frames(seed)
+        sse = np.array([h[-1] for h in fit_arma_frames(frames, 6, 4)[4]])
+        monkeypatch.setattr(karma.arma, "_GN_REL_TOL", 1e-12)
+        sse_tight = np.array([h[-1] for h in fit_arma_frames(frames, 6, 4)[4]])
+        loss = frames.shape[1] / 2 * np.log(sse / sse_tight)
+        assert loss.min() >= 0.0 and np.percentile(loss, 95) < 0.01
 
     @pytest.mark.parametrize("fail_row", [False, True])
     def test_singular_stack_falls_back_to_rows(self, monkeypatch, fail_row):
