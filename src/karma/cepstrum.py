@@ -37,11 +37,9 @@ from __future__ import annotations
 import numpy as np
 
 from .arma import ArmaModel, _minimum_phase_rows
+from .frontend import _row_blocks
 
 __all__ = ["CepstralObservation", "arma_cepstra", "arma_to_cepstrum", "real_cepstrum"]
-
-_FFT_BLOCK = 256  # frames per batched FFT in _real_cepstra
-
 
 def _log_inverse_series(a: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Coefficients n = 1..N of log 1 / (1 - sum_i a_i z^-i), for each row of a (T, p)."""
@@ -238,17 +236,21 @@ def _fft_size(frame_length: int) -> int:
 def _real_cepstra(frames: np.ndarray, rows: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Batched core of ``real_cepstrum``: cepstra of ``frames[rows]``, none all zero.
 
-    Rows are gathered and sent through the FFT in blocks of ``_FFT_BLOCK``
-    frames, so neither a copy of the selected frames nor the complex
-    spectra of a long input ever exist all at once.
+    Rows are gathered and sent through the FFT in blocks sized by bytes,
+    about 32 bytes per FFT bin and row (the padded input, its complex
+    spectrum, the log magnitude and the inverse transform), within
+    ``frontend._BLOCK_BYTES``: 32 rows of a 1024-point FFT.  So neither a
+    copy of the selected frames nor the spectra of a long input ever exist
+    all at once.
     """
     nfft = _fft_size(frames.shape[1])
     out = np.empty((len(rows), min(n_coeffs, nfft // 2)))
-    for lo in range(0, len(rows), _FFT_BLOCK):
-        spec = np.abs(np.fft.rfft(frames[rows[lo : lo + _FFT_BLOCK]], nfft, axis=1))
+    for block in _row_blocks(len(rows), 32 * nfft):
+        spec = np.abs(np.fft.rfft(frames[rows[block]], nfft, axis=1))
         floor = 1e-12 * spec.max(axis=1, keepdims=True)
         ceps = np.fft.irfft(np.log(np.maximum(spec, floor)), nfft, axis=1)
-        out[lo : lo + _FFT_BLOCK] = 2.0 * ceps[:, 1 : out.shape[1] + 1]
+        out[block] = 2.0 * ceps[:, 1 : out.shape[1] + 1]
+        del spec, ceps  # before the next block's spectra exist
     return out
 
 

@@ -120,9 +120,17 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _read_track_file(path_str: str, kind: str):
+    path = _require_file(path_str, kind)
+    try:
+        return read_tracks(path)
+    except ValueError as exc:
+        raise UsageError(f"bad {kind} {path}: {exc}") from exc
+
+
 def cmd_eval(args) -> int:
-    est = read_tracks(_require_file(args.estimate, "estimate file"))
-    ref = read_tracks(_require_file(args.reference, "reference file"))
+    est = _read_track_file(args.estimate, "estimate file")
+    ref = _read_track_file(args.reference, "reference file")
     try:
         report = rmse(
             est,

@@ -2,8 +2,13 @@
 
 The analysis front end turns a mono PCM waveform into windowed,
 pre-emphasized short-time frames plus a per-frame speech-activity mask.
-Everything here is a pure function over immutable values, so frames and
-masks can be shared freely across threads.
+Every function returns new arrays, except ``preemphasize`` given an
+``out=``, which may be its input.
+
+Memory: each function makes only its result at full size.  Its other
+temporaries are made a block of rows at a time, each block at most
+``_BLOCK_BYTES`` (and at least one row), so a long utterance costs the
+resampled signal plus one (T, L) frame matrix.
 """
 
 from __future__ import annotations
@@ -45,6 +50,18 @@ _WINDOWS = {"hamming": (0.54, 1.0 - 0.54), "hanning": (0.5, 0.5), "rectangular":
 # Multiply-adds per matrix product in the resampler, below OpenBLAS's
 # threshold for threading one (4 * 65536).
 _GEMM_WORK = 1 << 16
+
+# Byte budget of one block of rows: the resampler's input groups, the
+# squared frames of detect_activity, preemphasize's shifted products, the
+# real cepstrum's FFT blocks and the frames the parametric route gathers.
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``range(n_rows)``, each of as many rows of
+    ``row_bytes`` bytes as fit in ``_BLOCK_BYTES``, and at least one row."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
 
 
 @dataclass(frozen=True)
@@ -138,7 +155,9 @@ def window_frames(
 
     Frame t covers samples [t*hop, t*hop + frame_length).  A trailing
     partial frame, if any samples remain uncovered, is zero padded rather
-    than dropped so track lengths match spectrogram conventions.
+    than dropped so track lengths match spectrogram conventions.  The
+    frames are windowed straight from a strided view of the samples; only
+    the padded tail frame is copied first.
     """
     if not 0 <= overlap_fraction < 1:
         raise ValueError("overlap_fraction must be in [0, 1)")
@@ -156,29 +175,44 @@ def window_frames(
     n_frames = n_full + (1 if covered < x.size else 0)
 
     window = _periodic_window(window_kind, frame_length)
-    padded = np.zeros((n_frames - 1) * hop + frame_length)
-    padded[: x.size] = x
-    frames = sliding_window_view(padded, frame_length)[::hop] * window
+    frames = np.empty((n_frames, frame_length))
+    np.multiply(sliding_window_view(x, frame_length)[::hop], window, out=frames[:n_full])
+    if n_frames > n_full:
+        tail = np.zeros(frame_length)
+        tail[: x.size - n_full * hop] = x[n_full * hop :]
+        np.multiply(tail, window, out=frames[n_full])
     return FrameSequence(frames, frame_length, hop, w.sample_rate_hz)
 
 
-def preemphasize(frame: np.ndarray, gamma: float) -> np.ndarray:
+def preemphasize(frame: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
     """First-difference high-pass: out[m] = in[m] - gamma*in[m-1], with in[-1] = 0.
 
     Works on a single frame or on a stack of frames (last axis = time).
+    The result goes to ``out`` when given (an array of the input's shape,
+    which may be the input itself), else to a new array; a stack is
+    filtered in blocks of rows, so the products gamma*in[m-1] never
+    exist for the whole stack at once.
     """
     if abs(gamma) > 1:
         raise ValueError("|gamma| must be <= 1")
     x = np.asarray(frame, dtype=float)
-    out = x.copy()
-    out[..., 1:] -= gamma * x[..., :-1]
+    if out is None:
+        out = np.empty_like(x)
+    stack, dest = (x, out) if x.ndim > 1 else (x[None], out[None])
+    for rows in _row_blocks(len(stack), stack[:1].nbytes):
+        xb, ob = stack[rows], dest[rows]
+        ob[..., :1] = xb[..., :1]
+        np.subtract(xb[..., 1:], gamma * xb[..., :-1], out=ob[..., 1:])
     return out
 
 
 def read_wav(path) -> Waveform:
-    """Read a RIFF PCM (16-bit or 32-bit float) WAV file as a mono waveform.
+    """Read a RIFF WAV file as a mono waveform: 8-bit unsigned, 16- or
+    32-bit integer PCM, or 32- or 64-bit float.
 
-    Samples are scaled to [-1, 1]; stereo channels are averaged.
+    Integer samples are scaled to [-1, 1]; float samples are kept as
+    they are.  Channels are averaged.  Any other format raises
+    ``ValueError``.
     """
     path = Path(path)
     try:
@@ -239,7 +273,11 @@ def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
     (b - c)*up*down + u*down - d*up + half, so output block b (``up``
     samples) is the sum over block shifts s = b - c of input block b - s
     (``down`` samples) times a (down, up) tap matrix G_s: one batched
-    matmul over all blocks per shift, about len(h)/(up*down) + 2 of them.
+    matmul per shift, about len(h)/(up*down) + 2 of them, over each chunk
+    of block groups.  A chunk gathers its own zero-padded input blocks, at
+    most ``_BLOCK_BYTES`` of them, and its sums go straight into the one
+    output array; only the last chunk, which runs past the output's end,
+    sums into a scratch array first.
     """
     n_taps, half, span = h.size, (h.size - 1) // 2, up * down
     n_out = -(-x.size * up // down)
@@ -255,15 +293,25 @@ def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
     # on one thread: a threaded product this small is slower, and far
     # slower on a busy host.
     group = max(1, _GEMM_WORK // span)
-    n_groups = -(-n_blocks // group)
-    n_rows = n_groups * group
-    # input blocks b - s for every output block b and shift s, zeros outside x
-    rows = np.zeros((n_rows + s_hi - s_lo, down))
-    rows.reshape(-1)[s_hi * down : s_hi * down + x.size] = x
-    y = np.zeros((n_groups, group, up))
-    for k, s in enumerate(range(s_lo, s_hi + 1)):
-        y += rows[s_hi - s : s_hi - s + n_rows].reshape(n_groups, group, down) @ g[k]
-    return y.reshape(-1)[:n_out].copy()  # a view would keep the last group's padding alive
+    out = np.zeros(n_out)
+    for chunk in _row_blocks(-(-n_blocks // group), 8 * group * down):  # a group's float input rows
+        n_groups = chunk.stop - chunk.start
+        n_rows = n_groups * group
+        # input blocks b - s for this chunk's output blocks b and every shift s, zeros outside x
+        first = (chunk.start * group - s_hi) * down  # the sample in row 0
+        rows = np.zeros((n_rows + s_hi - s_lo, down))
+        lo, hi = max(first, 0), min(first + rows.size, x.size)
+        rows.reshape(-1)[lo - first : hi - first] = x[lo:hi]
+        start = chunk.start * group * up
+        whole = start + n_rows * up <= n_out
+        y = out[start : start + n_rows * up] if whole else np.zeros(n_rows * up)
+        y = y.reshape(n_groups, group, up)
+        for k, s in enumerate(range(s_lo, s_hi + 1)):
+            y += rows[s_hi - s : s_hi - s + n_rows].reshape(n_groups, group, down) @ g[k]
+        if not whole:
+            out[start:] = y.reshape(-1)[: n_out - start]
+        del rows  # before the next chunk's rows exist
+    return out
 
 
 def resample(w: Waveform, target_hz: float) -> Waveform:
@@ -299,8 +347,13 @@ def resample(w: Waveform, target_hz: float) -> Waveform:
 
 
 def detect_activity(frames: FrameSequence, threshold_db: float = -40.0) -> np.ndarray:
-    """Energy-based activity, (T,) bool: frame RMS in dB relative to the loudest frame."""
-    rms = np.sqrt(np.mean(frames.frames**2, axis=1))
+    """Energy-based activity, (T,) bool: frame RMS in dB relative to the loudest frame.
+    The frames are squared a block of rows at a time."""
+    x = frames.frames
+    rms = np.empty(len(x))
+    for rows in _row_blocks(len(x), x[:1].nbytes):
+        rms[rows] = np.mean(x[rows] ** 2, axis=1)
+    np.sqrt(rms, out=rms)
     ref = rms.max() if rms.size else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         db = np.where(rms > 0, 20.0 * np.log10(rms / ref) if ref > 0 else -np.inf, -np.inf)

@@ -24,6 +24,7 @@ from .frontend import (
     _WINDOWS,
     LabelInterval,
     Waveform,
+    _row_blocks,
     activity_from_labels,
     detect_activity,
     frame_length_and_hop,
@@ -195,9 +196,12 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     source coloration stay in the observations, as the observation noise
     covariance is sized to absorb them.
 
-    Each route takes all speech frames at once.  The parametric route is
-    one ``fit_arma_frames`` call (with ``ma_order = 0`` the AR fit) and one
-    ``arma_cepstra`` call, which checks that every fit is minimum phase.
+    The real-cepstrum route takes all speech frames at once.  The
+    parametric route gathers the speech frames a block of rows at a time
+    (``frontend._BLOCK_BYTES``), with one ``fit_arma_frames`` call (with
+    ``ma_order = 0`` the AR fit) and one ``arma_cepstra`` call, which checks
+    that every fit is minimum phase, per block; both give each row the bits
+    of that row's own call.
     """
     n_frames = frames_emphasized.shape[0]
     obs = np.zeros((n_frames, config.n_cepstra))
@@ -205,8 +209,9 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
     if config.observation_source == "real_cepstrum":
         obs[rows] = _real_cepstra(frames_emphasized, rows, config.n_cepstra)
     else:
-        ar, ma, *_ = fit_arma_frames(frames_emphasized[rows], config.lpc_order, config.ma_order)
-        obs[rows] = arma_cepstra(ar, ma, config.n_cepstra)
+        for block in _row_blocks(rows.size, frames_emphasized[:1].nbytes):
+            ar, ma, *_ = fit_arma_frames(frames_emphasized[rows[block]], config.lpc_order, config.ma_order)
+            obs[rows[block]] = arma_cepstra(ar, ma, config.n_cepstra)
     if not np.all(np.isfinite(obs)):
         raise ValueError("non-finite cepstral coefficients")
     return obs
@@ -227,18 +232,25 @@ def track_waveform(
     mode each frame's estimate depends only on that frame and earlier ones,
     given the activity mask (fixed by ``labels``; ``detect_activity``
     scales its threshold to the loudest frame of the whole utterance).
+
+    Memory: besides the front end's bounded blocks, the run holds at most
+    the resampled signal and one (T, L) frame matrix.  The resampled
+    signal is let go after framing.  The activity mask is read from the
+    windowed frames, which are then pre-emphasized in place and let go
+    before the tracker runs.
     """
     config.validate()
     rate_ratio = config.target_sample_rate_hz / w.sample_rate_hz
     if rate_ratio != 1.0:
         w = resample(w, config.target_sample_rate_hz)
     frames = window_frames(w, config.frame_ms, config.overlap, config.window)
-    emphasized = preemphasize(frames.frames, config.gamma)
+    n_samples = w.samples.size
+    del w
 
     if labels is not None:
         mask = activity_from_labels(
             labels,
-            n_samples=w.samples.size,
+            n_samples=n_samples,
             frame_length=frames.frame_length,
             hop=frames.hop,
             n_frames=frames.n_frames,
@@ -247,7 +259,10 @@ def track_waveform(
     else:
         mask = detect_activity(frames, config.energy_threshold_db)
 
-    obs = build_observations(emphasized, config, mask)
-    params = make_tracker_params(config, frames.hop_s)
+    preemphasize(frames.frames, config.gamma, out=frames.frames)
+    obs = build_observations(frames.frames, config, mask)
+    hop_s = frames.hop_s
+    del frames
+    params = make_tracker_params(config, hop_s)
     run = eks_smooth if config.mode == "smooth" else ekf_filter
     return run(obs, params, mask, activation)

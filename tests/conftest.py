@@ -5,9 +5,11 @@ from functools import cache
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from karma.arma import ArmaModel
-from karma.cepstrum import CepstralObservation
+from karma.cepstrum import CepstralObservation, _fft_size
+from karma.frontend import _GEMM_WORK, _periodic_window, frame_length_and_hop
 from karma.pipeline import track_waveform
 from karma.synthesis import nasal_demo_config, nasal_utterance_spec, resonator_cascade, synthesize
 from karma.tracker import TrackActivation, TrackerParams
@@ -122,6 +124,74 @@ class FrozenCepstralObservation(CepstralObservation):
         powers = frozen_pole_powers(x[freq_cols], x[bw_cols], self.sample_rate_hz, self.n_cepstra)
         H = frozen_powers_jacobian(powers, signs, self.sample_rate_hz, freq_cols, bw_cols)
         return frozen_powers_cepstrum(powers, signs), H
+
+
+def frozen_polyphase(x, h, up, down):
+    """Frozen reference for ``frontend._polyphase``: every block group in one
+    zero-padded copy of the input, one batched matmul per shift."""
+    n_taps, half, span = h.size, (h.size - 1) // 2, up * down
+    n_out = -(-x.size * up // down)
+    n_blocks = -(-n_out // up)
+    s_lo = -((half + (up - 1) * down) // span)
+    s_hi = (n_taps - 1 - half + (down - 1) * up) // span
+    taps = np.arange(s_lo, s_hi + 1)[:, None, None] * span + (
+        np.arange(up) * down - np.arange(down)[:, None] * up + half
+    )
+    inside = (taps >= 0) & (taps < n_taps)
+    g = np.where(inside, up * h[np.clip(taps, 0, n_taps - 1)], 0.0)
+    group = max(1, _GEMM_WORK // span)
+    n_groups = -(-n_blocks // group)
+    n_rows = n_groups * group
+    rows = np.zeros((n_rows + s_hi - s_lo, down))
+    rows.reshape(-1)[s_hi * down : s_hi * down + x.size] = x
+    y = np.zeros((n_groups, group, up))
+    for k, s in enumerate(range(s_lo, s_hi + 1)):
+        y += rows[s_hi - s : s_hi - s + n_rows].reshape(n_groups, group, down) @ g[k]
+    return y.reshape(-1)[:n_out].copy()
+
+
+def frozen_window_frames(x, sample_rate_hz, frame_ms, overlap_fraction, window_kind="hamming"):
+    """Frozen reference for ``frontend.window_frames``' frame matrix: framed from
+    a zero-padded copy of the samples."""
+    frame_length, hop = frame_length_and_hop(frame_ms, overlap_fraction, sample_rate_hz)
+    n_full = (x.size - frame_length) // hop + 1
+    covered = (n_full - 1) * hop + frame_length
+    n_frames = n_full + (1 if covered < x.size else 0)
+    window = _periodic_window(window_kind, frame_length)
+    padded = np.zeros((n_frames - 1) * hop + frame_length)
+    padded[: x.size] = x
+    return sliding_window_view(padded, frame_length)[::hop] * window
+
+
+def frozen_detect_activity(frames, threshold_db=-40.0):
+    """Frozen reference for ``frontend.detect_activity`` on a frame matrix,
+    squaring every frame at once."""
+    rms = np.sqrt(np.mean(frames**2, axis=1))
+    ref = rms.max() if rms.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.where(rms > 0, 20.0 * np.log10(rms / ref) if ref > 0 else -np.inf, -np.inf)
+    return db >= threshold_db
+
+
+def frozen_preemphasize(frame, gamma):
+    """Frozen reference for ``frontend.preemphasize``: a copy, then one
+    whole-array update."""
+    x = np.asarray(frame, dtype=float)
+    out = x.copy()
+    out[..., 1:] -= gamma * x[..., :-1]
+    return out
+
+
+def frozen_real_cepstra(frames, rows, n_coeffs, block=256):
+    """Frozen reference for ``cepstrum._real_cepstra``: FFT blocks of ``block`` rows."""
+    nfft = _fft_size(frames.shape[1])
+    out = np.empty((len(rows), min(n_coeffs, nfft // 2)))
+    for lo in range(0, len(rows), block):
+        spec = np.abs(np.fft.rfft(frames[rows[lo : lo + block]], nfft, axis=1))
+        floor = 1e-12 * spec.max(axis=1, keepdims=True)
+        ceps = np.fft.irfft(np.log(np.maximum(spec, floor)), nfft, axis=1)
+        out[lo : lo + block] = 2.0 * ceps[:, 1 : out.shape[1] + 1]
+    return out
 
 
 class LinearObservation:

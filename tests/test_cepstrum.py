@@ -10,6 +10,7 @@ from karma.cepstrum import (
     CepstralObservation,
     _pole_powers,
     _powers_cepstrum,
+    _real_cepstra,
     arma_cepstra,
     arma_to_cepstrum,
     real_cepstrum,
@@ -22,6 +23,7 @@ from conftest import (
     frozen_pole_powers,
     frozen_powers_cepstrum,
     frozen_powers_jacobian,
+    frozen_real_cepstra,
     random_minimum_phase_model,
     root_sum_cepstrum,
 )
@@ -353,6 +355,19 @@ class TestCepstrumJacobian:
 
 
 class TestRealCepstrum:
+    @pytest.mark.parametrize("length", [140, 1000])
+    def test_blocks_equal_frozen(self, length):
+        # 300 speech rows out of 400: at length 140 (a 1024-point FFT, 32 rows
+        # per block) they cross several block boundaries, and the frozen
+        # copy's one 256-row boundary
+        rng = np.random.default_rng(length)
+        frames = rng.standard_normal((400, length))
+        rows = np.sort(rng.choice(400, 300, replace=False))
+        for n_coeffs in (15, 40):
+            assert np.array_equal(
+                _real_cepstra(frames, rows, n_coeffs), frozen_real_cepstra(frames, rows, n_coeffs)
+            )
+
     def test_unit_impulse_flat(self):
         frame = np.zeros(64)
         frame[0] = 1.0

@@ -302,6 +302,24 @@ class TestEvalCommand:
         write_tracks(shorter, b)
         assert main(["eval", str(a), str(b)]) == 2
 
+    @pytest.mark.parametrize("broken", ["header", "value"])
+    @pytest.mark.parametrize("side", ["estimate", "reference"])
+    def test_malformed_csv_exits_2(self, tmp_path, vowel_wav, capsys, broken, side):
+        _, ref = vowel_wav
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_tracks(ref, good)
+        lines = good.read_text().splitlines()
+        if broken == "header":
+            lines[0] = lines[0].replace("f1", "formant1", 1)
+        else:
+            lines[2] = "abc" + lines[2][lines[2].index(","):]
+        bad.write_text("\n".join(lines) + "\n")
+        args = [str(bad), str(good)] if side == "estimate" else [str(good), str(bad)]
+        assert main(["eval", *args]) == 2
+        captured = capsys.readouterr()
+        assert f"bad {side} file" in captured.err
+        assert captured.out == ""
+
     def test_formant_count_restricts_columns(self, tmp_path, vowel_wav, capsys):
         _, ref = vowel_wav
         path = tmp_path / "ref.csv"

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 
+import karma.frontend
 from karma.frontend import (
     DEFAULT_SILENCE_LABELS,
     LabelInterval,
     Waveform,
     _kaiser_lowpass,
     _periodic_window,
+    _polyphase,
     activity_from_labels,
     detect_activity,
     frame_length_and_hop,
@@ -21,6 +23,13 @@ from karma.frontend import (
     resample,
     window_frames,
     write_wav,
+)
+
+from conftest import (
+    frozen_detect_activity,
+    frozen_polyphase,
+    frozen_preemphasize,
+    frozen_window_frames,
 )
 
 
@@ -321,3 +330,77 @@ class TestActivity:
             intervals, n_samples, frame_length, hop, n_frames, sample_scale
         )
         assert mask.tolist() == expected.tolist()
+
+
+# 16 KB: a resampler chunk of one block group, a few frames per block
+SMALL_BLOCK_BYTES = 1 << 14
+
+
+@pytest.fixture(params=["default", "small"])
+def block_bytes(request, monkeypatch):
+    """Run under the default block budget and under a small one, which splits
+    short inputs into many blocks."""
+    if request.param == "small":
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", SMALL_BLOCK_BYTES)
+
+
+class TestFrozenFrontEnd:
+    """The blocked front end gives the same bits as whole-array copies of it."""
+
+    @pytest.mark.parametrize(
+        "source_hz,target_hz",
+        [(16000, 7000), (16000, 10000), (44100, 7000), (8000, 16000)],
+    )
+    # 300 is shorter than the filter; 131040 fills whole chunks of the default
+    # budget at 16 -> 7 kHz; 330001 spans about three of them; the small
+    # budget splits the short inputs into one-group chunks
+    @pytest.mark.parametrize(
+        "n,budget",
+        [(300, None), (4001, None), (131040, None), (330001, None), (300, SMALL_BLOCK_BYTES),
+         (4001, SMALL_BLOCK_BYTES)],
+    )
+    def test_polyphase_equals_frozen(self, monkeypatch, source_hz, target_hz, n, budget):
+        if budget is not None:
+            monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", budget)
+        x = np.random.default_rng(n).standard_normal(n)
+        ratio = Fraction(target_hz, source_hz)
+        up, down = ratio.numerator, ratio.denominator
+        cutoff = 0.5 * min(source_hz, target_hz)
+        fir = _kaiser_lowpass(cutoff, 0.1 * cutoff, source_hz * up)
+        assert np.array_equal(_polyphase(x, fir, up, down), frozen_polyphase(x, fir, up, down))
+
+    @pytest.mark.parametrize(
+        "n,frame_ms,overlap",
+        [
+            (3200, 10.0, 0.5),  # no padded tail
+            (3330, 10.0, 0.5),  # a padded tail frame
+            (3330, 10.0, 0.0),  # no overlap, a padded tail frame
+            (400, 10.0, 0.999),  # hop 1
+            (160, 10.0, 0.5),  # a single frame
+            (20000, 20.0, 0.5),  # many blocks under the small budget
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["hamming", "rectangular"])
+    def test_window_frames_equal_frozen(self, block_bytes, n, frame_ms, overlap, kind):
+        w = make_wave(n, rng=np.random.default_rng(n))
+        frames = window_frames(w, frame_ms, overlap, kind)
+        expected = frozen_window_frames(w.samples, w.sample_rate_hz, frame_ms, overlap, kind)
+        assert frames.frames.shape == expected.shape
+        assert np.array_equal(frames.frames, expected)
+        for threshold in (-40.0, -3.0, -np.inf):
+            assert np.array_equal(
+                detect_activity(frames, threshold), frozen_detect_activity(expected, threshold)
+            )
+
+    # (1000, 140) is two blocks under the default budget
+    @pytest.mark.parametrize("shape", [(140,), (1, 140), (1000, 140), (3, 50, 16)])
+    @pytest.mark.parametrize("gamma", [0.0, 0.7, -1.0])
+    def test_preemphasize_equals_frozen(self, block_bytes, shape, gamma):
+        x = np.random.default_rng(len(shape)).standard_normal(shape)
+        expected = frozen_preemphasize(x, gamma)
+        assert np.array_equal(preemphasize(x, gamma), expected)
+        out = np.full_like(x, np.nan)
+        assert preemphasize(x, gamma, out=out) is out
+        assert np.array_equal(out, expected)
+        assert preemphasize(x, gamma, out=x) is x  # out= aliasing the input
+        assert np.array_equal(x, expected)

@@ -2,6 +2,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy import signal as sps
 
 import karma.arma
+import karma.frontend
 from karma.arma import ArmaModel, estimate_ar, fit_ar_frames, fit_arma_frames
 from karma.cepstrum import _real_cepstra, arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
@@ -257,6 +259,18 @@ class TestBuildObservations:
         assert 0 < n_refused <= rows.size and (n_refused == rows.size) == (share == 1.0)
         assert factored == [n_refused] * 2  # the AR polynomials, then the empty MA ones
 
+    @pytest.mark.parametrize(
+        "config",
+        [RunConfig(), RunConfig(lpc_order=4, ma_order=2, n_formants=2, n_antiformants=1)],
+        ids=["ar", "arma"],
+    )
+    def test_fit_blocks_leave_the_cepstra_unchanged(self, monkeypatch, config):
+        frames = resonant_frames(13, 30, 200)
+        speech = np.random.default_rng(13).random(30) < 0.8
+        whole = build_observations(frames, config, speech)
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", 3 * frames[:1].nbytes)
+        assert np.array_equal(build_observations(frames, config, speech), whole)
+
     def test_ar_frame_of_p_plus_one_samples_fits(self):
         config = RunConfig()
         frames = resonant_frames(12, 4, config.lpc_order + 1)[1:]  # row 0 is silent
@@ -336,6 +350,35 @@ def filter_prefix_runs(source, observation_source):
     half = Waveform(wave.samples[: wave.samples.size // 2], wave.sample_rate_hz)
     config = RunConfig(mode="filter", observation_source=observation_source)
     return track_waveform(wave, config, labels=[]), track_waveform(half, config, labels=[])
+
+
+class TestMemory:
+    # the peak holds the resampled signal and one frame matrix (or the result),
+    # plus the front end's blocks of at most frontend._BLOCK_BYTES
+    PEAK_MULTIPLE = 1.5
+
+    @pytest.mark.parametrize(
+        "seconds,config",
+        [
+            (20.0, RunConfig(mode="filter", observation_source="real_cepstrum")),
+            (10.0, RunConfig(mode="smooth")),
+        ],
+        ids=["filter-realcep-20s", "smooth-ar-10s"],
+    )
+    def test_peak_within_one_frame_matrix(self, seconds, config):
+        wave, _ = synthesize(random_trajectory(4, seconds, seed=5, sample_rate_hz=16000.0))
+        track_waveform(wave, config)  # first-call caches stay out of the measurement
+        tracemalloc.start()
+        try:
+            result = track_waveform(wave, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_samples = round(wave.samples.size * config.target_sample_rate_hz / wave.sample_rate_hz)
+        frame_length = round(config.frame_ms * 1e-3 * config.target_sample_rate_hz)
+        held = 8 * (n_samples + result.n_frames * frame_length)
+        held += result.means.nbytes + result.covariances.nbytes + result.speech.nbytes
+        assert peak < self.PEAK_MULTIPLE * held, (peak, held)
 
 
 class TestOnePassTracking:
