@@ -71,7 +71,9 @@ def rmse(
     Only frames where ``mask`` is true are counted (mask indexes reference
     frames).  ``offset`` shifts the estimate relative to the reference and
     trims both to the overlap; without it the frame counts must match.
-    Reference entries that are not finite are skipped per formant.
+    Reference entries that are not finite are skipped per formant; an
+    estimate that is not finite where the reference is scored raises
+    ``ValueError``.
     """
     est, ref, sl_ref, n = _aligned_freqs(estimated, reference, formant_count, offset)
     flags = _speech_flags(mask, reference.n_frames)[sl_ref]
@@ -79,8 +81,13 @@ def rmse(
     if counted == 0:
         raise ValueError("empty evaluation set")
 
-    err = est[flags] - ref[flags]
     usable = np.isfinite(ref[flags])
+    bad = np.argwhere(usable & ~np.isfinite(est[flags]))
+    if bad.size:
+        row, k = bad[0]
+        frame = sl_ref.start + np.flatnonzero(flags)[row]
+        raise ValueError(f"estimate f{k + 1} is not finite at scored reference frame {frame}")
+    err = est[flags] - ref[flags]
     per_formant = np.full(formant_count, np.nan)
     pooled = []
     for k in range(formant_count):

@@ -14,13 +14,13 @@ resampled signal plus one (T, L) frame matrix.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.io import wavfile
 
 __all__ = [
     "Waveform",
@@ -206,46 +206,110 @@ def preemphasize(frame: np.ndarray, gamma: float, out: np.ndarray | None = None)
     return out
 
 
-def read_wav(path) -> Waveform:
-    """Read a RIFF WAV file as a mono waveform: 8-bit unsigned, 16- or
-    32-bit integer PCM, or 32- or 64-bit float.
+# WAV format tags: integer PCM, IEEE float, and WAVE_FORMAT_EXTENSIBLE,
+# whose sub-format GUID carries one of the other two tags.
+_WAVE_PCM, _WAVE_FLOAT, _WAVE_EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# The last eight bytes of a KSDATAFORMAT_SUBTYPE_* GUID.  The tag (32 bits)
+# and the 16-bit fields 0x0000 and 0x0010 come first, in the file's byte order.
+_GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
 
-    Integer samples are scaled to [-1, 1]; float samples are kept as
-    they are.  Channels are averaged.  Any other format raises
-    ``ValueError``.
-    """
-    path = Path(path)
-    try:
-        rate, data = wavfile.read(path)
-    except FileNotFoundError:
-        raise  # a missing file is not a format error; keep it out of the catch-all below
-    except ValueError as exc:
-        msg = str(exc).lower()
-        if "format" in msg or "compressed" in msg or "fmt" in msg:
-            raise ValueError("unsupported codec") from exc
-        raise ValueError("unsupported wav") from exc
-    except Exception as exc:  # struct errors on truncated headers
-        raise ValueError("unsupported wav") from exc
 
-    if data.dtype == np.int16:
-        samples = data / 32768.0
-    elif data.dtype == np.int32:
-        samples = data / 2147483648.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(float)
-    elif data.dtype == np.uint8:
-        samples = (data.astype(float) - 128.0) / 128.0
-    else:
+def _wav_fmt(raw: bytes, order: str, at: int, size: int) -> tuple[int, int, int, int, int]:
+    """(format tag, channels, sample rate, bytes per sample, bits per
+    sample) of the 'fmt ' chunk whose body starts at ``at``.  An extensible
+    format reports the tag in its sub-format GUID."""
+    if size < 16:
+        raise ValueError("unsupported wav")
+    tag, channels, rate, _, block_align, bits = struct.unpack_from(order + "HHIIHH", raw, at)
+    if tag == _WAVE_EXTENSIBLE and size >= 18:
+        if struct.unpack_from(order + "H", raw, at + 16)[0] < 22:
+            raise ValueError("unsupported wav")
+        guid = raw[at + 24 : at + 40]
+        if guid[4:] == struct.pack(order + "HH", 0, 0x0010) + _GUID_TAIL:
+            tag = struct.unpack(order + "I", guid[:4])[0]
+    if not 1 <= channels <= block_align:
+        raise ValueError("unsupported wav")
+    return tag, channels, rate, block_align // channels, bits
+
+
+def _wav_samples(data, order: str, tag: int, width: int, bits: int) -> np.ndarray:
+    """The samples in the bytes ``data``, scaled as ``read_wav`` documents."""
+    if tag == _WAVE_FLOAT and bits in (32, 64) and width in (4, 8):
+        return np.frombuffer(data, f"{order}f{width}").astype(float)
+    if tag != _WAVE_PCM or width > 4 or (width == 1) != (1 <= bits <= 8):
         raise ValueError("unsupported codec")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+    if width == 1:  # 8-bit PCM is unsigned
+        return (np.frombuffer(data, np.uint8).astype(float) - 128.0) / 128.0
+    if width == 3:  # each sample as the top three bytes of a 32-bit one
+        words = np.zeros((len(data) // 3, 4), np.uint8)
+        top = words[:, 1:] if order == "<" else words[:, :3]
+        top[...] = np.frombuffer(data, np.uint8).reshape(-1, 3)
+        return words.view(f"{order}i4")[:, 0] / 2.0**31
+    return np.frombuffer(data, f"{order}i{width}") / 2.0 ** (8 * width - 1)
+
+
+def read_wav(path) -> Waveform:
+    """Read a WAV file as a mono waveform: 8-bit unsigned, 16-, 24- or
+    32-bit integer PCM, or 32- or 64-bit float, plain or
+    WAVE_FORMAT_EXTENSIBLE, in a RIFF, RIFX (big-endian) or RF64 file.
+
+    Integer samples are scaled to [-1, 1) (24-bit ones as the top three
+    bytes of a 32-bit sample); float samples are kept as they are.
+    Channels are averaged.  Chunks other than 'fmt ' and 'data' are
+    skipped, and a data chunk cut short by the end of the file yields the
+    whole sample frames it holds.  A file that is not a WAV file, or whose
+    header is cut short, raises ``ValueError("unsupported wav")``; any
+    other sample format raises ``ValueError("unsupported codec")``.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        magic, _, form = struct.unpack_from("<4sI4s", raw)
+        if magic not in (b"RIFF", b"RIFX", b"RF64") or form != b"WAVE":
+            raise ValueError("unsupported wav")
+        order = ">" if magic == b"RIFX" else "<"
+        at = 12
+        if magic == b"RF64":  # a ds64 chunk first: the 64-bit sizes, the data's second
+            cid, size, _, rf64_size = struct.unpack_from("<4sIQQ", raw, at)
+            if cid != b"ds64":
+                raise ValueError("unsupported wav")
+            at += 8 + size + (size & 1)
+        fmt = None
+        while True:  # chunk by chunk up to the data; an odd-sized chunk has a pad byte
+            cid, size = struct.unpack_from(order + "4sI", raw, at)
+            at += 8
+            if cid == b"data":
+                break
+            if cid == b"fmt ":
+                fmt = _wav_fmt(raw, order, at, size)
+            at += size + (size & 1)
+    except struct.error as exc:  # a header cut short, or no data chunk
+        raise ValueError("unsupported wav") from exc
+    if fmt is None:
+        raise ValueError("unsupported wav")
+    tag, channels, rate, width, bits = fmt
+    if magic == b"RF64":
+        size = rf64_size
+    n_bytes = min(size, len(raw) - at) // (width * channels) * (width * channels)
+    samples = _wav_samples(memoryview(raw)[at : at + n_bytes], order, tag, width, bits)
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
     return Waveform(samples, float(rate))
 
 
 def write_wav(path, w: Waveform) -> None:
-    """Write a waveform as 16-bit PCM, clipping to the representable range."""
-    scaled = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype(np.int16)
-    wavfile.write(Path(path), int(round(w.sample_rate_hz)), scaled)
+    """Write a waveform as mono 16-bit PCM in a RIFF WAV file, clipping to
+    the representable range: a 44-byte header, then the samples."""
+    scaled = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype("<i2")
+    rate = int(round(w.sample_rate_hz))
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + scaled.nbytes, b"WAVE",
+        b"fmt ", 16, _WAVE_PCM, 1, rate, 2 * rate, 2, 16,
+        b"data", scaled.nbytes,
+    )
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(scaled.tobytes())
 
 
 def _kaiser_lowpass(cutoff_hz: float, width_hz: float, fs: float) -> np.ndarray:

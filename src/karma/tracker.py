@@ -9,10 +9,12 @@ Rauch-Tung-Striebel backward pass run in place over the filter's output.
 
 Both linear systems, the innovation covariance S = H P Hᵀ + R of the
 filter gain and the predicted covariance of the smoother gain, are
-symmetric positive definite, so each is solved by one Cholesky
-factorisation.  Only a system that Cholesky refuses falls back to an LU
-solve, and only one that LU cannot solve either is regularised with a
-small diagonal bump (and a warning).
+solved by LU (``np.linalg.solve``), so the package needs nothing beyond
+numpy.  The filter solves one S per frame.  The smoother's gains depend
+only on the filter's output, so it takes them from one stacked solve per
+block of frames and leaves the backward pass to matrix products.  Only a
+system that LU cannot solve is regularised with a small diagonal bump
+(and a warning).
 
 Silent frames coast: the Kalman gain is premultiplied by a diagonal 0/1
 mask so the update degenerates to pure prediction and uncertainty grows.
@@ -29,9 +31,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dposv
 
 from .cepstrum import CepstralObservation
+from .frontend import _row_blocks
 
 __all__ = [
     "TrackerParams",
@@ -189,22 +191,17 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
-    """Solve x S = rhs for a symmetric S, regularizing a singular one.
+    """Solve x S = rhs, regularizing a singular S.
 
-    The first try is one Cholesky solve (LAPACK ``dposv``), which reads
-    only S's upper triangle.  Only when S is not positive definite or the
-    result is not finite (its sum is not) does the solve fall back, first
-    to an LU solve of S as given and, if that fails too, to an LU solve of
-    S plus a small diagonal bump, with a "singular innovation covariance"
-    warning.  A zero row of ``rhs`` gives an exactly zero row of x on every
-    route.
+    One LU solve of S.  Only when S is singular or the result is not
+    finite (its sum is not) does the solve fall back to an LU solve of S
+    plus a small diagonal bump, with a "singular innovation covariance"
+    warning.  A zero row of ``rhs`` gives an exactly zero row of x on
+    both routes.
     """
-    _, sol, info = dposv(S, rhs.T)
-    if info == 0 and math.isfinite(sol.sum()):
-        return sol.T
     try:
         sol = np.linalg.solve(S.T, rhs.T).T
-        if np.all(np.isfinite(sol)):
+        if math.isfinite(sol.sum()):
             return sol
     except np.linalg.LinAlgError:
         pass
@@ -328,6 +325,41 @@ def ekf_filter(
     return _make_result(means, covs, speech, activation, params)
 
 
+# Each (B, dim, dim) stack of a block of smoother gains takes at most
+# 1/_GAIN_BLOCK_DIVISOR of frontend._BLOCK_BYTES (56 frames at dim 6): small
+# beside the (T, dim, dim) result, and enough frames to share a solve's call cost.
+_GAIN_BLOCK_DIVISOR = 64
+
+
+def _rts_gains(P_filt, flags, rebuild, Q, no_noise):
+    """Entering covariances, predicted covariances and RTS gains of a block
+    of frames, all (B, dim, dim), from the filtered covariances of the
+    frames before them (``P_filt``) and their own entry flags (``flags``,
+    and ``rebuild`` where those changed).
+
+    The gains come from one stacked LU solve; only when some system in the
+    block is singular, or a gain is not finite, is each frame solved
+    through ``_solve_innovation``, which regularises (and warns about) the
+    singular ones.
+    """
+    same = flags[:, :, None] == flags[:, None, :]  # each frame's active/inactive blocks
+    P_prev = np.where(same | ~rebuild[:, None, None], P_filt, 0.0)
+    P_pred = P_prev + np.where(same, Q, 0.0)
+    if no_noise.size:
+        # a unit diagonal keeps the gain solve regular and still gives a
+        # known entry a zero gain
+        diag = P_pred[:, no_noise, no_noise]
+        P_pred[:, no_noise, no_noise] = np.where(diag == 0.0, 1.0, diag)
+    try:
+        gains = np.linalg.solve(P_pred.swapaxes(1, 2), P_prev.swapaxes(1, 2)).swapaxes(1, 2)
+        if math.isfinite(gains.sum()):
+            return P_prev, P_pred, gains
+    except np.linalg.LinAlgError:
+        pass
+    gains = np.stack([_solve_innovation(a, b, "eks_smooth") for a, b in zip(P_pred, P_prev)])
+    return P_prev, P_pred, gains
+
+
 def eks_smooth(
     obs,
     params: TrackerParams,
@@ -342,8 +374,11 @@ def eks_smooth(
     t-1's filtered ones by the forward pass's rule.  The mean carries
     over, and the entering covariance, decoupled where the activation
     flags change, gains the blocked Q.  Under the random walk the gain's
-    right-hand side is that entering covariance itself.  An
-    entry whose predicted variance is exactly zero is known (see
+    right-hand side is that entering covariance itself.  The gains depend
+    only on the filter's output, so they are taken a block of frames at a
+    time (``_rts_gains``, one stacked solve), just before the backward
+    pass reaches the block.
+    An entry whose predicted variance is exactly zero is known (see
     ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
     and zero variance.
     """
@@ -358,22 +393,17 @@ def eks_smooth(
     rebuild = _flag_changes(flags)
     # only an entry without process noise can have zero predicted variance
     no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
-    # m_s/P_s hold the filtered moments until the backward pass reaches them
-    for t in range(n_frames - 1, 0, -1):
-        m_prev, P_prev = m_s[t - 1], P_s[t - 1]
-        if rebuild[t]:
-            P_prev = _blocked(P_prev, flags[t])
-        if t == n_frames - 1 or rebuild[t + 1]:
-            Q = _blocked(params.Q, flags[t])
-        P_pred = P_prev + Q
-        if no_noise.size:
-            # a unit diagonal keeps the gain solve positive definite and
-            # still gives a known entry a zero gain
-            known = no_noise[P_pred[no_noise, no_noise] == 0.0]
-            P_pred[known, known] = 1.0
-        S = _solve_innovation(P_pred, P_prev, "eks_smooth")
-        m_s[t - 1] = _clamp(m_prev + S @ (m_s[t] - m_prev), bounds)
-        P_s[t - 1] = _symmetrize(P_prev + S @ (P_s[t] - P_pred) @ S.T)
+    # m_s/P_s hold the filtered moments until the backward pass reaches
+    # them.  A block smooths frames ``rows`` with the gains of frames ``rows`` + 1.
+    for rows in reversed(_row_blocks(n_frames - 1, _GAIN_BLOCK_DIVISOR * P_s[:1].nbytes)):
+        after = slice(rows.start + 1, rows.stop + 1)
+        P_prev, P_pred, gains = _rts_gains(P_s[rows], flags[after], rebuild[after], params.Q, no_noise)
+        for k in range(len(gains) - 1, -1, -1):
+            t, G = rows.start + k, gains[k]
+            m = m_s[t]
+            m_s[t] = _clamp(m + G @ (m_s[t + 1] - m), bounds)
+            P_s[t] = _symmetrize(P_prev[k] + G @ (P_s[t + 1] - P_pred[k]) @ G.T)
+        del P_prev, P_pred, gains  # before the next block's stacks exist
     return result
 
 

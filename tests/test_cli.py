@@ -320,6 +320,22 @@ class TestEvalCommand:
         assert f"bad {side} file" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_estimate_exits_2(self, tmp_path, vowel_wav, capsys, value):
+        _, ref = vowel_wav
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        write_tracks(ref, good)
+        lines = good.read_text().splitlines()
+        frame = int(np.flatnonzero(ref.speech)[0])
+        fields = lines[1 + frame].split(",")
+        fields[1] = value  # f1
+        lines[1 + frame] = ",".join(fields)
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(["eval", str(bad), str(good)]) == 2
+        captured = capsys.readouterr()
+        assert f"estimate f1 is not finite at scored reference frame {frame}" in captured.err
+        assert captured.out == ""
+
     def test_formant_count_restricts_columns(self, tmp_path, vowel_wav, capsys):
         _, ref = vowel_wav
         path = tmp_path / "ref.csv"

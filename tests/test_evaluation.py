@@ -120,6 +120,26 @@ class TestRmse:
         report = rmse(est, ref)
         assert report.overall == 0.0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_on_a_scored_frame_raises(self, rng, value):
+        ref = random_tracks(rng, n=8)
+        est_means = ref.means.copy()
+        est_means[5, 1] = value
+        with pytest.raises(ValueError, match="estimate f2 is not finite at scored reference frame 7"):
+            rmse(make_result(est_means), ref, offset=-2)
+
+    def test_non_finite_estimate_off_the_scored_set_is_ignored(self, rng):
+        ref_means = random_tracks(rng, n=8).means.copy()
+        ref_means[3, 2] = np.nan  # skipped per formant
+        est_means = ref_means.copy()
+        est_means[3, 2] = np.inf
+        est_means[6, 0] = np.nan  # a frame the mask leaves out
+        mask = np.ones(8, bool)
+        mask[6] = False
+        report = rmse(make_result(est_means), make_result(ref_means), mask=mask)
+        assert report.overall == 0.0
+        assert (report.frames_counted, report.frames_skipped) == (7, 1)
+
 
 def frozen_write_tracks(result, path):
     """The per-row f-string writer that ``write_tracks`` replaced."""

@@ -1,3 +1,4 @@
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,147 @@ class TestWavIo:
     def test_missing_file_is_not_a_format_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_wav(tmp_path / "absent.wav")
+
+
+# (format tag, bytes per sample, bits per sample, dtype of the samples as stored)
+WAV_FORMATS = {
+    "uint8": (1, 1, 8, "u1"),
+    "int16": (1, 2, 16, "i2"),
+    "int24": (1, 3, 24, None),
+    "int32": (1, 4, 32, "i4"),
+    "float32": (3, 4, 32, "f4"),
+    "float64": (3, 8, 64, "f8"),
+}
+GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def wav_chunk(cid, body, order="<"):
+    return cid + struct.pack(order + "I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def wav_file(kind, channels, n_frames, rng, order="<", extensible=False, extra=b""):
+    """A WAV file of random samples in format ``kind``, built byte by byte:
+    the 'fmt ' chunk (plain or WAVE_FORMAT_EXTENSIBLE), ``extra`` chunks,
+    then the 'data' chunk."""
+    tag, width, bits, dtype = WAV_FORMATS[kind]
+    n = n_frames * channels
+    if dtype is None:  # 24-bit: three bytes of a random 32-bit word
+        words = rng.integers(-(2**31), 2**31, n).astype(order + "i4").view(np.uint8)
+        keep = slice(1, None) if order == "<" else slice(0, 3)
+        data = words.reshape(n, 4)[:, keep].tobytes()
+    elif dtype[0] == "f":
+        data = rng.uniform(-1.0, 1.0, n).astype(order + dtype).tobytes()
+    else:
+        info = np.iinfo(dtype)
+        data = rng.integers(info.min, info.max, n, endpoint=True).astype(order + dtype).tobytes()
+    rate = 11025
+    fmt = struct.pack(order + "HHIIHH", 0xFFFE if extensible else tag, channels, rate,
+                      rate * width * channels, width * channels, bits)
+    if extensible:
+        guid = struct.pack(order + "IHH", tag, 0, 0x0010) + GUID_TAIL
+        fmt += struct.pack(order + "HHI", 22, bits, 0) + guid
+    elif tag == 3:
+        fmt += struct.pack(order + "H", 0)
+    chunks = wav_chunk(b"fmt ", fmt, order) + extra + wav_chunk(b"data", data, order)
+    magic = b"RIFX" if order == ">" else b"RIFF"
+    return magic + struct.pack(order + "I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def scipy_read_wav(path):
+    """``read_wav``'s result by way of ``scipy.io.wavfile.read``: integers
+    scaled to [-1, 1), floats kept, channels averaged."""
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(path)
+    if data.dtype == np.uint8:
+        samples = (data.astype(float) - 128.0) / 128.0
+    elif data.dtype.kind == "i":
+        samples = data / float(2 ** (8 * data.dtype.itemsize - 1))
+    else:
+        samples = data.astype(float)
+    return rate, samples.mean(axis=1) if samples.ndim == 2 else samples
+
+
+class TestWavParity:
+    """The numpy RIFF reader and writer against ``scipy.io.wavfile``."""
+
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("kind", list(WAV_FORMATS))
+    def test_read_equals_scipy(self, tmp_path, kind, channels, extensible):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_file(kind, channels, 101, np.random.default_rng(3), extensible=extensible))
+        rate, want = scipy_read_wav(path)
+        got = read_wav(path)
+        assert got.sample_rate_hz == rate
+        assert np.array_equal(got.samples, want)
+
+    @pytest.mark.parametrize("kind", ["int16", "int24", "float32"])
+    def test_big_endian_riff_equals_scipy(self, tmp_path, kind):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_file(kind, 2, 64, np.random.default_rng(4), order=">"))
+        assert np.array_equal(read_wav(path).samples, scipy_read_wav(path)[1])
+
+    def test_odd_sized_extra_chunk_is_skipped(self, tmp_path):
+        path = tmp_path / "a.wav"
+        extra = wav_chunk(b"LIST", b"abc") + wav_chunk(b"fact", struct.pack("<I", 50))
+        path.write_bytes(wav_file("int16", 1, 50, np.random.default_rng(5), extra=extra))
+        assert np.array_equal(read_wav(path).samples, scipy_read_wav(path)[1])
+
+    def test_rf64_equals_riff(self, tmp_path):
+        riff = wav_file("float32", 1, 40, np.random.default_rng(6))
+        body = riff[12:]  # the chunks
+        data_size = len(riff) - riff.index(b"data") - 8
+        ds64 = wav_chunk(b"ds64", struct.pack("<QQQI", 0, data_size, 40, 0))
+        rf64 = b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + body.replace(
+            b"data" + struct.pack("<I", data_size), b"data" + b"\xff" * 4)
+        (tmp_path / "a.wav").write_bytes(riff)
+        (tmp_path / "b.wav").write_bytes(rf64)
+        assert np.array_equal(read_wav(tmp_path / "b.wav").samples, read_wav(tmp_path / "a.wav").samples)
+
+    def test_data_cut_short_keeps_whole_frames(self, tmp_path):
+        full = wav_file("int16", 2, 30, np.random.default_rng(7))
+        (tmp_path / "a.wav").write_bytes(full)
+        (tmp_path / "b.wav").write_bytes(full[:-7])  # 26 whole frames and 3 bytes
+        assert np.array_equal(read_wav(tmp_path / "b.wav").samples, read_wav(tmp_path / "a.wav").samples[:28])
+
+    @pytest.mark.parametrize("cut", [0, 6, 11, 20, 30, 36, 40])
+    def test_truncated_header_is_unsupported_wav(self, tmp_path, cut):
+        path = tmp_path / "a.wav"
+        path.write_bytes(wav_file("int16", 1, 10, np.random.default_rng(8))[:cut])
+        with pytest.raises(ValueError, match="^unsupported wav$"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("extensible", [False, True])
+    @pytest.mark.parametrize("tag", [0x0002, 0x0006, 0x0055])  # MS ADPCM, A-law, MP3
+    def test_compressed_format_is_unsupported_codec(self, tmp_path, tag, extensible):
+        raw = bytearray(wav_file("int16", 1, 10, np.random.default_rng(9), extensible=extensible))
+        at = raw.index(b"fmt ") + 8 + (24 if extensible else 0)  # the tag, or the GUID's
+        raw[at : at + 2] = struct.pack("<H", tag)
+        path = tmp_path / "a.wav"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^unsupported codec$"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("kind", ["wave", "riff"])
+    def test_other_files_are_unsupported_wav(self, tmp_path, kind):
+        raw = wav_file("int16", 1, 10, np.random.default_rng(10))
+        raw = raw.replace(b"WAVE", b"AVI ") if kind == "wave" else b"OggS" + raw[4:]
+        path = tmp_path / "a.wav"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match="^unsupported wav$"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("n", [0, 1, 999])
+    def test_write_equals_scipy_bytes(self, tmp_path, n):
+        from scipy.io import wavfile
+
+        rng = np.random.default_rng(n)
+        w = Waveform(rng.uniform(-1.2, 1.2, n), 7999.6)
+        write_wav(tmp_path / "a.wav", w)
+        ints = np.clip(np.round(w.samples * 32768.0), -32768, 32767).astype(np.int16)
+        wavfile.write(tmp_path / "b.wav", 8000, ints)
+        assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
 
 
 class TestResample:

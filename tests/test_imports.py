@@ -1,5 +1,5 @@
-"""What ``import karma`` loads: the default route imports neither
-``scipy.signal`` (which pulls in ``scipy.stats``) nor ``scipy.interpolate``;
+"""What karma loads: no ``scipy`` module at all, neither at ``import karma``
+nor on the default AR route, the real-cepstrum route or a WAV round trip;
 the ARMA fit imports ``scipy.signal`` at its first call."""
 
 import json
@@ -8,16 +8,32 @@ import subprocess
 import sys
 from pathlib import Path
 
-HEAVY = ("scipy.signal", "scipy.interpolate", "scipy.stats")
+import pytest
 
-DEFAULT_TRACK = """
+LOADED_SCIPY = """
 import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+IMPORT_ONLY = """
+import karma
+"""
+
+TRACK = """
 import karma
 from karma.pipeline import RunConfig, track_waveform
 from karma.synthesis import random_trajectory, synthesize
 wave, _ = synthesize(random_trajectory(4, 1.0, seed=3, sample_rate_hz=16000.0))
-track_waveform(wave, RunConfig())
-print(json.dumps([m for m in {heavy!r} if m in sys.modules]))
+track_waveform(wave, RunConfig(observation_source={source!r}))
+"""
+
+WAV_ROUND_TRIP = """
+import os, tempfile
+from karma.frontend import Waveform, read_wav, write_wav
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "a.wav")
+    write_wav(path, Waveform([0.0, 0.5, -0.5], 8000.0))
+    read_wav(path)
 """
 
 ARMA_FIT = """
@@ -37,8 +53,13 @@ def run_fresh(code: str):
     return json.loads(out.stdout)
 
 
-def test_default_track_loads_no_signal_interpolate_or_stats():
-    assert run_fresh(DEFAULT_TRACK.format(heavy=HEAVY)) == []
+@pytest.mark.parametrize(
+    "code",
+    [IMPORT_ONLY, TRACK.format(source="arma_cepstrum"), TRACK.format(source="real_cepstrum"), WAV_ROUND_TRIP],
+    ids=["import", "default_track", "real_cepstrum_track", "wav_round_trip"],
+)
+def test_loads_no_scipy(code):
+    assert run_fresh(code + LOADED_SCIPY) == []
 
 
 def test_arma_fit_imports_scipy_signal_at_its_first_call():

@@ -8,6 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import karma.frontend
+import karma.tracker
 from karma.cepstrum import CepstralObservation
 from karma.particle import pf_track
 from karma.pipeline import RunConfig, make_tracker_params
@@ -16,8 +18,10 @@ from karma.tracker import (
     TrackerParams,
     _blocked,
     _entry_flags,
+    _flag_changes,
     _forward,
     _resolve_setup,
+    _rts_gains,
     _solve_innovation,
     _symmetrize,
     default_params,
@@ -56,7 +60,7 @@ def with_known(params, entries, values):
 
 
 def lu_solve(S, rhs, warn_label):
-    """The tracker's innovation solve before its Cholesky route: LU, then a regularised LU."""
+    """The tracker's innovation solve, written out: LU, then a regularised LU."""
     try:
         sol = np.linalg.solve(S.T, rhs.T).T
         if np.all(np.isfinite(sol)):
@@ -229,7 +233,7 @@ class TestStoredRecursionOracle:
     @example(problem=long_schedule_problem(known=False))
     @example(problem=long_schedule_problem(known=True))
     def test_filter_and_smoother_equal_reference(self, problem):
-        # the reference solves by LU and the tracker by Cholesky, so they differ by rounding
+        # the reference rebuilds nothing and solves each gain alone, so they may differ by rounding
         store, m_s, P_s = self.oracle(problem)
         filt = ekf_filter(**problem)
         smth = eks_smooth(**problem)
@@ -396,7 +400,7 @@ def indefinite_system(rng, n=15, d=6):
 
 
 class TestSolveInnovation:
-    """Each route of the gain solve: Cholesky, the LU fallback and the regularised LU."""
+    """Both routes of the gain solve: LU, symmetric positive definite or not, and the regularised LU."""
 
     def test_positive_definite_matches_lu(self):
         S, rhs = spd_system(np.random.default_rng(30))
@@ -595,6 +599,68 @@ def test_smoother_stores_no_more_than_the_filter():
     assert smth_peak <= 1.1 * filt_peak
     assert np.array_equal(smth.means[-1], filt.means[-1])
     assert np.array_equal(smth.covariances[-1], filt.covariances[-1])
+
+
+class TestStackedGains:
+    """The RTS gains come from one stacked solve per block of frames."""
+
+    @staticmethod
+    def block_budget(params, frames):
+        """A ``frontend._BLOCK_BYTES`` that gives the smoother blocks of ``frames`` frames."""
+        return karma.tracker._GAIN_BLOCK_DIVISOR * 8 * params.state_dim**2 * frames
+
+    @pytest.mark.parametrize("known", [False, True])
+    def test_small_blocks_equal_one_block(self, monkeypatch, known):
+        problem = long_schedule_problem(known)  # 320 frames: 319 gains, 45 blocks of 7 and 4
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", self.block_budget(problem["params"], 320))
+        whole = eks_smooth(**problem)
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", self.block_budget(problem["params"], 7))
+        blocked = eks_smooth(**problem)
+        for got, want in [(blocked.means, whole.means), (blocked.covariances, whole.covariances)]:
+            assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_singular_blocks_regularise_each_frame(self, monkeypatch):
+        # H = 0 leaves every filtered covariance at the rank-one Sigma0 and
+        # Q = 0 adds nothing to it, so every predicted covariance is singular
+        n_frames = 12
+        params = TrackerParams(
+            Q=np.zeros((2, 2)), R=np.eye(2), mu0=[1.0, 2.0], Sigma0=np.ones((2, 2)),
+            n_formants=1, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0,
+        )
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", self.block_budget(params, 5))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = eks_smooth(np.zeros((n_frames, 2)), params, obs_model=LinearObservation(np.zeros((2, 2))))
+        messages = [str(w.message) for w in caught]
+        assert messages == ["singular innovation covariance in eks_smooth; regularizing"] * (n_frames - 1)
+        assert np.all(np.isfinite(res.means)) and np.all(np.isfinite(res.covariances))
+
+    def test_fallback_solves_regular_frames_without_warning(self):
+        P_filt = np.stack([2.0 * np.eye(2), np.ones((2, 2)), np.diag([1.0, 3.0])])
+        flags, rebuild = np.ones((3, 2), bool), np.zeros(3, bool)
+        with pytest.warns(UserWarning, match="singular innovation covariance in eks_smooth") as caught:
+            _, _, gains = _rts_gains(P_filt, flags, rebuild, np.zeros((2, 2)), np.arange(2))
+        assert len(caught) == 1
+        assert np.array_equal(gains[[0, 2]], np.stack([np.eye(2)] * 2))
+        assert np.all(np.isfinite(gains[1]))
+
+    def test_known_entries_get_zero_gains(self):
+        problem = long_schedule_problem(known=True)  # entry 4 is known
+        params = problem["params"]
+        y, _, speech, activation, obs_model = _resolve_setup(
+            problem["obs"], params, problem["mask"], problem["activation"], None
+        )
+        filt = ekf_filter(y, params, speech, activation, obs_model)
+        flags = _entry_flags(activation)
+        rebuild = _flag_changes(flags)
+        no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, P_pred, gains = _rts_gains(filt.covariances[:-1], flags[1:], rebuild[1:], params.Q, no_noise)
+        assert np.array_equal(no_noise, [4])
+        assert np.all(P_pred[:, 4, 4] == 1.0)
+        assert np.all(gains[:, 4, :] == 0.0) and np.all(gains[:, :, 4] == 0.0)
+        assert np.all(np.abs(gains[:, :4, :4]).max(axis=(1, 2)) > 0.0)
 
 
 class TestEstimateTransition:
