@@ -9,30 +9,29 @@ a (T, N) stack of them:
   models only, which it checks itself on every row;
   ``arma_to_cepstrum`` is its one-model call.
 * ``CepstralObservation`` -- the tracker's observation model h: closed
-  form from resonance frequencies and bandwidths through pole powers.  A
-  resonance is the pole z = exp((-pi b + 2 pi i f) / fs) and adds
-  (2/n) Re z^n to C_n (an antiformant subtracts it).  Its Jacobian,
-  -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, is read off the same powers:
-  one column gather of their real view and one multiply by per-column
-  scales.
-  The powers come from one of two kernels, chosen by caller, with no
-  size threshold.  ``linearize``, the EKF's one call per speech frame,
-  forms one state's powers in closed form, z^n = exp(n log z): at N = 15
-  and three resonances a call takes about half as long as through the
-  running product (12-17 against 22-34 us over two runs, one BLAS thread,
-  a 2-CPU x86-64 host).  ``value``, which serves particle stacks, keeps
-  the running product, about 10x faster than the closed form on a
-  1000-state stack (0.2-0.3 ms against 2.5 ms).  A stack's h matches the
-  one-state ``linearize`` to 1e-12, not bit for bit; each state of a
-  stack gets the same bits as its own ``value`` call.  The running
-  product's powers are resonance-major, (N, K, ...) for K resonances
-  over a stack of states, so the sum over resonances adds contiguous
-  slabs.
+  form from resonance frequencies and bandwidths.  A resonance is the pole
+  z = exp((-pi b + 2 pi i f) / fs) and adds (2/n) Re z^n to C_n (an
+  antiformant subtracts it).  Two kernels, one per caller, with no size
+  threshold.  ``linearize``, the EKF's one call per speech frame, forms
+  one state's complex powers in closed form, z^n = exp(n log z), and reads
+  the Jacobian, -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, off them: one
+  column gather of their real view and one multiply by per-column scales.
+  ``value``, which serves particle stacks, builds each pole from one real
+  ``exp``, ``cos`` and ``sin`` and its powers by a running product, one
+  complex multiply per order over the whole stack, with the signs in the
+  first order and one sum over resonances.  A real three-term recurrence
+  for Re z^n was tried there and lost on accuracy: its error grows as
+  cot(theta) near the frequency bounds (1.5e-13 a term at N = 60, against
+  9e-15 for the product).  Each state of a stack gets the same bits as its
+  own ``value`` call; a stack's h matches the one-state ``linearize`` to
+  1e-12, not bit for bit.
 * ``real_cepstrum`` -- nonparametric route straight from the samples; for a
   minimum-phase frame its doubled coefficients approximate the other two.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,41 +83,6 @@ def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> np.ndarray:
     return arma_cepstra(m.ar[None, :], m.ma[None, :], n_coeffs)[0]
 
 
-def _pole_powers(freqs, bws, sample_rate_hz, n_coeffs):
-    """Powers z_k^n, n = 1..N, of the poles z_k = exp((-pi b_k + 2 pi i f_k) / fs).
-
-    freqs and bws (K, ...) give a complex (N, K, ...) array, resonance-major:
-    ``powers[:, k]`` holds resonance k's powers for the whole stack as one
-    block of contiguous rows.  A stack of states (..., dim) enters as its
-    transpose, so its frequency and bandwidth columns are rows of ``x.T``.
-    Each pole takes one complex exponential; its powers follow by a
-    running product.
-    """
-    z = np.exp((np.pi / sample_rate_hz) * (2j * np.asarray(freqs) - np.asarray(bws)))
-    powers = np.empty((n_coeffs,) + z.shape, dtype=complex)
-    powers[0] = z
-    for n in range(1, n_coeffs):
-        np.multiply(powers[n - 1], z, out=powers[n])
-    return powers
-
-
-def _powers_cepstrum(powers, signs, weights):
-    """C_n = (2/n) sum_k s_k Re z_k^n from (N, K, ...) powers, shape (N, ...).
-
-    Formants carry the sign +1, antiformants -1 and left-out tracks 0;
-    ``weights`` are the factors 2/n.  The sum adds one (N, ...) slab per
-    resonance, k in order, so a stack of states gets the same bits as each
-    state on its own.  A stack's cepstra are the transpose of the result.
-    """
-    re = powers.real
-    by_n = np.zeros((powers.shape[0],) + powers.shape[2:])
-    for k in range(powers.shape[1]):
-        by_n += re[:, k] * signs[k]
-    by_n_t = by_n.T
-    by_n_t *= weights
-    return by_n
-
-
 class CepstralObservation:
     """Observation model mapping a state vector to N cepstral coefficients.
 
@@ -140,6 +104,10 @@ class CepstralObservation:
         self._freq_cols = np.r_[0:i, 2 * i : 2 * i + j]
         self._bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
         self._signs = np.r_[np.ones(i), -np.ones(j)]
+        # value's one gather: the bandwidths, then the frequencies, and the
+        # scales taking them to log r = -pi b/fs and theta = 2 pi f/fs
+        self._pole_cols = np.r_[self._bw_cols, self._freq_cols]
+        self._pole_scale = np.repeat([-np.pi, 2.0 * np.pi], i + j)[:, None] / sample_rate_hz
         self._orders = np.arange(1, n_cepstra + 1, dtype=float)[:, None]  # n, one per row
         self._weights = 2.0 / self._orders[:, 0]  # the 2/n of C_n
         # where each Jacobian column sits in the real view of one state's
@@ -179,13 +147,38 @@ class CepstralObservation:
         return found
 
     def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
-        """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N)."""
-        xt = x.T
-        powers = _pole_powers(
-            xt[self._freq_cols], xt[self._bw_cols], self.sample_rate_hz, self.n_cepstra
-        )
-        signs = self._pattern(active_f, active_a)[0]
-        return _powers_cepstrum(powers, signs, self._weights).T
+        """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N).
+
+        Each pole z = r (cos(theta) + i sin(theta)), with r = exp(-pi b/fs)
+        and theta = 2 pi f/fs, takes one real ``exp``, ``cos`` and ``sin``;
+        its powers follow by a running product, one complex multiply per
+        order over the whole stack.  The first order carries each
+        resonance's sign, so the signed powers of every order fill one
+        (N, K, states) array, and h is the real part of its sum over
+        resonances times 2/n.  Over two or more states numpy adds that sum
+        slab by slab, in resonance order; a lone state goes in twice, since
+        over one state the resonances would form a contiguous run, which
+        numpy sums pairwise.  So each state of a stack gets the same bits
+        as its own call.
+        """
+        lead = x.shape[:-1]
+        n_states = math.prod(lead)
+        states = np.reshape(x, (n_states, x.shape[-1]))
+        if n_states == 1:
+            states = np.repeat(states, 2, axis=0)
+        k = self._signs.size
+        polar = states.T[self._pole_cols] * self._pole_scale  # log r (K, P), then theta
+        r = np.exp(polar[:k])
+        z = np.empty(r.shape, dtype=complex)
+        np.multiply(r, np.cos(polar[k:]), out=z.real)
+        np.multiply(r, np.sin(polar[k:]), out=z.imag)
+        powers = np.empty((self.n_cepstra,) + r.shape, dtype=complex)
+        np.multiply(z, self._pattern(active_f, active_a)[0][:, None], out=powers[0])
+        for n in range(1, self.n_cepstra):
+            np.multiply(powers[n - 1], z, out=powers[n])
+        h = powers.sum(axis=1).real[:, :n_states].T
+        h *= self._weights
+        return h.reshape(lead + (self.n_cepstra,))
 
     def linearize(self, x: np.ndarray, active_f=None, active_a=None):
         """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers.
@@ -195,11 +188,9 @@ class CepstralObservation:
         and a stored column of orders n.  h is one matrix-vector product,
         and each Jacobian entry is one product: the power's real or
         imaginary part, gathered into its state column, times that
-        column's scale.  At N = 15 and K = 3 this takes about half as
-        long as the running product (12-17 against 22-34 us a call, one
-        BLAS thread); ``value`` keeps the running product, about 10x
-        faster on a 1000-state stack.  The two agree to 1e-12, not bit
-        for bit.
+        column's scale.  At N = 15 and K = 3 a call takes 12-17 us (one
+        BLAS thread).  ``value`` forms its powers by a running product
+        instead; the two agree to 1e-12, not bit for bit.
         """
         signs, jac_scale = self._pattern(active_f, active_a)
         log_z = (np.pi / self.sample_rate_hz) * (2j * x[self._freq_cols] - x[self._bw_cols])

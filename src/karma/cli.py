@@ -22,7 +22,7 @@ import numpy as np
 
 from .evaluation import read_tracks, rmse, write_tracks
 from .frontend import read_label_file, read_wav, write_wav
-from .particle import ekf_pf_benchmark
+from .particle import _benchmark_counts, ekf_pf_benchmark
 from .pipeline import RunConfig, track_waveform
 from .synthesis import load_spec, nasal_utterance_spec, synthesize
 
@@ -154,12 +154,10 @@ def cmd_compare_pf(args) -> int:
         counts = [int(v) for v in args.particles.split(",") if v]
     except ValueError as exc:
         raise UsageError(f"bad particle count: {exc}") from exc
-    if not counts:
-        raise UsageError("need at least one particle count")
-    if min(counts) < 10:
-        raise UsageError("particle counts must be at least 10")
-    if args.trials < 1:
-        raise UsageError("need at least one trial")
+    try:
+        _benchmark_counts(args.trials, counts)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     summary = ekf_pf_benchmark(trials=args.trials, particle_counts=counts, seed=args.seed)
     lines = ["particles,pf_rmse,pf_ci_low,pf_ci_high,ekf_rmse,ekf_ci_low,ekf_ci_high"]
     ekf = summary["ekf"]

@@ -17,7 +17,6 @@ from .cepstrum import CepstralObservation
 from .tracker import (
     TrackerParams,
     TrackResult,
-    _clamp,
     _make_result,
     _resolve_setup,
     default_params,
@@ -60,13 +59,18 @@ def pf_track(
     Particles propagate through the random walk x_{t+1} = x_t + w_t, are
     weighted by the Gaussian likelihood of y_t under the exact observation
     map and R, and are systematically resampled when the effective sample
-    size drops below half the particle count.  Silent frames propagate
-    without reweighting.  An entry with zero prior and process variance is
-    known: every particle carries its ``mu0`` value.  Process noise is
-    drawn only for the nonzero columns of Q's factor, one normal per
-    particle and column per frame.  When the largest log-weight is not
-    finite (every weight underflowed), the weights reset to uniform with a
-    warning.  Fixed seed gives bit-identical output.
+    size, 1 / sum w_i^2, drops below half the particle count.  Silent
+    frames propagate without reweighting; a non-finite observation on a
+    speech frame raises ``ValueError``.  An entry with zero prior and
+    process variance is known: every particle carries its ``mu0`` value.
+    Process noise is drawn only for the nonzero columns of Q's factor, one
+    normal per particle and column per frame, and added in place; the
+    particles are then clamped in place to the observation model's state
+    bounds, if it has any.  Each reweight takes one ``exp`` of the
+    log-weights shifted to a largest value of 0 and normalises by
+    division.  When the largest log-weight is not finite (every weight
+    underflowed), the weights reset to uniform with a warning.  Fixed seed
+    gives bit-identical output.
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
@@ -80,38 +84,43 @@ def pf_track(
     r_inv = np.linalg.inv(params.R)
 
     particles = params.mu0 + rng.standard_normal((n_particles, dim)) @ chol_s0.T
-    log_w = np.full(n_particles, -np.log(n_particles))
+    uniform = np.full(n_particles, 1.0 / n_particles)
+    log_w = np.zeros(n_particles)  # up to a constant
+    w = uniform
 
     bounds = obs_model.state_bounds()
     means = np.zeros((n_frames, dim))
     covs = np.zeros((n_frames, dim, dim))
 
     for t in range(n_frames):
-        noise = rng.standard_normal((n_particles, chol_q.shape[1])) @ chol_q.T
-        particles = _clamp(particles + noise, bounds)
+        particles += rng.standard_normal((n_particles, chol_q.shape[1])) @ chol_q.T
+        if bounds is not None:
+            np.maximum(particles, bounds[0], out=particles)
+            np.minimum(particles, bounds[1], out=particles)
 
         if speech[t]:
             resid = y[t] - obs_model.value(particles)
-            log_w = log_w - 0.5 * _quadratic_form(resid, r_inv)
+            log_w -= 0.5 * _quadratic_form(resid, r_inv)
             shift = log_w.max()
             if not np.isfinite(shift):
                 warnings.warn("particle weights underflowed; resetting to uniform")
-                log_w = np.full(n_particles, -np.log(n_particles))
+                log_w.fill(0.0)
+                w = uniform
             else:
-                # after the shift the largest term is 1, so the sum is in [1, n]
-                log_w = log_w - shift
-                log_w = log_w - np.log(np.sum(np.exp(log_w)))
+                # after the shift the largest weight is 1, so the sum is in [1, n]
+                log_w -= shift
+                w = np.exp(log_w)
+                w /= w.sum()
 
-        w = np.exp(log_w)
         mean = w @ particles
         centered = particles - mean
         covs[t] = (centered * w[:, None]).T @ centered
         means[t] = mean
 
-        if 1.0 / np.sum(w**2) < n_particles / 2.0:
-            idx = _systematic_resample(w, rng)
-            particles = particles[idx]
-            log_w = np.full(n_particles, -np.log(n_particles))
+        if 1.0 / (w @ w) < n_particles / 2.0:
+            particles = particles[_systematic_resample(w, rng)]
+            log_w.fill(0.0)
+            w = uniform
 
     return _make_result(means, covs, speech, activation, params)
 
@@ -169,6 +178,22 @@ def _freq_rmse(estimate: TrackResult, truth: np.ndarray, n_formants: int) -> flo
     return float(np.sqrt(np.mean(err**2)))
 
 
+def _benchmark_counts(trials: int, particle_counts) -> list[int]:
+    """The particle counts of ``ekf_pf_benchmark`` as a list, after checking
+    them and the trial count: at least one trial, and at least one count,
+    each distinct and at least 10."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    counts = list(particle_counts)
+    if not counts:
+        raise ValueError("need at least one particle count")
+    if min(counts) < 10:
+        raise ValueError("particle counts must be at least 10")
+    if len(set(counts)) < len(counts):
+        raise ValueError(f"particle counts must be distinct: {counts}")
+    return counts
+
+
 def ekf_pf_benchmark(
     trials: int = 25,
     particle_counts=(100, 1000),
@@ -180,13 +205,12 @@ def ekf_pf_benchmark(
     Each trial draws a fresh trajectory and observation sequence; both
     filters run on identical data with the true bandwidths known.  Returns
     per-particle-count RMSE summaries with 95 % confidence intervals
-    (mean +/- 1.96 * sd / sqrt(trials)).
+    (mean +/- 1.96 * sd / sqrt(trials)).  The trial and particle counts
+    are checked before the first trial is drawn (``_benchmark_counts``).
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    counts = _benchmark_counts(trials, particle_counts)
     setup = setup or BenchmarkSetup()
     params = setup.make_params()
-    counts = list(particle_counts)
     ekf_rmse = np.zeros(trials)
     pf_rmse = np.zeros((len(counts), trials))
     master = np.random.default_rng(seed)

@@ -221,6 +221,9 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
             f"observations have {y.shape[1]} columns; params expect {params.n_cepstra} cepstra"
         )
     speech = _speech_flags(mask, n_frames)
+    bad = np.flatnonzero(speech & ~np.isfinite(y).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite observation at speech frame {bad[0]}")
     if activation is None:
         activation = TrackActivation.all_active(n_frames, params.n_formants, params.n_antiformants)
     if len(activation) != n_frames:
@@ -312,7 +315,9 @@ def ekf_filter(
     """Forward extended Kalman filter over cepstral observations.
 
     ``obs`` is a (T, N) array of cepstral observations.  ``mask``
-    marks speech frames; silent frames update nothing but still propagate.
+    marks speech frames; silent frames update nothing but still propagate,
+    and only they may hold non-finite observations: one on a speech frame
+    raises ``ValueError`` naming the first such frame.
     An entry known exactly (see ``TrackerParams``) keeps zero variance and a
     zero gain row, so it holds its ``mu0`` value on every frame.
     """

@@ -366,10 +366,11 @@ class TestComparePfCommand:
         [
             ["--particles", "abc"],
             ["--particles", "5"],
+            ["--particles", "50,50"],
             ["--trials", "-1"],
             ["--trials", "0"],
         ],
-        ids=["non-numeric-count", "count-below-10", "negative-trials", "zero-trials"],
+        ids=["non-numeric-count", "count-below-10", "repeated-count", "negative-trials", "zero-trials"],
     )
     def test_bad_counts_exit_2(self, args, capsys):
         assert main(["compare-pf", "--particles", "10", "--trials", "1"] + args) == 2

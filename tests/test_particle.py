@@ -155,8 +155,12 @@ class TestBenchmark:
         frozen = FrozenCepstralObservation(setup.n_formants, 0, setup.n_cepstra, setup.sample_rate_hz)
         pf = pf_track(obs, params, n_particles=1000, seed=5)
         ref = pf_track(obs, params, n_particles=1000, seed=5, obs_model=frozen)
-        assert np.array_equal(pf.means, ref.means)
-        assert np.array_equal(pf.covariances, ref.covariances)
+        # poles from real exp, cos and sin move h by up to about 2e-15 from
+        # the frozen kernel's complex exp; on this draw the two runs came out
+        # equal, and a real three-term recurrence (1e-15) moved the means by
+        # at most 4.1e-12 Hz and the covariances by 1.0e-11 Hz^2
+        np.testing.assert_allclose(pf.means, ref.means, rtol=0.0, atol=1e-9)
+        np.testing.assert_allclose(pf.covariances, ref.covariances, rtol=0.0, atol=1e-8)
 
     def test_process_draws_only_free_entries(self, monkeypatch):
         setup = BenchmarkSetup(n_frames=20)
@@ -218,6 +222,23 @@ class TestBenchmark:
             ref_obs[t] = model.value(x) + r_std * rng.standard_normal(setup.n_cepstra)
         assert np.array_equal(states, ref_states)
         assert np.array_equal(obs, ref_obs)
+
+    @pytest.mark.parametrize(
+        "counts, match",
+        [
+            ((20, 20), "distinct"),
+            ((100, 50, 100), "distinct"),
+            ((9,), "at least 10"),
+            ((), "at least one"),
+        ],
+    )
+    def test_bad_particle_counts_rejected_before_any_trial(self, monkeypatch, counts, match):
+        def no_simulation(self, rng):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(BenchmarkSetup, "simulate", no_simulation)
+        with pytest.raises(ValueError, match=match):
+            ekf_pf_benchmark(trials=1, particle_counts=counts, setup=BenchmarkSetup(n_frames=5))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_needs_a_trial(self, trials):

@@ -564,6 +564,27 @@ class TestCepstralTracking:
         with pytest.raises(ValueError, match=match):
             run(self.obs[:, :1].repeat(width, axis=1), self.params)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth, pf_track])
+    def test_non_finite_speech_observation_rejected(self, run, bad):
+        obs = self.obs.copy()
+        obs[5, 3] = bad
+        obs[9] = bad
+        with pytest.raises(ValueError, match="non-finite observation at speech frame 5"):
+            run(obs, self.params)
+
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth, pf_track])
+    def test_non_finite_silent_observation_unused(self, run):
+        mask = np.ones(len(self.obs), bool)
+        mask[5] = False
+        obs = self.obs.copy()
+        obs[5] = np.nan
+        res = run(obs, self.params, mask=mask)
+        obs[5] = 0.0
+        ref = run(obs, self.params, mask=mask)
+        assert np.array_equal(res.means, ref.means)
+        assert np.array_equal(res.covariances, ref.covariances)
+
     def test_frozen_entries_pinned(self):
         params = with_known(self.params, [2, 3], [50.0, 110.0])
         res = eks_smooth(self.obs, params)
