@@ -71,7 +71,10 @@ def cmd_track(args) -> int:
         raise UsageError(str(exc)) from exc
     labels = None
     if args.labels:
-        labels = read_label_file(_require_file(args.labels, "label file"))
+        try:
+            labels = read_label_file(_require_file(args.labels, "label file"))
+        except ValueError as exc:  # too few fields, a non-integer index, undecodable bytes
+            raise UsageError(f"bad label file: {exc}") from exc
 
     result = track_waveform(waveform, config, labels=labels)
     out = args.out or str(wav_path.with_suffix(".tracks.csv"))

@@ -5,16 +5,23 @@ pre-emphasized short-time frames plus a per-frame speech-activity mask.
 Every function returns new arrays, except ``preemphasize`` given an
 ``out=``, which may be its input.
 
-Memory: each function makes only its result at full size.  Its other
-temporaries are made a block of rows at a time, each block at most
-``_BLOCK_BYTES`` (and at least one row), so a long utterance costs the
-resampled signal plus one (T, L) frame matrix.
+Memory: the resampler and the framer are generators.  ``_resampled``
+hands out the resampled signal a chunk at a time, and ``_frame_blocks``
+turns such chunks into windowed frames, a block of rows of at most
+``_BLOCK_BYTES`` (and at least one row) at a time, holding only the
+samples of the frames it has not yet handed out.  ``resample`` and
+``window_frames`` join them into whole arrays; the tracking pipeline
+instead runs over the blocks twice (activity, then observations), so it
+holds neither the resampled signal nor a (T, L) frame matrix.  The other
+functions make only their result at full size and their temporaries a
+block of rows at a time.
 """
 
 from __future__ import annotations
 
 import math
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -51,9 +58,10 @@ _WINDOWS = {"hamming": (0.54, 1.0 - 0.54), "hanning": (0.5, 0.5), "rectangular":
 # threshold for threading one (4 * 65536).
 _GEMM_WORK = 1 << 16
 
-# Byte budget of one block of rows: the resampler's input groups, the
-# squared frames of detect_activity, preemphasize's shifted products, the
-# real cepstrum's FFT blocks and the frames the parametric route gathers.
+# Byte budget of one block of rows: the framer's frame blocks (the squared
+# frames of detect_activity), a quarter of it for the resampler's input
+# groups, preemphasize's shifted products, the real cepstrum's FFT blocks
+# and the frames the parametric route gathers.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -62,6 +70,15 @@ def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     ``row_bytes`` bytes as fit in ``_BLOCK_BYTES``, and at least one row."""
     step = max(1, _BLOCK_BYTES // max(1, row_bytes))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def _join(pieces: Iterable[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out``, filled along its first axis with the consecutive ``pieces``."""
+    at = 0
+    for piece in pieces:
+        out[at : at + len(piece)] = piece
+        at += len(piece)
+    return out
 
 
 @dataclass(frozen=True)
@@ -156,8 +173,7 @@ def window_frames(
     Frame t covers samples [t*hop, t*hop + frame_length).  A trailing
     partial frame, if any samples remain uncovered, is zero padded rather
     than dropped so track lengths match spectrogram conventions.  The
-    frames are windowed straight from a strided view of the samples; only
-    the padded tail frame is copied first.
+    frame matrix is the join of ``_frame_blocks`` over the samples.
     """
     if not 0 <= overlap_fraction < 1:
         raise ValueError("overlap_fraction must be in [0, 1)")
@@ -166,22 +182,61 @@ def window_frames(
     frame_length, hop = frame_length_and_hop(frame_ms, overlap_fraction, w.sample_rate_hz)
     if frame_length < 1:
         raise ValueError("frame_ms yields no samples at this rate")
-    x = w.samples
-    if x.size < frame_length:
-        raise ValueError("input too short")
-
-    n_full = (x.size - frame_length) // hop + 1
-    covered = (n_full - 1) * hop + frame_length
-    n_frames = n_full + (1 if covered < x.size else 0)
-
-    window = _periodic_window(window_kind, frame_length)
+    n_frames = _frame_count(w.samples.size, frame_length, hop)
     frames = np.empty((n_frames, frame_length))
-    np.multiply(sliding_window_view(x, frame_length)[::hop], window, out=frames[:n_full])
-    if n_frames > n_full:
-        tail = np.zeros(frame_length)
-        tail[: x.size - n_full * hop] = x[n_full * hop :]
-        np.multiply(tail, window, out=frames[n_full])
+    for rows, block in _frame_blocks((w.samples,), n_frames, frame_length, hop, window_kind):
+        frames[rows] = block
     return FrameSequence(frames, frame_length, hop, w.sample_rate_hz)
+
+
+def _frame_count(n_samples: int, frame_length: int, hop: int) -> int:
+    """Frames ``window_frames`` makes of ``n_samples`` samples: the full
+    frames, plus a zero-padded tail frame when samples remain uncovered.
+    Fewer samples than one frame raise ``ValueError("input too short")``."""
+    if n_samples < frame_length:
+        raise ValueError("input too short")
+    n_full = (n_samples - frame_length) // hop + 1
+    return n_full + int((n_full - 1) * hop + frame_length < n_samples)
+
+
+def _padded(pieces: Iterable[np.ndarray], n_samples: int) -> Iterator[np.ndarray]:
+    """``pieces``, then zeros up to ``n_samples`` samples in all."""
+    seen = 0
+    for piece in pieces:
+        seen += piece.size
+        yield piece
+    yield np.zeros(n_samples - seen)
+
+
+def _frame_blocks(
+    pieces: Iterable[np.ndarray], n_frames: int, frame_length: int, hop: int, window_kind: str
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """The ``n_frames`` windowed frames of the signal that the consecutive
+    sample chunks ``pieces`` make up, as (rows, block) pairs in time order:
+    ``block`` holds the frames ``rows``, at most ``_BLOCK_BYTES`` of them
+    (and at least one row), and the zero-padded tail frame comes last.
+
+    Every block is a view of one array that the next block overwrites, so a
+    caller may change a block in place and must copy what it keeps.  Each
+    chunk's frames are windowed into the block as the chunk arrives; only
+    the samples of the frame not yet complete (fewer than L) are carried
+    to the next chunk.  So the framer holds one block and about one chunk,
+    whatever the signal's length.
+    """
+    window = _periodic_window(window_kind, frame_length)
+    block = np.empty((min(n_frames, max(1, _BLOCK_BYTES // (8 * frame_length))), frame_length))
+    done, filled = 0, 0  # frames handed out, and rows of ``block`` filled since
+    buf = np.empty(0)  # the samples from frame done + filled's first on
+    for piece in _padded(pieces, (n_frames - 1) * hop + frame_length):
+        buf = np.concatenate((buf, piece)) if buf.size else piece
+        while done + filled < n_frames and buf.size >= frame_length:
+            k = min(len(block) - filled, n_frames - done - filled, (buf.size - frame_length) // hop + 1)
+            frames = sliding_window_view(buf[: (k - 1) * hop + frame_length], frame_length)[::hop]
+            np.multiply(frames, window, out=block[filled : filled + k])
+            buf, filled = buf[k * hop :], filled + k
+            if filled == len(block) or done + filled == n_frames:
+                yield slice(done, done + filled), block[:filled]
+                done, filled = done + filled, 0
 
 
 def preemphasize(frame: np.ndarray, gamma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -190,8 +245,8 @@ def preemphasize(frame: np.ndarray, gamma: float, out: np.ndarray | None = None)
     Works on a single frame or on a stack of frames (last axis = time).
     The result goes to ``out`` when given (an array of the input's shape,
     which may be the input itself), else to a new array; a stack is
-    filtered in blocks of rows, so the products gamma*in[m-1] never
-    exist for the whole stack at once.
+    filtered in blocks of rows of at most a quarter of ``_BLOCK_BYTES``,
+    so filtering a frame block in place adds at most a quarter block.
     """
     if abs(gamma) > 1:
         raise ValueError("|gamma| must be <= 1")
@@ -199,7 +254,7 @@ def preemphasize(frame: np.ndarray, gamma: float, out: np.ndarray | None = None)
     if out is None:
         out = np.empty_like(x)
     stack, dest = (x, out) if x.ndim > 1 else (x[None], out[None])
-    for rows in _row_blocks(len(stack), stack[:1].nbytes):
+    for rows in _row_blocks(len(stack), 4 * stack[:1].nbytes):  # a quarter of the budget
         xb, ob = stack[rows], dest[rows]
         ob[..., :1] = xb[..., :1]
         np.subtract(xb[..., 1:], gamma * xb[..., :-1], out=ob[..., 1:])
@@ -327,11 +382,12 @@ def _kaiser_lowpass(cutoff_hz: float, width_hz: float, fs: float) -> np.ndarray:
     return h / h.sum()
 
 
-def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
+def _polyphase_chunks(x: np.ndarray, h: np.ndarray, up: int, down: int) -> Iterator[np.ndarray]:
     """Upsample ``x`` by ``up``, filter with ``h`` scaled by ``up``, keep every
     ``down``-th sample: y[j] = up * sum_i x[i] h[j*down + half - i*up], with
     half = (len(h) - 1) // 2, for the ceil(len(x)*up/down) samples of
-    ``scipy.signal.resample_poly``, centred as it centres them.
+    ``scipy.signal.resample_poly``, centred as it centres them.  The output
+    comes a chunk at a time, each chunk a new array.
 
     With j = b*up + u and i = c*down + d, the tap index is
     (b - c)*up*down + u*down - d*up + half, so output block b (``up``
@@ -339,9 +395,9 @@ def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
     (``down`` samples) times a (down, up) tap matrix G_s: one batched
     matmul per shift, about len(h)/(up*down) + 2 of them, over each chunk
     of block groups.  A chunk gathers its own zero-padded input blocks, at
-    most ``_BLOCK_BYTES`` of them, and its sums go straight into the one
-    output array; only the last chunk, which runs past the output's end,
-    sums into a scratch array first.
+    most a quarter of ``_BLOCK_BYTES`` of them, so that a chunk's input and
+    output sit beside a frame block of ``_frame_blocks`` within about the
+    block budget; the input is let go before the chunk is handed out.
     """
     n_taps, half, span = h.size, (h.size - 1) // 2, up * down
     n_out = -(-x.size * up // down)
@@ -357,8 +413,7 @@ def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
     # on one thread: a threaded product this small is slower, and far
     # slower on a busy host.
     group = max(1, _GEMM_WORK // span)
-    out = np.zeros(n_out)
-    for chunk in _row_blocks(-(-n_blocks // group), 8 * group * down):  # a group's float input rows
+    for chunk in _row_blocks(-(-n_blocks // group), 4 * 8 * group * down):  # 4 x a group's input rows
         n_groups = chunk.stop - chunk.start
         n_rows = n_groups * group
         # input blocks b - s for this chunk's output blocks b and every shift s, zeros outside x
@@ -366,16 +421,40 @@ def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
         rows = np.zeros((n_rows + s_hi - s_lo, down))
         lo, hi = max(first, 0), min(first + rows.size, x.size)
         rows.reshape(-1)[lo - first : hi - first] = x[lo:hi]
-        start = chunk.start * group * up
-        whole = start + n_rows * up <= n_out
-        y = out[start : start + n_rows * up] if whole else np.zeros(n_rows * up)
-        y = y.reshape(n_groups, group, up)
+        y = np.zeros((n_groups, group, up))
         for k, s in enumerate(range(s_lo, s_hi + 1)):
             y += rows[s_hi - s : s_hi - s + n_rows].reshape(n_groups, group, down) @ g[k]
-        if not whole:
-            out[start:] = y.reshape(-1)[: n_out - start]
-        del rows  # before the next chunk's rows exist
-    return out
+        del rows
+        yield y.reshape(-1)[: n_out - chunk.start * group * up]
+
+
+def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
+    """The output of ``_polyphase_chunks`` in one array."""
+    return _join(_polyphase_chunks(x, h, up, down), np.empty(-(-x.size * up // down)))
+
+
+def _resampled_length(w: Waveform, target_hz: float) -> int:
+    """Samples of ``w`` resampled to ``target_hz``: round(len * target / source)."""
+    return int(round(w.samples.size * target_hz / w.sample_rate_hz))
+
+
+def _resampled(w: Waveform, target_hz: float) -> Iterator[np.ndarray]:
+    """``resample``'s output samples, a chunk at a time (views of
+    ``w.samples`` when the reduced rate ratio is 1)."""
+    ratio = Fraction(target_hz / w.sample_rate_hz).limit_denominator(1000)
+    up, down = ratio.numerator, ratio.denominator
+    if up == down:
+        pieces = (w.samples,)
+    else:
+        cutoff = 0.5 * min(w.sample_rate_hz, target_hz)
+        fir = _kaiser_lowpass(cutoff, 0.10 * cutoff, w.sample_rate_hz * up)
+        pieces = _polyphase_chunks(w.samples, fir, up, down)
+    left = _resampled_length(w, target_hz)
+    for piece in pieces:
+        piece = piece[:left]
+        left -= piece.size
+        yield piece
+    yield np.zeros(left)
 
 
 def resample(w: Waveform, target_hz: float) -> Waveform:
@@ -385,43 +464,39 @@ def resample(w: Waveform, target_hz: float) -> Waveform:
     anti-aliasing filter is a Kaiser-window low-pass at the upsampled rate
     (``_kaiser_lowpass``): content above the smaller Nyquist rate is
     attenuated by at least 75 dB, over a transition 10 % of that rate wide.
-    ``_polyphase`` applies it in blocks, as a few small matmuls over the
-    whole signal, with ``scipy.signal.resample_poly``'s centring; the two
-    agree to rounding.  Output length is round(len * target / source),
-    trimmed or zero padded.
+    ``_polyphase_chunks`` applies it in blocks, as a few small matmuls over
+    the whole signal, with ``scipy.signal.resample_poly``'s centring; the
+    two agree to rounding.  Output length is round(len * target / source),
+    trimmed or zero padded.  The result is the join of ``_resampled``.
     """
     if target_hz <= 0:
         raise ValueError("target rate must be positive")
-    if target_hz == w.sample_rate_hz:
-        return Waveform(w.samples.copy(), w.sample_rate_hz)
-    ratio = Fraction(target_hz / w.sample_rate_hz).limit_denominator(1000)
-    up, down = ratio.numerator, ratio.denominator
-    if up == down:
-        y = w.samples.copy()
-    else:
-        cutoff = 0.5 * min(w.sample_rate_hz, target_hz)
-        fir = _kaiser_lowpass(cutoff, 0.10 * cutoff, w.sample_rate_hz * up)
-        y = _polyphase(w.samples, fir, up, down)
-    n_out = int(round(w.samples.size * target_hz / w.sample_rate_hz))
-    if y.size > n_out:
-        y = y[:n_out]
-    elif y.size < n_out:
-        y = np.pad(y, (0, n_out - y.size))
+    y = _join(_resampled(w, target_hz), np.empty(_resampled_length(w, target_hz)))
     return Waveform(y, float(target_hz))
+
+
+def _activity_of_blocks(
+    blocks: Iterable[tuple[slice, np.ndarray]], n_frames: int, threshold_db: float
+) -> np.ndarray:
+    """``detect_activity``'s mask from the frames of ``n_frames`` (rows,
+    block) pairs, each block squared in place: frame RMS in dB relative to
+    the loudest frame of them all."""
+    rms = np.empty(n_frames)
+    for rows, block in blocks:
+        rms[rows] = np.mean(np.square(block, out=block), axis=1)
+    np.sqrt(rms, out=rms)
+    ref = rms.max() if rms.size else 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = np.where(rms > 0, 20.0 * np.log10(rms / ref) if ref > 0 else -np.inf, -np.inf)
+    return db >= threshold_db
 
 
 def detect_activity(frames: FrameSequence, threshold_db: float = -40.0) -> np.ndarray:
     """Energy-based activity, (T,) bool: frame RMS in dB relative to the loudest frame.
     The frames are squared a block of rows at a time."""
     x = frames.frames
-    rms = np.empty(len(x))
-    for rows in _row_blocks(len(x), x[:1].nbytes):
-        rms[rows] = np.mean(x[rows] ** 2, axis=1)
-    np.sqrt(rms, out=rms)
-    ref = rms.max() if rms.size else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        db = np.where(rms > 0, 20.0 * np.log10(rms / ref) if ref > 0 else -np.inf, -np.inf)
-    return db >= threshold_db
+    blocks = ((rows, x[rows].copy()) for rows in _row_blocks(len(x), x[:1].nbytes))
+    return _activity_of_blocks(blocks, len(x), threshold_db)
 
 
 def read_label_file(path) -> list[LabelInterval]:

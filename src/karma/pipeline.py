@@ -24,14 +24,17 @@ from .frontend import (
     _WINDOWS,
     LabelInterval,
     Waveform,
+    _activity_of_blocks,
+    _frame_blocks,
+    _frame_count,
+    _resampled,
+    _resampled_length,
     _row_blocks,
     activity_from_labels,
-    detect_activity,
     frame_length_and_hop,
     preemphasize,
-    resample,
-    window_frames,
 )
+from .frontend import detect_activity, resample, window_frames  # noqa: F401  (looked up here by bench/tracing.py)
 from .tracker import TrackActivation, TrackerParams, TrackResult, default_params, ekf_filter, eks_smooth
 from .tracker import estimate_transition  # noqa: F401  (looked up here by bench/tracing.py)
 
@@ -210,8 +213,11 @@ def build_observations(frames_emphasized: np.ndarray, config: RunConfig, speech:
         obs[rows] = _real_cepstra(frames_emphasized, rows, config.n_cepstra)
     else:
         for block in _row_blocks(rows.size, frames_emphasized[:1].nbytes):
-            ar, ma, *_ = fit_arma_frames(frames_emphasized[rows[block]], config.lpc_order, config.ma_order)
-            obs[rows[block]] = arma_cepstra(ar, ma, config.n_cepstra)
+            picked = rows[block]
+            run = slice(picked[0], picked[-1] + 1)  # consecutive rows are fitted from a view
+            fit = frames_emphasized[run] if run.stop - run.start == picked.size else frames_emphasized[picked]
+            ar, ma, *_ = fit_arma_frames(fit, config.lpc_order, config.ma_order)
+            obs[picked] = arma_cepstra(ar, ma, config.n_cepstra)
     if not np.all(np.isfinite(obs)):
         raise ValueError("non-finite cepstral coefficients")
     return obs
@@ -230,39 +236,44 @@ def track_waveform(
     with the extended Kalman filter (plus the smoothing pass in smooth
     mode) under the random-walk dynamics of ``default_params``.  In filter
     mode each frame's estimate depends only on that frame and earlier ones,
-    given the activity mask (fixed by ``labels``; ``detect_activity``
-    scales its threshold to the loudest frame of the whole utterance).
+    given the activity mask (fixed by ``labels``; ``detect_activity``'s
+    rule scales its threshold to the loudest frame of the whole utterance).
 
-    Memory: besides the front end's bounded blocks, the run holds at most
-    the resampled signal and one (T, L) frame matrix.  The resampled
-    signal is let go after framing.  The activity mask is read from the
-    windowed frames, which are then pre-emphasized in place and let go
-    before the tracker runs.
+    Memory: the front end streams.  The resampler and the framer hand out
+    windowed frames a block of rows at a time (``frontend._frame_blocks``),
+    and the run goes over them twice: pass 1, skipped when ``labels`` are
+    given, squares each block in place for the per-frame RMS of the
+    activity mask; pass 2 pre-emphasizes each block in place and writes
+    the cepstra of its speech rows into the (T, N) observations.  So
+    neither the resampled signal nor a (T, L) frame matrix ever exists;
+    the run holds the observations, the tracker's result and a few
+    blocks.  The price is resampling twice when activity is detected.
     """
     config.validate()
-    rate_ratio = config.target_sample_rate_hz / w.sample_rate_hz
-    if rate_ratio != 1.0:
-        w = resample(w, config.target_sample_rate_hz)
-    frames = window_frames(w, config.frame_ms, config.overlap, config.window)
-    n_samples = w.samples.size
-    del w
+    fs = config.target_sample_rate_hz
+    n_samples = _resampled_length(w, fs)
+    frame_length, hop = frame_length_and_hop(config.frame_ms, config.overlap, fs)
+    n_frames = _frame_count(n_samples, frame_length, hop)
+
+    def frame_blocks():  # one pass over the windowed frames
+        return _frame_blocks(_resampled(w, fs), n_frames, frame_length, hop, config.window)
 
     if labels is not None:
         mask = activity_from_labels(
             labels,
             n_samples=n_samples,
-            frame_length=frames.frame_length,
-            hop=frames.hop,
-            n_frames=frames.n_frames,
-            sample_scale=rate_ratio,
+            frame_length=frame_length,
+            hop=hop,
+            n_frames=n_frames,
+            sample_scale=fs / w.sample_rate_hz,
         )
     else:
-        mask = detect_activity(frames, config.energy_threshold_db)
+        mask = _activity_of_blocks(frame_blocks(), n_frames, config.energy_threshold_db)
 
-    preemphasize(frames.frames, config.gamma, out=frames.frames)
-    obs = build_observations(frames.frames, config, mask)
-    hop_s = frames.hop_s
-    del frames
-    params = make_tracker_params(config, hop_s)
+    obs = np.empty((n_frames, config.n_cepstra))
+    for rows, block in frame_blocks():
+        obs[rows] = build_observations(preemphasize(block, config.gamma, out=block), config, mask[rows])
+    del block  # the framer's block array, before the tracker's result exists
+    params = make_tracker_params(config, hop / fs)
     run = eks_smooth if config.mode == "smooth" else ekf_filter
     return run(obs, params, mask, activation)

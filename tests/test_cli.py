@@ -5,7 +5,7 @@ import pytest
 
 from karma.cli import main
 from karma.evaluation import read_tracks, write_tracks
-from karma.frontend import read_wav, write_wav
+from karma.frontend import activity_from_labels, read_label_file, read_wav, write_wav
 from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
 
 
@@ -151,6 +151,41 @@ class TestTrackCommand:
         out = tmp_path / "rc.csv"
         code = main(["track", str(wav_path), "--obs", "realcep", "--out", str(out)])
         assert code == 0
+
+
+class TestLabelFile:
+    """``karma track --labels``: a label file fixes the speech mask, and a
+    malformed one is a usage error."""
+
+    def test_labels_fix_the_speech_mask(self, tmp_path, vowel_wav, capsys):
+        wav_path, _ = vowel_wav  # 0.8 s at 16 kHz: 5600 samples, 79 frames at 7 kHz
+        label_path = tmp_path / "vowel.lbl"
+        label_path.write_text("0 1600 h#\n1600 11200 aa\n11200 12800 pau\n")
+        out = tmp_path / "labelled.csv"
+        assert main(["track", str(wav_path), "--labels", str(label_path), "--out", str(out)]) == 0
+        expected = activity_from_labels(read_label_file(label_path), 5600, 140, 70, 79, 7000.0 / 16000.0)
+        assert read_tracks(out).speech.tolist() == expected.tolist()
+        assert not expected.all() and expected.any()
+        assert "formant 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"0 1600\n", b"0 16x0 aa\n", b"0 1600 h#\n\xff\xfe 12800 aa\n"],
+        ids=["too-few-fields", "non-integer-index", "undecodable-bytes"],
+    )
+    def test_malformed_label_file_exits_2(self, tmp_path, vowel_wav, capsys, content):
+        wav_path, _ = vowel_wav
+        label_path = tmp_path / "bad.lbl"
+        label_path.write_bytes(content)
+        out = tmp_path / "never.csv"
+        assert main(["track", str(wav_path), "--labels", str(label_path), "--out", str(out)]) == 2
+        assert "bad label file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_label_file_exits_2(self, tmp_path, vowel_wav, capsys):
+        wav_path, _ = vowel_wav
+        assert main(["track", str(wav_path), "--labels", str(tmp_path / "none.lbl")]) == 2
+        assert "label file not found" in capsys.readouterr().err
 
 
 class TestSynthCommand:

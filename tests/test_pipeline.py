@@ -4,6 +4,7 @@ import json
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,26 @@ from karma.arma import ArmaModel, estimate_ar, fit_ar_frames, fit_arma_frames
 from karma.cepstrum import _real_cepstra, arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
 from karma.evaluation import rmse
-from karma.frontend import Waveform
+from karma.frontend import (
+    LabelInterval,
+    Waveform,
+    _kaiser_lowpass,
+    activity_from_labels,
+    frame_length_and_hop,
+)
 from karma.synthesis import random_trajectory, synthesize
-from karma.tracker import TrackActivation
+from karma.tracker import TrackActivation, ekf_filter, eks_smooth
 
-from conftest import NASAL_SKIP_FRAMES, random_minimum_phase_model, root_sum_cepstrum, track_nasal
+from conftest import (
+    NASAL_SKIP_FRAMES,
+    frozen_detect_activity,
+    frozen_polyphase,
+    frozen_preemphasize,
+    frozen_window_frames,
+    random_minimum_phase_model,
+    root_sum_cepstrum,
+    track_nasal,
+)
 
 
 def loop_real_cepstrum(frame, n_coeffs):
@@ -352,33 +368,157 @@ def filter_prefix_runs(source, observation_source):
     return track_waveform(wave, config, labels=[]), track_waveform(half, config, labels=[])
 
 
+def frozen_track_waveform(w, config, labels=None):
+    """``track_waveform`` by the whole-array route of the frozen front-end
+    copies: the resampled signal, one (T, L) frame matrix, the activity mask
+    and the observations, each made at full size."""
+    fs = config.target_sample_rate_hz
+    ratio = Fraction(fs / w.sample_rate_hz).limit_denominator(1000)
+    up, down = ratio.numerator, ratio.denominator
+    x = w.samples
+    if up != down:
+        cutoff = 0.5 * min(w.sample_rate_hz, fs)
+        x = frozen_polyphase(x, _kaiser_lowpass(cutoff, 0.1 * cutoff, w.sample_rate_hz * up), up, down)
+    n_samples = round(w.samples.size * fs / w.sample_rate_hz)
+    x = np.pad(x[:n_samples], (0, max(0, n_samples - x.size)))
+    frames = frozen_window_frames(x, fs, config.frame_ms, config.overlap, config.window)
+    frame_length, hop = frame_length_and_hop(config.frame_ms, config.overlap, fs)
+    if labels is None:
+        mask = frozen_detect_activity(frames, config.energy_threshold_db)
+    else:
+        mask = activity_from_labels(labels, n_samples, frame_length, hop, len(frames), fs / w.sample_rate_hz)
+    obs = build_observations(frozen_preemphasize(frames, config.gamma), config, mask)
+    run = eks_smooth if config.mode == "smooth" else ekf_filter
+    return run(obs, make_tracker_params(config, hop / fs), mask)
+
+
+def paused_noise(n, sample_rate_hz, seed=0):
+    """``n`` samples of noise with a silent stretch and a quiet one (60 dB
+    down), and labels that call the first tenth and the silent stretch pauses."""
+    x = np.random.default_rng(seed).standard_normal(n)
+    x[2 * n // 5 : n // 2] = 0.0
+    x[3 * n // 5 : 7 * n // 10] *= 1e-3
+    labels = [
+        LabelInterval(0, n // 10, "pau"),
+        LabelInterval(n // 10, 2 * n // 5, "aa"),
+        LabelInterval(2 * n // 5, n // 2, "h#"),
+        LabelInterval(n // 2, n, "iy"),
+    ]
+    return Waveform(x, sample_rate_hz), labels
+
+
+class TestStreamedFrontEnd:
+    """``track_waveform`` streams the front end (two passes over blocks of
+    frames, no resampled signal, no frame matrix) and tracks with the same
+    bits as the whole-array route of the frozen copies, also when a small
+    block budget puts chunk and block edges inside frames."""
+
+    RATES = [(16000.0, 7000.0), (44100.0, 7000.0), (8000.0, 7000.0), (10000.0, 10000.0)]
+    # hop L/2; no overlap; a hop of 0.7 L, which does not divide L (140 or 200)
+    FRAMINGS = [(20.0, 0.5), (20.0, 0.0), (20.0, 0.3)]
+
+    @staticmethod
+    def assert_same_track(streamed, frozen):
+        assert np.array_equal(streamed.speech, frozen.speech)
+        assert np.array_equal(streamed.means, frozen.means)
+        assert np.array_equal(streamed.covariances, frozen.covariances)
+
+    @pytest.mark.parametrize("budget", [1 << 12, 1 << 16])
+    @pytest.mark.parametrize("labelled", [False, True], ids=["detected", "labelled"])
+    @pytest.mark.parametrize("frame_ms,overlap", FRAMINGS)
+    @pytest.mark.parametrize("source_hz,target_hz", RATES)
+    def test_equals_whole_array_route(self, monkeypatch, source_hz, target_hz, frame_ms, overlap, labelled, budget):
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", budget)
+        w, labels = paused_noise(int(0.4 * source_hz) + 37, source_hz)
+        labels = labels if labelled else None
+        config = RunConfig(target_sample_rate_hz=target_hz, frame_ms=frame_ms, overlap=overlap, mode="filter")
+        streamed = track_waveform(w, config, labels=labels)
+        self.assert_same_track(streamed, frozen_track_waveform(w, config, labels))
+        assert labelled or not streamed.speech.all()  # the pauses are detected
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["detected", "labelled"])
+    @pytest.mark.parametrize(
+        "config",
+        [RunConfig(), RunConfig(observation_source="real_cepstrum", mode="filter")],
+        ids=["smooth-ar", "filter-realcep"],
+    )
+    def test_routes_equal_whole_array_route(self, monkeypatch, config, labelled):
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", 1 << 13)
+        w, labels = paused_noise(8037, 16000.0, seed=1)
+        labels = labels if labelled else None
+        self.assert_same_track(track_waveform(w, config, labels=labels), frozen_track_waveform(w, config, labels))
+
+    def test_default_budget_tail_frame(self):
+        # 0.4 s + 37 samples at 16 kHz: 2816 samples at 7 kHz, 39 full frames and a tail
+        w, _ = paused_noise(6437, 16000.0)
+        result = track_waveform(w, RunConfig())
+        assert result.n_frames == 40
+        self.assert_same_track(result, frozen_track_waveform(w, RunConfig()))
+
+    @pytest.mark.parametrize("labelled", [False, True], ids=["detected", "labelled"])
+    @pytest.mark.parametrize("signal", ["one-frame", "all-zero"])
+    def test_edge_inputs(self, monkeypatch, signal, labelled):
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", 1 << 12)
+        if signal == "one-frame":  # 320 samples at 16 kHz are 140 at 7 kHz, one 20 ms frame
+            w = Waveform(np.random.default_rng(2).standard_normal(320), 16000.0)
+        else:
+            w = Waveform(np.zeros(8000), 16000.0)
+        labels = [LabelInterval(0, w.samples.size, "aa")] if labelled else None
+        result = track_waveform(w, RunConfig(), labels=labels)
+        assert result.n_frames == (1 if signal == "one-frame" else 49)
+        self.assert_same_track(result, frozen_track_waveform(w, RunConfig(), labels))
+        assert result.speech.all() == (signal == "one-frame" or labelled)
+
+    def test_input_shorter_than_one_frame(self):
+        w = Waveform(np.ones(318), 16000.0)  # 139 samples at 7 kHz, one short of a frame
+        with pytest.raises(ValueError, match="input too short"):
+            track_waveform(w, RunConfig())
+
+
+def traced_peak(seconds, config):
+    """tracemalloc peak of one ``track_waveform`` call (after a warm-up call, so
+    first-call caches stay out of it) on a ``seconds`` utterance, and its result."""
+    wave, _ = synthesize(random_trajectory(4, seconds, seed=5, sample_rate_hz=16000.0))
+    track_waveform(wave, config)
+    tracemalloc.start()
+    try:
+        result = track_waveform(wave, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 class TestMemory:
-    # the peak holds the resampled signal and one frame matrix (or the result),
-    # plus the front end's blocks of at most frontend._BLOCK_BYTES
-    PEAK_MULTIPLE = 1.5
+    """The run holds the (T, N) observations and the tracker's result, plus a
+    few front-end blocks whatever the length: neither the resampled signal nor
+    a (T, L) frame matrix."""
+
+    # the framer's block, the resampler's chunk and one block's temporaries
+    BLOCKS = 2.0
+    # peak growth per added frame over 8 (N + d + d^2 + 1) bytes: the
+    # observations, the mean, the covariance and the mask or RMS
+    SLOPE_MULTIPLE = 1.2
+    FILTER_REALCEP = RunConfig(mode="filter", observation_source="real_cepstrum")
 
     @pytest.mark.parametrize(
         "seconds,config",
-        [
-            (20.0, RunConfig(mode="filter", observation_source="real_cepstrum")),
-            (10.0, RunConfig(mode="smooth")),
-        ],
+        [(20.0, FILTER_REALCEP), (10.0, RunConfig(mode="smooth"))],
         ids=["filter-realcep-20s", "smooth-ar-10s"],
     )
-    def test_peak_within_one_frame_matrix(self, seconds, config):
-        wave, _ = synthesize(random_trajectory(4, seconds, seed=5, sample_rate_hz=16000.0))
-        track_waveform(wave, config)  # first-call caches stay out of the measurement
-        tracemalloc.start()
-        try:
-            result = track_waveform(wave, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        n_samples = round(wave.samples.size * config.target_sample_rate_hz / wave.sample_rate_hz)
-        frame_length = round(config.frame_ms * 1e-3 * config.target_sample_rate_hz)
-        held = 8 * (n_samples + result.n_frames * frame_length)
+    def test_peak_within_result_and_blocks(self, seconds, config):
+        peak, result = traced_peak(seconds, config)
+        held = 8 * result.n_frames * config.n_cepstra  # the observations
         held += result.means.nbytes + result.covariances.nbytes + result.speech.nbytes
-        assert peak < self.PEAK_MULTIPLE * held, (peak, held)
+        assert peak < held + self.BLOCKS * karma.frontend._BLOCK_BYTES, (peak, held)
+
+    def test_peak_grows_by_the_held_rows_only(self):
+        config = self.FILTER_REALCEP
+        (short, head), (long, full) = traced_peak(20.0, config), traced_peak(40.0, config)
+        d = full.means.shape[1]
+        per_frame = 8 * (config.n_cepstra + d + d * d + 1)
+        slope = (long - short) / (full.n_frames - head.n_frames)
+        assert slope <= self.SLOPE_MULTIPLE * per_frame, (slope, per_frame)
 
 
 class TestOnePassTracking:
