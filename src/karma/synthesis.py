@@ -48,6 +48,11 @@ FORMANT_RANGES = ((250.0, 900.0), (900.0, 2300.0), (1800.0, 3000.0), (2800.0, 39
 BANDWIDTH_RANGE = (40.0, 250.0)
 F0_RANGE = (90.0, 220.0)  # Hz, of random_trajectory's Rosenberg source
 MIN_FORMANT_SEPARATION = 150.0
+# samples between wraps of the frame filter's delay buffer, which keeps it small
+_DELAY_RING = 64
+# rows per block of the frame filter's transposing multiply, so that a
+# block's strided reads stay in cache
+_TRANSPOSE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -139,6 +144,65 @@ class TrajectorySpec:
         return self.antiformant_freqs.shape[1]
 
 
+def _cascade_rows(freqs: np.ndarray, bws: np.ndarray, sample_rate_hz: float) -> np.ndarray:
+    """Monic cascade polynomials (R, 2K+1) of R rows of K resonances each,
+    from (R, K) frequencies and bandwidths in Hz; see ``resonator_cascade``.
+
+    The (R, K, 3) second-order sections are formed at once and multiplied
+    into the polynomials section by section over all rows.  Each row is the
+    same bits as a loop of ``np.convolve(poly, section)``, which needs:
+
+    * r^2 by the libm ``pow`` of a Python float, as a numpy float64 scalar
+      squares (an array's ``r*r`` differs on about 0.1 % of sections, its
+      ``np.power`` on 7 %);
+    * the first section as the polynomial itself;
+    * each interior coefficient as ``convolve``'s unrolled sum,
+      p[k-2] s2 + p[k-1] s1 + p[k] added left to right;
+    * the two 2-term edge coefficients by the dot product ``convolve`` calls
+      (BLAS ``ddot``, fused multiply-add on some hosts), reached through a
+      stacked (1, 2) @ (2, 1) matmul.
+    """
+    n_rows, n_sections = freqs.shape
+    if n_sections == 0:
+        return np.ones((n_rows, 1))
+    radius = np.exp(-np.pi * bws / sample_rate_hz)
+    sections = np.empty((n_rows, n_sections, 3))
+    sections[..., 0] = 1.0
+    sections[..., 1] = -2.0 * radius * np.cos(2.0 * np.pi * freqs / sample_rate_hz)
+    sections[..., 2] = np.reshape([r**2 for r in radius.ravel().tolist()], radius.shape)
+    poly = sections[:, 0]
+    for k in range(1, n_sections):
+        s1, s2 = sections[:, k, 1:2], sections[:, k, 2:3]
+        n = poly.shape[1]
+        nxt = np.empty((n_rows, n + 2))
+        nxt[:, 0] = poly[:, 0]
+        nxt[:, 2:n] = poly[:, :-2] * s2 + poly[:, 1:-1] * s1 + poly[:, 2:]
+        # edge dots [p0, p1].[s1, 1] and [p(n-2), p(n-1)].[s2, s1], one matmul per row and edge
+        ends = np.stack((poly[:, :2], poly[:, -2:]), axis=1)[:, :, None, :]
+        taps = np.stack((sections[:, k, 1::-1], sections[:, k, :0:-1]), axis=1)[..., None]
+        nxt[:, [1, n]] = (ends @ taps)[..., 0, 0]
+        nxt[:, n + 1] = poly[:, -1] * s2[:, 0]
+        poly = nxt
+    return poly
+
+
+def _present_cascades(freqs, bws, present, sample_rate_hz: float) -> np.ndarray:
+    """Cascade polynomials (R, 2K+1) of the present resonances of each row of
+    (R, I) columns, zero past a row's own order, K the most present in a row.
+    Rows are grouped by their count of present tracks: padding an absent
+    track with the section [1, 0, 0] would change the bits of the edges."""
+    counts = present.sum(axis=1)
+    out = np.zeros((len(counts), 2 * counts.max(initial=0) + 1))
+    for k in np.unique(counts).tolist():
+        rows = counts == k
+        kept = present[rows]
+        shape = (kept.shape[0], k)
+        out[rows, : 2 * k + 1] = _cascade_rows(
+            freqs[rows][kept].reshape(shape), bws[rows][kept].reshape(shape), sample_rate_hz
+        )
+    return out
+
+
 def resonator_cascade(freqs, bws, sample_rate_hz: float) -> np.ndarray:
     """Monic polynomial, in powers of z^-1, of a cascade of second-order
     digital resonators, one per (frequency, bandwidth) pair in Hz.
@@ -146,14 +210,11 @@ def resonator_cascade(freqs, bws, sample_rate_hz: float) -> np.ndarray:
     Each resonance (f, b) contributes the section
     1 - 2 exp(-pi b/fs) cos(2 pi f/fs) z^-1 + exp(-2 pi b/fs) z^-2.  The
     formants' cascade is a synthesis filter's denominator, the
-    antiformants' its numerator; no pairs give [1].
+    antiformants' its numerator; no pairs give [1].  The one-row call of
+    ``_cascade_rows``: the same bits as convolving the sections in order.
     """
-    poly = np.array([1.0])
-    for f, b in zip(freqs, bws):
-        radius = np.exp(-np.pi * b / sample_rate_hz)
-        section = np.array([1.0, -2.0 * radius * np.cos(2.0 * np.pi * f / sample_rate_hz), radius**2])
-        poly = np.convolve(poly, section)
-    return poly
+    freqs = np.asarray(freqs, dtype=float).reshape(1, -1)
+    return _cascade_rows(freqs, np.asarray(bws, dtype=float).reshape(freqs.shape), sample_rate_hz)[0]
 
 
 def rosenberg_source(
@@ -190,34 +251,45 @@ def rosenberg_source(
     return out
 
 
-def _filter_rows(nums: list, dens: list, x: np.ndarray) -> np.ndarray:
-    """Filter each row of ``x`` (T, n) by its own num[t](z)/den[t](z), from
-    zero state, all rows at once; every den[t] is monic.
+def _filter_rows(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Filter each row of ``x`` (R, n) by its own b[r](z)/a[r](z), from
+    zero state, all rows at once; ``b`` (R, nb+1) and ``a`` (R, na+1) hold
+    each row's coefficients, zero past its own order, and every a[r] is
+    monic.
 
     The recursion is ``scipy.signal.lfilter``'s direct form II transposed
     in its operation order: y = z0 + b0 x, then
-    z[j] = (z[j+1] + x b[j+1]) - y a[j+1].  A coefficient past a row's
-    own order is zero and its term is left out, which can change only the
-    sign of a zero, so each row equals ``lfilter(num[t], den[t], x[t])``
-    wherever den[t] has a pole (a row without one gets its FIR output to
-    rounding).  The delays of sample m are rows m..m+order of one buffer,
-    so the shift of the delay line is a moving offset, not a copy.
+    z[j] = (z[j+1] + x b[j+1]) - y a[j+1].  The products x b of every sample
+    are formed before the sample loop, sample-major and in blocks of
+    ``_TRANSPOSE_BLOCK`` rows, and the numerator update is skipped
+    when every row is all-pole (nb = 0).  A coefficient past a row's own
+    order is zero, which can change only the sign of a zero, so each row is
+    the same bits as ``lfilter(b[r], a[r], x[r])`` wherever a[r] has a pole
+    (a row without one gets its FIR output to rounding).  The delays of
+    sample m are rows o..o+order of one buffer, o = m mod ``_DELAY_RING``,
+    so the shift of the delay line is a moving offset, not a copy; when the
+    offset wraps, the live delays are copied back to the front.
     """
-    nb, na = max(c.size for c in nums) - 1, max(c.size for c in dens) - 1
-    b, a = np.zeros((nb + 1, len(x))), np.zeros((na + 1, len(x)))  # coefficient k of every row
-    for t, (num, den) in enumerate(zip(nums, dens)):
-        b[: num.size, t], a[: den.size, t] = num, den
-    a = a[1:]
-    xs = np.ascontiguousarray(x.T)
-    ys = np.empty_like(xs)
-    z = np.zeros((xs.shape[0] + max(nb, na) + 1, len(x)))
-    xb, ya = np.empty_like(b), np.empty_like(a)
-    for m, (xm, ym) in enumerate(zip(xs, ys)):
-        np.multiply(xm, b, out=xb)
-        np.add(z[m], xb[0], out=ym)
+    nb, na = b.shape[1] - 1, a.shape[1] - 1
+    order = max(nb, na)
+    xb = np.empty((x.shape[1], nb + 1, len(x)))
+    for lo in range(0, len(x), _TRANSPOSE_BLOCK):
+        rows = slice(lo, lo + _TRANSPOSE_BLOCK)
+        np.multiply(x[rows].T[:, None, :], b[rows].T, out=xb[:, :, rows])
+    ys = xb[:, 0]  # y of sample m overwrites its x b0
+    a = np.ascontiguousarray(a.T[1:])
+    ya = np.empty_like(a)
+    z = np.zeros((_DELAY_RING + order, len(x)))
+    for m, (xbm, ym) in enumerate(zip(xb, ys)):
+        o = m % _DELAY_RING
+        if o == 0 and m:
+            z[:order] = z[_DELAY_RING:]
+            z[order:] = 0.0
+        np.add(z[o], xbm[0], out=ym)
         np.multiply(ym, a, out=ya)
-        z[m + 1 : m + 1 + nb] += xb[1:]
-        z[m + 1 : m + 1 + na] -= ya
+        if nb:
+            z[o + 1 : o + 1 + nb] += xbm[1:]
+        z[o + 1 : o + 1 + na] -= ya
     return ys.T
 
 
@@ -226,10 +298,22 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
 
     Every frame's source segment is filtered with zero initial filter state,
     multiplied by a periodic Hann window, and summed at 50 % (or the spec's)
-    overlap.  Silence frames contribute zeros.  All speech frames are
-    filtered in one ``_filter_rows`` call, whose samples are the same bits
-    as a per-frame ``scipy.signal.lfilter``.  Returns the waveform and the
+    overlap.  Silence frames contribute zeros.  Returns the waveform and the
     ground-truth tracks aligned to the same frame grid.
+
+    No step loops over frames in Python, and the samples are the same bits
+    as filtering each speech frame with ``scipy.signal.lfilter`` by the
+    ``np.convolve`` cascades of its present resonances and adding the
+    windowed frames one by one in ascending order:
+
+    * the cascades of all frames come from ``_present_cascades`` (see
+      ``_cascade_rows`` for what keeps them bit-equal to ``convolve``), and
+      all frames are filtered in one ``_filter_rows`` call; a silence frame
+      is filtered from zero excitation, so it adds only zeros;
+    * the overlap-add works in chunks of one hop: a sample takes its frames
+      in ascending t, which is descending chunk c = offset // hop, so chunk c
+      of every windowed frame is added at once, from the last chunk down to
+      the first.  Within one chunk the target ranges do not overlap.
     """
     length = spec.frame_length
     hop = spec.hop
@@ -238,28 +322,28 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     fs = spec.sample_rate_hz
 
     rng = np.random.default_rng(spec.seed)
-    excitation = {"white_noise": rng.standard_normal(total)}
+    excitation = {}
+    if (spec.sources == "white_noise").any():
+        excitation["white_noise"] = rng.standard_normal(total)
     if (spec.sources == "rosenberg").any():
         flow = rosenberg_source(np.where(np.isnan(spec.f0_hz), 100.0, spec.f0_hz), length, fs, hop=hop)
         # radiated pressure excitation: first difference of the glottal flow
         excitation["rosenberg"] = np.diff(flow, prepend=0.0)
 
-    window = _periodic_window("hanning", length)
-    out = np.zeros(total)
-    speech = np.flatnonzero(spec.sources != "silence")
-    if speech.size:
-        segments = np.empty((speech.size, length))
-        for name, signal in excitation.items():
-            rows = spec.sources[speech] == name
-            segments[rows] = sliding_window_view(signal, length)[::hop][speech[rows]]
-        nums, dens = [], []
-        for t in speech:
-            f, a = spec.formant_present[t], spec.antiformant_present[t]
-            dens.append(resonator_cascade(spec.formant_freqs[t, f], spec.formant_bws[t, f], fs))
-            nums.append(resonator_cascade(spec.antiformant_freqs[t, a], spec.antiformant_bws[t, a], fs))
-        filtered = _filter_rows(nums, dens, segments)
-        for row, t in enumerate(speech):
-            out[t * hop : t * hop + length] += window * filtered[row]
+    segments = np.zeros((n_frames, length))  # silence frames: no excitation, zero output
+    for name, signal in excitation.items():
+        rows = spec.sources == name
+        segments[rows] = sliding_window_view(signal, length)[::hop][rows]
+    dens = _present_cascades(spec.formant_freqs, spec.formant_bws, spec.formant_present, fs)
+    nums = _present_cascades(spec.antiformant_freqs, spec.antiformant_bws, spec.antiformant_present, fs)
+    # windowed frames as columns, (length, n_frames), and the output as hop-long columns
+    frames = _filter_rows(nums, dens, segments).T * _periodic_window("hanning", length)[:, None]
+    n_chunks = -(-length // hop)
+    out = np.zeros((hop, n_frames + n_chunks))
+    for c in reversed(range(n_chunks)):
+        chunk = frames[c * hop : (c + 1) * hop]
+        out[: len(chunk), c : c + n_frames] += chunk
+    out = out.T.reshape(-1)[:total]
 
     peak = np.abs(out).max()
     if peak > 0:
@@ -356,9 +440,13 @@ def random_trajectory(
     order and at least 150 Hz separation; bandwidths stay in [40, 250] Hz.
     Deterministic for a fixed seed.  A frequency at or above the Nyquist
     rate is rejected, so four formants need a sample rate of 7.8 kHz or more.
+    ``duration_s`` must be finite and positive, and ``n_formants`` at most
+    four, one per defined range.
     """
-    if n_formants > len(FORMANT_RANGES):
-        raise ValueError("no frequency range defined for that many formants")
+    if not 0 <= n_formants <= len(FORMANT_RANGES):
+        raise ValueError(f"n_formants must be in 0..{len(FORMANT_RANGES)}")
+    if not (np.isfinite(duration_s) and duration_s > 0):
+        raise ValueError("duration_s must be finite and positive")
     fs = sample_rate_hz
     length, hop = frame_length_and_hop(frame_ms, overlap_fraction, fs)
     n_frames = max(1, 1 + int(round((duration_s * fs - length) / hop)))

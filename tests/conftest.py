@@ -11,7 +11,13 @@ from karma.arma import ArmaModel
 from karma.cepstrum import CepstralObservation, _fft_size
 from karma.frontend import _GEMM_WORK, _periodic_window, frame_length_and_hop
 from karma.pipeline import track_waveform
-from karma.synthesis import nasal_demo_config, nasal_utterance_spec, resonator_cascade, synthesize
+from karma.synthesis import (
+    nasal_demo_config,
+    nasal_utterance_spec,
+    resonator_cascade,
+    rosenberg_source,
+    synthesize,
+)
 from karma.tracker import TrackActivation, TrackerParams
 
 NASAL_SKIP_FRAMES = 10  # tracker start-up, left out of every nasal demo score
@@ -191,6 +197,71 @@ def frozen_real_cepstra(frames, rows, n_coeffs, block=256):
         floor = 1e-12 * spec.max(axis=1, keepdims=True)
         ceps = np.fft.irfft(np.log(np.maximum(spec, floor)), nfft, axis=1)
         out[lo : lo + block] = 2.0 * ceps[:, 1 : out.shape[1] + 1]
+    return out
+
+
+def frozen_resonator_cascade(freqs, bws, sample_rate_hz):
+    """Frozen reference for ``synthesis.resonator_cascade``: one
+    ``np.convolve`` per section, squaring each numpy-scalar radius."""
+    poly = np.array([1.0])
+    for f, b in zip(freqs, bws):
+        radius = np.exp(-np.pi * b / sample_rate_hz)
+        section = np.array([1.0, -2.0 * radius * np.cos(2.0 * np.pi * f / sample_rate_hz), radius**2])
+        poly = np.convolve(poly, section)
+    return poly
+
+
+def frozen_filter_rows(nums, dens, x):
+    """Frozen reference for ``synthesis._filter_rows`` on lists of per-row
+    coefficient arrays: x b formed sample by sample, one delay buffer as long
+    as the frame."""
+    nb, na = max(c.size for c in nums) - 1, max(c.size for c in dens) - 1
+    b, a = np.zeros((nb + 1, len(x))), np.zeros((na + 1, len(x)))
+    for t, (num, den) in enumerate(zip(nums, dens)):
+        b[: num.size, t], a[: den.size, t] = num, den
+    a = a[1:]
+    xs = np.ascontiguousarray(x.T)
+    ys = np.empty_like(xs)
+    z = np.zeros((xs.shape[0] + max(nb, na) + 1, len(x)))
+    xb, ya = np.empty_like(b), np.empty_like(a)
+    for m, (xm, ym) in enumerate(zip(xs, ys)):
+        np.multiply(xm, b, out=xb)
+        np.add(z[m], xb[0], out=ym)
+        np.multiply(ym, a, out=ya)
+        z[m + 1 : m + 1 + nb] += xb[1:]
+        z[m + 1 : m + 1 + na] -= ya
+    return ys.T
+
+
+def frozen_synthesize(spec):
+    """Frozen reference for ``synthesis.synthesize``'s samples: per-frame
+    cascades of the present tracks and a per-frame overlap-add loop."""
+    length, hop, fs = spec.frame_length, spec.hop, spec.sample_rate_hz
+    total = (spec.n_frames - 1) * hop + length
+    rng = np.random.default_rng(spec.seed)
+    excitation = {"white_noise": rng.standard_normal(total)}
+    if (spec.sources == "rosenberg").any():
+        flow = rosenberg_source(np.where(np.isnan(spec.f0_hz), 100.0, spec.f0_hz), length, fs, hop=hop)
+        excitation["rosenberg"] = np.diff(flow, prepend=0.0)
+    window = _periodic_window("hanning", length)
+    out = np.zeros(total)
+    speech = np.flatnonzero(spec.sources != "silence")
+    if speech.size:
+        segments = np.empty((speech.size, length))
+        for name, signal in excitation.items():
+            rows = spec.sources[speech] == name
+            segments[rows] = sliding_window_view(signal, length)[::hop][speech[rows]]
+        nums, dens = [], []
+        for t in speech:
+            f, a = spec.formant_present[t], spec.antiformant_present[t]
+            dens.append(frozen_resonator_cascade(spec.formant_freqs[t, f], spec.formant_bws[t, f], fs))
+            nums.append(frozen_resonator_cascade(spec.antiformant_freqs[t, a], spec.antiformant_bws[t, a], fs))
+        filtered = frozen_filter_rows(nums, dens, segments)
+        for row, t in enumerate(speech):
+            out[t * hop : t * hop + length] += window * filtered[row]
+    peak = np.abs(out).max()
+    if peak > 0:
+        out *= 0.9 / peak
     return out
 
 

@@ -10,6 +10,7 @@ from karma.synthesis import (
     TrajectorySpec,
     _filter_rows,
     _pchip,
+    _present_cascades,
     load_spec,
     nasal_utterance_spec,
     random_trajectory,
@@ -21,7 +22,7 @@ from karma.synthesis import (
     synthesize,
 )
 
-from conftest import cascade_model
+from conftest import cascade_model, frozen_resonator_cascade, frozen_synthesize
 
 
 def constant_spec(formants, n_frames, source, frame_ms, fs, seed=0, f0_hz=None):
@@ -70,6 +71,24 @@ class TestResonatorCascade:
             back_b = -np.log(np.abs(roots[order])) * fs / np.pi
             assert np.abs(back_f - freqs).max() < 1e-9
             assert np.abs(back_b - bws).max() < 1e-9
+
+    @pytest.mark.parametrize("fs", [8000.0, 10000.0, 16000.0])
+    def test_stacked_rows_equal_convolve_loop(self, rng, fs):
+        """Rows of 0-6 present sections, bandwidths 1 Hz-10 kHz: each stacked
+        row, and each one-row call, is the convolve loop's polynomial."""
+        n_rows, n_tracks = 300, 6
+        freqs = rng.uniform(1.0, fs / 2 - 1.0, (n_rows, n_tracks))
+        bws = np.exp(rng.uniform(0.0, np.log(1e4), (n_rows, n_tracks)))
+        counts = rng.integers(0, n_tracks + 1, n_rows)
+        present = rng.permuted(np.arange(n_tracks) < counts[:, None], axis=1)
+        assert set(counts.tolist()) == set(range(n_tracks + 1))
+        stacked = _present_cascades(freqs, bws, present, fs)
+        for t in range(n_rows):
+            f, b = freqs[t, present[t]], bws[t, present[t]]
+            expected = frozen_resonator_cascade(f, b, fs)
+            assert np.array_equal(stacked[t, : expected.size], expected)
+            assert not stacked[t, expected.size :].any()
+            assert np.array_equal(resonator_cascade(f, b, fs), expected)
 
     def test_cepstral_consistency_with_state_map(self):
         fs = 10000.0
@@ -151,6 +170,49 @@ class TestSynthesize:
             peak = f[band][np.argmax(psd_acc[band])]
             assert abs(peak - target) < 50.0
 
+    @staticmethod
+    def mixed_spec(seed, frame_ms, overlap):
+        """Rosenberg, white-noise and silence frames in random order, with
+        random absent formants and antiformants."""
+        rng = np.random.default_rng(seed)
+        base = random_trajectory(
+            3, 0.6, seed, 16000.0, source="rosenberg", frame_ms=frame_ms, overlap_fraction=overlap
+        )
+        n = base.n_frames
+        sources = rng.choice(["rosenberg", "white_noise", "silence"], n)
+        sources[[0, -1]] = "silence"
+        return dataclasses.replace(
+            base,
+            sources=sources,
+            antiformant_freqs=rng.uniform(500.0, 3000.0, (n, 2)),
+            antiformant_bws=rng.uniform(30.0, 300.0, (n, 2)),
+            formant_present=rng.random((n, 3)) < 0.7,
+            antiformant_present=rng.random((n, 2)) < 0.5,
+        )
+
+    @pytest.mark.parametrize(
+        "make_specs",
+        [
+            *[
+                pytest.param(
+                    lambda s=seed, src=source: [random_trajectory(4, 10.0, s, 16000.0, source=src)],
+                    id=f"corpus{seed}-{source}",
+                )
+                for seed in range(100, 106)
+                for source in ("white_noise", "rosenberg")
+            ],
+            pytest.param(lambda: [nasal_utterance_spec(s) for s in range(700, 740)], id="nasal700-739"),
+            pytest.param(lambda: [TestSynthesize.mixed_spec(1, 20.0, 0.0)], id="overlap0"),
+            pytest.param(lambda: [TestSynthesize.mixed_spec(2, 20.0, 0.75)], id="overlap0.75"),
+            # 321-sample frames: hops of 160 and 80 do not divide them
+            pytest.param(lambda: [TestSynthesize.mixed_spec(3, 20.0625, 0.5)], id="odd-length"),
+            pytest.param(lambda: [TestSynthesize.mixed_spec(4, 20.0625, 0.75)], id="odd-length-0.75"),
+        ],
+    )
+    def test_equals_frozen_reference(self, make_specs):
+        for spec in make_specs():
+            assert np.array_equal(synthesize(spec)[0].samples, frozen_synthesize(spec))
+
     def test_nasal_spec_valley_near_antiformant(self):
         spec = nasal_utterance_spec()
         wave, ref = synthesize(spec)
@@ -194,14 +256,15 @@ class TestFilterRows:
         """Mixed formant and antiformant counts, including none (numerator [1])."""
         fs, n_rows = 10000.0, 12
         x = rng.standard_normal((n_rows, 200))
-        nums, dens = [], []
+        b, a = np.zeros((n_rows, 5)), np.zeros((n_rows, 9))
         for t in range(n_rows):
             n_f, n_af = 1 + t % 4, t % 3
-            dens.append(resonator_cascade(rng.uniform(100, 4900, n_f), rng.uniform(20, 300, n_f), fs))
-            nums.append(resonator_cascade(rng.uniform(100, 4900, n_af), rng.uniform(20, 300, n_af), fs))
-        y = _filter_rows(nums, dens, x)
+            den = resonator_cascade(rng.uniform(100, 4900, n_f), rng.uniform(20, 300, n_f), fs)
+            num = resonator_cascade(rng.uniform(100, 4900, n_af), rng.uniform(20, 300, n_af), fs)
+            a[t, : den.size], b[t, : num.size] = den, num
+        y = _filter_rows(b, a, x)
         for t in range(n_rows):
-            assert np.array_equal(y[t], sps.lfilter(nums[t], dens[t], x[t]))
+            assert np.array_equal(y[t], sps.lfilter(b[t], a[t], x[t]))
 
 
 class TestPchip:
@@ -239,6 +302,22 @@ class TestRandomTrajectory:
         spec = random_trajectory(4, 5.0, seed=1, sample_rate_hz=16000.0)
         assert np.all(spec.formant_freqs < 8000.0)
         assert np.all((spec.formant_bws >= 40.0) & (spec.formant_bws <= 250.0))
+
+    @pytest.mark.parametrize(
+        "n_formants, duration_s, message",
+        [
+            (3, 0.0, "duration_s"),
+            (3, -1.0, "duration_s"),
+            (3, np.nan, "duration_s"),
+            (3, np.inf, "duration_s"),
+            (-1, 1.0, "n_formants"),
+            (5, 1.0, "n_formants"),
+        ],
+        ids=["zero_duration", "negative_duration", "nan_duration", "infinite_duration", "negative_count", "five"],
+    )
+    def test_bad_arguments_rejected(self, n_formants, duration_s, message):
+        with pytest.raises(ValueError, match=message):
+            random_trajectory(n_formants, duration_s, seed=1, sample_rate_hz=16000.0)
 
     def test_voiced_variant_has_f0(self):
         spec = random_trajectory(3, 0.5, seed=2, sample_rate_hz=16000.0, source="rosenberg")
