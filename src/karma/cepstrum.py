@@ -38,7 +38,22 @@ import numpy as np
 from .arma import ArmaModel, _minimum_phase_rows
 from .frontend import _row_blocks
 
-__all__ = ["CepstralObservation", "arma_cepstra", "arma_to_cepstrum", "real_cepstrum"]
+__all__ = ["CepstralObservation", "arma_cepstra", "arma_to_cepstrum", "real_cepstrum", "state_columns"]
+
+
+def state_columns(n_formants: int, n_antiformants: int) -> tuple[slice, slice, slice, slice]:
+    """The tracker's state vector layout, as the slices of its four blocks:
+    the I formant frequencies, their I bandwidths, the J antiformant
+    frequencies and their J bandwidths, (f_1..f_I, b_1..b_I, f'_1..f'_J,
+    b'_1..b'_J), all in Hz.
+
+    This is the one definition of that order: the observation model, the
+    tracker's parameters and results, the track CSV columns and the
+    synthesizer's reference tracks all place their blocks by it.
+    """
+    i, j = n_formants, n_antiformants
+    return slice(0, i), slice(i, 2 * i), slice(2 * i, 2 * i + j), slice(2 * i + j, 2 * (i + j))
+
 
 def _log_inverse_series(a: np.ndarray, n_coeffs: int) -> np.ndarray:
     """Coefficients n = 1..N of log 1 / (1 - sum_i a_i z^-i), for each row of a (T, p)."""
@@ -86,11 +101,10 @@ def arma_to_cepstrum(m: ArmaModel, n_coeffs: int) -> np.ndarray:
 class CepstralObservation:
     """Observation model mapping a state vector to N cepstral coefficients.
 
-    The state vector holds the I formant frequencies, then their I
-    bandwidths, then the J antiformant frequencies and their J bandwidths,
-    all in Hz: (f_1..f_I, b_1..b_I, f'_1..f'_J, b'_1..b'_J).  Inactive
-    tracks are dropped from the sum and their Jacobian columns are zero,
-    which is how the tracker omits a track from the state.
+    The state vector holds each resonance's frequency and bandwidth in Hz,
+    in the blocks of ``state_columns``.  Inactive tracks are dropped from
+    the sum and their Jacobian columns are zero, which is how the tracker
+    omits a track from the state.
     """
 
     def __init__(self, n_formants: int, n_antiformants: int, n_cepstra: int, sample_rate_hz: float):
@@ -101,8 +115,9 @@ class CepstralObservation:
         # each resonance's frequency and bandwidth entries, formants first,
         # and the sign of its cepstral term
         i, j = n_formants, n_antiformants
-        self._freq_cols = np.r_[0:i, 2 * i : 2 * i + j]
-        self._bw_cols = np.r_[i : 2 * i, 2 * i + j : 2 * i + 2 * j]
+        f, b, af, ab = state_columns(i, j)
+        self._freq_cols = np.r_[f, af]
+        self._bw_cols = np.r_[b, ab]
         self._signs = np.r_[np.ones(i), -np.ones(j)]
         # value's one gather: the bandwidths, then the frequencies, and the
         # scales taking them to log r = -pi b/fs and theta = 2 pi f/fs
@@ -206,13 +221,9 @@ class CepstralObservation:
         observation gradient vanishes and a clamped track could never
         recover.
         """
-        i, j = self.n_formants, self.n_antiformants
-        f_lo = 0.005 * self.sample_rate_hz
-        f_hi = 0.495 * self.sample_rate_hz
-        lo = np.concatenate([np.full(i, f_lo), np.full(i, 1.0), np.full(j, f_lo), np.full(j, 1.0)])
-        hi = np.concatenate(
-            [np.full(i, f_hi), np.full(i, np.inf), np.full(j, f_hi), np.full(j, np.inf)]
-        )
+        lo, hi = np.empty((2, 2 * (self.n_formants + self.n_antiformants)))
+        lo[self._freq_cols], hi[self._freq_cols] = 0.005 * self.sample_rate_hz, 0.495 * self.sample_rate_hz
+        lo[self._bw_cols], hi[self._bw_cols] = 1.0, np.inf
         return lo, hi
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cepstrum import state_columns
 from .evaluation import read_tracks, rmse, write_tracks
 from .frontend import read_label_file, read_wav, write_wav
 from .particle import _benchmark_counts, ekf_pf_benchmark
@@ -82,17 +83,16 @@ def cmd_track(args) -> int:
 
     stds = np.sqrt(np.maximum(result.variances, 0.0))
     print(f"wrote {out} ({result.n_frames} frames, mode={config.mode})")
-    for k in range(result.n_formants):
-        print(
-            f"  formant {k + 1}: mean {result.formant_freqs[:, k].mean():8.1f} Hz, "
-            f"mean posterior std {stds[:, k].mean():7.1f} Hz"
-        )
-    for k in range(result.n_antiformants):
-        col = 2 * result.n_formants + k
-        print(
-            f"  antiformant {k + 1}: mean {result.antiformant_freqs[:, k].mean():8.1f} Hz, "
-            f"mean posterior std {stds[:, col].mean():7.1f} Hz"
-        )
+    f, _, af, _ = state_columns(result.n_formants, result.n_antiformants)
+    for name, freqs, freq_stds in (
+        ("formant", result.formant_freqs, stds[:, f]),
+        ("antiformant", result.antiformant_freqs, stds[:, af]),
+    ):
+        for k in range(freqs.shape[1]):
+            print(
+                f"  {name} {k + 1}: mean {freqs[:, k].mean():8.1f} Hz, "
+                f"mean posterior std {freq_stds[:, k].mean():7.1f} Hz"
+            )
     return 0
 
 

@@ -2,12 +2,11 @@
 
 RMSE is computed per formant over speech-labeled frames, with the overall
 figure pooled across all counted (formant, frame) pairs.  Tracks round-trip
-through a CSV schema with one row per frame:
-
-    time_s,f1..fI,b1..bI,af1..afJ,ab1..abJ,vf1..,vb1..,vaf1..,vab1..,speech
-
-where v-columns are posterior variances (diagonal covariance entries) and
-speech is 0/1.  Values are written with six decimal places.
+through a CSV schema with one row per frame: time_s, then the posterior
+means in the state vector's order (``cepstrum.state_columns``), named
+f1..fI, b1..bI, af1..afJ, ab1..abJ, then their posterior variances
+(diagonal covariance entries) under the same names prefixed with v, then
+speech as 0/1.  Values are written with six decimal places.
 """
 
 from __future__ import annotations
@@ -17,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tracker import TrackResult, _speech_flags
+from .cepstrum import state_columns
+from .tracker import TrackActivation, TrackResult, _make_result, _speech_flags
 
 __all__ = ["RmseReport", "rmse", "write_tracks", "read_tracks"]
 
@@ -107,17 +107,10 @@ def rmse(
 
 
 def _header(n_formants: int, n_antiformants: int) -> list[str]:
-    cols = ["time_s"]
-    cols += [f"f{k+1}" for k in range(n_formants)]
-    cols += [f"b{k+1}" for k in range(n_formants)]
-    cols += [f"af{k+1}" for k in range(n_antiformants)]
-    cols += [f"ab{k+1}" for k in range(n_antiformants)]
-    cols += [f"vf{k+1}" for k in range(n_formants)]
-    cols += [f"vb{k+1}" for k in range(n_formants)]
-    cols += [f"vaf{k+1}" for k in range(n_antiformants)]
-    cols += [f"vab{k+1}" for k in range(n_antiformants)]
-    cols.append("speech")
-    return cols
+    names = [""] * 2 * (n_formants + n_antiformants)
+    for cols, prefix in zip(state_columns(n_formants, n_antiformants), ("f", "b", "af", "ab")):
+        names[cols] = [f"{prefix}{k + 1}" for k in range(cols.stop - cols.start)]
+    return ["time_s", *names, *(f"v{name}" for name in names), "speech"]
 
 
 def write_tracks(result: TrackResult, path) -> None:
@@ -173,16 +166,6 @@ def read_tracks(path) -> TrackResult:
     hop_s = float(times[1] - times[0]) if n_frames > 1 else 0.01
     covs = np.zeros((n_frames, dim, dim))
     covs[:, np.arange(dim), np.arange(dim)] = variances
-    return TrackResult(
-        means=means,
-        covariances=covs,
-        speech=speech,
-        formant_active=np.ones((n_frames, n_form), dtype=bool),
-        antiformant_active=np.ones((n_frames, n_anti), dtype=bool),
-        n_formants=n_form,
-        n_antiformants=n_anti,
-        n_cepstra=0,
-        sample_rate_hz=0.0,
-        hop_s=hop_s,
-    )
+    activation = TrackActivation.all_active(n_frames, n_form, n_anti)
+    return _make_result(means, covs, speech, activation, n_cepstra=0, sample_rate_hz=0.0, hop_s=hop_s)
 

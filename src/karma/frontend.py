@@ -200,12 +200,14 @@ def _frame_count(n_samples: int, frame_length: int, hop: int) -> int:
 
 
 def _padded(pieces: Iterable[np.ndarray], n_samples: int) -> Iterator[np.ndarray]:
-    """``pieces``, then zeros up to ``n_samples`` samples in all."""
-    seen = 0
+    """The first ``n_samples`` samples of the consecutive ``pieces``, as
+    views of them, then zeros up to ``n_samples`` samples in all."""
+    left = n_samples
     for piece in pieces:
-        seen += piece.size
+        piece = piece[:left]
+        left -= piece.size
         yield piece
-    yield np.zeros(n_samples - seen)
+    yield np.zeros(left)
 
 
 def _frame_blocks(
@@ -428,11 +430,6 @@ def _polyphase_chunks(x: np.ndarray, h: np.ndarray, up: int, down: int) -> Itera
         yield y.reshape(-1)[: n_out - chunk.start * group * up]
 
 
-def _polyphase(x: np.ndarray, h: np.ndarray, up: int, down: int) -> np.ndarray:
-    """The output of ``_polyphase_chunks`` in one array."""
-    return _join(_polyphase_chunks(x, h, up, down), np.empty(-(-x.size * up // down)))
-
-
 def _resampled_length(w: Waveform, target_hz: float) -> int:
     """Samples of ``w`` resampled to ``target_hz``: round(len * target / source)."""
     return int(round(w.samples.size * target_hz / w.sample_rate_hz))
@@ -449,12 +446,7 @@ def _resampled(w: Waveform, target_hz: float) -> Iterator[np.ndarray]:
         cutoff = 0.5 * min(w.sample_rate_hz, target_hz)
         fir = _kaiser_lowpass(cutoff, 0.10 * cutoff, w.sample_rate_hz * up)
         pieces = _polyphase_chunks(w.samples, fir, up, down)
-    left = _resampled_length(w, target_hz)
-    for piece in pieces:
-        piece = piece[:left]
-        left -= piece.size
-        yield piece
-    yield np.zeros(left)
+    return _padded(pieces, _resampled_length(w, target_hz))
 
 
 def resample(w: Waveform, target_hz: float) -> Waveform:

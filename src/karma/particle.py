@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cepstrum import CepstralObservation
+from .cepstrum import CepstralObservation, state_columns
 from .tracker import (
     TrackerParams,
     TrackResult,
@@ -122,7 +122,7 @@ def pf_track(
             log_w.fill(0.0)
             w = uniform
 
-    return _make_result(means, covs, speech, activation, params)
+    return _make_result(means, covs, speech, activation, params.n_cepstra, params.sample_rate_hz, params.hop_s)
 
 
 @dataclass(frozen=True)
@@ -151,30 +151,30 @@ class BenchmarkSetup:
             freq_process_std=self.freq_walk_std,
             bw_process_std=0.0,
         )
-        i = self.n_formants
-        sigma0 = np.diag(np.concatenate([np.full(i, self.init_freq_std**2), np.zeros(i)]))
-        return replace(params, Sigma0=sigma0)
+        var0 = np.zeros(params.state_dim)
+        var0[state_columns(self.n_formants, 0)[0]] = self.init_freq_std**2
+        return replace(params, Sigma0=np.diag(var0))
 
     def simulate(self, rng) -> tuple[np.ndarray, np.ndarray]:
         """Draw (true_states, observations) from the state-space model."""
         params = self.make_params()
         model = CepstralObservation(self.n_formants, 0, self.n_cepstra, self.sample_rate_hz)
-        i = self.n_formants
+        i, f = self.n_formants, state_columns(self.n_formants, 0)[0]
         x = params.mu0.copy()
-        x[:i] += self.init_freq_std * rng.standard_normal(i)
-        states = np.zeros((self.n_frames, 2 * i))
+        x[f] += self.init_freq_std * rng.standard_normal(i)
+        states = np.zeros((self.n_frames, params.state_dim))
         noise = np.zeros((self.n_frames, self.n_cepstra))
         r_std = np.sqrt(np.diag(params.R))
         for t in range(self.n_frames):
-            x[:i] = np.clip(x[:i] + self.freq_walk_std * rng.standard_normal(i), 100.0, 4900.0)
+            x[f] = np.clip(x[f] + self.freq_walk_std * rng.standard_normal(i), 100.0, 4900.0)
             states[t] = x
             noise[t] = rng.standard_normal(self.n_cepstra)
         # a stacked value equals the per-row value bit for bit
         return states, model.value(states) + r_std * noise
 
 
-def _freq_rmse(estimate: TrackResult, truth: np.ndarray, n_formants: int) -> float:
-    err = estimate.means[:, :n_formants] - truth[:, :n_formants]
+def _freq_rmse(estimate: TrackResult, truth: np.ndarray) -> float:
+    err = estimate.formant_freqs - truth[:, state_columns(estimate.n_formants, 0)[0]]
     return float(np.sqrt(np.mean(err**2)))
 
 
@@ -218,10 +218,10 @@ def ekf_pf_benchmark(
         rng = np.random.default_rng(master.integers(2**63))
         truth, obs = setup.simulate(rng)
         est = ekf_filter(obs, params)
-        ekf_rmse[trial] = _freq_rmse(est, truth, setup.n_formants)
+        ekf_rmse[trial] = _freq_rmse(est, truth)
         for ci, count in enumerate(counts):
             pf = pf_track(obs, params, n_particles=count, seed=int(master.integers(2**63)))
-            pf_rmse[ci, trial] = _freq_rmse(pf, truth, setup.n_formants)
+            pf_rmse[ci, trial] = _freq_rmse(pf, truth)
 
     def summary(values_arr):
         mean = float(values_arr.mean())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .arma import fit_arma_frames
 from .arma import estimate_ar, estimate_arma  # noqa: F401  (looked up here by bench/tracing.py)
-from .cepstrum import _fft_size, _real_cepstra, arma_cepstra
+from .cepstrum import _fft_size, _real_cepstra, arma_cepstra, state_columns
 from .cepstrum import arma_to_cepstrum, real_cepstrum  # noqa: F401  (looked up here by bench/tracing.py)
 from .frontend import (
     _WINDOWS,
@@ -128,15 +128,19 @@ class RunConfig:
         # zero is valid: a zero process std makes those entries known
         if not (self.freq_process_std >= 0 and self.bw_process_std >= 0):
             raise ValueError("process stds must be non-negative")
-        i, j = self.n_formants, self.n_antiformants
-        for values, n in (
-            (self.initial_formant_freqs, i),
-            (self.initial_formant_bws, i),
-            (self.initial_antiformant_freqs, j),
-            (self.initial_antiformant_bws, j),
-        ):
-            if values is not None and len(values) != n:
+        for values, cols in self._initial_overrides():
+            if values is not None and len(values) != cols.stop - cols.start:
                 raise ValueError("initial value override has wrong length")
+
+    def _initial_overrides(self):
+        """Each ``initial_*`` override with the state columns it sets."""
+        overrides = (
+            self.initial_formant_freqs,
+            self.initial_formant_bws,
+            self.initial_antiformant_freqs,
+            self.initial_antiformant_bws,
+        )
+        return zip(overrides, state_columns(self.n_formants, self.n_antiformants))
 
     def to_json(self) -> dict:
         return dataclasses.asdict(self)
@@ -178,16 +182,9 @@ def make_tracker_params(config: RunConfig, hop_s: float) -> TrackerParams:
         bw_process_std=config.bw_process_std,
     )
     mu0 = params.mu0.copy()
-    i, j = config.n_formants, config.n_antiformants
-    overrides = (
-        (config.initial_formant_freqs, 0, i),
-        (config.initial_formant_bws, i, 2 * i),
-        (config.initial_antiformant_freqs, 2 * i, 2 * i + j),
-        (config.initial_antiformant_bws, 2 * i + j, 2 * i + 2 * j),
-    )
-    for values, lo, hi in overrides:
+    for values, cols in config._initial_overrides():
         if values is not None:
-            mu0[lo:hi] = values
+            mu0[cols] = values
     return replace(params, mu0=mu0)
 
 

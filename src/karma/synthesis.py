@@ -18,9 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .cepstrum import state_columns
 from .frontend import Waveform, _periodic_window, frame_length_and_hop
 from .pipeline import RunConfig
-from .tracker import TrackResult
+from .tracker import TrackActivation, TrackResult, _make_result
 
 __all__ = [
     "TrajectorySpec",
@@ -239,7 +240,8 @@ def rosenberg_source(
     seg_idx = np.minimum(np.arange(total) // hop, f0.size - 1)
     inc = f0[seg_idx] / sample_rate_hz
     # phase of sample m is the accumulated increment up to (not including) m
-    phase = np.concatenate(([0.0], np.cumsum(inc[:-1]))) % 1.0
+    cycles = np.concatenate(([0.0], np.cumsum(inc[:-1])))
+    phase = cycles - np.floor(cycles)  # as % 1.0 for these non-negative values, and faster
 
     out = np.zeros(total)
     opening = phase < OPEN_FRACTION
@@ -350,18 +352,14 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
         out *= 0.9 / peak
 
     dim = 2 * (spec.n_formants + spec.n_antiformants)
-    reference = TrackResult(
-        means=np.hstack([spec.formant_freqs, spec.formant_bws, spec.antiformant_freqs, spec.antiformant_bws]),
-        covariances=np.zeros((n_frames, dim, dim)),
-        speech=spec.sources != "silence",
-        formant_active=spec.formant_present.copy(),
-        antiformant_active=spec.antiformant_present.copy(),
-        n_formants=spec.n_formants,
-        n_antiformants=spec.n_antiformants,
-        n_cepstra=0,
-        sample_rate_hz=fs,
-        hop_s=hop / fs,
-    )
+    means = np.empty((n_frames, dim))
+    blocks = spec.formant_freqs, spec.formant_bws, spec.antiformant_freqs, spec.antiformant_bws
+    for cols, block in zip(state_columns(spec.n_formants, spec.n_antiformants), blocks):
+        means[:, cols] = block
+    activation = TrackActivation(spec.formant_present, spec.antiformant_present)
+    speech = spec.sources != "silence"
+    covs = np.zeros((n_frames, dim, dim))
+    reference = _make_result(means, covs, speech, activation, n_cepstra=0, sample_rate_hz=fs, hop_s=hop / fs)
     return Waveform(out, fs), reference
 
 

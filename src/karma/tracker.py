@@ -1,7 +1,8 @@
 """Extended Kalman filtering and smoothing over resonance states.
 
-The hidden state stacks formant and antiformant frequency/bandwidth pairs,
-evolving as a random walk x_{t+1} = x_t + w_t with cepstral observations
+The hidden state holds each formant's and antiformant's frequency and
+bandwidth, in the blocks of ``cepstrum.state_columns``, evolving as a
+random walk x_{t+1} = x_t + w_t with cepstral observations
 y_t = h(x_t) + v_t.  The filter follows the standard extended-Kalman
 recursion with the exact nonlinear h in the innovation and its analytic
 Jacobian in the covariance update; the smoother is a fixed-interval
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cepstrum import CepstralObservation
+from .cepstrum import CepstralObservation, state_columns
 from .frontend import _row_blocks
 
 __all__ = [
@@ -137,21 +138,19 @@ class TrackResult:
 
     @property
     def formant_freqs(self) -> np.ndarray:
-        return self.means[:, : self.n_formants]
+        return self.means[:, state_columns(self.n_formants, self.n_antiformants)[0]]
 
     @property
     def formant_bws(self) -> np.ndarray:
-        return self.means[:, self.n_formants : 2 * self.n_formants]
+        return self.means[:, state_columns(self.n_formants, self.n_antiformants)[1]]
 
     @property
     def antiformant_freqs(self) -> np.ndarray:
-        i = 2 * self.n_formants
-        return self.means[:, i : i + self.n_antiformants]
+        return self.means[:, state_columns(self.n_formants, self.n_antiformants)[2]]
 
     @property
     def antiformant_bws(self) -> np.ndarray:
-        i = 2 * self.n_formants + self.n_antiformants
-        return self.means[:, i : i + self.n_antiformants]
+        return self.means[:, state_columns(self.n_formants, self.n_antiformants)[3]]
 
     @property
     def variances(self) -> np.ndarray:
@@ -169,9 +168,13 @@ def _speech_flags(mask, n_frames: int) -> np.ndarray:
 
 
 def _entry_flags(activation: TrackActivation) -> np.ndarray:
-    """Per-frame activity of every state entry, shape (T, dim)."""
+    """Per-frame activity of every state entry, shape (T, dim): each
+    track's flag on its frequency and its bandwidth entry."""
     f, a = activation.formants, activation.antiformants
-    return np.concatenate([f, f, a, a], axis=1)
+    flags = np.empty((len(f), 2 * (f.shape[1] + a.shape[1])), dtype=bool)
+    for cols, track_flags in zip(state_columns(f.shape[1], a.shape[1]), (f, f, a, a)):
+        flags[:, cols] = track_flags
+    return flags
 
 
 def _flag_changes(flags: np.ndarray) -> np.ndarray:
@@ -290,18 +293,20 @@ def _forward(y, params, speech, activation, obs_model):
         yield m, P
 
 
-def _make_result(means, covs, speech, activation, params) -> TrackResult:
+def _make_result(means, covs, speech, activation, n_cepstra, sample_rate_hz, hop_s) -> TrackResult:
+    """The one constructor of ``TrackResult``.  The track counts are the
+    widths of ``activation``'s flags; the flags and ``speech`` are copied."""
     return TrackResult(
         means=means,
         covariances=covs,
-        speech=speech.copy(),
+        speech=np.array(speech, dtype=bool),
         formant_active=activation.formants.copy(),
         antiformant_active=activation.antiformants.copy(),
-        n_formants=params.n_formants,
-        n_antiformants=params.n_antiformants,
-        n_cepstra=params.n_cepstra,
-        sample_rate_hz=params.sample_rate_hz,
-        hop_s=params.hop_s,
+        n_formants=activation.formants.shape[1],
+        n_antiformants=activation.antiformants.shape[1],
+        n_cepstra=n_cepstra,
+        sample_rate_hz=sample_rate_hz,
+        hop_s=hop_s,
     )
 
 
@@ -327,7 +332,7 @@ def ekf_filter(
     steps = _forward(y, params, speech, activation, obs_model)
     for t, (m, P) in enumerate(steps):
         means[t], covs[t] = m, P
-    return _make_result(means, covs, speech, activation, params)
+    return _make_result(means, covs, speech, activation, params.n_cepstra, params.sample_rate_hz, params.hop_s)
 
 
 # Each (B, dim, dim) stack of a block of smoother gains takes at most
@@ -462,25 +467,17 @@ def default_params(
     1000 Hz with 80 Hz bandwidths.  Sigma0 = Q.
     """
     i, j = n_formants, n_antiformants
-    q_diag = np.concatenate(
-        [
-            np.full(i, freq_process_std**2),
-            np.full(i, bw_process_std**2),
-            np.full(j, freq_process_std**2),
-            np.full(j, bw_process_std**2),
-        ]
-    )
+    f, b, af, ab = state_columns(i, j)
+    q_diag, mu0 = np.empty((2, 2 * (i + j)))
+    q_diag[np.r_[f, af]] = freq_process_std**2
+    q_diag[np.r_[b, ab]] = bw_process_std**2
+    ceiling = 0.48 * sample_rate_hz
+    mu0[f] = np.minimum(500.0 + 1000.0 * np.arange(i), ceiling)
+    mu0[b] = 80.0 + 40.0 * np.arange(i)
+    mu0[af] = np.minimum(1000.0 + 1000.0 * np.arange(j), ceiling)
+    mu0[ab] = 80.0
     Q = np.diag(q_diag)
     R = np.diag(1.0 / np.arange(1, n_cepstra + 1, dtype=float))
-    ceiling = 0.48 * sample_rate_hz
-    mu0 = np.concatenate(
-        [
-            np.minimum(500.0 + 1000.0 * np.arange(i), ceiling),
-            80.0 + 40.0 * np.arange(i),
-            np.minimum(1000.0 + 1000.0 * np.arange(j), ceiling),
-            np.full(j, 80.0),
-        ]
-    )
     return TrackerParams(
         Q=Q,
         R=R,

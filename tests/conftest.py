@@ -133,8 +133,9 @@ class FrozenCepstralObservation(CepstralObservation):
 
 
 def frozen_polyphase(x, h, up, down):
-    """Frozen reference for ``frontend._polyphase``: every block group in one
-    zero-padded copy of the input, one batched matmul per shift."""
+    """Frozen reference for the joined ``frontend._polyphase_chunks``: every
+    block group in one zero-padded copy of the input, one batched matmul per
+    shift."""
     n_taps, half, span = h.size, (h.size - 1) // 2, up * down
     n_out = -(-x.size * up // down)
     n_blocks = -(-n_out // up)

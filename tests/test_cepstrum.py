@@ -12,7 +12,11 @@ from karma.cepstrum import (
     arma_cepstra,
     arma_to_cepstrum,
     real_cepstrum,
+    state_columns,
 )
+from karma.evaluation import _header, read_tracks, write_tracks
+from karma.pipeline import RunConfig, make_tracker_params
+from karma.tracker import TrackActivation, _make_result, default_params, ekf_filter
 
 from conftest import (
     FrozenCepstralObservation,
@@ -463,3 +467,87 @@ class TestRealCepstrum:
         frame[5] = bad
         with pytest.raises(ValueError, match="non-finite"):
             real_cepstrum(frame, 4)
+
+
+@pytest.mark.parametrize("i,j", [(3, 0), (2, 1), (0, 1), (4, 3)])
+class TestStateColumns:
+    """Every module places the state vector's blocks by ``state_columns``."""
+
+    def test_blocks_follow_the_paper_order(self, i, j):
+        f, b, af, ab = state_columns(i, j)
+        assert [c.stop - c.start for c in (f, b, af, ab)] == [i, i, j, j]
+        assert np.array_equal(np.r_[f, b, af, ab], np.arange(2 * (i + j)))
+
+    def test_observation_columns_and_bounds(self, i, j):
+        f, b, af, ab = state_columns(i, j)
+        model = CepstralObservation(i, j, 15, 10000.0)
+        assert np.array_equal(model._freq_cols, np.r_[f, af])
+        assert np.array_equal(model._bw_cols, np.r_[b, ab])
+        lo, hi = model.state_bounds()
+        for cols in (f, af):
+            assert np.all(lo[cols] == 50.0) and np.all(hi[cols] == 4950.0)
+        for cols in (b, ab):
+            assert np.all(lo[cols] == 1.0) and np.all(hi[cols] == np.inf)
+
+    def test_default_params(self, i, j):
+        f, b, af, ab = state_columns(i, j)
+        params = default_params(i, j, 10000.0, 15, freq_process_std=300.0, bw_process_std=50.0)
+        q = np.diag(params.Q)
+        assert np.all(q[f] == 300.0**2) and np.all(q[af] == 300.0**2)
+        assert np.all(q[b] == 50.0**2) and np.all(q[ab] == 50.0**2)
+        assert np.array_equal(params.mu0[f], 500.0 + 1000.0 * np.arange(i))
+        assert np.array_equal(params.mu0[b], 80.0 + 40.0 * np.arange(i))
+        assert np.array_equal(params.mu0[af], 1000.0 + 1000.0 * np.arange(j))
+        assert np.all(params.mu0[ab] == 80.0)
+
+    def test_initial_overrides(self, i, j):
+        overrides = [[100.0 + k for k in range(n)] for n in (i, i, j, j)]
+        overrides = [[v + 1000.0 * block for v in vals] for block, vals in enumerate(overrides)]
+        config = RunConfig(
+            n_formants=i,
+            n_antiformants=j,
+            ma_order=2 * j,
+            initial_formant_freqs=overrides[0],
+            initial_formant_bws=overrides[1],
+            initial_antiformant_freqs=overrides[2],
+            initial_antiformant_bws=overrides[3],
+        )
+        mu0 = make_tracker_params(config, 0.01).mu0
+        for cols, values in zip(state_columns(i, j), overrides):
+            assert mu0[cols].tolist() == values
+
+    def test_result_blocks_header_and_csv(self, i, j, tmp_path):
+        dim = 2 * (i + j)
+        rng = np.random.default_rng(i + 10 * j)
+        means = rng.integers(100, 4000, (6, dim)) / 8.0  # exact in six decimal places
+        covs = np.zeros((6, dim, dim))
+        covs[:, np.arange(dim), np.arange(dim)] = rng.integers(1, 900, (6, dim)) / 8.0
+        activation = TrackActivation.all_active(6, i, j)
+        result = _make_result(means, covs, np.ones(6, bool), activation, 15, 10000.0, 0.01)
+        assert (result.n_formants, result.n_antiformants) == (i, j)
+        props = ("formant_freqs", "formant_bws", "antiformant_freqs", "antiformant_bws")
+        prefixes = ("f", "b", "af", "ab")
+        header = _header(i, j)
+        assert header[0] == "time_s" and header[-1] == "speech"
+        for cols, prop, prefix in zip(state_columns(i, j), props, prefixes):
+            assert np.array_equal(getattr(result, prop), means[:, cols])
+            names = [f"{prefix}{k + 1}" for k in range(cols.stop - cols.start)]
+            assert header[1:][cols] == names
+            assert header[1 + dim :][cols] == [f"v{name}" for name in names]
+
+        write_tracks(result, tmp_path / "t.csv")
+        back = read_tracks(tmp_path / "t.csv")
+        assert (back.n_formants, back.n_antiformants) == (i, j)
+        _, _, af, ab = state_columns(i, j)
+        assert np.array_equal(back.antiformant_freqs, result.antiformant_freqs)
+        assert np.array_equal(back.antiformant_bws, result.antiformant_bws)
+        assert np.array_equal(back.variances[:, af], result.variances[:, af])
+        assert np.array_equal(back.variances[:, ab], result.variances[:, ab])
+
+    def test_tracked_result_counts(self, i, j):
+        params = default_params(i, j, 10000.0, 15)
+        model = CepstralObservation(i, j, 15, 10000.0)
+        result = ekf_filter(model.value(np.tile(params.mu0, (4, 1))), params)
+        assert (result.n_formants, result.n_antiformants) == (i, j)
+        assert result.formant_active.shape == (4, i)
+        assert result.antiformant_active.shape == (4, j)
