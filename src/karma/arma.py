@@ -136,14 +136,13 @@ def fit_ar_frames(frames: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def estimate_ar(frame: np.ndarray, p: int) -> ArmaModel:
-    """Autocorrelation-method linear prediction of order ``p``.
+    """Autocorrelation-method linear prediction of order ``p``: the ARMA(p, 0)
+    fit of ``estimate_arma``.
 
     A zero-energy frame yields all-zero coefficients with zero noise
     variance (flagged via ``converged=False``) rather than an error.
     """
-    x = np.asarray(frame, dtype=float).reshape(1, -1)
-    a, err = fit_ar_frames(x, p)
-    return ArmaModel(a[0], np.zeros(0), float(err[0]), converged=bool(np.any(x)))
+    return estimate_arma(frame, p, 0)
 
 
 def _certify_rows(polys: np.ndarray, radius: float) -> np.ndarray:

@@ -127,7 +127,7 @@ class CepstralObservation:
         self._weights = 2.0 / self._orders[:, 0]  # the 2/n of C_n
         # where each Jacobian column sits in the real view of one state's
         # (N, K) powers: resonance k's Re z^n in column 2k, Im z^n in 2k + 1
-        self._jac_gather = np.empty(2 * (i + j), dtype=np.intp)
+        self._jac_gather = np.empty(ab.stop, dtype=np.intp)
         self._jac_gather[self._freq_cols] = 2 * np.arange(i + j) + 1
         self._jac_gather[self._bw_cols] = 2 * np.arange(i + j)
         self._patterns = {}
@@ -221,7 +221,7 @@ class CepstralObservation:
         observation gradient vanishes and a clamped track could never
         recover.
         """
-        lo, hi = np.empty((2, 2 * (self.n_formants + self.n_antiformants)))
+        lo, hi = np.empty((2, state_columns(self.n_formants, self.n_antiformants)[-1].stop))
         lo[self._freq_cols], hi[self._freq_cols] = 0.005 * self.sample_rate_hz, 0.495 * self.sample_rate_hz
         lo[self._bw_cols], hi[self._bw_cols] = 1.0, np.inf
         return lo, hi

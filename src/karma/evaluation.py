@@ -107,8 +107,9 @@ def rmse(
 
 
 def _header(n_formants: int, n_antiformants: int) -> list[str]:
-    names = [""] * 2 * (n_formants + n_antiformants)
-    for cols, prefix in zip(state_columns(n_formants, n_antiformants), ("f", "b", "af", "ab")):
+    blocks = state_columns(n_formants, n_antiformants)
+    names = [""] * blocks[-1].stop
+    for cols, prefix in zip(blocks, ("f", "b", "af", "ab")):
         names[cols] = [f"{prefix}{k + 1}" for k in range(cols.stop - cols.start)]
     return ["time_s", *names, *(f"v{name}" for name in names), "speech"]
 
@@ -142,7 +143,7 @@ def read_tracks(path) -> TrackResult:
     if len(lines) == 1:
         raise ValueError("no frames")
 
-    dim = 2 * (n_form + n_anti)
+    dim = state_columns(n_form, n_anti)[-1].stop
     n_frames = len(lines) - 1
     means = np.zeros((n_frames, dim))
     variances = np.zeros((n_frames, dim))

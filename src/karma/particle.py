@@ -17,6 +17,7 @@ from .cepstrum import CepstralObservation, state_columns
 from .tracker import (
     TrackerParams,
     TrackResult,
+    _clamp,
     _make_result,
     _resolve_setup,
     default_params,
@@ -40,10 +41,11 @@ def _quadratic_form(resid: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
 
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
     """Indices of n systematic draws; the cumulative sum can round to just
-    below 1, so a draw past its end takes the last particle."""
+    below 1, so its end is set to 1 and a draw past it takes the last particle."""
     n = weights.size
-    positions = (np.arange(n) + rng.uniform()) / n
-    return np.minimum(np.searchsorted(np.cumsum(weights), positions), n - 1)
+    cdf = np.cumsum(weights)
+    cdf[-1] = 1.0
+    return np.searchsorted(cdf, (np.arange(n) + rng.uniform()) / n)
 
 
 def pf_track(
@@ -65,8 +67,8 @@ def pf_track(
     process variance is known: every particle carries its ``mu0`` value.
     Process noise is drawn only for the nonzero columns of Q's factor, one
     normal per particle and column per frame, and added in place; the
-    particles are then clamped in place to the observation model's state
-    bounds, if it has any.  Each reweight takes one ``exp`` of the
+    particles are then clamped in place by the tracker's ``_clamp``, as
+    the EKF's mean is.  Each reweight takes one ``exp`` of the
     log-weights shifted to a largest value of 0 and normalises by
     division.  When the largest log-weight is not finite (every weight
     underflowed), the weights reset to uniform with a warning.  Fixed seed
@@ -94,9 +96,7 @@ def pf_track(
 
     for t in range(n_frames):
         particles += rng.standard_normal((n_particles, chol_q.shape[1])) @ chol_q.T
-        if bounds is not None:
-            np.maximum(particles, bounds[0], out=particles)
-            np.minimum(particles, bounds[1], out=particles)
+        _clamp(particles, bounds)
 
         if speech[t]:
             resid = y[t] - obs_model.value(particles)

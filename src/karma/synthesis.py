@@ -351,10 +351,11 @@ def synthesize(spec: TrajectorySpec) -> tuple[Waveform, TrackResult]:
     if peak > 0:
         out *= 0.9 / peak
 
-    dim = 2 * (spec.n_formants + spec.n_antiformants)
+    columns = state_columns(spec.n_formants, spec.n_antiformants)
+    dim = columns[-1].stop
     means = np.empty((n_frames, dim))
     blocks = spec.formant_freqs, spec.formant_bws, spec.antiformant_freqs, spec.antiformant_bws
-    for cols, block in zip(state_columns(spec.n_formants, spec.n_antiformants), blocks):
+    for cols, block in zip(columns, blocks):
         means[:, cols] = block
     activation = TrackActivation(spec.formant_present, spec.antiformant_present)
     speech = spec.sources != "silence"

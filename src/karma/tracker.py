@@ -8,14 +8,14 @@ recursion with the exact nonlinear h in the innovation and its analytic
 Jacobian in the covariance update; the smoother is a fixed-interval
 Rauch-Tung-Striebel backward pass run in place over the filter's output.
 
-Both linear systems, the innovation covariance S = H P Hᵀ + R of the
-filter gain and the predicted covariance of the smoother gain, are
-solved by LU (``np.linalg.solve``), so the package needs nothing beyond
-numpy.  The filter solves one S per frame.  The smoother's gains depend
-only on the filter's output, so it takes them from one stacked solve per
-block of frames and leaves the backward pass to matrix products.  Only a
-system that LU cannot solve is regularised with a small diagonal bump
-(and a warning).
+Each step has one function, shared by the filter, the smoother and the
+particle filter: ``_blocked``, ``_clamp`` and ``_solve_innovation``, an LU
+solve (``np.linalg.solve``, so the package needs nothing beyond numpy).
+The filter solves one innovation covariance S = H P Hᵀ + R per frame.
+The smoother's gains depend only on the filter's output, so it solves
+their predicted covariances a block of frames at a time.  Only a system
+that LU cannot solve is regularised with a small diagonal bump (and a
+warning).
 
 Silent frames coast: the Kalman gain is premultiplied by a diagonal 0/1
 mask so the update degenerates to pure prediction and uncertainty grows.
@@ -86,7 +86,7 @@ class TrackerParams:
 
     @property
     def state_dim(self) -> int:
-        return 2 * self.n_formants + 2 * self.n_antiformants
+        return state_columns(self.n_formants, self.n_antiformants)[-1].stop
 
 
 @dataclass(frozen=True)
@@ -171,8 +171,9 @@ def _entry_flags(activation: TrackActivation) -> np.ndarray:
     """Per-frame activity of every state entry, shape (T, dim): each
     track's flag on its frequency and its bandwidth entry."""
     f, a = activation.formants, activation.antiformants
-    flags = np.empty((len(f), 2 * (f.shape[1] + a.shape[1])), dtype=bool)
-    for cols, track_flags in zip(state_columns(f.shape[1], a.shape[1]), (f, f, a, a)):
+    blocks = state_columns(f.shape[1], a.shape[1])
+    flags = np.empty((len(f), blocks[-1].stop), dtype=bool)
+    for cols, track_flags in zip(blocks, (f, f, a, a)):
         flags[:, cols] = track_flags
     return flags
 
@@ -185,8 +186,9 @@ def _flag_changes(flags: np.ndarray) -> np.ndarray:
 
 
 def _blocked(mat: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``mat`` with the couplings between active and inactive entries zeroed."""
-    return np.where(g[:, None] == g, mat, 0.0)
+    """``mat`` with the couplings between active and inactive entries zeroed,
+    or a (B, d, d) stack of it for a (B, d) stack of entry flags ``g``."""
+    return np.where(g[..., :, None] == g[..., None, :], mat, 0.0)
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
@@ -194,24 +196,24 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 
 def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
-    """Solve x S = rhs, regularizing a singular S.
+    """Solve x S = rhs, regularizing a singular S; S and rhs may be stacks.
 
-    One LU solve of S.  Only when S is singular or the result is not
-    finite (its sum is not) does the solve fall back to an LU solve of S
-    plus a small diagonal bump, with a "singular innovation covariance"
-    warning.  A zero row of ``rhs`` gives an exactly zero row of x on
-    both routes.
+    One LU solve, stacked for a stack.  Only when some S is singular or the
+    result is not finite (its sum is not) is a stack solved S by S, and one
+    S with a small diagonal bump and a "singular innovation covariance"
+    warning.  A zero row of ``rhs`` gives an exactly zero row of x.
     """
     try:
-        sol = np.linalg.solve(S.T, rhs.T).T
+        sol = np.linalg.solve(S.swapaxes(-1, -2), rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
         if math.isfinite(sol.sum()):
             return sol
     except np.linalg.LinAlgError:
         pass
+    if S.ndim == 3:
+        return np.stack([_solve_innovation(a, b, warn_label) for a, b in zip(S, rhs)])
     warnings.warn(f"singular innovation covariance in {warn_label}; regularizing")
     bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
-    S = S + bump * np.eye(S.shape[0])
-    return np.linalg.solve(S.T, rhs.T).T
+    return np.linalg.solve((S + bump * np.eye(S.shape[0])).T, rhs.T).T
 
 
 def _resolve_setup(obs, params, mask, activation, obs_model):
@@ -245,10 +247,12 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
 
 
 def _clamp(vec, bounds):
-    if bounds is None:
-        return vec
-    lo, hi = bounds
-    return np.minimum(np.maximum(vec, lo), hi)
+    """Clamp ``vec``, a state or a stack of them, in place to ``bounds``
+    (the observation model's ``state_bounds()``), if there are any."""
+    if bounds is not None:
+        np.maximum(vec, bounds[0], out=vec)
+        np.minimum(vec, bounds[1], out=vec)
+    return vec
 
 
 def _forward(y, params, speech, activation, obs_model):
@@ -270,7 +274,7 @@ def _forward(y, params, speech, activation, obs_model):
     rebuild = _flag_changes(flags)
     update = speech & flags.any(axis=1)
 
-    m, P = _clamp(params.mu0, bounds), params.Sigma0
+    m, P = _clamp(params.mu0.copy(), bounds), params.Sigma0
     for t, g in enumerate(flags):
         if rebuild[t]:
             P = _blocked(P, g)
@@ -347,27 +351,17 @@ def _rts_gains(P_filt, flags, rebuild, Q, no_noise):
     frames before them (``P_filt``) and their own entry flags (``flags``,
     and ``rebuild`` where those changed).
 
-    The gains come from one stacked LU solve; only when some system in the
-    block is singular, or a gain is not finite, is each frame solved
-    through ``_solve_innovation``, which regularises (and warns about) the
-    singular ones.
+    The entering covariances are ``_blocked`` where the flags change; the
+    gains are one ``_solve_innovation`` call on the stack.
     """
-    same = flags[:, :, None] == flags[:, None, :]  # each frame's active/inactive blocks
-    P_prev = np.where(same | ~rebuild[:, None, None], P_filt, 0.0)
-    P_pred = P_prev + np.where(same, Q, 0.0)
+    P_prev = _blocked(P_filt, flags | ~rebuild[:, None])  # all-equal flags block nothing
+    P_pred = P_prev + _blocked(Q, flags)
     if no_noise.size:
         # a unit diagonal keeps the gain solve regular and still gives a
         # known entry a zero gain
         diag = P_pred[:, no_noise, no_noise]
         P_pred[:, no_noise, no_noise] = np.where(diag == 0.0, 1.0, diag)
-    try:
-        gains = np.linalg.solve(P_pred.swapaxes(1, 2), P_prev.swapaxes(1, 2)).swapaxes(1, 2)
-        if math.isfinite(gains.sum()):
-            return P_prev, P_pred, gains
-    except np.linalg.LinAlgError:
-        pass
-    gains = np.stack([_solve_innovation(a, b, "eks_smooth") for a, b in zip(P_pred, P_prev)])
-    return P_prev, P_pred, gains
+    return P_prev, P_pred, _solve_innovation(P_pred, P_prev, "eks_smooth")
 
 
 def eks_smooth(
@@ -468,7 +462,7 @@ def default_params(
     """
     i, j = n_formants, n_antiformants
     f, b, af, ab = state_columns(i, j)
-    q_diag, mu0 = np.empty((2, 2 * (i + j)))
+    q_diag, mu0 = np.empty((2, ab.stop))
     q_diag[np.r_[f, af]] = freq_process_std**2
     q_diag[np.r_[b, ab]] = bw_process_std**2
     ceiling = 0.48 * sample_rate_hz

@@ -746,3 +746,19 @@ class TestEnforceMinimumPhase:
         mag_out = np.abs(np.polyval(out[::-1], 1 / z))
         ratio = mag_in / mag_out
         assert np.max(np.abs(ratio / ratio[0] - 1.0)) < 1e-9
+
+
+ARMA_INPUT_CHECKS = {
+    "negative-noise-variance": (lambda: ArmaModel([0.5], [], -1.0), "^noise variance must be nonnegative"),
+    "ar-order-zero": (lambda: fit_ar_frames(np.ones((2, 20)), 0), "^order p must be positive"),
+    "ar-order-negative": (lambda: fit_ar_frames(np.ones((2, 20)), -1), "^order p must be positive"),
+    "arma-orders-zero": (lambda: fit_arma_frames(np.ones((2, 20)), 0, 0), r"p \+ q > 0$"),
+    "estimate-ar-order-zero": (lambda: estimate_ar(np.ones(20), 0), r"p \+ q > 0$"),
+}
+
+
+@pytest.mark.parametrize("case", list(ARMA_INPUT_CHECKS))
+def test_input_checks(case):
+    call, message = ARMA_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -551,3 +551,9 @@ class TestStateColumns:
         assert (result.n_formants, result.n_antiformants) == (i, j)
         assert result.formant_active.shape == (4, i)
         assert result.antiformant_active.shape == (4, j)
+
+
+@pytest.mark.parametrize("n_coeffs", [0, -1])
+def test_input_checks(n_coeffs):
+    with pytest.raises(ValueError, match="^need at least one coefficient"):
+        arma_cepstra(np.array([[0.5]]), np.zeros((1, 0)), n_coeffs)

@@ -5,7 +5,7 @@ import pytest
 
 from karma.cli import main
 from karma.evaluation import read_tracks, write_tracks
-from karma.frontend import activity_from_labels, read_label_file, read_wav, write_wav
+from karma.frontend import Waveform, activity_from_labels, read_label_file, read_wav, write_wav
 from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
 
 
@@ -412,3 +412,47 @@ class TestComparePfCommand:
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert captured.out == ""
+
+
+class TestExitCodes:
+    """The README's exit codes: 0 ok, 1 runtime failure, 2 usage or config error."""
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["track"], 2), (["bogus"], 2), ([], 2), (["--help"], 0), (["track", "--help"], 0)],
+        ids=["track-without-input", "unknown-command", "no-command", "help", "track-help"],
+    )
+    def test_argument_parsing(self, argv, code, capsys):
+        assert main(argv) == code
+
+    def test_unwritable_output_exits_1(self, tmp_path, vowel_wav, capsys):
+        code = main(["track", str(vowel_wav[0]), "--out", str(tmp_path / "missing" / "t.csv")])
+        assert code == 1
+        assert "No such file or directory" in capsys.readouterr().err
+
+    def test_wav_shorter_than_a_frame_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "short.wav"
+        # 100 samples at 16 kHz are 44 at the 7 kHz analysis rate, under one 140-sample frame
+        write_wav(path, Waveform(np.random.default_rng(0).uniform(-0.5, 0.5, 100), 16000.0))
+        assert main(["track", str(path), "--out", str(tmp_path / "t.csv")]) == 1
+        assert "input too short" in capsys.readouterr().err
+
+    def test_missing_config_exits_2(self, tmp_path, vowel_wav, capsys):
+        code = main(["track", str(vowel_wav[0]), "--config", str(tmp_path / "absent.json")])
+        assert code == 2
+        assert "config file not found" in capsys.readouterr().err
+
+    def test_unreadable_wav_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "text.wav"
+        path.write_bytes(b"not a wav file at all")
+        assert main(["track", str(path), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "unsupported wav" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_compare_pf_prints_the_csv_without_out(self, tmp_path, capsys):
+        args = ["compare-pf", "--trials", "1", "--particles", "10", "--seed", "3"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(tmp_path / "c.csv")]) == 0
+        assert printed == (tmp_path / "c.csv").read_text()
+        assert printed.splitlines()[0].startswith("particles,pf_rmse")

@@ -230,3 +230,25 @@ class TestTrackCsv:
         with pytest.raises(ValueError, match="line 2"):
             read_tracks(path)
 
+
+
+def rmse_case(n_est=20, n_ref=20, ref_value=1000.0, **options):
+    est = make_result(np.full((n_est, 6), 1000.0))
+    ref = make_result(np.full((n_ref, 6), ref_value))
+    return lambda: rmse(est, ref, **options)
+
+
+EVALUATION_INPUT_CHECKS = {
+    "formant-count-over-tracks": (rmse_case(formant_count=4), "^formant_count exceeds available tracks"),
+    "offset-past-the-end": (rmse_case(offset=20), "^alignment leaves no overlapping frames"),
+    "offset-before-the-start": (rmse_case(n_est=5, offset=-20), "^alignment leaves no overlapping frames"),
+    # every scored frame counts, but no reference entry is finite
+    "all-reference-entries-skipped": (rmse_case(ref_value=np.nan), "^empty evaluation set"),
+}
+
+
+@pytest.mark.parametrize("case", list(EVALUATION_INPUT_CHECKS))
+def test_input_checks(case):
+    call, message = EVALUATION_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,6 +10,7 @@ from scipy import signal as sps
 import karma.frontend
 from karma.frontend import (
     DEFAULT_SILENCE_LABELS,
+    FrameSequence,
     LabelInterval,
     Waveform,
     _kaiser_lowpass,
@@ -547,3 +548,74 @@ class TestFrozenFrontEnd:
         assert np.array_equal(out, expected)
         assert preemphasize(x, gamma, out=x) is x  # out= aliasing the input
         assert np.array_equal(x, expected)
+
+
+def riff(chunks, magic=b"RIFF"):
+    return magic + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
+
+
+def patched_wav(at_in_fmt, value, extensible=False):
+    """An int16 WAV file with the 16-bit field ``at_in_fmt`` bytes into its
+    'fmt ' body set to ``value``."""
+    raw = bytearray(wav_file("int16", 1, 10, np.random.default_rng(11), extensible=extensible))
+    struct.pack_into("<H", raw, raw.index(b"fmt ") + 8 + at_in_fmt, value)
+    return bytes(raw)
+
+
+# each file passes every read_wav check but one; without that check it
+# would read (or fail with another error)
+UNSUPPORTED_WAVS = {
+    # a 14-byte WAVEFORMAT body: no bits-per-sample field
+    "fmt-under-16-bytes": riff(
+        wav_chunk(b"fmt ", struct.pack("<HHIIH", 1, 1, 8000, 16000, 2)) + wav_chunk(b"data", bytes(20))
+    ),
+    "extensible-cb-under-22": patched_wav(16, 0, extensible=True),
+    "zero-channels": patched_wav(2, 0),
+    "channels-over-block-align": patched_wav(2, 3),
+    "no-fmt-chunk": riff(wav_chunk(b"data", bytes(20))),
+    # RF64 whose first chunk is not 'ds64'
+    "rf64-without-ds64": riff(
+        wav_chunk(b"JUNK", bytes(16)) + wav_file("int16", 1, 10, np.random.default_rng(12))[12:],
+        magic=b"RF64",
+    ),
+}
+
+
+def write_and_read(raw, tmp_path):
+    path = tmp_path / "a.wav"
+    path.write_bytes(raw)
+    return read_wav(path)
+
+
+FRONTEND_INPUT_CHECKS = {
+    "waveform-zero-rate": (lambda _: Waveform(np.ones(4), 0.0), "sample rate must be positive"),
+    "waveform-non-finite": (lambda _: Waveform([0.0, np.nan], 8000.0), "non-finite samples"),
+    "frames-zero-hop": (lambda _: FrameSequence(np.zeros((2, 4)), 4, 0, 8000.0), "hop must satisfy"),
+    "frames-hop-over-length": (lambda _: FrameSequence(np.zeros((2, 4)), 4, 5, 8000.0), "hop must satisfy"),
+    "frames-wrong-width": (lambda _: FrameSequence(np.zeros((2, 3)), 4, 2, 8000.0), r"frames must be \(n_frames"),
+    "frames-one-dimensional": (lambda _: FrameSequence(np.zeros(4), 4, 2, 8000.0), r"frames must be \(n_frames"),
+    "window-overlap-one": (lambda _: window_frames(make_wave(480), 10.0, 1.0), "overlap_fraction must be"),
+    "window-overlap-negative": (lambda _: window_frames(make_wave(480), 10.0, -0.5), "overlap_fraction must be"),
+    "window-unknown-kind": (lambda _: window_frames(make_wave(480), 10.0, 0.5, "blackman"), "unknown window kind"),
+    # 0.02 ms is a third of a sample at 16 kHz
+    "window-empty-frame": (lambda _: window_frames(make_wave(480), 0.02, 0.5), "yields no samples"),
+    "preemphasize-gamma": (lambda _: preemphasize(np.ones(4), 1.5), r"\|gamma\| must be <= 1"),
+    "resample-zero-target": (lambda _: resample(make_wave(480), 0.0), "target rate must be positive"),
+    **{
+        f"read-wav-{name}": (lambda tmp_path, raw=raw: write_and_read(raw, tmp_path), "^unsupported wav$")
+        for name, raw in UNSUPPORTED_WAVS.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(FRONTEND_INPUT_CHECKS))
+def test_input_checks(tmp_path, case):
+    call, message = FRONTEND_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call(tmp_path)
+
+
+def test_blank_label_lines_are_skipped(tmp_path):
+    path = tmp_path / "x.lbl"
+    path.write_text("0 800 h#\n\n   \n800 1600 aa\n")
+    assert read_label_file(path) == [LabelInterval(0, 800, "h#"), LabelInterval(800, 1600, "aa")]

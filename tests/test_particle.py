@@ -92,6 +92,21 @@ class TestPfTrack:
         # with no updates the ensemble mean stays near the prior mean
         assert np.abs(res.means[-1] - params.mu0).max() < 0.2
 
+    def test_particles_stay_inside_the_state_bounds(self):
+        # mu0 starts below the frequency floor, above the ceiling and below the
+        # bandwidth floor, with a spread far smaller than the distance to each bound
+        model = CepstralObservation(2, 0, 6, 8000.0)
+        lo, hi = model.state_bounds()
+        mu0 = np.array([10.0, 3990.0, 0.5, 80.0])
+        params = TrackerParams(
+            Q=np.eye(4), R=np.eye(6), mu0=mu0, Sigma0=0.01 * np.eye(4),
+            n_formants=2, n_antiformants=0, n_cepstra=6, sample_rate_hz=8000.0,
+        )
+        res = pf_track(np.zeros((5, 6)), params, mask=np.zeros(5, bool), n_particles=100, seed=4)
+        # at frame 0 every particle's frequencies sit on their bounds
+        assert np.allclose(res.means[0, :2], [lo[0], hi[1]], rtol=1e-12, atol=0.0)
+        assert np.all(res.means >= lo * (1.0 - 1e-12)) and np.all(res.means <= hi * (1.0 + 1e-12))
+
 
 class TestSystematicResample:
     def test_top_draw_stays_in_range(self):

@@ -555,3 +555,22 @@ def load_bench_tracing():
 def test_bench_probe_resolves(probe):
     module = importlib.import_module(probe.module)
     assert callable(getattr(module, probe.attr, None))
+
+
+# each config differs from the default in one field, which only its own check rejects
+RUN_CONFIG_CHECKS = {
+    "overlap-one": ({"overlap": 1.0}, r"^overlap must be in \[0, 1\)"),
+    "overlap-negative": ({"overlap": -0.25}, r"^overlap must be in \[0, 1\)"),
+    "unknown-observation-source": ({"observation_source": "lpc"}, "^observation_source must be one of"),
+    "zero-target-rate": ({"target_sample_rate_hz": 0.0}, "^target sample rate must be positive"),
+    "negative-target-rate": ({"target_sample_rate_hz": -7000.0}, "^target sample rate must be positive"),
+    "gamma-above-one": ({"gamma": 1.5}, r"^\|gamma\| must be <= 1"),
+    "gamma-below-minus-one": ({"gamma": -1.01}, r"^\|gamma\| must be <= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(RUN_CONFIG_CHECKS))
+def test_input_checks(case):
+    fields, message = RUN_CONFIG_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**fields).validate()

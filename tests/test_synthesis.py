@@ -392,3 +392,9 @@ class TestSpecValidation:
         wave, ref = synthesize(spec)
         assert ref.speech.tolist() == [True, False, True]
         assert np.all(np.isfinite(wave.samples))
+
+
+@pytest.mark.parametrize("f0", [[0.0], [100.0, -100.0]], ids=["zero", "negative"])
+def test_input_checks(f0):
+    with pytest.raises(ValueError, match="^f0 must be positive"):
+        rosenberg_source(f0, 100, 10000.0)

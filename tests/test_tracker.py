@@ -215,6 +215,24 @@ def long_schedule_problem(known):
     )
 
 
+def dense_noise_problem():
+    """A linear run with dense Q and Sigma0, whose couplings the activation changes cut."""
+    n_f, n_a, dim, n_frames, n_obs = 2, 1, 6, 40, 4
+    rng = np.random.default_rng(77)
+    A, B = rng.standard_normal((2, dim, dim))
+    return dict(
+        obs=rng.standard_normal((n_frames, n_obs)),
+        params=TrackerParams(
+            Q=0.1 * (A @ A.T + np.eye(dim)), R=0.5 * np.eye(n_obs), mu0=rng.standard_normal(dim),
+            Sigma0=B @ B.T / dim + np.eye(dim), n_formants=n_f, n_antiformants=n_a,
+            n_cepstra=n_obs, sample_rate_hz=8000.0,
+        ),
+        mask=rng.random(n_frames) < 0.8,
+        activation=TrackActivation(rng.random((n_frames, n_f)) < 0.7, rng.random((n_frames, n_a)) < 0.6),
+        obs_model=LinearObservation(rng.standard_normal((n_obs, dim))),
+    )
+
+
 class TestStoredRecursionOracle:
     """The history-free forward pass and rebuilt RTS pass equal the stored-moment reference."""
 
@@ -232,6 +250,7 @@ class TestStoredRecursionOracle:
     @given(problem=tracking_problems())
     @example(problem=long_schedule_problem(known=False))
     @example(problem=long_schedule_problem(known=True))
+    @example(problem=dense_noise_problem())
     def test_filter_and_smoother_equal_reference(self, problem):
         # the reference rebuilds nothing and solves each gain alone, so they may differ by rounding
         store, m_s, P_s = self.oracle(problem)
@@ -381,6 +400,12 @@ class TestInitialClamp:
         b = run(self.obs, replace(self.params, mu0=self.clamped))
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.covariances, b.covariances)
+
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
+    def test_params_are_left_unclamped(self, run):
+        mu0 = self.params.mu0.copy()
+        run(self.obs, self.params)
+        assert np.array_equal(self.params.mu0, mu0)
 
     @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
     def test_silent_run_holds_clamped_mu0(self, run):
@@ -749,3 +774,37 @@ class TestDefaultParams:
         assert np.array_equal(p.Sigma0, p.Q)
         assert p.Q[0, 0] == pytest.approx(320.0**2)
         assert p.Q[2, 2] == pytest.approx(100.0**2)
+
+
+def params_with(**fields):
+    """A valid one-formant parameter set (N = 2) with ``fields`` replaced."""
+    values = dict(Q=np.eye(2), R=np.eye(2), mu0=[500.0, 80.0], Sigma0=np.eye(2),
+                  n_formants=1, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0)
+    return TrackerParams(**{**values, **fields})
+
+
+NOT_2D = r"^tracks must be \(frames, states\)"
+TRACKER_INPUT_CHECKS = {
+    "q-shape": (lambda: params_with(Q=np.eye(3)), "^Q must be 2x2"),
+    "sigma0-shape": (lambda: params_with(Sigma0=np.eye(3)), "^Sigma0 must be 2x2"),
+    "mu0-length": (lambda: params_with(mu0=[500.0, 80.0, 1.0]), "^mu0 length inconsistent"),
+    "r-shape": (lambda: params_with(R=np.eye(3)), "^R must be N x N"),
+    "activation-lengths-differ": (
+        lambda: TrackActivation(np.ones((3, 1), bool), np.ones((4, 1), bool)),
+        "^formant/antiformant flag lengths differ",
+    ),
+    "zero-frames": (lambda: ekf_filter(np.zeros((0, 2)), params_with()), "^need at least one observation frame"),
+    "activation-wrong-length": (
+        lambda: ekf_filter(np.zeros((5, 2)), params_with(), activation=TrackActivation.all_active(4, 1, 0)),
+        "^activation length does not match",
+    ),
+    "transition-one-dimensional": (lambda: estimate_transition(np.ones(40)), NOT_2D),
+    "transition-three-dimensional": (lambda: estimate_transition(np.ones((40, 2, 1))), NOT_2D),
+}
+
+
+@pytest.mark.parametrize("case", list(TRACKER_INPUT_CHECKS))
+def test_input_checks(case):
+    call, message = TRACKER_INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
