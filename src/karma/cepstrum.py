@@ -12,7 +12,8 @@ a (T, N) stack of them:
   form from resonance frequencies and bandwidths.  A resonance is the pole
   z = exp((-pi b + 2 pi i f) / fs) and adds (2/n) Re z^n to C_n (an
   antiformant subtracts it).  Two kernels, one per caller, with no size
-  threshold.  ``linearize``, the EKF's one call per speech frame, forms
+  threshold, take a state to its poles by the same gather and scales
+  (log r = -pi b/fs, theta = 2 pi f/fs).  ``linearize``, the EKF's one call per speech frame, forms
   one state's complex powers in closed form, z^n = exp(n log z), and reads
   the Jacobian, -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, off them: one
   column gather of their real view and one multiply by per-column scales.
@@ -102,9 +103,11 @@ class CepstralObservation:
     """Observation model mapping a state vector to N cepstral coefficients.
 
     The state vector holds each resonance's frequency and bandwidth in Hz,
-    in the blocks of ``state_columns``.  Inactive tracks are dropped from
-    the sum and their Jacobian columns are zero, which is how the tracker
-    omits a track from the state.
+    in the blocks of ``state_columns``.  ``value`` and ``linearize`` take the
+    tracker's per-entry activity ``flags`` (dim,), or None when every track
+    is active, and read resonance k's activity off its frequency entry.
+    Inactive tracks are dropped from the sum and their Jacobian columns are
+    zero, which is how the tracker omits a track from the state.
     """
 
     def __init__(self, n_formants: int, n_antiformants: int, n_cepstra: int, sample_rate_hz: float):
@@ -119,8 +122,9 @@ class CepstralObservation:
         self._freq_cols = np.r_[f, af]
         self._bw_cols = np.r_[b, ab]
         self._signs = np.r_[np.ones(i), -np.ones(j)]
-        # value's one gather: the bandwidths, then the frequencies, and the
-        # scales taking them to log r = -pi b/fs and theta = 2 pi f/fs
+        # the one gather taking a state to its poles: the bandwidths, then the
+        # frequencies, and the scales taking them to log r = -pi b/fs and
+        # theta = 2 pi f/fs
         self._pole_cols = np.r_[self._bw_cols, self._freq_cols]
         self._pole_scale = np.repeat([-np.pi, 2.0 * np.pi], i + j)[:, None] / sample_rate_hz
         self._orders = np.arange(1, n_cepstra + 1, dtype=float)[:, None]  # n, one per row
@@ -132,28 +136,16 @@ class CepstralObservation:
         self._jac_gather[self._bw_cols] = 2 * np.arange(i + j)
         self._patterns = {}
 
-    def _active_signs(self, active_f, active_a):
-        """Sign of each resonance's cepstral term: +1 formant, -1 antiformant, 0 inactive."""
-        if active_f is None and active_a is None:
-            return self._signs
-        i, j = self.n_formants, self.n_antiformants
-        keep = np.concatenate([
-            np.ones(i, dtype=bool) if active_f is None else active_f,
-            np.ones(j, dtype=bool) if active_a is None else active_a,
-        ])
-        return self._signs * keep
-
-    def _pattern(self, active_f, active_a):
+    def _pattern(self, flags):
         """Signs and per-column Jacobian scales of one activation pattern,
-        computed on its first use: -(4 pi/fs) s_k on resonance k's frequency
-        column and -(2 pi/fs) s_k on its bandwidth column."""
-        key = (
-            None if active_f is None else np.asarray(active_f, dtype=bool).tobytes(),
-            None if active_a is None else np.asarray(active_a, dtype=bool).tobytes(),
-        )
+        computed on its first use.  The sign s_k of resonance k's cepstral
+        term is +1 for a formant, -1 for an antiformant and 0 when its
+        frequency entry's flag is off; the scales are -(4 pi/fs) s_k on its
+        frequency column and -(2 pi/fs) s_k on its bandwidth column."""
+        key = None if flags is None else np.asarray(flags, dtype=bool).tobytes()
         found = self._patterns.get(key)
         if found is None:
-            signs = self._active_signs(active_f, active_a)
+            signs = self._signs if flags is None else self._signs * np.asarray(flags, bool)[self._freq_cols]
             scale = (-2.0 * np.pi / self.sample_rate_hz) * signs
             jac_scale = np.empty(self._jac_gather.size)
             jac_scale[self._freq_cols] = 2.0 * scale
@@ -161,7 +153,7 @@ class CepstralObservation:
             found = self._patterns[key] = (signs, jac_scale)
         return found
 
-    def value(self, x: np.ndarray, active_f=None, active_a=None) -> np.ndarray:
+    def value(self, x: np.ndarray, flags=None) -> np.ndarray:
         """h(x) for a state (dim,) or a stack of states (..., dim) -> (..., N).
 
         Each pole z = r (cos(theta) + i sin(theta)), with r = exp(-pi b/fs)
@@ -188,27 +180,28 @@ class CepstralObservation:
         np.multiply(r, np.cos(polar[k:]), out=z.real)
         np.multiply(r, np.sin(polar[k:]), out=z.imag)
         powers = np.empty((self.n_cepstra,) + r.shape, dtype=complex)
-        np.multiply(z, self._pattern(active_f, active_a)[0][:, None], out=powers[0])
+        np.multiply(z, self._pattern(flags)[0][:, None], out=powers[0])
         for n in range(1, self.n_cepstra):
             np.multiply(powers[n - 1], z, out=powers[n])
         h = powers.sum(axis=1).real[:, :n_states].T
         h *= self._weights
         return h.reshape(lead + (self.n_cepstra,))
 
-    def linearize(self, x: np.ndarray, active_f=None, active_a=None):
+    def linearize(self, x: np.ndarray, flags=None):
         """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers.
 
-        The (N, K) powers come in closed form, z^n = exp(n log z) with
-        log z = (pi/fs)(2i f - b): one complex exponential over the grid
-        and a stored column of orders n.  h is one matrix-vector product,
-        and each Jacobian entry is one product: the power's real or
-        imaginary part, gathered into its state column, times that
-        column's scale.  At N = 15 and K = 3 a call takes 12-17 us (one
-        BLAS thread).  ``value`` forms its powers by a running product
-        instead; the two agree to 1e-12, not bit for bit.
+        The (N, K) powers come in closed form, z^n = exp(n log z), with
+        log z = log r + i theta from ``value``'s gather: one complex
+        exponential over the grid and a stored column of orders n.  h is
+        one matrix-vector product, and each Jacobian entry is one product:
+        the power's real or imaginary part, gathered into its state column,
+        times that column's scale.  At N = 15 and K = 3 a call takes
+        12-17 us (one BLAS thread).  ``value`` forms its powers by a running
+        product instead; the two agree to 1e-12, not bit for bit.
         """
-        signs, jac_scale = self._pattern(active_f, active_a)
-        log_z = (np.pi / self.sample_rate_hz) * (2j * x[self._freq_cols] - x[self._bw_cols])
+        signs, jac_scale = self._pattern(flags)
+        polar = x[self._pole_cols] * self._pole_scale[:, 0]
+        log_z = polar[: signs.size] + 1j * polar[signs.size :]
         powers = np.exp(self._orders * log_z)
         H = powers.view(float).take(self._jac_gather, axis=1)
         H *= jac_scale

@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,6 +65,18 @@ def _require_file(path_str: str, kind: str) -> Path:
     return path
 
 
+def _output_path(path_str: str) -> str:
+    """``path_str``, after checking that a file can be created there: a
+    missing directory or a directory in its place raises the ``OSError``
+    that writing would (exit 1), before the analysis runs."""
+    path = Path(path_str)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path_str)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path_str)
+    return path_str
+
+
 def cmd_track(args) -> int:
     config = _load_config(args)
     wav_path = _require_file(args.input, "input file")
@@ -77,8 +91,8 @@ def cmd_track(args) -> int:
         except ValueError as exc:  # too few fields, a non-integer index, undecodable bytes
             raise UsageError(f"bad label file: {exc}") from exc
 
+    out = _output_path(args.out or str(wav_path.with_suffix(".tracks.csv")))
     result = track_waveform(waveform, config, labels=labels)
-    out = args.out or str(wav_path.with_suffix(".tracks.csv"))
     write_tracks(result, out)
 
     stds = np.sqrt(np.maximum(result.variances, 0.0))

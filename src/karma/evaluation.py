@@ -43,6 +43,8 @@ class RmseReport:
 def _aligned_freqs(estimated, reference, formant_count, offset):
     est = estimated.formant_freqs
     ref = reference.formant_freqs
+    if formant_count < 1:
+        raise ValueError("formant_count must be positive")
     if formant_count > min(est.shape[1], ref.shape[1]):
         raise ValueError("formant_count exceeds available tracks")
     if offset is None:

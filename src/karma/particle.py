@@ -76,7 +76,7 @@ def pf_track(
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
-    y, n_frames, speech, activation, obs_model = _resolve_setup(obs, params, mask, None, obs_model)
+    y, speech, activation, _, obs_model = _resolve_setup(obs, params, mask, None, obs_model)
     rng = np.random.default_rng(seed)
     dim = params.state_dim
 
@@ -91,10 +91,10 @@ def pf_track(
     w = uniform
 
     bounds = obs_model.state_bounds()
-    means = np.zeros((n_frames, dim))
-    covs = np.zeros((n_frames, dim, dim))
+    means = np.zeros((len(y), dim))
+    covs = np.zeros((len(y), dim, dim))
 
-    for t in range(n_frames):
+    for t in range(len(y)):
         particles += rng.standard_normal((n_particles, chol_q.shape[1])) @ chol_q.T
         _clamp(particles, bounds)
 

@@ -99,6 +99,11 @@ class TrackActivation:
     def __post_init__(self):
         object.__setattr__(self, "formants", np.asarray(self.formants, dtype=bool))
         object.__setattr__(self, "antiformants", np.asarray(self.antiformants, dtype=bool))
+        if self.formants.ndim != 2 or self.antiformants.ndim != 2:
+            raise ValueError(
+                "activation flags must be (T, I) and (T, J) arrays, "
+                f"got {self.formants.shape} and {self.antiformants.shape}"
+            )
         if self.formants.shape[0] != self.antiformants.shape[0]:
             raise ValueError("formant/antiformant flag lengths differ")
 
@@ -169,7 +174,8 @@ def _speech_flags(mask, n_frames: int) -> np.ndarray:
 
 def _entry_flags(activation: TrackActivation) -> np.ndarray:
     """Per-frame activity of every state entry, shape (T, dim): each
-    track's flag on its frequency and its bandwidth entry."""
+    track's flag on its frequency and its bandwidth entry, the one form of
+    activity below ``TrackActivation``."""
     f, a = activation.formants, activation.antiformants
     blocks = state_columns(f.shape[1], a.shape[1])
     flags = np.empty((len(f), blocks[-1].stop), dtype=bool)
@@ -217,6 +223,8 @@ def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.nda
 
 
 def _resolve_setup(obs, params, mask, activation, obs_model):
+    """Checked inputs of a tracker run: ``(y, speech, activation, flags,
+    obs_model)``, with ``flags`` the activation's ``_entry_flags``."""
     y = np.atleast_2d(np.asarray(obs, dtype=float))
     n_frames = y.shape[0]
     if n_frames < 1:
@@ -243,7 +251,7 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
         obs_model = CepstralObservation(
             params.n_formants, params.n_antiformants, params.n_cepstra, params.sample_rate_hz
         )
-    return y, n_frames, speech, activation, obs_model
+    return y, speech, activation, _entry_flags(activation), obs_model
 
 
 def _clamp(vec, bounds):
@@ -255,12 +263,12 @@ def _clamp(vec, bounds):
     return vec
 
 
-def _forward(y, params, speech, activation, obs_model):
+def _forward(y, params, speech, flags, obs_model):
     """Forward EKF recursion, yielding the filtered ``(m, P)`` per frame.
 
     On a frame with no update these are the predicted moments.  Keeps no
     history; the yielded arrays are never modified afterwards.  At frames
-    whose activation flags change, and only there, the entering covariance
+    whose entry flags change, and only there, the entering covariance
     is decoupled between active and inactive entries and the blocked
     process noise is rebuilt.  A returning entry keeps the moments
     it coasted to.  ``mu0`` is clamped to the state bounds once, before
@@ -270,7 +278,6 @@ def _forward(y, params, speech, activation, obs_model):
     symmetrised.
     """
     bounds = obs_model.state_bounds()
-    flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
     update = speech & flags.any(axis=1)
 
@@ -279,16 +286,15 @@ def _forward(y, params, speech, activation, obs_model):
         if rebuild[t]:
             P = _blocked(P, g)
             Q = _blocked(params.Q, g)
-            act_f, act_a = activation.formants[t], activation.antiformants[t]
-            inactive = ~g if not g.all() else None
+            active = None if g.all() else g
         P = P + Q
 
         if update[t]:
-            h_val, H = obs_model.linearize(m, act_f, act_a)
+            h_val, H = obs_model.linearize(m, active)
             PHt = P @ H.T
             S = H @ PHt + params.R
-            if inactive is not None:
-                PHt[inactive, :] = 0.0
+            if active is not None:
+                PHt[~active, :] = 0.0
             K = _solve_innovation(S, PHt, "ekf_filter")
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
@@ -314,6 +320,15 @@ def _make_result(means, covs, speech, activation, n_cepstra, sample_rate_hz, hop
     )
 
 
+def _filtered(y, params, speech, flags, obs_model):
+    """The forward pass stored: (T, dim) means and (T, dim, dim) covariances."""
+    means = np.empty((len(y), params.state_dim))
+    covs = np.empty((len(y), params.state_dim, params.state_dim))
+    for t, (m, P) in enumerate(_forward(y, params, speech, flags, obs_model)):
+        means[t], covs[t] = m, P
+    return means, covs
+
+
 def ekf_filter(
     obs,
     params: TrackerParams,
@@ -330,12 +345,8 @@ def ekf_filter(
     An entry known exactly (see ``TrackerParams``) keeps zero variance and a
     zero gain row, so it holds its ``mu0`` value on every frame.
     """
-    y, _, speech, activation, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
-    means = np.empty((len(y), params.state_dim))
-    covs = np.empty((len(y), params.state_dim, params.state_dim))
-    steps = _forward(y, params, speech, activation, obs_model)
-    for t, (m, P) in enumerate(steps):
-        means[t], covs[t] = m, P
+    y, speech, activation, flags, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
+    means, covs = _filtered(y, params, speech, flags, obs_model)
     return _make_result(means, covs, speech, activation, params.n_cepstra, params.sample_rate_hz, params.hop_s)
 
 
@@ -371,7 +382,8 @@ def eks_smooth(
     activation: TrackActivation | None = None,
     obs_model=None,
 ) -> TrackResult:
-    """Fixed-interval smoother: ``ekf_filter`` plus an RTS backward pass.
+    """Fixed-interval smoother: the forward pass of ``ekf_filter`` plus an
+    RTS backward pass.
 
     The backward pass overwrites the filter's output in place and stores
     no predictions: it rebuilds frame t's predicted moments from frame
@@ -386,20 +398,16 @@ def eks_smooth(
     ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
     and zero variance.
     """
-    y, n_frames, speech, activation, obs_model = _resolve_setup(
-        obs, params, mask, activation, obs_model
-    )
-    result = ekf_filter(y, params, speech, activation, obs_model)
-    m_s, P_s = result.means, result.covariances
+    y, speech, activation, flags, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
+    m_s, P_s = _filtered(y, params, speech, flags, obs_model)
 
     bounds = obs_model.state_bounds()
-    flags = _entry_flags(activation)
     rebuild = _flag_changes(flags)
     # only an entry without process noise can have zero predicted variance
     no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
     # m_s/P_s hold the filtered moments until the backward pass reaches
     # them.  A block smooths frames ``rows`` with the gains of frames ``rows`` + 1.
-    for rows in reversed(_row_blocks(n_frames - 1, _GAIN_BLOCK_DIVISOR * P_s[:1].nbytes)):
+    for rows in reversed(_row_blocks(len(y) - 1, _GAIN_BLOCK_DIVISOR * P_s[:1].nbytes)):
         after = slice(rows.start + 1, rows.stop + 1)
         P_prev, P_pred, gains = _rts_gains(P_s[rows], flags[after], rebuild[after], params.Q, no_noise)
         for k in range(len(gains) - 1, -1, -1):
@@ -408,7 +416,7 @@ def eks_smooth(
             m_s[t] = _clamp(m + G @ (m_s[t + 1] - m), bounds)
             P_s[t] = _symmetrize(P_prev[k] + G @ (P_s[t + 1] - P_pred[k]) @ G.T)
         del P_prev, P_pred, gains  # before the next block's stacks exist
-    return result
+    return _make_result(m_s, P_s, speech, activation, params.n_cepstra, params.sample_rate_hz, params.hop_s)
 
 
 _MAX_SPECTRAL_RADIUS = 0.999  # estimate_transition scales F down to this

@@ -115,18 +115,18 @@ def frozen_columns(n_formants, n_antiformants):
 
 class FrozenCepstralObservation(CepstralObservation):
     """``CepstralObservation`` with h and its Jacobian from the frozen kernel
-    above; state bounds and activation signs are the library's."""
+    above; state bounds and activation signs (``_pattern``) are the library's."""
 
-    def value(self, x, active_f=None, active_a=None):
+    def value(self, x, flags=None):
         freq_cols, bw_cols, _ = frozen_columns(self.n_formants, self.n_antiformants)
         powers = frozen_pole_powers(
             x[..., freq_cols], x[..., bw_cols], self.sample_rate_hz, self.n_cepstra
         )
-        return frozen_powers_cepstrum(powers, self._active_signs(active_f, active_a))
+        return frozen_powers_cepstrum(powers, self._pattern(flags)[0])
 
-    def linearize(self, x, active_f=None, active_a=None):
+    def linearize(self, x, flags=None):
         freq_cols, bw_cols, _ = frozen_columns(self.n_formants, self.n_antiformants)
-        signs = self._active_signs(active_f, active_a)
+        signs = self._pattern(flags)[0]
         powers = frozen_pole_powers(x[freq_cols], x[bw_cols], self.sample_rate_hz, self.n_cepstra)
         H = frozen_powers_jacobian(powers, signs, self.sample_rate_hz, freq_cols, bw_cols)
         return frozen_powers_cepstrum(powers, signs), H
@@ -272,10 +272,10 @@ class LinearObservation:
     def __init__(self, H: np.ndarray):
         self.H = np.asarray(H, dtype=float)
 
-    def value(self, x, active_f=None, active_a=None):
+    def value(self, x, flags=None):
         return x @ self.H.T
 
-    def linearize(self, x, active_f=None, active_a=None):
+    def linearize(self, x, flags=None):
         return x @ self.H.T, self.H
 
     def state_bounds(self):

@@ -85,6 +85,11 @@ def exp_cos_linearize(x, n_formants, n_antiformants, fs, n_coeffs, active_f, act
     return h, np.hstack([df, db, daf, dab])
 
 
+def entry_flags(active_f, active_a):
+    """One frame's per-entry flags (dim,): each track's flag on its frequency and bandwidth entry."""
+    return np.concatenate([active_f, active_f, active_a, active_a])
+
+
 # tolerance between h or H from two power kernels: closed form, running product, exp/cos
 CLOSE = dict(rtol=1e-12, atol=1e-14)
 # tolerance between ``value``, whose poles come from real exp, cos and sin,
@@ -119,7 +124,7 @@ class TestPolePowerFormula:
     def test_linearize_matches_exp_cos(self, problem):
         i, j, n_coeffs, fs, x, active_f, active_a = problem
         model = CepstralObservation(i, j, n_coeffs, fs)
-        h, H = model.linearize(x, active_f, active_a)
+        h, H = model.linearize(x, entry_flags(active_f, active_a))
         h_ref, H_ref = exp_cos_linearize(x, i, j, fs, n_coeffs, active_f, active_a)
         np.testing.assert_allclose(h, h_ref, **CLOSE)
         np.testing.assert_allclose(H, H_ref, **CLOSE)
@@ -149,8 +154,9 @@ class TestPolePowerFormula:
         model = CepstralObservation(i, j, n_coeffs, fs)
         jitter = np.random.default_rng(seed).uniform(0.9, 1.0, lead + x.shape)
         states = x * jitter
-        stacked = model.value(states, active_f, active_a)
-        rows = np.array([model.linearize(s, active_f, active_a)[0] for s in states.reshape(-1, x.size)])
+        flags = entry_flags(active_f, active_a)
+        stacked = model.value(states, flags)
+        rows = np.array([model.linearize(s, flags)[0] for s in states.reshape(-1, x.size)])
         assert stacked.shape == lead + (n_coeffs,)
         np.testing.assert_allclose(stacked.reshape(-1, n_coeffs), rows, **CLOSE)
 
@@ -160,10 +166,11 @@ class TestPolePowerFormula:
     def test_linearize_matches_running_product(self, problem):
         i, j, n_coeffs, fs, x, active_f, active_a = problem
         model = CepstralObservation(i, j, n_coeffs, fs)
-        h, H = model.linearize(x, active_f, active_a)
+        flags = entry_flags(active_f, active_a)
+        h, H = model.linearize(x, flags)
         freq_cols, bw_cols, _ = frozen_columns(i, j)
         powers = frozen_pole_powers(x[freq_cols], x[bw_cols], fs, n_coeffs)
-        signs = model._active_signs(active_f, active_a)
+        signs = model._pattern(flags)[0]
         assert h.shape == (n_coeffs,) and H.shape == (n_coeffs, x.size)
         np.testing.assert_allclose(h, frozen_powers_cepstrum(powers, signs), **CLOSE)
         np.testing.assert_allclose(
@@ -199,12 +206,12 @@ class TestFrozenReferenceKernel:
         i, j = counts
         rng = np.random.default_rng([i, j, sum(lead), some_inactive])
         x = random_states(rng, i, j, lead)
-        flags = (rng.random(i) < 0.5, rng.random(j) < 0.5) if some_inactive else (None, None)
+        flags = entry_flags(rng.random(i) < 0.5, rng.random(j) < 0.5) if some_inactive else None
         model = CepstralObservation(i, j, 15, 10000.0)
         frozen = FrozenCepstralObservation(i, j, 15, 10000.0)
-        out = model.value(x, *flags)
+        out = model.value(x, flags)
         assert out.shape == lead + (15,)
-        np.testing.assert_allclose(out, frozen.value(x, *flags), **STACKED)
+        np.testing.assert_allclose(out, frozen.value(x, flags), **STACKED)
 
     @pytest.mark.parametrize("counts", TRACK_COUNTS)
     @pytest.mark.parametrize("n_coeffs", [1, 15, 30])
@@ -215,10 +222,10 @@ class TestFrozenReferenceKernel:
         frozen = FrozenCepstralObservation(i, j, n_coeffs, 8000.0)
         for _ in range(20):
             x = random_states(rng, i, j, (), fs=8000.0)
-            flags = (rng.random(i) < 0.5, rng.random(j) < 0.5)
-            for active in ((None, None), flags):
-                h, H = model.linearize(x, *active)
-                h_ref, H_ref = frozen.linearize(x, *active)
+            flags = entry_flags(rng.random(i) < 0.5, rng.random(j) < 0.5)
+            for active in (None, flags):
+                h, H = model.linearize(x, active)
+                h_ref, H_ref = frozen.linearize(x, active)
                 assert h.shape == (n_coeffs,) and H.shape == (n_coeffs, 2 * i + 2 * j)
                 np.testing.assert_allclose(h, h_ref, **CLOSE)
                 np.testing.assert_allclose(H, H_ref, **CLOSE)
@@ -290,10 +297,10 @@ class TestStackedValue:
         i, j = 6, 3
         rng = np.random.default_rng([len(lead), sum(lead), some_inactive])
         x = random_states(rng, i, j, lead)
-        flags = (rng.random(i) < 0.5, rng.random(j) < 0.5) if some_inactive else (None, None)
+        flags = entry_flags(rng.random(i) < 0.5, rng.random(j) < 0.5) if some_inactive else None
         model = CepstralObservation(i, j, 20, 10000.0)
-        stacked = model.value(x, *flags).reshape(-1, 20)
-        rows = np.array([model.value(s, *flags) for s in x.reshape(-1, 2 * (i + j))])
+        stacked = model.value(x, flags).reshape(-1, 20)
+        rows = np.array([model.value(s, flags) for s in x.reshape(-1, 2 * (i + j))])
         assert np.array_equal(stacked, rows)
 
 

@@ -371,6 +371,15 @@ class TestEvalCommand:
         assert f"estimate f1 is not finite at scored reference frame {frame}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_non_positive_formant_count_exits_2(self, tmp_path, vowel_wav, capsys, count):
+        path = tmp_path / "ref.csv"
+        write_tracks(vowel_wav[1], path)
+        assert main(["eval", str(path), str(path), "--formants", count]) == 2
+        captured = capsys.readouterr()
+        assert "error: formant_count must be positive" in captured.err
+        assert captured.out == ""
+
     def test_formant_count_restricts_columns(self, tmp_path, vowel_wav, capsys):
         _, ref = vowel_wav
         path = tmp_path / "ref.csv"
@@ -429,6 +438,23 @@ class TestExitCodes:
         code = main(["track", str(vowel_wav[0]), "--out", str(tmp_path / "missing" / "t.csv")])
         assert code == 1
         assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [("missing/t.csv", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_output_fails_before_the_analysis(
+        self, tmp_path, vowel_wav, capsys, monkeypatch, out, message
+    ):
+        def no_analysis(*args, **kwargs):
+            raise AssertionError("track_waveform ran although the output cannot be written")
+
+        monkeypatch.setattr("karma.cli.track_waveform", no_analysis)
+        monkeypatch.chdir(tmp_path)
+        assert main(["track", str(vowel_wav[0]), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
 
     def test_wav_shorter_than_a_frame_exits_1(self, tmp_path, capsys):
         path = tmp_path / "short.wav"

@@ -239,6 +239,8 @@ def rmse_case(n_est=20, n_ref=20, ref_value=1000.0, **options):
 
 
 EVALUATION_INPUT_CHECKS = {
+    "formant-count-zero": (rmse_case(formant_count=0), "^formant_count must be positive"),
+    "formant-count-negative": (rmse_case(formant_count=-1), "^formant_count must be positive"),
     "formant-count-over-tracks": (rmse_case(formant_count=4), "^formant_count exceeds available tracks"),
     "offset-past-the-end": (rmse_case(offset=20), "^alignment leaves no overlapping frames"),
     "offset-before-the-start": (rmse_case(n_est=5, offset=-20), "^alignment leaves no overlapping frames"),

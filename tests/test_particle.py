@@ -197,9 +197,9 @@ class TestBenchmark:
                 return getattr(self._rng, name)
 
         class RecordingObservation(CepstralObservation):
-            def value(self, x, active_f=None, active_a=None):
+            def value(self, x, flags=None):
                 seen.append(x.copy())
-                return super().value(x, active_f, active_a)
+                return super().value(x, flags)
 
         model = RecordingObservation(setup.n_formants, 0, setup.n_cepstra, setup.sample_rate_hz)
         monkeypatch.setattr(np.random, "default_rng", CountingRng)

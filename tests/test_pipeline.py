@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -352,6 +353,44 @@ class TestTrackWaveform:
         bws = slice(res.n_formants, 2 * res.n_formants)
         assert np.all(res.formant_bws == params.mu0[bws])
         assert np.all(res.variances[:, bws] == 0.0)
+
+
+def flag_runs(rng, n_frames, n_tracks):
+    """Per-track activity, (n_frames, n_tracks): on and off in turn, in runs of 1-40 frames."""
+    flags = np.empty((n_frames, n_tracks), dtype=bool)
+    for k in range(n_tracks):
+        t, on = 0, bool(rng.random() < 0.5)
+        while t < n_frames:
+            run = int(rng.integers(1, 41))
+            flags[t : t + run, k] = on
+            t, on = t + run, not on
+    return flags
+
+
+@pytest.fixture(scope="module")
+def long_flipping_utterance():
+    """A 20 s Rosenberg utterance with a 2 s silent stretch, and formant
+    activity that flips in runs of 1-40 frames."""
+    spec = random_trajectory(3, 20.0, seed=31, sample_rate_hz=16000.0, source="rosenberg")
+    sources = spec.sources.copy()
+    sources[800:1000] = "silence"
+    wave, ref = synthesize(dataclasses.replace(spec, sources=sources))
+    formants = flag_runs(np.random.default_rng(31), ref.n_frames, 3)
+    return wave, TrackActivation(formants, np.ones((ref.n_frames, 0), bool))
+
+
+@pytest.mark.parametrize("mode", ["filter", "smooth"])
+def test_long_run_covariances_stay_symmetric_psd(long_flipping_utterance, mode):
+    """Every posterior covariance is exactly symmetric, with a smallest
+    eigenvalue of at least -1e-9 times its largest entry, through 1999
+    frames of activation changes and a silent stretch."""
+    wave, activation = long_flipping_utterance
+    res = track_waveform(wave, RunConfig(mode=mode), activation=activation)
+    assert res.n_frames == len(activation) == 1999
+    assert not res.speech[810:990].any()
+    cov = res.covariances
+    assert np.array_equal(cov, cov.swapaxes(1, 2))
+    assert np.all(np.linalg.eigvalsh(cov)[:, 0] >= -1e-9 * np.abs(cov).max(axis=(1, 2)))
 
 
 def filter_prefix_runs(source, observation_source):

@@ -17,7 +17,6 @@ from karma.tracker import (
     TrackActivation,
     TrackerParams,
     _blocked,
-    _entry_flags,
     _flag_changes,
     _forward,
     _resolve_setup,
@@ -104,7 +103,7 @@ def stored_forward(y, params, speech, activation, obs_model):
 
         gain_rows = g if speech[t] else np.zeros(dim, dtype=bool)
         if gain_rows.any():
-            h_val, H = obs_model.linearize(m, act_f, act_a)
+            h_val, H = obs_model.linearize(m, g)
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
             PHt[~gain_rows, :] = 0.0
@@ -239,7 +238,7 @@ class TestStoredRecursionOracle:
     @staticmethod
     def oracle(problem):
         p = problem
-        y, _, speech, activation, obs_model = _resolve_setup(
+        y, speech, activation, _, obs_model = _resolve_setup(
             p["obs"], p["params"], p["mask"], p["activation"], p["obs_model"]
         )
         store = stored_forward(y, p["params"], speech, activation, obs_model)
@@ -338,18 +337,17 @@ class TestIdentityPredict:
     @given(problem=predict_problems())
     def test_predict_adds_q(self, problem):
         params = problem["params"]
-        y, _, speech, activation, obs_model = _resolve_setup(
+        y, speech, _, flags, obs_model = _resolve_setup(
             problem["obs"], params, problem["mask"], problem["activation"], problem["obs_model"]
         )
-        flags = _entry_flags(activation)
-        filtered = list(_forward(y, params, speech, activation, obs_model))
+        filtered = list(_forward(y, params, speech, flags, obs_model))
         m, P = params.mu0, params.Sigma0
         for t, g in enumerate(flags):
             # a frame with no update yields its predicted moments; the frames
             # before it are unchanged, since the pass is causal
             coast = speech.copy()
             coast[t] = False
-            m_pred, P_pred = list(_forward(y, params, coast, activation, obs_model))[t]
+            m_pred, P_pred = list(_forward(y, params, coast, flags, obs_model))[t]
             if t == 0 or np.any(g != flags[t - 1]):
                 P = _blocked(P, g)
             assert np.array_equal(m_pred, clamp(m, obs_model.state_bounds()))
@@ -390,8 +388,8 @@ class TestInitialClamp:
         # frame 0 is silent, so the pass yields its predicted moments there
         mask = np.ones(len(self.obs), bool)
         mask[0] = False
-        y, _, speech, activation, obs_model = _resolve_setup(self.obs, self.params, mask, None, None)
-        m_pred = next(_forward(y, self.params, speech, activation, obs_model))[0]
+        y, speech, _, flags, obs_model = _resolve_setup(self.obs, self.params, mask, None, None)
+        m_pred = next(_forward(y, self.params, speech, flags, obs_model))[0]
         assert np.array_equal(m_pred, self.clamped)
 
     @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
@@ -693,11 +691,10 @@ class TestStackedGains:
     def test_known_entries_get_zero_gains(self):
         problem = long_schedule_problem(known=True)  # entry 4 is known
         params = problem["params"]
-        y, _, speech, activation, obs_model = _resolve_setup(
+        y, speech, activation, flags, obs_model = _resolve_setup(
             problem["obs"], params, problem["mask"], problem["activation"], None
         )
         filt = ekf_filter(y, params, speech, activation, obs_model)
-        flags = _entry_flags(activation)
         rebuild = _flag_changes(flags)
         no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
         with warnings.catch_warnings():
@@ -784,6 +781,7 @@ def params_with(**fields):
 
 
 NOT_2D = r"^tracks must be \(frames, states\)"
+NOT_FLAG_TABLES = r"^activation flags must be \(T, I\) and \(T, J\) arrays"
 TRACKER_INPUT_CHECKS = {
     "q-shape": (lambda: params_with(Q=np.eye(3)), "^Q must be 2x2"),
     "sigma0-shape": (lambda: params_with(Sigma0=np.eye(3)), "^Sigma0 must be 2x2"),
@@ -792,6 +790,14 @@ TRACKER_INPUT_CHECKS = {
     "activation-lengths-differ": (
         lambda: TrackActivation(np.ones((3, 1), bool), np.ones((4, 1), bool)),
         "^formant/antiformant flag lengths differ",
+    ),
+    "activation-one-dimensional": (
+        lambda: TrackActivation(np.ones(3, bool), np.ones((3, 0), bool)),
+        NOT_FLAG_TABLES,
+    ),
+    "activation-three-dimensional": (
+        lambda: TrackActivation(np.ones((3, 1, 1), bool), np.ones((3, 0), bool)),
+        NOT_FLAG_TABLES,
     ),
     "zero-frames": (lambda: ekf_filter(np.zeros((0, 2)), params_with()), "^need at least one observation frame"),
     "activation-wrong-length": (
