@@ -263,12 +263,6 @@ def _lag_rows(padded: np.ndarray, n: int, k: int) -> np.ndarray:
     return as_strided(padded[start:], shape=(k, n), strides=(-step, step), writeable=False)
 
 
-def _lagged(s: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) read-only view whose column i-1 is ``s`` delayed by i samples,
-    zero before the start."""
-    return _lag_rows(np.concatenate((np.zeros(k), s[: s.size - 1])), s.size, k).T
-
-
 def _solve_rows(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solutions (L, M) of the stacked systems hess (L, M, M) and grad
     (L, M, 1), and which rows were solved: one stacked solve, or row by row
@@ -301,7 +295,7 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     afterwards.
 
     The rows iterate in lock step, a row leaving once it stops.  Per row
-    stay the regression, every ``lfilter`` call and the normal equations,
+    stay every filter call, the regression and the normal equations, both
     formed from one (p + q, n) matrix of contiguous lagged rows; each round
     then makes one stacked solve, and each step size one MA stabilisation
     (``_reflect_rows``) for all rows still searching.  The final reflection
@@ -338,16 +332,26 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     n_long = min(max(20, 2 * (p + q)), max(p + q + 2, n // 3), n - 1)  # an AR fit needs n > order
     long_ar, _ = fit_ar_frames(frames[rows], n_long)
 
-    # Stage 1, innovation estimates from the long AR fit; stage 2, regress
-    # x[m] on lagged x and lagged innovations.  Fit arrays are indexed by
-    # position i in ``rows``.
+    # Stages 2 and 3 regress on jt: row r is a signal delayed r + 1 samples,
+    # copied out of a lag view of ``padded``, which holds two signals behind
+    # k0 zeros.  Fit arrays are indexed by position i in ``rows``.
     k0 = max(p, q)
+    signals = np.empty((2, n))
+    padded = np.zeros((2, n - 1 + k0))
+    x_lags, e_lags = _lag_rows(padded[0], n, p), _lag_rows(padded[1], n, q)
+    jt = np.empty((p + q, n))
+
+    # Stage 1, innovations u = A_long(z) x of the long AR fit (``lfilter``
+    # with denominator [1.0] is this convolution); stage 2, regress x[m] on
+    # lagged x and lagged u.
     theta = np.empty((rows.size, p + q))
     for i, t in enumerate(rows):
-        x = frames[t]
-        u = lfilter(np.concatenate(([1.0], -long_ar[i])), [1.0], x)
-        design = np.hstack([_lagged(x, p), _lagged(u, q)])[k0:]
-        theta[i] = np.linalg.lstsq(design, x[k0:], rcond=None)[0]
+        signals[0] = x = frames[t]
+        signals[1] = np.convolve(np.concatenate(([1.0], -long_ar[i])), x)[:n]
+        padded[:, k0:] = signals[:, :-1]
+        np.copyto(jt[:p], x_lags)
+        np.copyto(jt[p:], e_lags)
+        theta[i] = np.linalg.lstsq(jt.T[k0:], x[k0:], rcond=None)[0]
     a = theta[:, :p]
     b_polys = _reflect_rows(_monic(theta[:, p:]), _MA_CLIP)
     e = np.empty((rows.size, n))
@@ -357,14 +361,8 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         sse[i] = e[i] @ e[i]
         objectives[t].append(float(sse[i]))
 
-    # Stage 3: damped Gauss-Newton on the prediction-error sum of squares.
-    # x and e go through 1/B(z) in one call into one zero-padded buffer.
-    # The Jacobian is -jt.T: row r of jt is a filtered signal delayed r + 1
-    # samples, copied out of a lag view of that buffer.
-    signals = np.empty((2, n))
-    padded = np.zeros((2, n - 1 + k0))
-    x_lags, e_lags = _lag_rows(padded[0], n, p), _lag_rows(padded[1], n, q)
-    jt = np.empty((p + q, n))
+    # Stage 3: damped Gauss-Newton on the prediction-error sum of squares;
+    # x and e go through 1/B(z) in one call, and the Jacobian is -jt.T.
     live = np.arange(rows.size)  # positions of the rows still iterating
     for _ in range(_MAX_GN_ITER):
         if not live.size:

@@ -127,13 +127,14 @@ def cmd_synth(args) -> int:
         spec = _resolve_spec(args.spec, args.seed)
     except ValueError as exc:
         raise UsageError(f"bad spec: {exc}") from exc
+    out = _output_path(args.out or "synth.wav")
+    ref = args.ref and _output_path(args.ref)
     waveform, reference = synthesize(spec)
-    out = args.out or "synth.wav"
     write_wav(out, waveform)
     print(f"wrote {out} ({waveform.duration_s:.2f} s at {waveform.sample_rate_hz:.0f} Hz)")
-    if args.ref:
-        write_tracks(reference, args.ref)
-        print(f"wrote {args.ref} ({reference.n_frames} reference frames)")
+    if ref:
+        write_tracks(reference, ref)
+        print(f"wrote {ref} ({reference.n_frames} reference frames)")
     return 0
 
 
@@ -175,6 +176,7 @@ def cmd_compare_pf(args) -> int:
         _benchmark_counts(args.trials, counts)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out = args.out and _output_path(args.out)
     summary = ekf_pf_benchmark(trials=args.trials, particle_counts=counts, seed=args.seed)
     lines = ["particles,pf_rmse,pf_ci_low,pf_ci_high,ekf_rmse,ekf_ci_low,ekf_ci_high"]
     ekf = summary["ekf"]
@@ -185,9 +187,9 @@ def cmd_compare_pf(args) -> int:
             f"{ekf['mean']:.6f},{ekf['ci_low']:.6f},{ekf['ci_high']:.6f}"
         )
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
     else:
         print(text, end="")
     return 0

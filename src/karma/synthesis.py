@@ -511,14 +511,9 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
     def blend(a, b):
         """Per-frame values: a in nasal segments, b in vowel, linear transitions."""
         vals = np.where(segment == 0, a, b).astype(float)
+        w = np.arange(1, transition_frames + 1) / (transition_frames + 1)
         for boundary in (n_segment_frames, 2 * n_segment_frames):
-            for k in range(transition_frames):
-                t = boundary + k
-                if t < n_frames:
-                    w = (k + 1) / (transition_frames + 1)
-                    vals[t] = (1 - w) * vals[boundary - 1] + w * (
-                        b if segment[boundary] == 1 else a
-                    )
+            vals[boundary : boundary + transition_frames] = (1 - w) * vals[boundary - 1] + w * vals[boundary]
         return vals
 
     rng = np.random.default_rng(seed)

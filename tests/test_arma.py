@@ -12,7 +12,7 @@ from karma.arma import (
     MAX_ROOT_RADIUS,
     ArmaModel,
     _MA_CLIP,
-    _lagged,
+    _lag_rows,
     _monic,
     _certify_rows,
     _minimum_phase_rows,
@@ -709,14 +709,16 @@ class TestArmaObservations:
         assert factored == []
 
 
-class TestLaggedMatrix:
+class TestLagRows:
     @pytest.mark.parametrize("n,k", [(1, 0), (1, 3), (5, 0), (6, 4), (200, 20)])
-    def test_matches_column_loop(self, n, k):
+    @pytest.mark.parametrize("extra_zeros", [0, 3])
+    def test_matches_row_loop(self, n, k, extra_zeros):
+        """Behind k or more zeros, as the fit pads the shorter of its two signals."""
         s = np.random.default_rng(n + k).standard_normal(n)
-        expected = np.zeros((n, k))
-        for i in range(1, k + 1):
-            expected[i:, i - 1] = s[: max(n - i, 0)]
-        assert np.array_equal(_lagged(s, k), expected)
+        padded = np.concatenate((np.zeros(k + extra_zeros), s[: n - 1]))
+        rows = _lag_rows(padded, n, k)
+        assert rows.shape == (k, n) and not rows.flags.writeable
+        assert np.array_equal(rows, reference_lag_rows(s, k))
 
 
 class TestEnforceMinimumPhase:

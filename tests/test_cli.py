@@ -456,6 +456,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "nan", "--out", "missing/n.wav"], "No such file or directory"),
+            (["synth", "nan", "--out", "n.wav", "--ref", "missing/r.csv"], "No such file or directory"),
+            (["synth", "nan", "--out", "."], "Is a directory"),
+            (["synth", "nan", "--out", "n.wav", "--ref", "."], "Is a directory"),
+        ],
+        ids=["missing-wav-directory", "missing-ref-directory", "wav-directory", "ref-directory"],
+    )
+    def test_unwritable_synth_output_fails_before_synthesis(self, tmp_path, capsys, monkeypatch, argv, message):
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("synthesize ran although an output cannot be written")
+
+        monkeypatch.setattr("karma.cli.synthesize", no_synthesis)
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not list(tmp_path.glob("*.wav"))
+
+    @pytest.mark.parametrize(
+        "out, message",
+        [("missing/pf.csv", "No such file or directory"), (".", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_compare_pf_output_fails_before_the_trials(self, tmp_path, capsys, monkeypatch, out, message):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("ekf_pf_benchmark ran although the output cannot be written")
+
+        monkeypatch.setattr("karma.cli.ekf_pf_benchmark", no_trials)
+        monkeypatch.chdir(tmp_path)
+        assert main(["compare-pf", "--trials", "2", "--particles", "10", "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     def test_wav_shorter_than_a_frame_exits_1(self, tmp_path, capsys):
         path = tmp_path / "short.wav"
         # 100 samples at 16 kHz are 44 at the 7 kHz analysis rate, under one 140-sample frame

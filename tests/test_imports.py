@@ -1,6 +1,8 @@
 """What karma loads: no ``scipy`` module at all, neither at ``import karma``
-nor on the default AR route, the real-cepstrum route or a WAV round trip;
-the ARMA fit imports ``scipy.signal`` at its first call."""
+nor on the default AR route, the real-cepstrum route, a WAV round trip or
+a synthesized utterance written, read back and tracked; the ARMA fit
+imports ``scipy.signal`` at its first call.  This is the one check that
+the core runs without scipy."""
 
 import json
 import os
@@ -36,6 +38,17 @@ with tempfile.TemporaryDirectory() as tmp:
     read_wav(path)
 """
 
+SYNTH_WAV_TRACK = """
+import os, tempfile
+from karma import RunConfig, read_wav, track_waveform, write_wav
+from karma.synthesis import random_trajectory, synthesize
+wave, _ = synthesize(random_trajectory(4, 1.0, seed=3, sample_rate_hz=16000.0))
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "a.wav")
+    write_wav(path, wave)
+    track_waveform(read_wav(path), RunConfig())
+"""
+
 ARMA_FIT = """
 import json, sys
 import numpy as np
@@ -55,8 +68,14 @@ def run_fresh(code: str):
 
 @pytest.mark.parametrize(
     "code",
-    [IMPORT_ONLY, TRACK.format(source="arma_cepstrum"), TRACK.format(source="real_cepstrum"), WAV_ROUND_TRIP],
-    ids=["import", "default_track", "real_cepstrum_track", "wav_round_trip"],
+    [
+        IMPORT_ONLY,
+        TRACK.format(source="arma_cepstrum"),
+        TRACK.format(source="real_cepstrum"),
+        WAV_ROUND_TRIP,
+        SYNTH_WAV_TRACK,
+    ],
+    ids=["import", "default_track", "real_cepstrum_track", "wav_round_trip", "synthesized_wav_track"],
 )
 def test_loads_no_scipy(code):
     assert run_fresh(code + LOADED_SCIPY) == []

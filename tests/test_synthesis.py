@@ -324,6 +324,41 @@ class TestRandomTrajectory:
         assert np.all((spec.f0_hz >= 90.0) & (spec.f0_hz <= 220.0))
 
 
+def reference_nasal_tracks(seed):
+    """The nasal demo's formant and antiformant tracks, each segment boundary
+    blended frame by frame; the draws come in the order the spec takes them."""
+    segment = np.repeat([0, 1, 0], 25)  # 0 = nasal, 1 = vowel
+
+    def blend(a, b):
+        vals = np.where(segment == 0, a, b).astype(float)
+        for boundary in (25, 50):
+            for k in range(5):
+                w = (k + 1) / 6
+                vals[boundary + k] = (1 - w) * vals[boundary - 1] + w * (b if segment[boundary] == 1 else a)
+        return vals
+
+    rng = np.random.default_rng(seed)
+    walks = [np.cumsum(rng.normal(0.0, 10.0, 75)) for _ in range(2)]
+    jitters = [rng.normal(0.0, 10.0 / 3.0, 75) for _ in range(2)]
+    anti_walk, anti_jitter = np.cumsum(rng.normal(0.0, 10.0, 75)), rng.normal(0.0, 10.0 / 3.0, 75)
+
+    def reflect(freqs):
+        return np.where(freqs < 50.0, 100.0 - freqs, freqs)
+
+    freqs = reflect(np.column_stack([blend(257.0, 850.0) + walks[0], blend(1891.0, 1500.0) + walks[1]]))
+    bws = np.maximum(np.column_stack([blend(32.0, 80.0) + jitters[0], blend(100.0, 120.0) + jitters[1]]), 8.0)
+    return freqs, bws, reflect(1223.0 + anti_walk)[:, None], np.maximum(52.0 + anti_jitter, 8.0)[:, None]
+
+
+class TestNasalUtteranceSpec:
+    @pytest.mark.parametrize("seed", [0, 155, *range(700, 740)])
+    def test_tracks_equal_the_per_frame_blend(self, seed):
+        spec = nasal_utterance_spec(seed)
+        tracks = (spec.formant_freqs, spec.formant_bws, spec.antiformant_freqs, spec.antiformant_bws)
+        for got, expected in zip(tracks, reference_nasal_tracks(seed)):
+            assert np.array_equal(got, expected)
+
+
 class TestSpecSerialization:
     def test_json_roundtrip(self, tmp_path):
         voiced = random_trajectory(3, 0.5, seed=2, sample_rate_hz=16000.0, source="rosenberg")
