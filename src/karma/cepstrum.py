@@ -12,11 +12,13 @@ a (T, N) stack of them:
   form from resonance frequencies and bandwidths.  A resonance is the pole
   z = exp((-pi b + 2 pi i f) / fs) and adds (2/n) Re z^n to C_n (an
   antiformant subtracts it).  Two kernels, one per caller, with no size
-  threshold, take a state to its poles by the same gather and scales
-  (log r = -pi b/fs, theta = 2 pi f/fs).  ``linearize``, the EKF's one call per speech frame, forms
-  one state's complex powers in closed form, z^n = exp(n log z), and reads
-  the Jacobian, -(4 pi/fs) Im z^n and -(2 pi/fs) Re z^n, off them: one
-  column gather of their real view and one multiply by per-column scales.
+  threshold, take a state to its poles by the same scales
+  (log r = -pi b/fs, theta = 2 pi f/fs).  ``linearize``, the EKF's one
+  call per speech frame, takes one state to log z by one product with a
+  complex map of those scales, forms its powers in closed form,
+  z^n = exp(n log z), and reads h and the Jacobian, -(4 pi/fs) Im z^n and
+  -(2 pi/fs) Re z^n, off them by one product of their real view with a
+  map of the activation pattern.
   ``value``, which serves particle stacks, builds each pole from one real
   ``exp``, ``cos`` and ``sin`` and its powers by a running product, one
   complex multiply per order over the whole stack, with the signs in the
@@ -122,35 +124,42 @@ class CepstralObservation:
         self._freq_cols = np.r_[f, af]
         self._bw_cols = np.r_[b, ab]
         self._signs = np.r_[np.ones(i), -np.ones(j)]
-        # the one gather taking a state to its poles: the bandwidths, then the
-        # frequencies, and the scales taking them to log r = -pi b/fs and
-        # theta = 2 pi f/fs
+        # value's gather taking states to their poles: the bandwidths, then
+        # the frequencies, and the scales taking them to log r = -pi b/fs
+        # and theta = 2 pi f/fs
         self._pole_cols = np.r_[self._bw_cols, self._freq_cols]
         self._pole_scale = np.repeat([-np.pi, 2.0 * np.pi], i + j)[:, None] / sample_rate_hz
+        # linearize's (dim, K) complex map of the same scales, x @ map = log z:
+        # log r and theta are each one product with one nonzero entry, the
+        # same bits as the gather's
+        k = np.arange(i + j)
+        self._log_z_map = np.zeros((ab.stop, i + j), dtype=complex)
+        self._log_z_map[self._bw_cols, k] = self._pole_scale[: i + j, 0]
+        self._log_z_map[self._freq_cols, k] = 1j * self._pole_scale[i + j :, 0]
         self._orders = np.arange(1, n_cepstra + 1, dtype=float)[:, None]  # n, one per row
-        self._weights = 2.0 / self._orders[:, 0]  # the 2/n of C_n
-        # where each Jacobian column sits in the real view of one state's
-        # (N, K) powers: resonance k's Re z^n in column 2k, Im z^n in 2k + 1
-        self._jac_gather = np.empty(ab.stop, dtype=np.intp)
-        self._jac_gather[self._freq_cols] = 2 * np.arange(i + j) + 1
-        self._jac_gather[self._bw_cols] = 2 * np.arange(i + j)
+        self._weights = 2.0 / self._orders  # the 2/n of C_n, one per row
         self._patterns = {}
 
     def _pattern(self, flags):
-        """Signs and per-column Jacobian scales of one activation pattern,
-        computed on its first use.  The sign s_k of resonance k's cepstral
-        term is +1 for a formant, -1 for an antiformant and 0 when its
-        frequency entry's flag is off; the scales are -(4 pi/fs) s_k on its
-        frequency column and -(2 pi/fs) s_k on its bandwidth column."""
+        """Signs and linearization map of one activation pattern, computed
+        on its first use.  The sign s_k of resonance k's cepstral term is +1
+        for a formant, -1 for an antiformant and 0 when its frequency
+        entry's flag is off.  The (2K, dim + 1) map takes the real view of
+        one state's (N, K) powers, where resonance k's Re z^n sits in column
+        2k and Im z^n in 2k + 1, to [H | sum_k s_k Re z^n]: -(4 pi/fs) s_k
+        from Im z^n to the frequency column, -(2 pi/fs) s_k from Re z^n to
+        the bandwidth column, and s_k from Re z^n to the last column."""
         key = None if flags is None else np.asarray(flags, dtype=bool).tobytes()
         found = self._patterns.get(key)
         if found is None:
             signs = self._signs if flags is None else self._signs * np.asarray(flags, bool)[self._freq_cols]
             scale = (-2.0 * np.pi / self.sample_rate_hz) * signs
-            jac_scale = np.empty(self._jac_gather.size)
-            jac_scale[self._freq_cols] = 2.0 * scale
-            jac_scale[self._bw_cols] = scale
-            found = self._patterns[key] = (signs, jac_scale)
+            re = 2 * np.arange(signs.size)  # the Re z^n columns; Im z^n follows each
+            lin_map = np.zeros((2 * signs.size, 2 * signs.size + 1))
+            lin_map[re + 1, self._freq_cols] = 2.0 * scale
+            lin_map[re, self._bw_cols] = scale
+            lin_map[re, -1] = signs
+            found = self._patterns[key] = (signs, lin_map)
         return found
 
     def value(self, x: np.ndarray, flags=None) -> np.ndarray:
@@ -183,29 +192,28 @@ class CepstralObservation:
         np.multiply(z, self._pattern(flags)[0][:, None], out=powers[0])
         for n in range(1, self.n_cepstra):
             np.multiply(powers[n - 1], z, out=powers[n])
-        h = powers.sum(axis=1).real[:, :n_states].T
-        h *= self._weights
-        return h.reshape(lead + (self.n_cepstra,))
+        h = powers.sum(axis=1).real * self._weights  # (N, states), contiguous
+        return h[:, :n_states].T.reshape(lead + (self.n_cepstra,))
 
     def linearize(self, x: np.ndarray, flags=None):
         """h(x) (N,) and its Jacobian (N, dim) at one state, from one set of pole powers.
 
-        The (N, K) powers come in closed form, z^n = exp(n log z), with
-        log z = log r + i theta from ``value``'s gather: one complex
-        exponential over the grid and a stored column of orders n.  h is
-        one matrix-vector product, and each Jacobian entry is one product:
-        the power's real or imaginary part, gathered into its state column,
-        times that column's scale.  At N = 15 and K = 3 a call takes
-        12-17 us (one BLAS thread).  ``value`` forms its powers by a running
-        product instead; the two agree to 1e-12, not bit for bit.
+        log z = log r + i theta is one product of x with a (dim, K) complex
+        map holding ``value``'s pole scales, and the (N, K) powers come in
+        closed form, z^n = exp(n log z): one complex exponential over the
+        grid with a stored column of orders n.  [H | sum_k s_k Re z^n] is
+        one product of the powers' real view with the pattern's map (see
+        ``_pattern``), and h is its last column times 2/n.  Each Jacobian
+        entry has one nonzero term, a power's real or imaginary part times
+        its column's scale.  At N = 15 and K = 3 a call takes about 7 us
+        (one BLAS thread).  ``value`` forms its powers by a running product
+        instead; the two agree to 1e-12, not bit for bit.
         """
-        signs, jac_scale = self._pattern(flags)
-        polar = x[self._pole_cols] * self._pole_scale[:, 0]
-        log_z = polar[: signs.size] + 1j * polar[signs.size :]
-        powers = np.exp(self._orders * log_z)
-        H = powers.view(float).take(self._jac_gather, axis=1)
-        H *= jac_scale
-        return (powers.real @ signs) * self._weights, H
+        signs, lin_map = self._pattern(flags)
+        powers = np.exp(self._orders * (x @ self._log_z_map))
+        Hh = powers.view(float) @ lin_map
+        Hh[:, -1:] *= self._weights
+        return Hh[:, -1], Hh[:, :-1]
 
     def state_bounds(self):
         """Clamp bounds keeping frequencies inside (0, fs/2) and bandwidths >= 1 Hz.

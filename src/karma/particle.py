@@ -20,6 +20,7 @@ from .tracker import (
     _clamp,
     _make_result,
     _resolve_setup,
+    _whitener,
     default_params,
     ekf_filter,
 )
@@ -32,11 +33,6 @@ def _psd_factor(mat: np.ndarray) -> np.ndarray:
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
     return vecs * np.sqrt(vals)
-
-
-def _quadratic_form(resid: np.ndarray, r_inv: np.ndarray) -> np.ndarray:
-    """resid_i^T R^-1 resid_i for every row i of ``resid``."""
-    return np.einsum("ij,ij->i", resid @ r_inv, resid)
 
 
 def _systematic_resample(weights: np.ndarray, rng) -> np.ndarray:
@@ -68,11 +64,13 @@ def pf_track(
     Process noise is drawn only for the nonzero columns of Q's factor, one
     normal per particle and column per frame, and added in place; the
     particles are then clamped in place by the tracker's ``_clamp``, as
-    the EKF's mean is.  Each reweight takes one ``exp`` of the
-    log-weights shifted to a largest value of 0 and normalises by
-    division.  When the largest log-weight is not finite (every weight
-    underflowed), the weights reset to uniform with a warning.  Fixed seed
-    gives bit-identical output.
+    the EKF's mean is.  A particle's log-likelihood is
+    -1/2 ||W (y_t - h)||^2, with the EKF's whitener W (``_whitener``),
+    taken on the (N, particles) layout of ``value``'s sums.  Each
+    reweight takes one ``exp`` of the log-weights shifted to a largest
+    value of 0 and normalises by division.  When the largest log-weight
+    is not finite (every weight underflowed), the weights reset to
+    uniform with a warning.  Fixed seed gives bit-identical output.
     """
     if n_particles < 10:
         raise ValueError("need at least 10 particles")
@@ -83,7 +81,7 @@ def pf_track(
     chol_q = _psd_factor(params.Q)
     chol_q = chol_q[:, np.any(chol_q != 0.0, axis=0)]
     chol_s0 = _psd_factor(params.Sigma0)
-    r_inv = np.linalg.inv(params.R)
+    W = _whitener(params.R)
 
     particles = params.mu0 + rng.standard_normal((n_particles, dim)) @ chol_s0.T
     uniform = np.full(n_particles, 1.0 / n_particles)
@@ -99,8 +97,8 @@ def pf_track(
         _clamp(particles, bounds)
 
         if speech[t]:
-            resid = y[t] - obs_model.value(particles)
-            log_w -= 0.5 * _quadratic_form(resid, r_inv)
+            white = W @ (y[t][:, None] - obs_model.value(particles).T)  # (N, particles)
+            log_w -= 0.5 * np.einsum("np,np->p", white, white)
             shift = log_w.max()
             if not np.isfinite(shift):
                 warnings.warn("particle weights underflowed; resetting to uniform")
@@ -156,7 +154,8 @@ class BenchmarkSetup:
         return replace(params, Sigma0=np.diag(var0))
 
     def simulate(self, rng) -> tuple[np.ndarray, np.ndarray]:
-        """Draw (true_states, observations) from the state-space model."""
+        """Draw (true_states, observations) from the state-space model; the
+        observation noise is R's Cholesky factor times standard normals."""
         params = self.make_params()
         model = CepstralObservation(self.n_formants, 0, self.n_cepstra, self.sample_rate_hz)
         i, f = self.n_formants, state_columns(self.n_formants, 0)[0]
@@ -164,13 +163,13 @@ class BenchmarkSetup:
         x[f] += self.init_freq_std * rng.standard_normal(i)
         states = np.zeros((self.n_frames, params.state_dim))
         noise = np.zeros((self.n_frames, self.n_cepstra))
-        r_std = np.sqrt(np.diag(params.R))
         for t in range(self.n_frames):
             x[f] = np.clip(x[f] + self.freq_walk_std * rng.standard_normal(i), 100.0, 4900.0)
             states[t] = x
             noise[t] = rng.standard_normal(self.n_cepstra)
-        # a stacked value equals the per-row value bit for bit
-        return states, model.value(states) + r_std * noise
+        # a stacked value equals the per-row value bit for bit; for a
+        # diagonal R the noise is sqrt(R_nn) times each draw, bit for bit
+        return states, model.value(states) + noise @ np.linalg.cholesky(params.R).T
 
 
 def _freq_rmse(estimate: TrackResult, truth: np.ndarray) -> float:

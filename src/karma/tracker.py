@@ -9,20 +9,24 @@ Jacobian in the covariance update; the smoother is a fixed-interval
 Rauch-Tung-Striebel backward pass run in place over the filter's output.
 
 Each step has one function, shared by the filter, the smoother and the
-particle filter: ``_blocked``, ``_clamp`` and ``_solve_innovation``, an LU
-solve (``np.linalg.solve``, so the package needs nothing beyond numpy).
-The filter solves one innovation covariance S = H P Hᵀ + R per frame.
-The smoother's gains depend only on the filter's output, so it solves
-their predicted covariances a block of frames at a time.  Only a system
-that LU cannot solve is regularised with a small diagonal bump (and a
-warning).
+particle filter: ``_blocked`` decouples active from inactive entries,
+``_clamp`` clamps to the state bounds, and ``_whitener`` gives W = L⁻¹
+for R's Cholesky factor L (R = L Lᵀ).  The filter's update is whitened:
+with G = W H, one d x d LU solve per frame (``np.linalg.solve``, so the
+package needs nothing beyond numpy), (I + P GᵀG) X = [P Gᵀ eps | P],
+gives the mean step and the posterior covariance, in place of a solve
+with the N x N innovation covariance S = H P Hᵀ + R.  The particle
+filter's log-weights are whitened squared norms.  The smoother's gains
+depend only on the filter's output, so it solves their predicted
+covariances a block of frames at a time; only a system that LU cannot
+solve there is regularised with a small diagonal bump (and a warning).
 
-Silent frames coast: the Kalman gain is premultiplied by a diagonal 0/1
-mask so the update degenerates to pure prediction and uncertainty grows.
-Individual tracks may be deactivated per frame; an inactive track is an
-unobserved part of the state: it is excluded from the observation model,
-decoupled from the active block and coasts under Q, and when it
-reappears it resumes from its coasted mean and variance.
+Silent frames coast: they skip the update, so the step is pure
+prediction and uncertainty grows.  Individual tracks may be deactivated
+per frame; an inactive track is an unobserved part of the state: the
+filter zeroes its Jacobian columns, whatever the observation model
+returns, so it is decoupled from the active block and coasts under Q,
+and when it reappears it resumes from its coasted mean and variance.
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ __all__ = [
 class TrackerParams:
     """State-space parameter set (Q, R, mu0, Sigma0) plus track geometry.
 
-    Every entry is a random walk.  ``Q`` and ``Sigma0`` are symmetrised on
-    construction (a no-op for exactly symmetric input), so every predicted
-    covariance P + Q is exactly symmetric.  An entry known exactly (a
-    bandwidth supplied from outside, say) has its value in ``mu0`` and zero
-    rows and columns in ``Sigma0`` and ``Q``; the filter and smoother then
-    hold it fixed.
+    Every entry is a random walk.  ``Q``, ``Sigma0`` and ``R`` are
+    symmetrised on construction (a no-op for exactly symmetric input), so
+    every predicted covariance P + Q is exactly symmetric.  ``R`` must be
+    positive definite, since the filters whiten by its Cholesky factor
+    (``_whitener``).  An entry known exactly (a bandwidth supplied from
+    outside, say) has its value in ``mu0`` and zero rows and columns in
+    ``Sigma0`` and ``Q``; the filter and smoother then hold it fixed.
     """
 
     Q: np.ndarray
@@ -83,6 +88,11 @@ class TrackerParams:
             raise ValueError("mu0 length inconsistent with track counts")
         if self.R.shape != (self.n_cepstra, self.n_cepstra):
             raise ValueError("R must be N x N")
+        object.__setattr__(self, "R", _symmetrize(self.R))
+        try:
+            np.linalg.cholesky(self.R)
+        except np.linalg.LinAlgError:
+            raise ValueError("R must be positive definite") from None
 
     @property
     def state_dim(self) -> int:
@@ -203,6 +213,7 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
 
 def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
     """Solve x S = rhs, regularizing a singular S; S and rhs may be stacks.
+    The smoother's gain solve (``_rts_gains``).
 
     One LU solve, stacked for a stack.  Only when some S is singular or the
     result is not finite (its sum is not) is a stack solved S by S, and one
@@ -263,6 +274,12 @@ def _clamp(vec, bounds):
     return vec
 
 
+def _whitener(R: np.ndarray) -> np.ndarray:
+    """W = L⁻¹ for the Cholesky factor L of R = L Lᵀ, so that W R Wᵀ = I
+    and ‖W r‖² = rᵀ R⁻¹ r."""
+    return np.linalg.inv(np.linalg.cholesky(R))
+
+
 def _forward(y, params, speech, flags, obs_model):
     """Forward EKF recursion, yielding the filtered ``(m, P)`` per frame.
 
@@ -276,10 +293,26 @@ def _forward(y, params, speech, flags, obs_model):
     ends with the same clamp.  The predict keeps the mean and adds Q to
     P; P stays exactly symmetric, since Q is and every update ends
     symmetrised.
+
+    The update is whitened by W = ``_whitener(R)``: G = W H, with the
+    columns of inactive and known entries (zero Q and Sigma0 diagonal)
+    zeroed, and eps = W (y_t - h).  With A = I + P GᵀG, the push-through
+    identity P Gᵀ (G P Gᵀ + I)⁻¹ = A⁻¹ P Gᵀ makes the gain step one d x d
+    solve, A X = [P Gᵀ eps | P]: the mean moves by X[:, 0] and the
+    posterior covariance is X[:, 1:].  A's eigenvalues are those of
+    I + P^½ GᵀG P^½, all >= 1 for a PSD P, so A is never singular.
+    Inactive and known entries get zero rows in A - I and on the
+    right-hand side, so they keep their moments exactly.  The same solve
+    gives the normalized innovation squared, epsᵀeps - (Gᵀeps)ᵀ X[:, 0].
     """
     bounds = obs_model.state_bounds()
     rebuild = _flag_changes(flags)
     update = speech & flags.any(axis=1)
+    free = (np.diag(params.Q) != 0.0) | (np.diag(params.Sigma0) != 0.0)
+    W = _whitener(params.R)
+    dim = params.state_dim
+    stacked = np.empty((params.n_cepstra, dim + 1))  # [H | y_t - h]
+    work = np.empty((dim, 2 * dim + 1))  # [A | P Gᵀ eps | P]
 
     m, P = _clamp(params.mu0.copy(), bounds), params.Sigma0
     for t, g in enumerate(flags):
@@ -287,18 +320,25 @@ def _forward(y, params, speech, flags, obs_model):
             P = _blocked(P, g)
             Q = _blocked(params.Q, g)
             active = None if g.all() else g
+            unobserved = ~(g & free)
+            if not unobserved.any():
+                unobserved = None
         P = P + Q
 
         if update[t]:
             h_val, H = obs_model.linearize(m, active)
-            PHt = P @ H.T
-            S = H @ PHt + params.R
-            if active is not None:
-                PHt[~active, :] = 0.0
-            K = _solve_innovation(S, PHt, "ekf_filter")
-            m = m + K @ (y[t] - h_val)
-            P = _symmetrize(P - K @ H @ P)
-            m = _clamp(m, bounds)
+            stacked[:, :dim] = H
+            np.subtract(y[t], h_val, out=stacked[:, dim])
+            G_eps = W @ stacked  # [G | eps]
+            G = G_eps[:, :dim]
+            if unobserved is not None:
+                G[:, unobserved] = 0.0
+            np.matmul(P, G.T @ G_eps, out=work[:, : dim + 1])  # [P GᵀG | P Gᵀ eps]
+            work[:, dim + 1 :] = P
+            work.flat[:: 2 * dim + 2] += 1.0  # A = I + P GᵀG
+            X = np.linalg.solve(work[:, :dim], work[:, dim:])
+            m = _clamp(m + X[:, 0], bounds)
+            P = _symmetrize(X[:, 1:])
 
         yield m, P
 

@@ -231,6 +231,30 @@ class TestFrozenReferenceKernel:
                 np.testing.assert_allclose(H, H_ref, **CLOSE)
 
     @pytest.mark.parametrize("counts", TRACK_COUNTS)
+    @pytest.mark.parametrize("n_coeffs", [1, 15, 30])
+    def test_jacobian_equals_gather_and_scale(self, counts, n_coeffs):
+        """H from the map product has the bits of the former route: log z from
+        one gather and scale, then one column gather of the powers' real view
+        and one multiply by per-column scales."""
+        i, j = counts
+        k, fs = i + j, 8000.0
+        rng = np.random.default_rng(13 * i + j + n_coeffs)
+        freq_cols, bw_cols, _ = frozen_columns(i, j)
+        gather = np.empty(2 * k, dtype=np.intp)
+        gather[freq_cols], gather[bw_cols] = 2 * np.arange(k) + 1, 2 * np.arange(k)
+        model = CepstralObservation(i, j, n_coeffs, fs)
+        for _ in range(20):
+            x = random_states(rng, i, j, (), fs=fs)
+            for active in (None, entry_flags(rng.random(i) < 0.5, rng.random(j) < 0.5)):
+                polar = x[np.r_[bw_cols, freq_cols]] * (np.repeat([-np.pi, 2.0 * np.pi], k) / fs)
+                powers = np.exp(np.arange(1, n_coeffs + 1, dtype=float)[:, None] * (polar[:k] + 1j * polar[k:]))
+                scale = (-2.0 * np.pi / fs) * model._pattern(active)[0]
+                col_scale = np.empty(2 * k)
+                col_scale[freq_cols], col_scale[bw_cols] = 2.0 * scale, scale
+                H_ref = powers.view(float).take(gather, axis=1) * col_scale
+                assert np.array_equal(model.linearize(x, active)[1], H_ref)
+
+    @pytest.mark.parametrize("counts", TRACK_COUNTS)
     def test_state_routes_equal_frozen(self, counts):
         i, j = counts
         rng = np.random.default_rng(11 * i + j)

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from karma.particle import BenchmarkSetup, _quadratic_form, _systematic_resample, ekf_pf_benchmark, pf_track
+from karma.particle import BenchmarkSetup, _systematic_resample, ekf_pf_benchmark, pf_track
 from karma.cepstrum import CepstralObservation
 from karma.tracker import TrackerParams, ekf_filter
 
@@ -63,8 +65,11 @@ class TestPfTrack:
         assert np.array_equal(res.means, silent.means)
         assert np.array_equal(res.covariances, silent.covariances)
 
-    def test_matches_kalman_within_monte_carlo_error(self):
-        params = linear_params()
+    @pytest.mark.parametrize(
+        "R", [0.5 * np.eye(2), np.array([[0.5, 0.2], [0.2, 0.4]])], ids=["diagonal-r", "correlated-r"]
+    )
+    def test_matches_kalman_within_monte_carlo_error(self, R):
+        params = replace(linear_params(), R=R)
         H = np.array([[1.0, 0.0], [0.5, 1.0]])
         rng = np.random.default_rng(100)
         x = params.mu0 + rng.standard_normal(2)
@@ -72,7 +77,7 @@ class TestPfTrack:
         for _ in range(30):
             x = x + np.sqrt(0.3) * rng.standard_normal(2)
             states.append(x)
-            obs.append(H @ x + np.sqrt(0.5) * rng.standard_normal(2))
+            obs.append(H @ x + np.linalg.cholesky(R) @ rng.standard_normal(2))
         obs = np.asarray(obs)
         model = LinearObservation(H)
         kf = ekf_filter(obs, params, obs_model=model)
@@ -127,17 +132,6 @@ class TestSystematicResample:
             assert idx.min() >= 0 and idx.max() == 999
             assert np.all(np.diff(idx) >= 0)
         assert past_the_end > 0
-
-
-class TestQuadraticForm:
-    @pytest.mark.parametrize("n_particles, n_obs", [(1, 1), (100, 15), (1000, 15), (37, 20)])
-    def test_matches_three_operand_einsum(self, n_particles, n_obs):
-        rng = np.random.default_rng(n_particles + n_obs)
-        resid = rng.standard_normal((n_particles, n_obs))
-        a = rng.standard_normal((n_obs, n_obs))
-        r_inv = np.linalg.inv(a @ a.T + n_obs * np.eye(n_obs))
-        expected = np.einsum("ij,jk,ik->i", resid, r_inv, resid)
-        np.testing.assert_allclose(_quadratic_form(resid, r_inv), expected, rtol=1e-12)
 
 
 class TestBenchmark:
@@ -216,7 +210,7 @@ class TestBenchmark:
         assert np.array_equal(runs[0].means, runs[1].means)
         assert np.array_equal(runs[0].covariances, runs[1].covariances)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", range(8))
     def test_stacked_simulation_equals_per_frame_loop(self, seed):
         setup = BenchmarkSetup()
         states, obs = setup.simulate(np.random.default_rng(seed))
@@ -237,6 +231,22 @@ class TestBenchmark:
             ref_obs[t] = model.value(x) + r_std * rng.standard_normal(setup.n_cepstra)
         assert np.array_equal(states, ref_states)
         assert np.array_equal(obs, ref_obs)
+
+    def test_simulated_noise_has_the_correlated_r(self):
+        class CorrelatedSetup(BenchmarkSetup):
+            def make_params(self):
+                params = super().make_params()
+                n = np.arange(self.n_cepstra)
+                R = 0.3 ** np.abs(n[:, None] - n) / np.sqrt(np.outer(n + 1, n + 1))
+                return replace(params, R=R)
+
+        setup = CorrelatedSetup(n_frames=20000)
+        R = setup.make_params().R
+        states, obs = setup.simulate(np.random.default_rng(6))
+        model = CepstralObservation(setup.n_formants, 0, setup.n_cepstra, setup.sample_rate_hz)
+        resid = obs - model.value(states)
+        cov = resid.T @ resid / len(resid)
+        assert np.abs(cov - R).max() <= 0.05 * np.abs(R).max()
 
     @pytest.mark.parametrize(
         "counts, match",

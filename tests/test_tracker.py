@@ -104,6 +104,7 @@ def stored_forward(y, params, speech, activation, obs_model):
         gain_rows = g if speech[t] else np.zeros(dim, dtype=bool)
         if gain_rows.any():
             h_val, H = obs_model.linearize(m, g)
+            H = H * g  # an inactive entry is unobserved, whatever the model's Jacobian
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
             PHt[~gain_rows, :] = 0.0
@@ -355,12 +356,12 @@ class TestIdentityPredict:
             assert np.array_equal(P_pred, P_pred.T)
             m, P = filtered[t]
 
-    @pytest.mark.parametrize("name", ["Q", "Sigma0"])
+    @pytest.mark.parametrize("name", ["Q", "Sigma0", "R"])
     def test_lopsided_input_comes_out_symmetric(self, name):
         mat = np.array([[2.0, 0.3], [0.1, 1.0]])
-        mats = {"Q": np.eye(2), "Sigma0": np.eye(2), name: mat}
+        mats = {"Q": np.eye(2), "Sigma0": np.eye(2), "R": np.eye(2), name: mat}
         params = TrackerParams(
-            R=np.eye(2), mu0=np.zeros(2), n_formants=1, n_antiformants=0,
+            mu0=np.zeros(2), n_formants=1, n_antiformants=0,
             n_cepstra=2, sample_rate_hz=8000.0, **mats
         )
         got = getattr(params, name)
@@ -457,17 +458,24 @@ class TestSolveInnovation:
         assert np.all(sol[[0, 2, 3, 5]] != 0.0)
 
 
+CORRELATED_R = np.array([[0.5, 0.2], [0.2, 0.4]])
+
+
 class TestLinearSurrogate:
-    def test_filter_matches_closed_form(self):
+    @pytest.mark.parametrize("R", [None, CORRELATED_R], ids=["diagonal-r", "correlated-r"])
+    def test_filter_matches_closed_form(self, R):
         params, obs_model = linear_system()
+        params = params if R is None else replace(params, R=R)
         y = np.random.default_rng(3).standard_normal((30, 2)) * 2.0
         res = ekf_filter(y, params, obs_model=obs_model)
         mf, Pf, _, _ = kalman_oracle(y, params, obs_model.H)
         assert np.abs(res.means - mf).max() < 1e-10
         assert np.abs(res.covariances - Pf).max() < 1e-10
 
-    def test_smoother_matches_closed_form_and_map(self):
+    @pytest.mark.parametrize("R", [None, CORRELATED_R], ids=["diagonal-r", "correlated-r"])
+    def test_smoother_matches_closed_form_and_map(self, R):
         params, obs_model = linear_system()
+        params = params if R is None else replace(params, R=R)
         y = np.random.default_rng(4).standard_normal((25, 2))
         res = eks_smooth(y, params, obs_model=obs_model)
         _, _, ms, Ps = kalman_oracle(y, params, obs_model.H)
@@ -572,6 +580,27 @@ class TestCepstralTracking:
             grown = res.variances[9, entries] + k * q
             assert np.array_equal(res.means[9 + k, entries], res.means[9, entries])
             assert res.variances[9 + k, entries] == pytest.approx(grown, rel=1e-12)
+
+    @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
+    def test_inactive_entries_stay_decoupled_under_a_flag_blind_model(self, run):
+        # LinearObservation's Jacobian ignores the flags: the tracker itself
+        # must drop the inactive entries' columns.  The antiformant is off
+        # from frame 1 to the end, so no later frame couples it in the smoother.
+        params = TrackerParams(
+            Q=np.diag([0.3, 0.2, 0.3, 0.2]), R=np.diag([0.5, 0.4, 0.3]), mu0=[1.0, -2.0, 0.5, 1.5],
+            Sigma0=np.diag([2.0, 1.0, 2.0, 1.0]), n_formants=1, n_antiformants=1, n_cepstra=3,
+            sample_rate_hz=8000.0,
+        )
+        H = np.array([[1.0, 0.0, 0.5, 0.0], [0.5, 1.0, 0.0, 0.3], [0.0, 0.2, 1.0, 1.0]])
+        activation = TrackActivation.all_active(4, 1, 1)
+        activation.antiformants[1:, 0] = False
+        y = np.random.default_rng(13).standard_normal((4, 3))
+        res = run(y, params, activation=activation, obs_model=LinearObservation(H))
+        for t in range(1, 4):
+            assert np.all(res.covariances[t, :2, 2:] == 0.0)
+            assert np.all(res.covariances[t, 2:, :2] == 0.0)
+        if run is ekf_filter:  # the inactive antiformant only coasts
+            assert np.array_equal(res.means[1:, 2:], np.tile(res.means[0, 2:], (3, 1)))
 
     @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
     def test_activation_width_checked(self, run):
@@ -787,6 +816,8 @@ TRACKER_INPUT_CHECKS = {
     "sigma0-shape": (lambda: params_with(Sigma0=np.eye(3)), "^Sigma0 must be 2x2"),
     "mu0-length": (lambda: params_with(mu0=[500.0, 80.0, 1.0]), "^mu0 length inconsistent"),
     "r-shape": (lambda: params_with(R=np.eye(3)), "^R must be N x N"),
+    "r-zero": (lambda: params_with(R=np.zeros((2, 2))), "^R must be positive definite"),
+    "r-negative-diagonal": (lambda: params_with(R=np.diag([1.0, -0.5])), "^R must be positive definite"),
     "activation-lengths-differ": (
         lambda: TrackActivation(np.ones((3, 1), bool), np.ones((4, 1), bool)),
         "^formant/antiformant flag lengths differ",
