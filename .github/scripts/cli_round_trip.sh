@@ -6,6 +6,8 @@
 #
 #     bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
+# a warning is a failure: a default run that starts to regularise, say, must not pass
+export PYTHONWARNINGS=error::UserWarning
 cd "$(mktemp -d)"
 
 karma synth nan --out n.wav --ref r.csv && karma track n.wav --out t.csv && karma eval r.csv r.csv --formants 2

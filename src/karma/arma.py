@@ -17,7 +17,8 @@ the tracker's cepstral noise R = diag(1/n) resolves.
 
 ``_minimum_phase_rows`` is the one minimum-phase check, which
 ``cepstrum.arma_cepstra`` calls on every stack of fits; ``_reflect_rows``
-is the one root reflection.  ``ArmaModel`` is the one-frame result of
+is the one root reflection; ``_solve_each`` is the package's one stacked
+linear solve.  ``ArmaModel`` is the one-frame result of
 ``estimate_ar`` and ``estimate_arma``; the batched fits return arrays.
 """
 
@@ -263,21 +264,27 @@ def _lag_rows(padded: np.ndarray, n: int, k: int) -> np.ndarray:
     return as_strided(padded[start:], shape=(k, n), strides=(-step, step), writeable=False)
 
 
-def _solve_rows(hess: np.ndarray, grad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solutions (L, M) of the stacked systems hess (L, M, M) and grad
-    (L, M, 1), and which rows were solved: one stacked solve, or row by row
-    when some system is singular."""
+def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solutions x (L, M, K) of the stacked systems a x = b, a (L, M, M) and
+    b (L, M, K), and which systems were solved (L,): one stacked LU solve,
+    or system by system, with the same bits, when some system is singular
+    or the result's sum is not finite.  An unsolved system (its solve raises
+    or its x is not finite) gets x = 0."""
     try:
-        return np.linalg.solve(hess, grad)[:, :, 0], np.ones(len(hess), dtype=bool)
+        x = np.linalg.solve(a, b)
+        if np.isfinite(x.sum()):
+            return x, np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
-        delta, solved = np.zeros(grad.shape[:2]), np.zeros(len(hess), dtype=bool)
-        for j in range(len(hess)):
-            try:
-                delta[j] = np.linalg.solve(hess[j], grad[j, :, 0])
-                solved[j] = True
-            except np.linalg.LinAlgError:
-                pass
-        return delta, solved
+        pass
+    x, solved = np.zeros(b.shape), np.zeros(len(a), dtype=bool)
+    for j in range(len(a)):
+        try:
+            xj = np.linalg.solve(a[j], b[j])
+        except np.linalg.LinAlgError:
+            continue
+        if np.isfinite(xj.sum()):
+            x[j], solved[j] = xj, True
+    return x, solved
 
 
 def fit_arma_frames(frames: np.ndarray, p: int, q: int):
@@ -379,10 +386,10 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
             h.flat[:: p + q + 1] += 1e-10 * max(np.trace(h), 1.0)
             hess[j] = h
             grad[j, :, 0] = -(jt @ e[i])
-        delta, solved = _solve_rows(hess, grad)
+        delta, solved = _solve_each(hess, grad)
         # A row whose solve fails stops; so does one whose Gauss-Newton
         # decrement grad' delta, the fall its step predicts, is too small.
-        live, grad, delta = live[solved], grad[solved, :, 0], delta[solved]
+        live, grad, delta = live[solved], grad[solved, :, 0], delta[solved, :, 0]
         small = np.sum(grad * delta, axis=1) < _GN_REL_TOL * sse[live]
         converged[rows[live[small]]] = True
         live, delta = live[~small], delta[~small]

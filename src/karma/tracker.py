@@ -18,8 +18,9 @@ gives the mean step and the posterior covariance, in place of a solve
 with the N x N innovation covariance S = H P Hᵀ + R.  The particle
 filter's log-weights are whitened squared norms.  The smoother's gains
 depend only on the filter's output, so it solves their predicted
-covariances a block of frames at a time; only a system that LU cannot
-solve there is regularised with a small diagonal bump (and a warning).
+covariances a block of frames at a time with the ARMA fit's stacked
+solve (``arma._solve_each``); only a system that LU cannot solve there is
+regularised with a small diagonal bump (and a warning).
 
 Silent frames coast: they skip the update, so the step is pure
 prediction and uncertainty grows.  Individual tracks may be deactivated
@@ -31,12 +32,12 @@ and when it reappears it resumes from its coasted mean and variance.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .arma import _solve_each
 from .cepstrum import CepstralObservation, state_columns
 from .frontend import _row_blocks
 
@@ -59,9 +60,13 @@ class TrackerParams:
     symmetrised on construction (a no-op for exactly symmetric input), so
     every predicted covariance P + Q is exactly symmetric.  ``R`` must be
     positive definite, since the filters whiten by its Cholesky factor
-    (``_whitener``).  An entry known exactly (a bandwidth supplied from
-    outside, say) has its value in ``mu0`` and zero rows and columns in
-    ``Sigma0`` and ``Q``; the filter and smoother then hold it fixed.
+    (``_whitener``), and ``Q`` and ``Sigma0`` positive semidefinite
+    (eigenvalues >= -1e-12 max(1, max |entry|)); every array must be
+    finite and the sample rate and hop positive.  An entry known exactly
+    (a bandwidth supplied from outside, say) has its value in ``mu0`` and
+    zero rows and columns in ``Sigma0`` and ``Q``; ``known`` names these
+    entries, by their zero diagonals, and the filter and smoother hold
+    them fixed.
     """
 
     Q: np.ndarray
@@ -89,6 +94,18 @@ class TrackerParams:
         if self.R.shape != (self.n_cepstra, self.n_cepstra):
             raise ValueError("R must be N x N")
         object.__setattr__(self, "R", _symmetrize(self.R))
+        for name in ("Q", "R", "Sigma0", "mu0"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
+        for name in ("sample_rate_hz", "hop_s"):
+            if not 0.0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in ("Q", "Sigma0"):
+            mat = getattr(self, name)
+            if (np.linalg.eigvalsh(mat) < -1e-12 * np.abs(mat).max(initial=1.0)).any():
+                raise ValueError(f"{name} must be positive semidefinite")
+        if self.Q[self.known].any() or self.Sigma0[self.known].any():
+            raise ValueError("a known entry (zero Q and Sigma0 diagonal) needs zero rows in both")
         try:
             np.linalg.cholesky(self.R)
         except np.linalg.LinAlgError:
@@ -97,6 +114,12 @@ class TrackerParams:
     @property
     def state_dim(self) -> int:
         return state_columns(self.n_formants, self.n_antiformants)[-1].stop
+
+    @property
+    def known(self) -> np.ndarray:
+        """Which state entries are known exactly, (dim,) bool: those with a
+        zero diagonal in both ``Q`` and ``Sigma0``."""
+        return (np.diag(self.Q) == 0.0) & (np.diag(self.Sigma0) == 0.0)
 
 
 @dataclass(frozen=True)
@@ -211,28 +234,6 @@ def _symmetrize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.T)
 
 
-def _solve_innovation(S: np.ndarray, rhs: np.ndarray, warn_label: str) -> np.ndarray:
-    """Solve x S = rhs, regularizing a singular S; S and rhs may be stacks.
-    The smoother's gain solve (``_rts_gains``).
-
-    One LU solve, stacked for a stack.  Only when some S is singular or the
-    result is not finite (its sum is not) is a stack solved S by S, and one
-    S with a small diagonal bump and a "singular innovation covariance"
-    warning.  A zero row of ``rhs`` gives an exactly zero row of x.
-    """
-    try:
-        sol = np.linalg.solve(S.swapaxes(-1, -2), rhs.swapaxes(-1, -2)).swapaxes(-1, -2)
-        if math.isfinite(sol.sum()):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    if S.ndim == 3:
-        return np.stack([_solve_innovation(a, b, warn_label) for a, b in zip(S, rhs)])
-    warnings.warn(f"singular innovation covariance in {warn_label}; regularizing")
-    bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
-    return np.linalg.solve((S + bump * np.eye(S.shape[0])).T, rhs.T).T
-
-
 def _resolve_setup(obs, params, mask, activation, obs_model):
     """Checked inputs of a tracker run: ``(y, speech, activation, flags,
     obs_model)``, with ``flags`` the activation's ``_entry_flags``."""
@@ -295,7 +296,7 @@ def _forward(y, params, speech, flags, obs_model):
     symmetrised.
 
     The update is whitened by W = ``_whitener(R)``: G = W H, with the
-    columns of inactive and known entries (zero Q and Sigma0 diagonal)
+    columns of inactive and known entries (``TrackerParams.known``)
     zeroed, and eps = W (y_t - h).  With A = I + P GᵀG, the push-through
     identity P Gᵀ (G P Gᵀ + I)⁻¹ = A⁻¹ P Gᵀ makes the gain step one d x d
     solve, A X = [P Gᵀ eps | P]: the mean moves by X[:, 0] and the
@@ -308,7 +309,7 @@ def _forward(y, params, speech, flags, obs_model):
     bounds = obs_model.state_bounds()
     rebuild = _flag_changes(flags)
     update = speech & flags.any(axis=1)
-    free = (np.diag(params.Q) != 0.0) | (np.diag(params.Sigma0) != 0.0)
+    free = ~params.known
     W = _whitener(params.R)
     dim = params.state_dim
     stacked = np.empty((params.n_cepstra, dim + 1))  # [H | y_t - h]
@@ -396,23 +397,29 @@ def ekf_filter(
 _GAIN_BLOCK_DIVISOR = 64
 
 
-def _rts_gains(P_filt, flags, rebuild, Q, no_noise):
+def _rts_gains(P_filt, flags, Q, known):
     """Entering covariances, predicted covariances and RTS gains of a block
     of frames, all (B, dim, dim), from the filtered covariances of the
-    frames before them (``P_filt``) and their own entry flags (``flags``,
-    and ``rebuild`` where those changed).
+    frames before them (``P_filt``), their own entry flags (``flags``) and
+    ``TrackerParams.known``.
 
-    The entering covariances are ``_blocked`` where the flags change; the
-    gains are one ``_solve_innovation`` call on the stack.
+    The entering covariances are ``_blocked`` by their frames' flags (a
+    no-op, ±0 aside, where those are the flags they were filtered with).
+    Known entries get a unit diagonal, which keeps the gain solve regular
+    and gives them zero gains.  The gains are one ``_solve_each`` call on
+    the transposed stack; a frame it leaves unsolved is regularised with a
+    small diagonal bump, and a warning.
     """
-    P_prev = _blocked(P_filt, flags | ~rebuild[:, None])  # all-equal flags block nothing
+    P_prev = _blocked(P_filt, flags)
     P_pred = P_prev + _blocked(Q, flags)
-    if no_noise.size:
-        # a unit diagonal keeps the gain solve regular and still gives a
-        # known entry a zero gain
-        diag = P_pred[:, no_noise, no_noise]
-        P_pred[:, no_noise, no_noise] = np.where(diag == 0.0, 1.0, diag)
-    return P_prev, P_pred, _solve_innovation(P_pred, P_prev, "eks_smooth")
+    P_pred[:, known, known] = 1.0
+    gains, solved = _solve_each(P_pred.swapaxes(1, 2), P_prev.swapaxes(1, 2))
+    for k in np.flatnonzero(~solved):
+        warnings.warn("singular innovation covariance in eks_smooth; regularizing")
+        S = P_pred[k]
+        bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
+        gains[k] = np.linalg.solve((S + bump * np.eye(S.shape[0])).T, P_prev[k].T)
+    return P_prev, P_pred, gains.swapaxes(1, 2)
 
 
 def eks_smooth(
@@ -426,30 +433,27 @@ def eks_smooth(
     RTS backward pass.
 
     The backward pass overwrites the filter's output in place and stores
-    no predictions: it rebuilds frame t's predicted moments from frame
+    no predictions: it recomputes frame t's predicted moments from frame
     t-1's filtered ones by the forward pass's rule.  The mean carries
-    over, and the entering covariance, decoupled where the activation
-    flags change, gains the blocked Q.  Under the random walk the gain's
+    over, and the entering covariance, blocked by frame t's activation
+    flags, gains the blocked Q.  Under the random walk the gain's
     right-hand side is that entering covariance itself.  The gains depend
     only on the filter's output, so they are taken a block of frames at a
     time (``_rts_gains``, one stacked solve), just before the backward
     pass reaches the block.
-    An entry whose predicted variance is exactly zero is known (see
-    ``ekf_filter``) and gets a zero smoother gain, so it keeps its value
-    and zero variance.
+    A known entry (``TrackerParams.known``) gets a zero smoother gain, so
+    it keeps its value and zero variance.
     """
     y, speech, activation, flags, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
     m_s, P_s = _filtered(y, params, speech, flags, obs_model)
 
     bounds = obs_model.state_bounds()
-    rebuild = _flag_changes(flags)
-    # only an entry without process noise can have zero predicted variance
-    no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
+    known = params.known
     # m_s/P_s hold the filtered moments until the backward pass reaches
     # them.  A block smooths frames ``rows`` with the gains of frames ``rows`` + 1.
     for rows in reversed(_row_blocks(len(y) - 1, _GAIN_BLOCK_DIVISOR * P_s[:1].nbytes)):
         after = slice(rows.start + 1, rows.stop + 1)
-        P_prev, P_pred, gains = _rts_gains(P_s[rows], flags[after], rebuild[after], params.Q, no_noise)
+        P_prev, P_pred, gains = _rts_gains(P_s[rows], flags[after], params.Q, known)
         for k in range(len(gains) - 1, -1, -1):
             t, G = rows.start + k, gains[k]
             m = m_s[t]

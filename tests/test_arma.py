@@ -18,6 +18,7 @@ from karma.arma import (
     _minimum_phase_rows,
     _reflect_rows,
     _roots_rows,
+    _solve_each,
     estimate_ar,
     estimate_arma,
     fit_ar_frames,
@@ -563,6 +564,55 @@ class TestFitArmaFrames:
         ar, ma, noise_variance, converged, objectives = fit_arma_frames(np.zeros((0, 50)), 4, 2)
         assert ar.shape == (0, 4) and ma.shape == (0, 2) and noise_variance.shape == (0,)
         assert converged.shape == (0,) and objectives == []
+
+
+def solve_stack(rng, n_systems=5, m=6, k=4):
+    """A stack of well-conditioned (positive definite and indefinite) systems a x = b."""
+    q, _ = np.linalg.qr(rng.standard_normal((n_systems, m, m)))
+    eig = rng.uniform(0.5, 2.0, (n_systems, m)) * np.where(np.arange(m) % 3 == 0, -1.0, 1.0)
+    eig[::2] = np.abs(eig[::2])
+    return q @ (eig[:, :, None] * q.swapaxes(1, 2)), rng.standard_normal((n_systems, m, k))
+
+
+def solve_one_by_one(a, b):
+    return np.stack([np.linalg.solve(aj, bj) for aj, bj in zip(a, b)])
+
+
+class TestSolveEach:
+    """The one stacked solve: LU on the whole stack, or system by system when some system fails."""
+
+    def test_stacked_equals_one_by_one(self):
+        a, b = solve_stack(np.random.default_rng(30))
+        x, solved = _solve_each(a, b)
+        assert solved.all()
+        assert np.array_equal(x, solve_one_by_one(a, b))
+
+    def test_zero_column_gives_zero_column(self):
+        a, b = solve_stack(np.random.default_rng(32))
+        b[:, :, [1, 3]] = 0.0
+        x, _ = _solve_each(a, b)
+        assert np.array_equal(x[:, :, [1, 3]], np.zeros((5, 6, 2)))
+        assert np.all(x[:, :, [0, 2]] != 0.0)
+
+    def test_singular_system_leaves_the_others_solved(self):
+        a, b = solve_stack(np.random.default_rng(33))
+        a[2, :, 0] = 0.0  # a zero column: exactly singular
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        x, solved = _solve_each(a, b)
+        assert solved.tolist() == [True, True, False, True, True]
+        assert np.array_equal(x[2], np.zeros((6, 4)))
+        assert np.array_equal(x[solved], solve_one_by_one(a[solved], b[solved]))
+
+    def test_non_finite_result_is_unsolved(self):
+        a, b = solve_stack(np.random.default_rng(34))
+        a[1] = np.diag([1e-300] + [1.0] * 5)  # regular for LU, but x overflows
+        b[1, 0] = 1e300
+        assert not np.isfinite(np.linalg.solve(a, b)).all()
+        x, solved = _solve_each(a, b)
+        assert solved.tolist() == [True, False, True, True, True]
+        assert np.array_equal(x[1], np.zeros((6, 4)))
+        assert np.array_equal(x[solved], solve_one_by_one(a[solved], b[solved]))
 
 
 class TestReflectRoots:

@@ -17,11 +17,9 @@ from karma.tracker import (
     TrackActivation,
     TrackerParams,
     _blocked,
-    _flag_changes,
     _forward,
     _resolve_setup,
     _rts_gains,
-    _solve_innovation,
     _symmetrize,
     default_params,
     ekf_filter,
@@ -298,7 +296,8 @@ class TestStoredRecursionOracle:
 def predict_problems(draw):
     """Linear runs with dense, exactly symmetric Sigma0 and Q and random
     activation flags; now and then Sigma0 or Q is not quite symmetric, which
-    ``TrackerParams`` symmetrises."""
+    ``TrackerParams`` symmetrises (and still positive semidefinite, which
+    it checks)."""
     n_f = draw(st.integers(1, 3))
     n_a = draw(st.integers(0, 2))
     n_frames = draw(st.integers(1, 16))
@@ -310,6 +309,7 @@ def predict_problems(draw):
     for mat in (Q, Sigma0):
         if draw(st.booleans()):
             mat[0, 1] += 1e-3
+            mat += 1e-3 * np.eye(dim)  # outweighs the ±0.5e-3 that the asymmetry adds
     params = TrackerParams(
         Q=Q,
         R=np.diag(rng.uniform(0.2, 1.0, 4)),
@@ -410,52 +410,6 @@ class TestInitialClamp:
     def test_silent_run_holds_clamped_mu0(self, run):
         res = run(self.obs, self.params, mask=np.zeros(len(self.obs), bool))
         assert np.array_equal(res.means, np.tile(self.clamped, (len(self.obs), 1)))
-
-
-def spd_system(rng, n=15, d=6):
-    A = rng.standard_normal((n, n))
-    return A @ A.T + n * np.eye(n), rng.standard_normal((d, n))
-
-
-def indefinite_system(rng, n=15, d=6):
-    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eig = rng.uniform(0.5, 2.0, n) * np.where(np.arange(n) % 3 == 0, -1.0, 1.0)
-    return _symmetrize(Q @ np.diag(eig) @ Q.T), rng.standard_normal((d, n))
-
-
-class TestSolveInnovation:
-    """Both routes of the gain solve: LU, symmetric positive definite or not, and the regularised LU."""
-
-    def test_positive_definite_matches_lu(self):
-        S, rhs = spd_system(np.random.default_rng(30))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = _solve_innovation(S, rhs, "test")
-        want = np.linalg.solve(S, rhs.T).T
-        assert np.abs(sol - want).max() <= 1e-12 * np.abs(want).max()
-
-    def test_indefinite_falls_back_to_lu(self):
-        S, rhs = indefinite_system(np.random.default_rng(31))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            sol = _solve_innovation(S, rhs, "test")
-        assert np.array_equal(sol, np.linalg.solve(S.T, rhs.T).T)
-
-    def test_singular_is_regularized_with_a_warning(self):
-        S = np.diag([1.0, 0.0, 2.0])
-        rhs = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
-        with pytest.warns(UserWarning, match="singular innovation covariance in test"):
-            sol = _solve_innovation(S, rhs, "test")
-        assert np.all(np.isfinite(sol))
-        assert np.array_equal(sol[1], np.zeros(3))
-
-    @pytest.mark.parametrize("system", [spd_system, indefinite_system])
-    def test_zero_rows_give_zero_gain_rows(self, system):
-        S, rhs = system(np.random.default_rng(32))
-        rhs[[1, 4]] = 0.0
-        sol = _solve_innovation(S, rhs, "test")
-        assert np.array_equal(sol[[1, 4]], np.zeros((2, S.shape[0])))
-        assert np.all(sol[[0, 2, 3, 5]] != 0.0)
 
 
 CORRELATED_R = np.array([[0.5, 0.2], [0.2, 0.4]])
@@ -709,13 +663,17 @@ class TestStackedGains:
         assert np.all(np.isfinite(res.means)) and np.all(np.isfinite(res.covariances))
 
     def test_fallback_solves_regular_frames_without_warning(self):
-        P_filt = np.stack([2.0 * np.eye(2), np.ones((2, 2)), np.diag([1.0, 3.0])])
-        flags, rebuild = np.ones((3, 2), bool), np.zeros(3, bool)
+        # entry 2 is known: zero rows and columns in every filtered covariance
+        P_filt = np.zeros((3, 3, 3))
+        P_filt[:, :2, :2] = [2.0 * np.eye(2), np.ones((2, 2)), np.diag([1.0, 3.0])]
+        flags, known = np.ones((3, 3), bool), np.array([False, False, True])
         with pytest.warns(UserWarning, match="singular innovation covariance in eks_smooth") as caught:
-            _, _, gains = _rts_gains(P_filt, flags, rebuild, np.zeros((2, 2)), np.arange(2))
+            _, _, gains = _rts_gains(P_filt, flags, np.zeros((3, 3)), known)
         assert len(caught) == 1
-        assert np.array_equal(gains[[0, 2]], np.stack([np.eye(2)] * 2))
+        assert np.array_equal(gains[[0, 2]], np.stack([np.diag([1.0, 1.0, 0.0])] * 2))
         assert np.all(np.isfinite(gains[1]))
+        # the regularised frame still gives the known entry a zero gain row and column
+        assert np.all(gains[1, 2, :] == 0.0) and np.all(gains[1, :, 2] == 0.0)
 
     def test_known_entries_get_zero_gains(self):
         problem = long_schedule_problem(known=True)  # entry 4 is known
@@ -724,12 +682,10 @@ class TestStackedGains:
             problem["obs"], params, problem["mask"], problem["activation"], None
         )
         filt = ekf_filter(y, params, speech, activation, obs_model)
-        rebuild = _flag_changes(flags)
-        no_noise = np.flatnonzero(np.diag(params.Q) == 0.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, P_pred, gains = _rts_gains(filt.covariances[:-1], flags[1:], rebuild[1:], params.Q, no_noise)
-        assert np.array_equal(no_noise, [4])
+            _, P_pred, gains = _rts_gains(filt.covariances[:-1], flags[1:], params.Q, params.known)
+        assert np.flatnonzero(params.known).tolist() == [4]
         assert np.all(P_pred[:, 4, 4] == 1.0)
         assert np.all(gains[:, 4, :] == 0.0) and np.all(gains[:, :, 4] == 0.0)
         assert np.all(np.abs(gains[:, :4, :4]).max(axis=(1, 2)) > 0.0)
@@ -809,6 +765,16 @@ def params_with(**fields):
     return TrackerParams(**{**values, **fields})
 
 
+def test_known_entries_have_zero_q_and_sigma0_diagonals():
+    # this rank-one Q has an eigenvalue a rounding error below zero: still positive semidefinite
+    v = np.random.default_rng(41).standard_normal((2, 1)) * 300.0
+    assert np.linalg.eigvalsh(v @ v.T)[0] < 0.0
+    assert params_with(Q=v @ v.T).known.tolist() == [False, False]
+    assert params_with(Q=np.diag([0.0, 1.0]), Sigma0=np.diag([0.0, 1.0])).known.tolist() == [True, False]
+    assert params_with(Q=np.diag([0.0, 1.0])).known.tolist() == [False, False]
+    assert params_with(Sigma0=np.diag([1.0, 0.0])).known.tolist() == [False, False]
+
+
 NOT_2D = r"^tracks must be \(frames, states\)"
 NOT_FLAG_TABLES = r"^activation flags must be \(T, I\) and \(T, J\) arrays"
 TRACKER_INPUT_CHECKS = {
@@ -818,6 +784,21 @@ TRACKER_INPUT_CHECKS = {
     "r-shape": (lambda: params_with(R=np.eye(3)), "^R must be N x N"),
     "r-zero": (lambda: params_with(R=np.zeros((2, 2))), "^R must be positive definite"),
     "r-negative-diagonal": (lambda: params_with(R=np.diag([1.0, -0.5])), "^R must be positive definite"),
+    "r-nan": (lambda: params_with(R=np.diag([1.0, np.nan])), "^R must be finite"),
+    "q-nan": (lambda: params_with(Q=np.diag([1.0, np.nan])), "^Q must be finite"),
+    "q-negative-definite": (lambda: params_with(Q=-0.5 * np.eye(2)), "^Q must be positive semidefinite"),
+    "q-minus-identity": (lambda: params_with(Q=-np.eye(2)), "^Q must be positive semidefinite"),
+    "sigma0-indefinite": (
+        lambda: params_with(Sigma0=np.array([[1.0, 2.0], [2.0, 1.0]])),
+        "^Sigma0 must be positive semidefinite",
+    ),
+    "known-entry-coupled": (
+        lambda: params_with(Q=np.array([[0.0, 1e-7], [1e-7, 1.0]]), Sigma0=np.diag([0.0, 1.0])),
+        r"^a known entry \(zero Q and Sigma0 diagonal\) needs zero rows in both",
+    ),
+    "mu0-nan": (lambda: params_with(mu0=[np.nan, 80.0]), "^mu0 must be finite"),
+    "sample-rate-zero": (lambda: params_with(sample_rate_hz=0.0), "^sample_rate_hz must be positive and finite"),
+    "hop-negative": (lambda: params_with(hop_s=-0.01), "^hop_s must be positive and finite"),
     "activation-lengths-differ": (
         lambda: TrackActivation(np.ones((3, 1), bool), np.ones((4, 1), bool)),
         "^formant/antiformant flag lengths differ",
