@@ -12,10 +12,15 @@ Each step has one function, shared by the filter, the smoother and the
 particle filter: ``_blocked`` decouples active from inactive entries,
 ``_clamp`` clamps to the state bounds, and ``_whitener`` gives W = L⁻¹
 for R's Cholesky factor L (R = L Lᵀ).  The filter's update is whitened:
-with G = W H, one d x d LU solve per frame (``np.linalg.solve``, so the
-package needs nothing beyond numpy), (I + P GᵀG) X = [P Gᵀ eps | P],
+with G = W H, one d x d LU solve per frame, (I + P GᵀG) X = [P Gᵀ eps | P],
 gives the mean step and the posterior covariance, in place of a solve
-with the N x N innovation covariance S = H P Hᵀ + R.  The particle
+with the N x N innovation covariance S = H P Hᵀ + R.  That solve calls
+LAPACK's gesv gufunc (``numpy.linalg._umath_linalg.solve``, so the
+package needs nothing beyond numpy) directly, not through
+``np.linalg.solve``, whose argument checks cost more than the solve and
+hold by construction: I + P GᵀG is a d x d float64 matrix with every
+eigenvalue >= 1 for a PSD P.  The forward pass writes each frame's
+moments straight into its stored result.  The particle
 filter's log-weights are whitened squared norms.  The smoother's gains
 depend only on the filter's output, so it solves their predicted
 covariances a block of frames at a time with the ARMA fit's stacked
@@ -36,6 +41,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .arma import _solve_each
 from .cepstrum import CepstralObservation, state_columns
@@ -281,14 +287,15 @@ def _whitener(R: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(R))
 
 
-def _forward(y, params, speech, flags, obs_model):
-    """Forward EKF recursion, yielding the filtered ``(m, P)`` per frame.
+def _filtered(y, params, speech, flags, obs_model):
+    """The forward EKF recursion: (T, dim) filtered means and (T, dim, dim)
+    covariances, the predicted moments on a frame with no update.  Each
+    frame's moments are written straight into their rows, and the
+    predicted P + Q straight into the right-hand side of the update's solve.
 
-    On a frame with no update these are the predicted moments.  Keeps no
-    history; the yielded arrays are never modified afterwards.  At frames
-    whose entry flags change, and only there, the entering covariance
-    is decoupled between active and inactive entries and the blocked
-    process noise is rebuilt.  A returning entry keeps the moments
+    At frames whose entry flags change, and only there, the entering
+    covariance is decoupled between active and inactive entries and the
+    blocked process noise is rebuilt.  A returning entry keeps the moments
     it coasted to.  ``mu0`` is clamped to the state bounds once, before
     the first frame; after that only the update moves the mean, and it
     ends with the same clamp.  The predict keeps the mean and adds Q to
@@ -305,15 +312,29 @@ def _forward(y, params, speech, flags, obs_model):
     Inactive and known entries get zero rows in A - I and on the
     right-hand side, so they keep their moments exactly.  The same solve
     gives the normalized innovation squared, epsᵀeps - (Gᵀeps)ᵀ X[:, 0].
+
+    The solve calls ``_umath_linalg.solve``, LAPACK's gesv gufunc,
+    directly, with the signature ``np.linalg.solve`` gives it, so the bits
+    are the same.  The wrapper's argument handling costs more than the
+    solve at this size, and what it checks holds by construction: A and
+    the right-hand side are float64 views of ``work``, A is d x d, and A
+    is regular for the PSD P that ``TrackerParams`` guarantees, so the
+    ``LinAlgError`` it raises for a singular A cannot arise here.
     """
     bounds = obs_model.state_bounds()
-    rebuild = _flag_changes(flags)
-    update = speech & flags.any(axis=1)
+    rebuild = _flag_changes(flags).tolist()
+    update = (speech & flags.any(axis=1)).tolist()
     free = ~params.known
     W = _whitener(params.R)
     dim = params.state_dim
+    means = np.empty((len(y), dim))
+    covs = np.empty((len(y), dim, dim))
     stacked = np.empty((params.n_cepstra, dim + 1))  # [H | y_t - h]
+    G_eps = np.empty((params.n_cepstra, dim + 1))  # [G | eps]
     work = np.empty((dim, 2 * dim + 1))  # [A | P Gᵀ eps | P]
+    H_slot, eps_slot, G = stacked[:, :dim], stacked[:, dim], G_eps[:, :dim]
+    A, rhs, P_slot, AB = work[:, :dim], work[:, dim:], work[:, dim + 1 :], work[:, : dim + 1]
+    A_diag = work.reshape(-1)[:: 2 * dim + 2]
 
     m, P = _clamp(params.mu0.copy(), bounds), params.Sigma0
     for t, g in enumerate(flags):
@@ -324,24 +345,26 @@ def _forward(y, params, speech, flags, obs_model):
             unobserved = ~(g & free)
             if not unobserved.any():
                 unobserved = None
-        P = P + Q
 
-        if update[t]:
-            h_val, H = obs_model.linearize(m, active)
-            stacked[:, :dim] = H
-            np.subtract(y[t], h_val, out=stacked[:, dim])
-            G_eps = W @ stacked  # [G | eps]
-            G = G_eps[:, :dim]
-            if unobserved is not None:
-                G[:, unobserved] = 0.0
-            np.matmul(P, G.T @ G_eps, out=work[:, : dim + 1])  # [P GᵀG | P Gᵀ eps]
-            work[:, dim + 1 :] = P
-            work.flat[:: 2 * dim + 2] += 1.0  # A = I + P GᵀG
-            X = np.linalg.solve(work[:, :dim], work[:, dim:])
-            m = _clamp(m + X[:, 0], bounds)
-            P = _symmetrize(X[:, 1:])
+        if not update[t]:
+            means[t] = m
+            P = np.add(P, Q, out=covs[t])
+            continue
 
-        yield m, P
+        np.add(P, Q, out=P_slot)
+        h_val, H = obs_model.linearize(m, active)
+        np.copyto(H_slot, H)
+        np.subtract(y[t], h_val, out=eps_slot)
+        np.matmul(W, stacked, out=G_eps)
+        if unobserved is not None:
+            G[:, unobserved] = 0.0
+        np.matmul(P_slot, G.T @ G_eps, out=AB)  # [P GᵀG | P Gᵀ eps]
+        A_diag += 1.0  # A = I + P GᵀG
+        X = _umath_linalg.solve(A, rhs, signature="dd->d")
+        m = _clamp(np.add(m, X[:, 0], out=means[t]), bounds)
+        P = np.add(X[:, 1:], X[:, 1:].T, out=covs[t])
+        P *= 0.5  # _symmetrize, in place
+    return means, covs
 
 
 def _make_result(means, covs, speech, activation, n_cepstra, sample_rate_hz, hop_s) -> TrackResult:
@@ -359,15 +382,6 @@ def _make_result(means, covs, speech, activation, n_cepstra, sample_rate_hz, hop
         sample_rate_hz=sample_rate_hz,
         hop_s=hop_s,
     )
-
-
-def _filtered(y, params, speech, flags, obs_model):
-    """The forward pass stored: (T, dim) means and (T, dim, dim) covariances."""
-    means = np.empty((len(y), params.state_dim))
-    covs = np.empty((len(y), params.state_dim, params.state_dim))
-    for t, (m, P) in enumerate(_forward(y, params, speech, flags, obs_model)):
-        means[t], covs[t] = m, P
-    return means, covs
 
 
 def ekf_filter(

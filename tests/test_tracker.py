@@ -11,16 +11,20 @@ from hypothesis.extra.numpy import arrays
 import karma.frontend
 import karma.tracker
 from karma.cepstrum import CepstralObservation
-from karma.particle import pf_track
+from karma.particle import BenchmarkSetup, pf_track
 from karma.pipeline import RunConfig, make_tracker_params
 from karma.tracker import (
     TrackActivation,
     TrackerParams,
     _blocked,
-    _forward,
+    _clamp,
+    _filtered,
+    _flag_changes,
     _resolve_setup,
     _rts_gains,
     _symmetrize,
+    _umath_linalg,
+    _whitener,
     default_params,
     ekf_filter,
     eks_smooth,
@@ -292,6 +296,105 @@ class TestStoredRecursionOracle:
         assert np.array_equal(head.covariances, full.covariances[:k])
 
 
+def frozen_forward(y, params, speech, flags, obs_model):
+    """The forward pass as a generator of the filtered ``(m, P)`` per frame,
+    each update solved by ``np.linalg.solve``: frozen as the reference
+    whose bits ``_filtered`` keeps."""
+    bounds = obs_model.state_bounds()
+    rebuild = _flag_changes(flags)
+    update = speech & flags.any(axis=1)
+    free = ~params.known
+    W = _whitener(params.R)
+    dim = params.state_dim
+    stacked = np.empty((params.n_cepstra, dim + 1))  # [H | y_t - h]
+    work = np.empty((dim, 2 * dim + 1))  # [A | P Gᵀ eps | P]
+
+    m, P = _clamp(params.mu0.copy(), bounds), params.Sigma0
+    for t, g in enumerate(flags):
+        if rebuild[t]:
+            P = _blocked(P, g)
+            Q = _blocked(params.Q, g)
+            active = None if g.all() else g
+            unobserved = ~(g & free)
+            if not unobserved.any():
+                unobserved = None
+        P = P + Q
+
+        if update[t]:
+            h_val, H = obs_model.linearize(m, active)
+            stacked[:, :dim] = H
+            np.subtract(y[t], h_val, out=stacked[:, dim])
+            G_eps = W @ stacked  # [G | eps]
+            G = G_eps[:, :dim]
+            if unobserved is not None:
+                G[:, unobserved] = 0.0
+            np.matmul(P, G.T @ G_eps, out=work[:, : dim + 1])  # [P GᵀG | P Gᵀ eps]
+            work[:, dim + 1 :] = P
+            work.flat[:: 2 * dim + 2] += 1.0  # A = I + P GᵀG
+            X = np.linalg.solve(work[:, :dim], work[:, dim:])
+            m = _clamp(m + X[:, 0], bounds)
+            P = _symmetrize(X[:, 1:])
+
+        yield m, P
+
+
+def oracle_problem():
+    """One draw of ``ekf_pf_benchmark``'s setup: known bandwidths, the cepstral model."""
+    setup = BenchmarkSetup()
+    _, obs = setup.simulate(np.random.default_rng(3))
+    return dict(obs=obs, params=setup.make_params(), mask=None, activation=None, obs_model=None)
+
+
+@settings(deadline=None, max_examples=40)
+@given(problem=tracking_problems())
+@example(problem=long_schedule_problem(known=False))
+@example(problem=long_schedule_problem(known=True))
+@example(problem=dense_noise_problem())
+@example(problem=oracle_problem())
+def test_forward_pass_keeps_the_frozen_bits(problem):
+    # flag changes, inactive entries and coasting frames in the long
+    # schedule; known entries there and in the oracle; both observation models
+    y, speech, _, flags, obs_model = _resolve_setup(**problem)
+    means, covs = _filtered(y, problem["params"], speech, flags, obs_model)
+    frozen = list(frozen_forward(y, problem["params"], speech, flags, obs_model))
+    assert np.array_equal(means, np.array([m for m, _ in frozen]))
+    assert np.array_equal(covs, np.array([P for _, P in frozen]))
+
+
+class TestDirectSolve:
+    """The update solves with LAPACK's gesv gufunc, the one ``np.linalg.solve``
+    wraps, called directly."""
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_same_bits_as_numpy_solve(self, d):
+        rng = np.random.default_rng(d)
+        for k in range(1, 2 * d + 2):
+            work = rng.standard_normal((d, d + k))
+            A, rhs = work[:, :d], work[:, d:]  # strided views, as the update passes them
+            for a, b in [(A, rhs), (A.copy(), rhs.copy())]:
+                assert np.array_equal(_umath_linalg.solve(a, b, signature="dd->d"), np.linalg.solve(a, b))
+
+    @settings(deadline=None, max_examples=100)
+    @given(d=st.integers(1, 10), n=st.integers(1, 15), data=st.data())
+    def test_update_system_is_regular(self, d, n, data):
+        # P up to about 1e7 and G up to 10, far beyond the tracker's (P about
+        # 2e5 Hz² and G about 1e-2 per Hz at most on the bench's 60 s item)
+        factor = data.draw(arrays(float, (d, d), elements=st.floats(-1e3, 1e3)))
+        G = data.draw(arrays(float, (n, d), elements=st.floats(-10.0, 10.0)))
+        eps = data.draw(arrays(float, n, elements=st.floats(-10.0, 10.0)))
+        P = factor @ factor.T
+        known = data.draw(arrays(bool, d))  # zero rows and columns in P
+        P[known, :] = 0.0
+        P[:, known] = 0.0
+        G[:, known | data.draw(arrays(bool, d))] = 0.0  # and inactive entries' columns
+        A = np.eye(d) + P @ (G.T @ G)
+        rhs = np.column_stack([P @ (G.T @ eps), P])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = _umath_linalg.solve(A, rhs, signature="dd->d")
+        assert np.all(np.isfinite(X))
+
+
 @st.composite
 def predict_problems(draw):
     """Linear runs with dense, exactly symmetric Sigma0 and Q and random
@@ -341,20 +444,21 @@ class TestIdentityPredict:
         y, speech, _, flags, obs_model = _resolve_setup(
             problem["obs"], params, problem["mask"], problem["activation"], problem["obs_model"]
         )
-        filtered = list(_forward(y, params, speech, flags, obs_model))
+        means, covs = _filtered(y, params, speech, flags, obs_model)
         m, P = params.mu0, params.Sigma0
         for t, g in enumerate(flags):
-            # a frame with no update yields its predicted moments; the frames
+            # a frame with no update stores its predicted moments; the frames
             # before it are unchanged, since the pass is causal
             coast = speech.copy()
             coast[t] = False
-            m_pred, P_pred = list(_forward(y, params, coast, flags, obs_model))[t]
+            coast_means, coast_covs = _filtered(y, params, coast, flags, obs_model)
+            m_pred, P_pred = coast_means[t], coast_covs[t]
             if t == 0 or np.any(g != flags[t - 1]):
                 P = _blocked(P, g)
             assert np.array_equal(m_pred, clamp(m, obs_model.state_bounds()))
             assert np.array_equal(P_pred, P + _blocked(params.Q, g))
             assert np.array_equal(P_pred, P_pred.T)
-            m, P = filtered[t]
+            m, P = means[t], covs[t]
 
     @pytest.mark.parametrize("name", ["Q", "Sigma0", "R"])
     def test_lopsided_input_comes_out_symmetric(self, name):
@@ -386,11 +490,11 @@ class TestInitialClamp:
         self.obs = self.model.value(truth) + 0.05 * rng.standard_normal((12, 15))
 
     def test_first_prediction_is_clamped_mu0(self):
-        # frame 0 is silent, so the pass yields its predicted moments there
+        # frame 0 is silent, so the pass stores its predicted moments there
         mask = np.ones(len(self.obs), bool)
         mask[0] = False
         y, speech, _, flags, obs_model = _resolve_setup(self.obs, self.params, mask, None, None)
-        m_pred = next(_forward(y, self.params, speech, flags, obs_model))[0]
+        m_pred = _filtered(y, self.params, speech, flags, obs_model)[0][0]
         assert np.array_equal(m_pred, self.clamped)
 
     @pytest.mark.parametrize("run", [ekf_filter, eks_smooth])
