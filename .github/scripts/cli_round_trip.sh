@@ -6,7 +6,7 @@
 #
 #     bash .github/scripts/cli_round_trip.sh
 set -euo pipefail
-# a warning is a failure: a default run that starts to regularise, say, must not pass
+# a warning is a failure: a default run that starts to warn about its tracks, say, must not pass
 export PYTHONWARNINGS=error::UserWarning
 cd "$(mktemp -d)"
 
@@ -68,4 +68,7 @@ code=0; karma synth bad.json || code=$?; test "$code" -eq 2
 # an AR order above the frame length (140 samples at 7 kHz) is a config error: exit 2
 echo '{"lpc_order": 200, "n_cepstra": 200}' > long_order.json
 code=0; karma track n.wav --config long_order.json --out o.csv || code=$?; test "$code" -eq 2
+# a process std whose square overflows is a config error, caught before the analysis: exit 2
+echo '{"freq_process_std": 1e200}' > overflow_std.json
+code=0; karma track n.wav --config overflow_std.json --out os.csv || code=$?; test "$code" -eq 2
 echo "command-line round trips passed in $PWD"

@@ -17,8 +17,8 @@ the tracker's cepstral noise R = diag(1/n) resolves.
 
 ``_minimum_phase_rows`` is the one minimum-phase check, which
 ``cepstrum.arma_cepstra`` calls on every stack of fits; ``_reflect_rows``
-is the one root reflection; ``_solve_each`` is the package's one stacked
-linear solve.  ``ArmaModel`` is the one-frame result of
+is the one root reflection; ``_solve_each`` solves a round's Gauss-Newton
+systems.  ``ArmaModel`` is the one-frame result of
 ``estimate_ar`` and ``estimate_arma``; the batched fits return arrays.
 """
 
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "ArmaModel",
@@ -266,24 +267,14 @@ def _lag_rows(padded: np.ndarray, n: int, k: int) -> np.ndarray:
 
 def _solve_each(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Solutions x (L, M, K) of the stacked systems a x = b, a (L, M, M) and
-    b (L, M, K), and which systems were solved (L,): one stacked LU solve,
-    or system by system, with the same bits, when some system is singular
-    or the result's sum is not finite.  An unsolved system (its solve raises
-    or its x is not finite) gets x = 0."""
-    try:
-        x = np.linalg.solve(a, b)
-        if np.isfinite(x.sum()):
-            return x, np.ones(len(a), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    x, solved = np.zeros(b.shape), np.zeros(len(a), dtype=bool)
-    for j in range(len(a)):
-        try:
-            xj = np.linalg.solve(a[j], b[j])
-        except np.linalg.LinAlgError:
-            continue
-        if np.isfinite(xj.sum()):
-            x[j], solved[j] = xj, True
+    b (L, M, K), and which systems were solved (L,): one call of the gesv
+    gufunc that ``np.linalg.solve`` wraps.  Where the wrapper raises, the
+    gufunc gives a singular system NaNs and keeps the others' bits.  A
+    system whose x is not all finite is unsolved and gets x = 0."""
+    with np.errstate(all="ignore"):  # a singular system's NaNs, an overflow
+        x = _umath_linalg.solve(a, b, signature="dd->d")
+    solved = np.isfinite(x).all(axis=(1, 2))
+    x[~solved] = 0.0
     return x, solved
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,7 @@ from .frontend import (
 )
 from .frontend import detect_activity, resample, window_frames  # noqa: F401  (looked up here by bench/tracing.py)
 from .tracker import TrackActivation, TrackerParams, TrackResult, default_params, ekf_filter, eks_smooth
+from .tracker import _check_counts, _checked_activation
 from .tracker import estimate_transition  # noqa: F401  (looked up here by bench/tracing.py)
 
 __all__ = ["RunConfig", "make_tracker_params", "build_observations", "track_waveform"]
@@ -86,12 +88,7 @@ class RunConfig:
             values = value if isinstance(value, list) else [value]
             if any(isinstance(v, float) and not math.isfinite(v) for v in values):
                 raise ValueError(f"{field.name} must be finite")
-        if self.n_cepstra < 1:
-            raise ValueError("n_cepstra must be positive")
-        if self.n_formants < 0 or self.n_antiformants < 0:
-            raise ValueError("track counts must be non-negative")
-        if self.n_formants + self.n_antiformants == 0:
-            raise ValueError("need at least one formant or antiformant to track")
+        _check_counts(self.n_formants, self.n_antiformants, self.n_cepstra)
         if self.observation_source == "arma_cepstrum":  # the only route that fits a model
             if self.lpc_order < 1:
                 raise ValueError("lpc_order must be positive")
@@ -125,9 +122,9 @@ class RunConfig:
                 f"a {n}-sample frame is too short for lpc_order {self.lpc_order} and ma_order "
                 f"{self.ma_order}: it must exceed p, or p + q + 1 when q > 0"
             )
-        # zero is valid: a zero process std makes those entries known
-        if not (self.freq_process_std >= 0 and self.bw_process_std >= 0):
-            raise ValueError("process stds must be non-negative")
+        # zero is valid: a zero process std makes those entries known; Q holds the squares
+        if not all(0 <= s and s * s <= sys.float_info.max for s in (self.freq_process_std, self.bw_process_std)):
+            raise ValueError("process stds must be non-negative with a finite square")
         for values, cols in self._initial_overrides():
             if values is not None and len(values) != cols.stop - cols.start:
                 raise ValueError("initial value override has wrong length")
@@ -235,6 +232,8 @@ def track_waveform(
     mode each frame's estimate depends only on that frame and earlier ones,
     given the activity mask (fixed by ``labels``; ``detect_activity``'s
     rule scales its threshold to the loudest frame of the whole utterance).
+    The config, the tracker parameters and the activation's length and
+    widths are checked before the front end runs.
 
     Memory: the front end streams.  The resampler and the framer hand out
     windowed frames a block of rows at a time (``frontend._frame_blocks``),
@@ -251,6 +250,8 @@ def track_waveform(
     n_samples = _resampled_length(w, fs)
     frame_length, hop = frame_length_and_hop(config.frame_ms, config.overlap, fs)
     n_frames = _frame_count(n_samples, frame_length, hop)
+    params = make_tracker_params(config, hop / fs)
+    _checked_activation(activation, n_frames, params)
 
     def frame_blocks():  # one pass over the windowed frames
         return _frame_blocks(_resampled(w, fs), n_frames, frame_length, hop, config.window)
@@ -271,6 +272,5 @@ def track_waveform(
     for rows, block in frame_blocks():
         obs[rows] = build_observations(preemphasize(block, config.gamma, out=block), config, mask[rows])
     del block  # the framer's block array, before the tracker's result exists
-    params = make_tracker_params(config, hop / fs)
     run = eks_smooth if config.mode == "smooth" else ekf_filter
     return run(obs, params, mask, activation)

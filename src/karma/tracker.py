@@ -11,21 +11,16 @@ Rauch-Tung-Striebel backward pass run in place over the filter's output.
 Each step has one function, shared by the filter, the smoother and the
 particle filter: ``_blocked`` decouples active from inactive entries,
 ``_clamp`` clamps to the state bounds, and ``_whitener`` gives W = L⁻¹
-for R's Cholesky factor L (R = L Lᵀ).  The filter's update is whitened:
-with G = W H, one d x d LU solve per frame, (I + P GᵀG) X = [P Gᵀ eps | P],
-gives the mean step and the posterior covariance, in place of a solve
-with the N x N innovation covariance S = H P Hᵀ + R.  That solve calls
-LAPACK's gesv gufunc (``numpy.linalg._umath_linalg.solve``, so the
-package needs nothing beyond numpy) directly, not through
-``np.linalg.solve``, whose argument checks cost more than the solve and
-hold by construction: I + P GᵀG is a d x d float64 matrix with every
-eigenvalue >= 1 for a PSD P.  The forward pass writes each frame's
-moments straight into its stored result.  The particle
-filter's log-weights are whitened squared norms.  The smoother's gains
-depend only on the filter's output, so it solves their predicted
-covariances a block of frames at a time with the ARMA fit's stacked
-solve (``arma._solve_each``); only a system that LU cannot solve there is
-regularised with a small diagonal bump (and a warning).
+for R's Cholesky factor L (R = L Lᵀ), which whitens the filter's update
+(one d x d solve per frame, see ``_filtered``) and the particle filter's
+log-weights.  The smoother solves its gains a block of frames at a time.
+
+Both passes call LAPACK's gesv gufunc (``numpy.linalg._umath_linalg.solve``,
+so the package needs nothing beyond numpy) directly, with the signature
+``np.linalg.solve`` gives it, so the bits are the same.  What that
+wrapper checks, at more cost than a small solve, holds by construction:
+every system is float64 and square, and ``TrackerParams`` makes every one
+regular, so neither pass has a fallback solve.
 
 Silent frames coast: they skip the update, so the step is pure
 prediction and uncertainty grows.  Individual tracks may be deactivated
@@ -39,11 +34,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .arma import _solve_each
 from .cepstrum import CepstralObservation, state_columns
 from .frontend import _row_blocks
 
@@ -58,21 +53,36 @@ __all__ = [
 ]
 
 
+def _check_counts(n_formants, n_antiformants, n_cepstra) -> None:
+    """The limits on the counts that ``TrackerParams`` and ``RunConfig`` share."""
+    if not (isinstance(n_cepstra, Integral) and n_cepstra >= 1):
+        raise ValueError("n_cepstra must be positive and an integer")
+    if not all(isinstance(n, Integral) and n >= 0 for n in (n_formants, n_antiformants)):
+        raise ValueError("track counts must be non-negative integers")
+    if n_formants + n_antiformants == 0:
+        raise ValueError("need at least one formant or antiformant to track")
+
+
 @dataclass(frozen=True)
 class TrackerParams:
     """State-space parameter set (Q, R, mu0, Sigma0) plus track geometry.
 
     Every entry is a random walk.  ``Q``, ``Sigma0`` and ``R`` are
-    symmetrised on construction (a no-op for exactly symmetric input), so
-    every predicted covariance P + Q is exactly symmetric.  ``R`` must be
-    positive definite, since the filters whiten by its Cholesky factor
-    (``_whitener``), and ``Q`` and ``Sigma0`` positive semidefinite
-    (eigenvalues >= -1e-12 max(1, max |entry|)); every array must be
-    finite and the sample rate and hop positive.  An entry known exactly
-    (a bandwidth supplied from outside, say) has its value in ``mu0`` and
-    zero rows and columns in ``Sigma0`` and ``Q``; ``known`` names these
-    entries, by their zero diagonals, and the filter and smoother hold
-    them fixed.
+    symmetrised on construction (a no-op for exactly symmetric input).
+    ``R`` must be positive definite, since the filters whiten by its
+    Cholesky factor (``_whitener``), and ``Q`` and ``Sigma0`` positive
+    semidefinite (eigenvalues >= -1e-12 max(1, max |entry|)); every array
+    must be finite, the sample rate and hop positive and the counts within
+    ``_check_counts``' limits.  An entry known exactly (a bandwidth given
+    from outside, say) has its value in ``mu0`` and zero rows and columns
+    in ``Sigma0`` and ``Q``; ``known`` names these entries, by their zero
+    diagonals, and the filter and smoother hold them fixed.
+    ``Sigma0 + Q`` must be positive definite on the other entries, which
+    makes every system the tracker solves regular: each predicted
+    covariance is a blocked filtered covariance plus the blocked Q,
+    blocking and an update (P⁻¹ + GᵀG)⁻¹ keep a matrix positive definite,
+    and the smoother gives known entries a unit diagonal, so by induction
+    from frame 0 (P = Sigma0 + Q) every RTS gain system is positive definite.
     """
 
     Q: np.ndarray
@@ -86,6 +96,7 @@ class TrackerParams:
     hop_s: float = 0.01
 
     def __post_init__(self):
+        _check_counts(self.n_formants, self.n_antiformants, self.n_cepstra)
         for name in ("Q", "R", "Sigma0"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "mu0", np.asarray(self.mu0, dtype=float).ravel())
@@ -112,10 +123,14 @@ class TrackerParams:
                 raise ValueError(f"{name} must be positive semidefinite")
         if self.Q[self.known].any() or self.Sigma0[self.known].any():
             raise ValueError("a known entry (zero Q and Sigma0 diagonal) needs zero rows in both")
-        try:
-            np.linalg.cholesky(self.R)
-        except np.linalg.LinAlgError:
-            raise ValueError("R must be positive definite") from None
+        # scaled so the sum cannot overflow; a zero scale (all known) leaves a 0 x 0 check
+        scale, free = max(np.abs(self.Q).max(), np.abs(self.Sigma0).max()) or 1.0, ~self.known
+        free_sum = (self.Sigma0 / scale + self.Q / scale)[np.ix_(free, free)]
+        for name, mat in [("R", self.R), ("Sigma0 + Q on the entries that are not known", free_sum)]:
+            try:
+                np.linalg.cholesky(mat)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"{name} must be positive definite") from None
 
     @property
     def state_dim(self) -> int:
@@ -255,8 +270,18 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
     bad = np.flatnonzero(speech & ~np.isfinite(y).all(axis=1))
     if bad.size:
         raise ValueError(f"non-finite observation at speech frame {bad[0]}")
+    activation = _checked_activation(activation, n_frames, params)
+    if obs_model is None:
+        obs_model = CepstralObservation(
+            params.n_formants, params.n_antiformants, params.n_cepstra, params.sample_rate_hz
+        )
+    return y, speech, activation, _entry_flags(activation), obs_model
+
+
+def _checked_activation(activation, n_frames: int, params: TrackerParams) -> TrackActivation:
+    """``activation`` (all active if None), checked against ``n_frames`` and ``params``."""
     if activation is None:
-        activation = TrackActivation.all_active(n_frames, params.n_formants, params.n_antiformants)
+        return TrackActivation.all_active(n_frames, params.n_formants, params.n_antiformants)
     if len(activation) != n_frames:
         raise ValueError("activation length does not match observation count")
     widths = activation.formants.shape[1], activation.antiformants.shape[1]
@@ -265,11 +290,7 @@ def _resolve_setup(obs, params, mask, activation, obs_model):
             f"activation has {widths[0]} formant and {widths[1]} antiformant columns; "
             f"params track {params.n_formants} formants and {params.n_antiformants} antiformants"
         )
-    if obs_model is None:
-        obs_model = CepstralObservation(
-            params.n_formants, params.n_antiformants, params.n_cepstra, params.sample_rate_hz
-        )
-    return y, speech, activation, _entry_flags(activation), obs_model
+    return activation
 
 
 def _clamp(vec, bounds):
@@ -312,14 +333,6 @@ def _filtered(y, params, speech, flags, obs_model):
     Inactive and known entries get zero rows in A - I and on the
     right-hand side, so they keep their moments exactly.  The same solve
     gives the normalized innovation squared, epsᵀeps - (Gᵀeps)ᵀ X[:, 0].
-
-    The solve calls ``_umath_linalg.solve``, LAPACK's gesv gufunc,
-    directly, with the signature ``np.linalg.solve`` gives it, so the bits
-    are the same.  The wrapper's argument handling costs more than the
-    solve at this size, and what it checks holds by construction: A and
-    the right-hand side are float64 views of ``work``, A is d x d, and A
-    is regular for the PSD P that ``TrackerParams`` guarantees, so the
-    ``LinAlgError`` it raises for a singular A cannot arise here.
     """
     bounds = obs_model.state_bounds()
     rebuild = _flag_changes(flags).tolist()
@@ -419,20 +432,14 @@ def _rts_gains(P_filt, flags, Q, known):
 
     The entering covariances are ``_blocked`` by their frames' flags (a
     no-op, ±0 aside, where those are the flags they were filtered with).
-    Known entries get a unit diagonal, which keeps the gain solve regular
-    and gives them zero gains.  The gains are one ``_solve_each`` call on
-    the transposed stack; a frame it leaves unsolved is regularised with a
-    small diagonal bump, and a warning.
+    Known entries get a unit diagonal, which gives them zero gains.  The
+    gains are one direct gufunc solve of the transposed stack, with no
+    fallback: ``TrackerParams`` makes every system positive definite.
     """
     P_prev = _blocked(P_filt, flags)
     P_pred = P_prev + _blocked(Q, flags)
     P_pred[:, known, known] = 1.0
-    gains, solved = _solve_each(P_pred.swapaxes(1, 2), P_prev.swapaxes(1, 2))
-    for k in np.flatnonzero(~solved):
-        warnings.warn("singular innovation covariance in eks_smooth; regularizing")
-        S = P_pred[k]
-        bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
-        gains[k] = np.linalg.solve((S + bump * np.eye(S.shape[0])).T, P_prev[k].T)
+    gains = _umath_linalg.solve(P_pred.swapaxes(1, 2), P_prev.swapaxes(1, 2), signature="dd->d")
     return P_prev, P_pred, gains.swapaxes(1, 2)
 
 
@@ -453,8 +460,8 @@ def eks_smooth(
     flags, gains the blocked Q.  Under the random walk the gain's
     right-hand side is that entering covariance itself.  The gains depend
     only on the filter's output, so they are taken a block of frames at a
-    time (``_rts_gains``, one stacked solve), just before the backward
-    pass reaches the block.
+    time (``_rts_gains``, one stacked solve with no fallback), just before
+    the backward pass reaches the block.
     A known entry (``TrackerParams.known``) gets a zero smoother gain, so
     it keeps its value and zero variance.
     """
@@ -529,8 +536,9 @@ def default_params(
     i, j = n_formants, n_antiformants
     f, b, af, ab = state_columns(i, j)
     q_diag, mu0 = np.empty((2, ab.stop))
-    q_diag[np.r_[f, af]] = freq_process_std**2
-    q_diag[np.r_[b, ab]] = bw_process_std**2
+    with np.errstate(over="ignore"):  # an overflow is TrackerParams' "Q must be finite"
+        q_diag[np.r_[f, af]] = np.float64(freq_process_std) ** 2
+        q_diag[np.r_[b, ab]] = np.float64(bw_process_std) ** 2
     ceiling = 0.48 * sample_rate_hz
     mu0[f] = np.minimum(500.0 + 1000.0 * np.arange(i), ceiling)
     mu0[b] = 80.0 + 40.0 * np.arange(i)

@@ -115,6 +115,8 @@ class TestTrackCommand:
             {"ma_order": 140, "n_cepstra": 140},
             {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 40},
             {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 17},  # past half the FFT size
+            {"freq_process_std": 1e200},  # its square, the process variance, overflows
+            {"bw_process_std": 1e200},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
@@ -124,7 +126,8 @@ class TestTrackCommand:
              "bool_as_float", "bool_in_override", "freq_std_infinite", "bw_std_infinite",
              "energy_threshold_nan", "gamma_nan", "sample_rate_infinite",
              "realcep_no_cepstra", "realcep_negative_cepstra", "ar_order_fills_frame",
-             "arma_orders_fill_frame", "realcep_cepstra_beyond_fft", "realcep_cepstra_mirrored"],
+             "arma_orders_fill_frame", "realcep_cepstra_beyond_fft", "realcep_cepstra_mirrored",
+             "freq_std_square_overflows", "bw_std_square_overflows"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

@@ -16,6 +16,7 @@ from scipy import signal as sps
 
 import karma.arma
 import karma.frontend
+import karma.pipeline
 from karma.arma import ArmaModel, estimate_ar, fit_ar_frames, fit_arma_frames
 from karma.cepstrum import _real_cepstra, arma_to_cepstrum
 from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
@@ -334,13 +335,26 @@ class TestTrackWaveform:
         with pytest.raises(ValueError):
             track_waveform(wave, RunConfig(mode="offline"))
 
-    def test_activation_width_checked(self):
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((-1, 3, 0), "^activation length does not match"),
+            ((0, 2, 1), "^activation has 2 formant and 1 antiformant columns; params track 3 formants"),
+        ],
+        ids=["length", "widths"],
+    )
+    def test_activation_checked_before_the_front_end(self, monkeypatch, shape, message):
         spec = random_trajectory(3, 0.5, seed=5, sample_rate_hz=16000.0)
         wave, _ = synthesize(spec)
         n_frames = track_waveform(wave, RunConfig()).n_frames
-        activation = TrackActivation.all_active(n_frames, 2, 1)
-        with pytest.raises(ValueError, match="2 formant and 1 antiformant columns; params track 3 formants"):
-            track_waveform(wave, RunConfig(), activation=activation)
+        extra, n_f, n_a = shape
+
+        def no_front_end(*args, **kwargs):
+            raise AssertionError("the front end ran before the activation was checked")
+
+        monkeypatch.setattr(karma.pipeline, "build_observations", no_front_end)
+        with pytest.raises(ValueError, match=message):
+            track_waveform(wave, RunConfig(), activation=TrackActivation.all_active(n_frames + extra, n_f, n_a))
 
     def test_known_bandwidths_smooth_without_regularizing(self):
         spec = random_trajectory(3, 2.0, seed=6, sample_rate_hz=16000.0)
@@ -605,6 +619,8 @@ RUN_CONFIG_CHECKS = {
     "negative-target-rate": ({"target_sample_rate_hz": -7000.0}, "^target sample rate must be positive"),
     "gamma-above-one": ({"gamma": 1.5}, r"^\|gamma\| must be <= 1"),
     "gamma-below-minus-one": ({"gamma": -1.01}, r"^\|gamma\| must be <= 1"),
+    "freq-std-square-overflows": ({"freq_process_std": 1e200}, "^process stds must be non-negative with a finite square"),
+    "bw-std-square-overflows": ({"bw_process_std": 1e155}, "^process stds must be non-negative with a finite square"),
 }
 
 

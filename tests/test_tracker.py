@@ -60,20 +60,6 @@ def with_known(params, entries, values):
     return replace(params, mu0=mu0, Sigma0=Sigma0, Q=Q)
 
 
-def lu_solve(S, rhs, warn_label):
-    """The tracker's innovation solve, written out: LU, then a regularised LU."""
-    try:
-        sol = np.linalg.solve(S.T, rhs.T).T
-        if np.all(np.isfinite(sol)):
-            return sol
-    except np.linalg.LinAlgError:
-        pass
-    warnings.warn(f"singular innovation covariance in {warn_label}; regularizing")
-    bump = 1e-8 * max(np.trace(S), 1.0) / S.shape[0]
-    S = S + bump * np.eye(S.shape[0])
-    return np.linalg.solve(S.T, rhs.T).T
-
-
 def stored_forward(y, params, speech, activation, obs_model):
     """Reference forward pass that stores the moments entering every frame."""
     dim = params.state_dim
@@ -110,7 +96,7 @@ def stored_forward(y, params, speech, activation, obs_model):
             S = _symmetrize(H @ P @ H.T + params.R)
             PHt = P @ H.T
             PHt[~gain_rows, :] = 0.0
-            K = lu_solve(S, PHt, "ekf_filter")
+            K = np.linalg.solve(S.T, PHt.T).T
             m = m + K @ (y[t] - h_val)
             P = _symmetrize(P - K @ H @ P)
             m = clamp(m, bounds)
@@ -131,7 +117,7 @@ def stored_smooth(store, obs_model):
         P_pred = store.P_pred[t].copy()
         known = np.diag(P_pred) == 0.0
         P_pred[known, known] = 1.0
-        S = lu_solve(P_pred, store.P_prev[t], "eks_smooth")
+        S = np.linalg.solve(P_pred.T, store.P_prev[t].T).T
         m_s[t - 1] = store.m_prev[t] + S @ (m_s[t] - store.m_pred[t])
         P_s[t - 1] = _symmetrize(store.P_prev[t] + S @ (P_s[t] - P_pred) @ S.T)
         m_s[t - 1] = clamp(m_s[t - 1], bounds)
@@ -362,8 +348,8 @@ def test_forward_pass_keeps_the_frozen_bits(problem):
 
 
 class TestDirectSolve:
-    """The update solves with LAPACK's gesv gufunc, the one ``np.linalg.solve``
-    wraps, called directly."""
+    """The update and the smoother's gains solve with LAPACK's gesv gufunc,
+    the one ``np.linalg.solve`` wraps, called directly."""
 
     @pytest.mark.parametrize("d", range(1, 11))
     def test_same_bits_as_numpy_solve(self, d):
@@ -371,7 +357,10 @@ class TestDirectSolve:
         for k in range(1, 2 * d + 2):
             work = rng.standard_normal((d, d + k))
             A, rhs = work[:, :d], work[:, d:]  # strided views, as the update passes them
-            for a, b in [(A, rhs), (A.copy(), rhs.copy())]:
+            stack = rng.standard_normal((7, d + k, d)).swapaxes(1, 2)  # transposed views, as the smoother's
+            cases = [(A, rhs), (A.copy(), rhs.copy()), (stack[:, :, :d], stack[:, :, d:])]
+            cases.append(tuple(np.ascontiguousarray(m) for m in cases[-1]))  # as the ARMA fit passes them
+            for a, b in cases:
                 assert np.array_equal(_umath_linalg.solve(a, b, signature="dd->d"), np.linalg.solve(a, b))
 
     @settings(deadline=None, max_examples=100)
@@ -393,6 +382,18 @@ class TestDirectSolve:
             warnings.simplefilter("error")
             X = _umath_linalg.solve(A, rhs, signature="dd->d")
         assert np.all(np.isfinite(X))
+
+    def test_singular_member_gives_nan_and_leaves_the_others(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal((6, 5, 5)), rng.standard_normal((6, 5, 2))
+        a[[1, 4], :, 2] = 0.0  # a zero column: exactly singular
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(a, b)
+        with np.errstate(invalid="ignore"):
+            x = _umath_linalg.solve(a, b, signature="dd->d")
+        assert np.isnan(x[[1, 4]]).all()
+        regular = [0, 2, 3, 5]
+        assert np.array_equal(x[regular], np.linalg.solve(a[regular], b[regular]))
 
 
 @st.composite
@@ -750,34 +751,27 @@ class TestStackedGains:
         for got, want in [(blocked.means, whole.means), (blocked.covariances, whole.covariances)]:
             assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
 
-    def test_singular_blocks_regularise_each_frame(self, monkeypatch):
-        # H = 0 leaves every filtered covariance at the rank-one Sigma0 and
-        # Q = 0 adds nothing to it, so every predicted covariance is singular
-        n_frames = 12
-        params = TrackerParams(
-            Q=np.zeros((2, 2)), R=np.eye(2), mu0=[1.0, 2.0], Sigma0=np.ones((2, 2)),
-            n_formants=1, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0,
-        )
-        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", self.block_budget(params, 5))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            res = eks_smooth(np.zeros((n_frames, 2)), params, obs_model=LinearObservation(np.zeros((2, 2))))
-        messages = [str(w.message) for w in caught]
-        assert messages == ["singular innovation covariance in eks_smooth; regularizing"] * (n_frames - 1)
-        assert np.all(np.isfinite(res.means)) and np.all(np.isfinite(res.covariances))
-
-    def test_fallback_solves_regular_frames_without_warning(self):
-        # entry 2 is known: zero rows and columns in every filtered covariance
-        P_filt = np.zeros((3, 3, 3))
-        P_filt[:, :2, :2] = [2.0 * np.eye(2), np.ones((2, 2)), np.diag([1.0, 3.0])]
-        flags, known = np.ones((3, 3), bool), np.array([False, False, True])
-        with pytest.warns(UserWarning, match="singular innovation covariance in eks_smooth") as caught:
-            _, _, gains = _rts_gains(P_filt, flags, np.zeros((3, 3)), known)
-        assert len(caught) == 1
-        assert np.array_equal(gains[[0, 2]], np.stack([np.diag([1.0, 1.0, 0.0])] * 2))
-        assert np.all(np.isfinite(gains[1]))
-        # the regularised frame still gives the known entry a zero gain row and column
-        assert np.all(gains[1, 2, :] == 0.0) and np.all(gains[1, :, 2] == 0.0)
+    @pytest.mark.parametrize(
+        "Q, Sigma0",
+        [
+            # H = 0 would leave every filtered covariance at the rank-one Sigma0, and Q = 0 adds nothing
+            (np.zeros((2, 2)), np.ones((2, 2))),
+            # entry 2 is known; the free entries 0 and 1 share the null direction (1, -1)
+            (np.zeros((4, 4)), np.block([[np.ones((2, 2)), np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([0.0, 3.0])]])),
+            # rank-deficient Q and Sigma0, neither with a zero diagonal, whose ranges miss (1, -1, 0, 0)
+            (np.block([[0.5 * np.ones((2, 2)), np.zeros((2, 2))], [np.zeros((2, 2)), np.eye(2)]]),
+             np.block([[2.0 * np.ones((2, 2)), np.zeros((2, 2))], [np.zeros((2, 2)), np.zeros((2, 2))]])),
+        ],
+        ids=["zero-q-rank-one-sigma0", "singular-beside-a-known-entry", "shared-null-direction"],
+    )
+    def test_singular_priors_are_rejected(self, Q, Sigma0):
+        # each would make some predicted covariance singular, so some gain solve would fail
+        n_f = len(Q) // 2
+        with pytest.raises(ValueError, match=r"^Sigma0 \+ Q on the entries that are not known must be positive definite"):
+            TrackerParams(
+                Q=Q, R=np.eye(2), mu0=np.ones(2 * n_f), Sigma0=Sigma0,
+                n_formants=n_f, n_antiformants=0, n_cepstra=2, sample_rate_hz=8000.0,
+            )
 
     def test_known_entries_get_zero_gains(self):
         problem = long_schedule_problem(known=True)  # entry 4 is known
@@ -793,6 +787,61 @@ class TestStackedGains:
         assert np.all(P_pred[:, 4, 4] == 1.0)
         assert np.all(gains[:, 4, :] == 0.0) and np.all(gains[:, :, 4] == 0.0)
         assert np.all(np.abs(gains[:, :4, :4]).max(axis=(1, 2)) > 0.0)
+
+
+@st.composite
+def regular_prior_problems(draw):
+    """Random runs under dense priors: random known entries, and a Q or a
+    Sigma0 of deficient rank on the other entries, whose sum is positive
+    definite there; random activation and speech; both observation models."""
+    n_f = draw(st.integers(1, 3))
+    n_a = draw(st.integers(0, 2))
+    n_frames = draw(st.integers(1, 16))
+    dim = 2 * n_f + 2 * n_a
+    known = draw(st.lists(st.integers(0, dim - 1), max_size=min(2, dim - 1), unique=True))
+    free = np.setdiff1d(np.arange(dim), known)
+    deficient_rank = draw(st.integers(0, free.size - 1))
+    ranks = [deficient_rank, draw(st.integers(free.size - deficient_rank, free.size))]
+    if draw(st.booleans()):
+        ranks.reverse()
+    linear = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    if linear:
+        n_obs, scales = 4, np.ones(free.size)
+        obs_model = LinearObservation(rng.standard_normal((n_obs, dim)))
+        base = TrackerParams(
+            Q=np.eye(dim), R=np.diag(rng.uniform(0.2, 1.0, n_obs)), mu0=rng.standard_normal(dim),
+            Sigma0=np.eye(dim), n_formants=n_f, n_antiformants=n_a, n_cepstra=n_obs, sample_rate_hz=8000.0,
+        )
+        y = rng.standard_normal((n_frames, n_obs))
+    else:
+        n_obs, obs_model = 12, None
+        base = default_params(n_f, n_a, 10000.0, n_obs)
+        scales = np.sqrt(np.diag(base.Q))[free]  # the default process stds
+        model = CepstralObservation(n_f, n_a, n_obs, 10000.0)
+        truth = base.mu0 + rng.uniform(-100.0, 100.0, dim)
+        y = model.value(truth) + 0.05 * rng.standard_normal((n_frames, n_obs))
+    Q, Sigma0 = np.zeros((2, dim, dim))
+    for mat, rank in zip((Q, Sigma0), ranks):
+        factor = scales[:, None] * rng.standard_normal((free.size, rank))
+        mat[np.ix_(free, free)] = factor @ factor.T
+    speech = draw(arrays(bool, n_frames))
+    activation = TrackActivation(draw(arrays(bool, (n_frames, n_f))), draw(arrays(bool, (n_frames, n_a))))
+    return dict(obs=y, params=replace(base, Q=Q, Sigma0=Sigma0), mask=speech, activation=activation,
+                obs_model=obs_model)
+
+
+@settings(deadline=None, max_examples=150)
+@given(problem=regular_prior_problems())
+def test_smoother_under_any_accepted_prior_is_finite_and_silent(problem):
+    # TrackerParams accepts only priors whose gain systems are positive definite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = eks_smooth(**problem)
+    assert np.isfinite(res.means).all() and np.isfinite(res.covariances).all()
+    assert np.array_equal(res.covariances, res.covariances.swapaxes(1, 2))
+    assert np.all(res.means[:, problem["params"].known] == problem["params"].mu0[problem["params"].known])
 
 
 class TestEstimateTransition:
@@ -899,6 +948,15 @@ TRACKER_INPUT_CHECKS = {
     "known-entry-coupled": (
         lambda: params_with(Q=np.array([[0.0, 1e-7], [1e-7, 1.0]]), Sigma0=np.diag([0.0, 1.0])),
         r"^a known entry \(zero Q and Sigma0 diagonal\) needs zero rows in both",
+    ),
+    "formants-negative": (lambda: params_with(n_formants=-1, n_antiformants=2), "^track counts must be non-negative"),
+    "antiformants-negative": (lambda: params_with(n_antiformants=-1), "^track counts must be non-negative"),
+    "formants-float": (lambda: params_with(n_formants=1.0), "^track counts must be non-negative integers"),
+    "cepstra-float": (lambda: params_with(n_cepstra=2.0), "^n_cepstra must be positive and an integer"),
+    "no-tracks": (lambda: params_with(n_formants=0), "^need at least one formant or antiformant to track"),
+    "no-cepstra": (lambda: params_with(n_cepstra=0, R=np.zeros((0, 0))), "^n_cepstra must be positive"),
+    "process-variance-overflows": (
+        lambda: default_params(1, 0, 8000.0, 2, freq_process_std=1e200), "^Q must be finite"
     ),
     "mu0-nan": (lambda: params_with(mu0=[np.nan, 80.0]), "^mu0 must be finite"),
     "sample-rate-zero": (lambda: params_with(sample_rate_hz=0.0), "^sample_rate_hz must be positive and finite"),
