@@ -71,4 +71,7 @@ code=0; karma track n.wav --config long_order.json --out o.csv || code=$?; test 
 # a process std whose square overflows is a config error, caught before the analysis: exit 2
 echo '{"freq_process_std": 1e200}' > overflow_std.json
 code=0; karma track n.wav --config overflow_std.json --out os.csv || code=$?; test "$code" -eq 2
+# a JSON integer too large for a float (400 digits) is a config error: exit 2
+python -c "import json; json.dump({'frame_ms': 10**400}, open('huge_int.json', 'w'))"
+code=0; karma track n.wav --config huge_int.json --out hi.csv || code=$?; test "$code" -eq 2
 echo "command-line round trips passed in $PWD"

@@ -20,10 +20,19 @@ the tracker's cepstral noise R = diag(1/n) resolves.
 is the one root reflection; ``_solve_each`` solves a round's Gauss-Newton
 systems.  ``ArmaModel`` is the one-frame result of
 ``estimate_ar`` and ``estimate_arma``; the batched fits return arrays.
+
+The per-row calls of the ARMA fit go to the kernels behind the public
+wrappers: its IIR filters to ``scipy.signal._sigtools._linear_filter``, which
+``scipy.signal.lfilter`` calls; its roots to the eigvals gufunc behind
+``np.linalg.eigvals``; its solves to the gesv gufunc behind
+``np.linalg.solve``.  Each gets the arguments its wrapper would pass, so
+each gives the wrapper's bits without the wrapper's argument handling,
+which cost as much as the work itself on these small inputs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +49,8 @@ __all__ = [
 
 MAX_ROOT_RADIUS = 1.0 - 1e-6  # post-fit clip keeps the cepstral recursion stable
 CERT_MARGIN = 1e-6  # a reflection coefficient must be this far inside 1 to certify
+_ONE = np.ones(1)  # the polynomial 1: a product's start, and the Gauss-Newton filter's numerator
+_ONE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -158,19 +169,18 @@ def _certify_rows(polys: np.ndarray, radius: float) -> np.ndarray:
     of Speech*, 1976).  Certification asks for |k| < 1 - CERT_MARGIN so that
     rounding in the recursion cannot certify a root on the circle.  False
     means "not proven", not "outside": callers fall back to ``_roots_rows``.
-    One step of the recursion runs on all rows at once; a row refused early
-    keeps stepping on values nothing reads.
+    One step of the recursion runs on all rows at once, on the transposed
+    coefficients (m+1, T); a row refused early keeps stepping on values
+    nothing reads.  Step m reads k_m = c_m and rewrites only c_1..c_{m-1},
+    so c_1..c_m hold k_1..k_m once the steps are done and are tested in
+    one pass.
     """
-    c = polys * np.array([radius**-j for j in range(polys.shape[1])])
-    inside = np.ones(polys.shape[0], dtype=bool)
-    bound = 1.0 - CERT_MARGIN
+    c = polys.T * np.array([radius**-j for j in range(polys.shape[1])])[:, None]
     with np.errstate(all="ignore"):
-        for m in range(polys.shape[1] - 1, 0, -1):
-            k = c[:, m]
-            inside &= np.abs(k) < bound  # also rejects NaN
-            scale = 1.0 - k * k
-            c[:, 1:m] = (c[:, 1:m] - k[:, None] * c[:, m - 1 : 0 : -1]) / scale[:, None]
-    return inside
+        for m in range(polys.shape[1] - 1, 1, -1):
+            k = c[m]
+            c[1:m] = (c[1:m] - k * c[m - 1 : 0 : -1]) / (1.0 - k * k)
+        return (np.abs(c[1:]) < 1.0 - CERT_MARGIN).all(axis=0)  # NaN is never below
 
 
 def _monic(tails: np.ndarray) -> np.ndarray:
@@ -183,20 +193,34 @@ def _monic(tails: np.ndarray) -> np.ndarray:
 
 def _roots_rows(polys: np.ndarray) -> np.ndarray:
     """Roots (T, m) of each monic row of ``polys`` (T, m+1), as ``np.roots``
-    finds them: one stacked companion-matrix ``eigvals`` call, and
-    ``np.roots`` itself for a row with a zero trailing coefficient."""
+    finds them: one stacked companion-matrix call of the eigvals gufunc that
+    ``np.linalg.eigvals`` wraps, and ``np.roots`` itself for a row with a
+    zero trailing coefficient.  The wrapper's checks stay: a non-finite
+    matrix or an eigenvalue solve that does not converge raises
+    ``LinAlgError``, and a stack whose eigenvalues are all real gets +0
+    imaginary parts."""
     m = polys.shape[1] - 1
     roots = np.empty((polys.shape[0], m), dtype=complex)
     trailing_zero = polys[:, -1] == 0.0
     factor = np.flatnonzero(~trailing_zero)
     if factor.size and m:
         companion = np.zeros((factor.size, m, m))
-        companion[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        companion.reshape(factor.size, m * m)[:, m :: m + 1] = 1.0  # the subdiagonal
         companion[:, 0] = -polys[factor, 1:] / polys[factor, :1]
-        roots[factor] = np.linalg.eigvals(companion)
+        if not np.isfinite(companion).all():
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+        with np.errstate(call=_eig_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            w = _umath_linalg.eigvals(companion, signature="d->D")
+        if not w.imag.any():
+            w.imag = 0.0
+        roots[factor] = w
     for i in np.flatnonzero(trailing_zero):
         roots[i] = np.roots(polys[i])
     return roots
+
+
+def _eig_not_converged(err, flag):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
 def _minimum_phase_rows(ar: np.ndarray, ma: np.ndarray, radius: float) -> np.ndarray:
@@ -221,12 +245,13 @@ def _reflect_rows(polys: np.ndarray, clip_radius: float) -> np.ndarray:
 
     A row certified to have every root inside ``clip_radius`` is returned
     as it is; only the others are factored, which does what ``np.roots``
-    and ``np.poly`` do: one ``_roots_rows`` call, reflection and clipping on
-    all factored rows at once, then each row's product of factors by
-    repeated convolution.  The product stays per row, in real arithmetic
-    for a row whose roots are all real, as ``np.poly`` forms it: complex
-    ``np.convolve`` sums through a BLAS dot whose rounding elementwise numpy
-    does not reproduce.
+    and ``np.poly`` do: one ``_roots_rows`` call, then reflection, clipping
+    and the factors [1, -r] of all factored rows at once, then each row's
+    product of its factors by repeated ``np.convolve``, starting from [1].
+    The product stays per row, in real arithmetic for a row whose roots are
+    all real, as ``np.poly`` forms it: complex ``np.convolve`` sums through
+    a BLAS dot whose rounding elementwise numpy does not reproduce, and a
+    stacked matmul that reaches the same dot is slower at a few rows.
     """
     out = polys.astype(float)
     todo = np.flatnonzero(~_certify_rows(polys, clip_radius))
@@ -240,11 +265,13 @@ def _reflect_rows(polys: np.ndarray, clip_radius: float) -> np.ndarray:
     mags = np.abs(roots)
     hot = mags > clip_radius
     roots[hot] *= clip_radius / mags[hot]
-    for t, row, is_real in zip(todo, roots, real):
-        factors = row.real if is_real else row
-        product = np.ones(1, dtype=factors.dtype)
-        for r in factors:
-            product = np.convolve(product, np.array([1, -r], dtype=factors.dtype))
+    factors = np.ones(roots.shape + (2,), dtype=complex)
+    np.negative(roots, out=factors[:, :, 1])
+    for t, row, is_real in zip(todo.tolist(), factors, real.tolist()):
+        row_factors = row.real if is_real else row
+        product = _ONE.astype(row_factors.dtype)
+        for factor in row_factors:
+            product = np.convolve(product, factor)
         out[t] = product.real
     return out
 
@@ -307,9 +334,13 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     zero coefficients, zero variance, ``converged`` False and no objective
     values.
 
-    Only this route needs an IIR filter in the loop, so ``scipy.signal``
-    (``lfilter``) is imported at the first fit with q > 0, not with the
-    package: an AR or real-cepstrum run never loads it.
+    Only this route needs an IIR filter in the loop, so ``scipy.signal`` is
+    imported at the first fit with q > 0, not with the package: an AR or
+    real-cepstrum run never loads it.  Every filter call is
+    ``_sigtools._linear_filter(b, a, x, -1)``, the call ``lfilter(b, a, x)``
+    makes when its denominator ``a`` has more than one coefficient.  Here
+    ``a`` is always the monic B(z), with q >= 1, and b, a and x are float64
+    arrays, so each call gives ``lfilter``'s bits.
     """
     frames = np.asarray(frames, dtype=float)
     if p < 0 or q < 0 or p + q == 0:
@@ -321,12 +352,14 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         return a, np.zeros((n_rows, 0)), err, nonzero, [[] for _ in range(n_rows)]
     if n <= p + q + 1:
         raise ValueError("frame length must exceed p + q + 1")
-    from scipy.signal import lfilter  # it loads scipy.stats too: import only on this route
+    from scipy.signal._sigtools import _linear_filter  # it loads scipy.stats too: import only on this route
 
     objectives = [[] for _ in range(n_rows)]
     ar, ma = np.zeros((n_rows, p)), np.zeros((n_rows, q))
     noise_variance, converged = np.zeros(n_rows), np.zeros(n_rows, dtype=bool)
     rows = np.flatnonzero(nonzero)
+    row_frames = [frames[t] for t in rows.tolist()]  # views, indexed like the fit arrays
+    row_objectives = [objectives[t] for t in rows.tolist()]
     n_long = min(max(20, 2 * (p + q)), max(p + q + 2, n // 3), n - 1)  # an AR fit needs n > order
     long_ar, _ = fit_ar_frames(frames[rows], n_long)
 
@@ -343,8 +376,8 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     # with denominator [1.0] is this convolution); stage 2, regress x[m] on
     # lagged x and lagged u.
     theta = np.empty((rows.size, p + q))
-    for i, t in enumerate(rows):
-        signals[0] = x = frames[t]
+    for i, x in enumerate(row_frames):
+        signals[0] = x
         signals[1] = np.convolve(np.concatenate(([1.0], -long_ar[i])), x)[:n]
         padded[:, k0:] = signals[:, :-1]
         np.copyto(jt[:p], x_lags)
@@ -352,12 +385,10 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
         theta[i] = np.linalg.lstsq(jt.T[k0:], x[k0:], rcond=None)[0]
     a = theta[:, :p]
     b_polys = _reflect_rows(_monic(theta[:, p:]), _MA_CLIP)
-    e = np.empty((rows.size, n))
-    sse = np.empty(rows.size)
-    for i, (t, a_poly) in enumerate(zip(rows, _monic(-a))):
-        e[i] = lfilter(a_poly, b_polys[i], frames[t])
-        sse[i] = e[i] @ e[i]
-        objectives[t].append(float(sse[i]))
+    e = [_linear_filter(a_poly, b_poly, x, -1) for a_poly, b_poly, x in zip(_monic(-a), b_polys, row_frames)]
+    sse = np.array([r @ r for r in e])
+    for history, value in zip(row_objectives, sse.tolist()):
+        history.append(value)
 
     # Stage 3: damped Gauss-Newton on the prediction-error sum of squares;
     # x and e go through 1/B(z) in one call, and the Jacobian is -jt.T.
@@ -367,16 +398,17 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
             break
         hess = np.empty((live.size, p + q, p + q))
         grad = np.empty((live.size, p + q, 1))
-        for j, i in enumerate(live):
-            signals[0] = frames[rows[i]]
+        for j, i in enumerate(live.tolist()):
+            signals[0] = row_frames[i]
             signals[1] = e[i]
-            padded[:, k0:] = lfilter([1.0], b_polys[i], signals)[:, :-1]
+            padded[:, k0:] = _linear_filter(_ONE, b_polys[i], signals, -1)[:, :-1]
             np.copyto(jt[:p], x_lags)
             np.copyto(jt[p:], e_lags)
-            h = jt @ jt.T
-            h.flat[:: p + q + 1] += 1e-10 * max(np.trace(h), 1.0)
-            hess[j] = h
-            grad[j, :, 0] = -(jt @ e[i])
+            np.matmul(jt, jt.T, out=hess[j])
+            np.matmul(jt, e[i], out=grad[j, :, 0])
+        ridge = 1e-10 * np.maximum(np.trace(hess, axis1=1, axis2=2), 1.0)
+        hess.reshape(live.size, -1)[:, :: p + q + 1] += ridge[:, None]
+        np.negative(grad, out=grad)
         delta, solved = _solve_each(hess, grad)
         # A row whose solve fails stops; so does one whose Gauss-Newton
         # decrement grad' delta, the fall its step predicts, is too small.
@@ -394,13 +426,13 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
             idx = live[searching]
             a_try = a[idx] - scale * delta[searching, :p]
             b_try = _reflect_rows(_monic(b_polys[idx, 1:] - scale * delta[searching, p:]), _MA_CLIP)
-            a_try_polys = _monic(-a_try)
-            for k, (s, i) in enumerate(zip(searching, idx)):
-                e_try = lfilter(a_try_polys[k], b_try[k], frames[rows[i]])
+            trials = zip(searching.tolist(), idx.tolist(), a_try, _monic(-a_try), b_try, sse[idx].tolist())
+            for s, i, a_row, a_poly, b_poly, sse_i in trials:
+                e_try = _linear_filter(a_poly, b_poly, row_frames[i], -1)
                 sse_try = float(e_try @ e_try)
-                if np.isfinite(sse_try) and sse_try < sse[i]:
-                    a[i], b_polys[i], e[i], sse[i] = a_try[k], b_try[k], e_try, sse_try
-                    objectives[rows[i]].append(sse_try)
+                if math.isfinite(sse_try) and sse_try < sse_i:
+                    a[i], b_polys[i], e[i], sse[i] = a_row, b_poly, e_try, sse_try
+                    row_objectives[i].append(sse_try)
                     accepted[s] = True
             searching = searching[~accepted[searching]]
         converged[rows[live[~accepted]]] = True  # no descent step left
@@ -409,8 +441,8 @@ def fit_arma_frames(frames: np.ndarray, p: int, q: int):
     ar_polys = _reflect_rows(_monic(-a), MAX_ROOT_RADIUS)
     ma_polys = _reflect_rows(b_polys, MAX_ROOT_RADIUS)
     ar[rows], ma[rows] = -ar_polys[:, 1:], ma_polys[:, 1:]
-    for i, t in enumerate(rows):
-        resid = lfilter(ar_polys[i], ma_polys[i], frames[t])
+    for i, t in enumerate(rows.tolist()):
+        resid = _linear_filter(ar_polys[i], ma_polys[i], row_frames[i], -1)
         noise_variance[t] = np.mean(resid**2)
     return ar, ma, noise_variance, converged, objectives
 

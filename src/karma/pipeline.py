@@ -48,13 +48,18 @@ MODES = ("filter", "smooth")
 
 def _fits(value, default) -> bool:
     """Whether a JSON value has the type of the config field with this default:
-    an int for an int field, any number for a float field (never a bool), a
-    string for a string field, and a list of numbers or null for the
-    ``initial_*`` overrides, whose default is None."""
+    an int for an int field, any number for a float field (never a bool, nor
+    an int too large for a float), a string for a string field, and a list of
+    numbers or null for the ``initial_*`` overrides, whose default is None."""
     if default is None:
         return value is None or (isinstance(value, list) and all(_fits(v, 0.0) for v in value))
     if isinstance(value, bool):
         return False
+    if isinstance(default, float) and isinstance(value, int):
+        try:
+            return math.isfinite(value)  # converts to float, which a huge int overflows
+        except OverflowError:
+            return False
     return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import cache
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
+from scipy.signal import _sigtools
 
 import karma.arma
 from karma.arma import (
@@ -559,6 +561,59 @@ class TestFitArmaFrames:
         ar, ma, noise_variance, converged, objectives = fit_arma_frames(np.zeros((0, 50)), 4, 2)
         assert ar.shape == (0, 4) and ma.shape == (0, 2) and noise_variance.shape == (0,)
         assert converged.shape == (0,) and objectives == []
+
+
+class TestFilterKernel:
+    """The fit filters with ``_sigtools._linear_filter(b, a, x, -1)``, the kernel
+    that ``scipy.signal.lfilter`` calls when ``a`` has more than one
+    coefficient.  Each call the fit makes, in each of its shapes, gives what
+    ``lfilter`` gives: a 1-D frame with the (p+1)-tap A(z) over the monic
+    (q+1)-tap B(z), and the (2, n) stack of the frame and its residual with
+    numerator [1.0]; q = 1 is the shortest denominator."""
+
+    @pytest.mark.parametrize("p, q", [(6, 4), (2, 1), (1, 1)])
+    def test_every_call_equals_lfilter(self, monkeypatch, p, q):
+        kernel = _sigtools._linear_filter
+        calls = []
+
+        def recording(b, a, x, axis):
+            out = kernel(b, a, x, axis)
+            calls.append((b.copy(), a.copy(), np.array(x), axis, out))
+            return out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit calls lfilter")
+
+        frames = np.vstack([nasal_frames()[20:23], random_arma_frames(np.random.default_rng(p + q), 2, 1000)])
+        monkeypatch.setattr(_sigtools, "_linear_filter", recording)
+        monkeypatch.setattr(sps, "lfilter", refuse)
+        fit = fit_arma_frames(frames, p, q)
+        monkeypatch.undo()
+        assert_rows_equal_the_reference(frames, p, q, fit)
+        n = frames.shape[1]
+        shapes = {(b.size, a.size, x.shape) for b, a, x, _, _ in calls}
+        assert shapes == {(p + 1, q + 1, (n,)), (1, q + 1, (2, n))}
+        for b, a, x, axis, out in calls:
+            assert axis == -1 and a[0] == 1.0
+            assert np.array_equal(out, sps.lfilter(b, a, x))
+
+
+class TestMemoryBudget:
+    def test_peak_within_twice_the_block(self):
+        """The fit holds each row's residual and a few per-row buffers: no
+        (rows, n) copy of the frames next to the residuals, and no stacked
+        Jacobians.  Its tracemalloc peak stays within twice the frames' bytes
+        (about 1.5 times on this ARMA(6,4) block)."""
+        frames = nasal_frames()
+        assert frames.shape == (75, 1000)
+        fit_arma_frames(frames[:2], 6, 4)  # imports and first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            fit_arma_frames(frames, 6, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * frames.nbytes
 
 
 def solve_stack(rng, n_systems=5, m=6, k=4):

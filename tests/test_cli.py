@@ -117,6 +117,10 @@ class TestTrackCommand:
             {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 17},  # past half the FFT size
             {"freq_process_std": 1e200},  # its square, the process variance, overflows
             {"bw_process_std": 1e200},
+            {"frame_ms": 10**400},  # JSON ints too large for a float
+            {"target_sample_rate_hz": 10**400},
+            {"energy_threshold_db": 10**400},
+            {"initial_formant_freqs": [10**400, 1.0, 1.0]},
         ],
         ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
              "override_length", "freq_std_negative", "bw_std_negative",
@@ -127,7 +131,8 @@ class TestTrackCommand:
              "energy_threshold_nan", "gamma_nan", "sample_rate_infinite",
              "realcep_no_cepstra", "realcep_negative_cepstra", "ar_order_fills_frame",
              "arma_orders_fill_frame", "realcep_cepstra_beyond_fft", "realcep_cepstra_mirrored",
-             "freq_std_square_overflows", "bw_std_square_overflows"],
+             "freq_std_square_overflows", "bw_std_square_overflows", "frame_ms_int_overflows",
+             "sample_rate_int_overflows", "energy_threshold_int_overflows", "override_int_overflows"],
     )
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav

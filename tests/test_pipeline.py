@@ -194,6 +194,21 @@ class TestRunConfig:
         config.validate()
         assert config.initial_formant_freqs == [500, 1500.0, 2500]
 
+    @pytest.mark.parametrize(
+        "field",
+        [f.name for f in dataclasses.fields(RunConfig) if f.default is None or isinstance(f.default, float)],
+    )
+    def test_json_int_too_large_for_a_float_rejected(self, field):
+        """A JSON int fits a float field only if it converts to a finite float:
+        10**400 overflows, which ``validate`` or the run itself would raise as
+        an OverflowError, not a config error; 10**300 converts."""
+        def value(number):
+            return [number, 1.0, 1.0] if field.startswith("initial_") else number
+
+        with pytest.raises(ValueError, match=f"^{field} has the wrong type"):
+            RunConfig.from_json({field: value(10**400)})
+        assert getattr(RunConfig.from_json({field: value(10**300)}), field) == value(10**300)
+
     def test_mu0_overrides(self):
         config = RunConfig(
             n_formants=2,
