@@ -62,12 +62,24 @@ karma track s.wav --labels s.lbl --out sl.csv && karma eval sl.csv sr.csv
 # a malformed label file (a line with two fields) is a usage error: exit 2
 printf '0 1600\n' > bad.lbl
 code=0; karma track s.wav --labels bad.lbl --out bl.csv || code=$?; test "$code" -eq 2
+# ... and so is a negative sample index, which must not silence the input by wrapping around
+printf '0 -100 pau\n' > neg.lbl
+code=0; karma track n.wav --labels neg.lbl --out nl.csv || code=$?; test "$code" -eq 2
 # a malformed spec (a formant above the Nyquist rate) is a usage error: exit 2
 echo '{"sample_rate_hz": 8000.0, "frame_ms": 20.0, "overlap_fraction": 0.5, "frames": [{"formant_freqs": [5000.0], "formant_bws": [80.0]}]}' > bad.json
 code=0; karma synth bad.json || code=$?; test "$code" -eq 2
+# ... and so is true for a number: it is not 1 ms
+echo '{"sample_rate_hz": 8000.0, "frame_ms": true, "overlap_fraction": 0.5, "frames": [{"formant_freqs": [500.0], "formant_bws": [80.0]}]}' > bool.json
+code=0; karma synth bool.json || code=$?; test "$code" -eq 2
 # an AR order above the frame length (140 samples at 7 kHz) is a config error: exit 2
 echo '{"lpc_order": 200, "n_cepstra": 200}' > long_order.json
 code=0; karma track n.wav --config long_order.json --out o.csv || code=$?; test "$code" -eq 2
+# 200 cepstra of 5 ms frames (35 samples) are valid on the AR route, and --obs realcep makes the
+# config invalid, since the real cepstrum has only 128: the flags are checked with the file's values
+echo '{"frame_ms": 5.0, "n_cepstra": 200}' > many_cepstra.json
+karma track n.wav --config many_cepstra.json --out mc.csv
+code=0; karma track n.wav --config many_cepstra.json --obs realcep --out mr.csv 2> mr.txt || code=$?
+test "$code" -eq 2 && grep -q "n_cepstra must be at most 128 for a 35-sample frame" mr.txt
 # a process std whose square overflows is a config error, caught before the analysis: exit 2
 echo '{"freq_process_std": 1e200}' > overflow_std.json
 code=0; karma track n.wav --config overflow_std.json --out os.csv || code=$?; test "$code" -eq 2

@@ -37,25 +37,16 @@ class UsageError(Exception):
 
 
 def _load_config(args) -> RunConfig:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            config = RunConfig.load(path)
-        except (ValueError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad config: {exc}") from exc
-    else:
-        config = RunConfig()
-    if args.mode:
-        config.mode = args.mode
-    if args.obs:
-        config.observation_source = {"arma": "arma_cepstrum", "realcep": "real_cepstrum"}[args.obs]
+    """The ``--config`` file's config, or the default one, with ``--mode``
+    and ``--obs`` applied; each config checks itself as it is built."""
+    if args.config and not Path(args.config).exists():
+        raise UsageError(f"config file not found: {Path(args.config)}")
+    source = {"arma": "arma_cepstrum", "realcep": "real_cepstrum"}.get(args.obs)
+    flags = {name: value for name, value in (("mode", args.mode), ("observation_source", source)) if value}
     try:
-        config.validate()
-    except ValueError as exc:
+        return dataclasses.replace(RunConfig.load(args.config) if args.config else RunConfig(), **flags)
+    except (ValueError, json.JSONDecodeError) as exc:
         raise UsageError(f"bad config: {exc}") from exc
-    return config
 
 
 def _require_file(path_str: str, kind: str) -> Path:

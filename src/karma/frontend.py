@@ -505,6 +505,8 @@ def read_label_file(path) -> list[LabelInterval]:
                 start, end = int(parts[0]), int(parts[1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: non-integer sample index") from exc
+            if min(start, end) < 0:
+                raise ValueError(f"{path}:{lineno}: negative sample index")
             intervals.append(LabelInterval(start, end, parts[2]))
     return intervals
 
@@ -530,6 +532,6 @@ def activity_from_labels(
         if iv.label in DEFAULT_SILENCE_LABELS:
             lo = max(0, int(round(iv.start_sample * sample_scale)))
             hi = min(n_samples, int(round(iv.end_sample * sample_scale)))
-            silent[lo:hi] = True
+            silent[lo : max(lo, hi)] = True  # empty when hi <= lo: a negative hi must not wrap around
     covered = sliding_window_view(silent, frame_length)[::hop][:n_frames]
     return ~covered.all(axis=1)

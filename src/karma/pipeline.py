@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, replace
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,25 +48,27 @@ MODES = ("filter", "smooth")
 
 
 def _fits(value, default) -> bool:
-    """Whether a JSON value has the type of the config field with this default:
-    an int for an int field, any number for a float field (never a bool, nor
-    an int too large for a float), a string for a string field, and a list of
-    numbers or null for the ``initial_*`` overrides, whose default is None."""
+    """Whether a value has the type of the config field with this default:
+    an integer for an int field, a real number that converts to a float for
+    a float field (never a bool), a string for a string field, and None or a
+    list or tuple of such numbers for the ``initial_*`` overrides."""
     if default is None:
-        return value is None or (isinstance(value, list) and all(_fits(v, 0.0) for v in value))
-    if isinstance(value, bool):
+        return value is None or (isinstance(value, (list, tuple)) and all(_fits(v, 0.0) for v in value))
+    if isinstance(value, bool) or not isinstance(value, {int: Integral, float: Real, str: str}[type(default)]):
         return False
-    if isinstance(default, float) and isinstance(value, int):
+    if isinstance(default, float):
         try:
-            return math.isfinite(value)  # converts to float, which a huge int overflows
+            float(value)  # which an int too large for a float overflows
         except OverflowError:
             return False
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+    return True
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Analysis and tracker configuration for one tracking run."""
+    """Analysis and tracker configuration for one tracking run: immutable,
+    and checked on construction, each field's type (``_fits``) and then the
+    values; ``dataclasses.replace`` makes a checked variant."""
 
     target_sample_rate_hz: float = 7000.0
     frame_ms: float = 20.0
@@ -82,17 +85,22 @@ class RunConfig:
     energy_threshold_db: float = -40.0
     freq_process_std: float = 320.0
     bw_process_std: float = 100.0
-    initial_formant_freqs: list[float] | None = None
-    initial_formant_bws: list[float] | None = None
-    initial_antiformant_freqs: list[float] | None = None
-    initial_antiformant_bws: list[float] | None = None
+    initial_formant_freqs: tuple[float, ...] | None = None
+    initial_formant_bws: tuple[float, ...] | None = None
+    initial_antiformant_freqs: tuple[float, ...] | None = None
+    initial_antiformant_bws: tuple[float, ...] | None = None
 
-    def validate(self) -> None:
-        for field in dataclasses.fields(self):  # JSON admits NaN and Infinity
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
             value = getattr(self, field.name)
-            values = value if isinstance(value, list) else [value]
-            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            if not _fits(value, field.default):
+                raise ValueError(f"{field.name} has the wrong type: {value!r}")
+            values = value if isinstance(value, (list, tuple)) else [value]
+            floats = [v for v in values if isinstance(v, Real) and not isinstance(v, Integral)]  # an int is finite
+            if not all(map(math.isfinite, floats)):  # JSON admits NaN and Infinity
                 raise ValueError(f"{field.name} must be finite")
+            if isinstance(value, list):  # held as a tuple, so that a config hashes
+                object.__setattr__(self, field.name, tuple(value))
         _check_counts(self.n_formants, self.n_antiformants, self.n_cepstra)
         if self.observation_source == "arma_cepstrum":  # the only route that fits a model
             if self.lpc_order < 1:
@@ -149,16 +157,13 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
-        """Config from a JSON object; each value must have its field's type."""
+        """Config from a JSON object whose keys are field names; the
+        constructor checks the values, by the same rules as in Python."""
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-        unknown = set(data) - set(defaults)
+        unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        for name, value in data.items():
-            if not _fits(value, defaults[name]):
-                raise ValueError(f"{name} has the wrong type: {value!r}")
         return cls(**data)
 
     @classmethod
@@ -173,7 +178,7 @@ class RunConfig:
 
 
 def make_tracker_params(config: RunConfig, hop_s: float) -> TrackerParams:
-    config.validate()
+    """``default_params`` for the config, with its ``initial_*`` overrides in ``mu0``."""
     params = default_params(
         config.n_formants,
         config.n_antiformants,
@@ -237,8 +242,9 @@ def track_waveform(
     mode each frame's estimate depends only on that frame and earlier ones,
     given the activity mask (fixed by ``labels``; ``detect_activity``'s
     rule scales its threshold to the loudest frame of the whole utterance).
-    The config, the tracker parameters and the activation's length and
-    widths are checked before the front end runs.
+    The tracker parameters and the activation's length and widths are
+    checked before the front end runs (the config checked itself when it
+    was built).
 
     Memory: the front end streams.  The resampler and the framer hand out
     windowed frames a block of rows at a time (``frontend._frame_blocks``),
@@ -250,7 +256,6 @@ def track_waveform(
     the run holds the observations, the tracker's result and a few
     blocks.  The price is resampling twice when activity is detected.
     """
-    config.validate()
     fs = config.target_sample_rate_hz
     n_samples = _resampled_length(w, fs)
     frame_length, hop = frame_length_and_hop(config.frame_ms, config.overlap, fs)

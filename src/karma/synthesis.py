@@ -20,7 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .cepstrum import state_columns
 from .frontend import Waveform, _periodic_window, frame_length_and_hop
-from .pipeline import RunConfig
+from .pipeline import RunConfig, _fits
 from .tracker import TrackActivation, TrackResult, _make_result
 
 __all__ = [
@@ -95,7 +95,7 @@ class TrajectorySpec:
             raise ValueError("frame_ms must span at least one sample")
         if not 0 <= self.overlap_fraction < 1:
             raise ValueError("overlap_fraction must be in [0, 1)")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _fits(self.seed, 0) or self.seed < 0:  # RunConfig's integer rule, which refuses a bool
             raise ValueError("seed must be a non-negative integer")
         object.__setattr__(self, "sources", sources)
 
@@ -556,8 +556,7 @@ def nasal_utterance_spec(seed: int = 715) -> TrajectorySpec:
 def nasal_demo_config() -> RunConfig:
     """The nasal demo's analysis: ARMA(6,4) on the demo's own frame grid
     (10 kHz, 100 ms frames at 50 % overlap), pre-emphasis 0.9, two formants
-    and one antiformant.  A fresh config on each call, since ``RunConfig``
-    is mutable."""
+    and one antiformant."""
     return RunConfig(
         target_sample_rate_hz=10000.0,
         frame_ms=100.0,
@@ -603,12 +602,14 @@ def spec_from_json(data: dict) -> TrajectorySpec:
 
         tracks = {key: column(key, []) for key in TRACK_COLUMNS}
         n_formants, n_antiformants = tracks["formant_freqs"].shape[-1], tracks["antiformant_freqs"].shape[-1]
+        grid = {key: data[key] for key in ("frame_ms", "overlap_fraction", "sample_rate_hz")}
+        for key, value in grid.items():
+            if not _fits(value, 0.0):  # RunConfig's number rule: true and false are not numbers
+                raise ValueError(f"{key} has the wrong type: {value!r}")
         return TrajectorySpec(
             **tracks,
             sources=column("source", "white_noise", str),
-            frame_ms=float(data["frame_ms"]),
-            overlap_fraction=float(data["overlap_fraction"]),
-            sample_rate_hz=float(data["sample_rate_hz"]),
+            **{key: float(value) for key, value in grid.items()},
             seed=data.get("seed", 0),
             f0_hz=column("f0_hz", None),
             formant_present=column("formant_present", [True] * n_formants, bool),

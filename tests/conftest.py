@@ -23,6 +23,52 @@ from karma.tracker import TrackActivation, TrackerParams
 NASAL_SKIP_FRAMES = 10  # tracker start-up, left out of every nasal demo score
 CRITERION_8_BUDGET_HZ = 50.0  # per formant and for the antiformant on nasal frames
 
+# configs that RunConfig rejects, by name: `karma track --config` exits 2 on each
+# (test_cli), and RunConfig(**cfg) and RunConfig.from_json(cfg) raise the same error
+# on each object with known keys (test_pipeline)
+BAD_CONFIGS = {
+    "window": {"window": "blackman"},
+    "frame_ms_zero": {"frame_ms": 0.0},
+    "frame_ms_negative": {"frame_ms": -20.0},
+    "lpc_order_zero": {"lpc_order": 0, "n_formants": 0, "n_antiformants": 1, "ma_order": 2},
+    "override_length": {"initial_formant_freqs": [500.0]},
+    "freq_std_negative": {"freq_process_std": -1.0},
+    "bw_std_negative": {"bw_process_std": -1.0},
+    "frame_ms_below_one_sample": {"frame_ms": 0.05},
+    "frame_ms_overflows": {"frame_ms": 1e308},  # the frame length overflows to inf
+    "retired_key": {"fit_transition": False},
+    "formants_negative": {"n_formants": -1},
+    "antiformants_negative": {"n_antiformants": -1},
+    "no_tracks": {"n_formants": 0},
+    "int_as_string": {"lpc_order": "12"},
+    "float_as_string": {"overlap": "0.5"},
+    "int_as_float": {"n_cepstra": 15.5},
+    "override_not_a_list": {"initial_formant_freqs": 500},
+    "not_an_object": 5,
+    "bool_as_int": {"lpc_order": True},
+    "bool_as_float": {"gamma": False},
+    "bool_in_override": {"initial_formant_freqs": [500.0, True, 2500.0]},
+    "freq_std_infinite": {"freq_process_std": float("inf")},
+    "bw_std_infinite": {"bw_process_std": float("inf")},
+    "energy_threshold_nan": {"energy_threshold_db": float("nan")},
+    "gamma_nan": {"gamma": float("nan")},
+    "sample_rate_infinite": {"target_sample_rate_hz": float("inf")},
+    "realcep_no_cepstra": {"observation_source": "real_cepstrum", "n_cepstra": 0},
+    "realcep_negative_cepstra": {"observation_source": "real_cepstrum", "n_cepstra": -1},
+    "ar_order_fills_frame": {"lpc_order": 200, "n_cepstra": 200},
+    "arma_orders_fill_frame": {"ma_order": 140, "n_cepstra": 140},
+    "realcep_cepstra_beyond_fft": {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 40},
+    # past half the FFT size
+    "realcep_cepstra_mirrored": {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 17},
+    # its square, the process variance, overflows
+    "freq_std_square_overflows": {"freq_process_std": 1e200},
+    "bw_std_square_overflows": {"bw_process_std": 1e200},
+    "frame_ms_int_overflows": {"frame_ms": 10**400},  # JSON ints too large for a float
+    "sample_rate_int_overflows": {"target_sample_rate_hz": 10**400},
+    "energy_threshold_int_overflows": {"energy_threshold_db": 10**400},
+    "override_int_overflows": {"initial_formant_freqs": [10**400, 1.0, 1.0]},
+}
+
 
 def random_minimum_phase_model(rng, p: int, q: int, max_radius: float = 0.95) -> ArmaModel:
     """Random minimum-phase ARMA model built from conjugate root pairs.

@@ -8,6 +8,8 @@ from karma.evaluation import read_tracks, write_tracks
 from karma.frontend import Waveform, activity_from_labels, read_label_file, read_wav, write_wav
 from karma.synthesis import nasal_utterance_spec, random_trajectory, synthesize
 
+from conftest import BAD_CONFIGS
+
 
 @pytest.fixture
 def vowel_wav(tmp_path):
@@ -81,59 +83,25 @@ class TestTrackCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "cfg",
+        "cfg, flags, code, message",
         [
-            {"window": "blackman"},
-            {"frame_ms": 0.0},
-            {"frame_ms": -20.0},
-            {"lpc_order": 0, "n_formants": 0, "n_antiformants": 1, "ma_order": 2},
-            {"initial_formant_freqs": [500.0]},
-            {"freq_process_std": -1.0},
-            {"bw_process_std": -1.0},
-            {"frame_ms": 0.05},
-            {"frame_ms": 1e308},  # the frame length overflows to inf
-            {"fit_transition": False},
-            {"n_formants": -1},
-            {"n_antiformants": -1},
-            {"n_formants": 0},
-            {"lpc_order": "12"},
-            {"overlap": "0.5"},
-            {"n_cepstra": 15.5},
-            {"initial_formant_freqs": 500},
-            5,
-            {"lpc_order": True},
-            {"gamma": False},
-            {"initial_formant_freqs": [500.0, True, 2500.0]},
-            {"freq_process_std": float("inf")},
-            {"bw_process_std": float("inf")},
-            {"energy_threshold_db": float("nan")},
-            {"gamma": float("nan")},
-            {"target_sample_rate_hz": float("inf")},
-            {"observation_source": "real_cepstrum", "n_cepstra": 0},
-            {"observation_source": "real_cepstrum", "n_cepstra": -1},
-            {"lpc_order": 200, "n_cepstra": 200},
-            {"ma_order": 140, "n_cepstra": 140},
-            {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 40},
-            {"observation_source": "real_cepstrum", "frame_ms": 1.0, "n_cepstra": 17},  # past half the FFT size
-            {"freq_process_std": 1e200},  # its square, the process variance, overflows
-            {"bw_process_std": 1e200},
-            {"frame_ms": 10**400},  # JSON ints too large for a float
-            {"target_sample_rate_hz": 10**400},
-            {"energy_threshold_db": 10**400},
-            {"initial_formant_freqs": [10**400, 1.0, 1.0]},
+            ({"frame_ms": 5.0, "n_cepstra": 200}, [], 0, ""),
+            ({"frame_ms": 5.0, "n_cepstra": 200}, ["--obs", "realcep"], 2, "at most 128 for a 35-sample frame"),
+            ({"mode": "x"}, ["--mode", "filter"], 2, "mode must be one of"),
         ],
-        ids=["window", "frame_ms_zero", "frame_ms_negative", "lpc_order_zero",
-             "override_length", "freq_std_negative", "bw_std_negative",
-             "frame_ms_below_one_sample", "frame_ms_overflows", "retired_key", "formants_negative",
-             "antiformants_negative", "no_tracks", "int_as_string", "float_as_string",
-             "int_as_float", "override_not_a_list", "not_an_object", "bool_as_int",
-             "bool_as_float", "bool_in_override", "freq_std_infinite", "bw_std_infinite",
-             "energy_threshold_nan", "gamma_nan", "sample_rate_infinite",
-             "realcep_no_cepstra", "realcep_negative_cepstra", "ar_order_fills_frame",
-             "arma_orders_fill_frame", "realcep_cepstra_beyond_fft", "realcep_cepstra_mirrored",
-             "freq_std_square_overflows", "bw_std_square_overflows", "frame_ms_int_overflows",
-             "sample_rate_int_overflows", "energy_threshold_int_overflows", "override_int_overflows"],
+        ids=["file-valid", "flag-makes-invalid", "file-invalid-alone"],
     )
+    def test_flags_apply_to_a_valid_file_config(self, tmp_path, vowel_wav, capsys, cfg, flags, code, message):
+        """``--mode`` and ``--obs`` replace fields of the file's config, which
+        must be valid on its own, and the result is checked again."""
+        wav_path, _ = vowel_wav
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        args = ["track", str(wav_path), "--config", str(cfg_path), "--out", str(tmp_path / "o.csv"), *flags]
+        assert main(args) == code
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", list(BAD_CONFIGS.values()), ids=list(BAD_CONFIGS))
     def test_bad_config_value_exits_2(self, tmp_path, vowel_wav, capsys, cfg):
         wav_path, _ = vowel_wav
         cfg_path = tmp_path / "bad.json"
@@ -178,8 +146,8 @@ class TestLabelFile:
 
     @pytest.mark.parametrize(
         "content",
-        [b"0 1600\n", b"0 16x0 aa\n", b"0 1600 h#\n\xff\xfe 12800 aa\n"],
-        ids=["too-few-fields", "non-integer-index", "undecodable-bytes"],
+        [b"0 1600\n", b"0 16x0 aa\n", b"0 1600 h#\n\xff\xfe 12800 aa\n", b"0 -100 pau\n"],
+        ids=["too-few-fields", "non-integer-index", "undecodable-bytes", "negative-index"],
     )
     def test_malformed_label_file_exits_2(self, tmp_path, vowel_wav, capsys, content):
         wav_path, _ = vowel_wav
@@ -292,6 +260,10 @@ class TestSynthCommand:
             ({}, {"formant_freqs": [5000.0]}),
             ({}, {"formant_bws": [-80.0]}),
             ({"seed": 1.9}, {}),
+            ({"frame_ms": True}, {}),
+            ({"sample_rate_hz": False}, {}),
+            ({"overlap_fraction": "0.5"}, {}),
+            ({"seed": True}, {}),
         ],
         ids=[
             "no_frames",
@@ -304,6 +276,10 @@ class TestSynthCommand:
             "formant_above_nyquist",
             "negative_bandwidth",
             "fractional_seed",
+            "bool_frame_ms",
+            "bool_sample_rate",
+            "string_overlap",
+            "bool_seed",
         ],
     )
     def test_schema_violation_exits_2(self, tmp_path, capsys, top, frame):

@@ -448,6 +448,19 @@ class TestActivity:
         with pytest.raises(ValueError, match="expected"):
             read_label_file(path)
 
+    def test_negative_sample_index_rejected(self, tmp_path):
+        path = tmp_path / "neg.lbl"
+        path.write_text("0 800 aa\n0 -100 pau\n")
+        with pytest.raises(ValueError, match="neg.lbl:2: negative sample index"):
+            read_label_file(path)
+
+    @pytest.mark.parametrize("start, end", [(0, -100), (-300, -100), (900, 400)])
+    def test_empty_interval_covers_nothing(self, start, end):
+        """An interval covers [max(start, 0), min(end, n)): nothing when that
+        is empty, where a slice to a negative end would wrap around."""
+        mask = activity_from_labels([LabelInterval(start, end, "pau")], 2400, 800, 800, 3)
+        assert mask.tolist() == [True, True, True]
+
     @settings(deadline=None, max_examples=80)
     @given(
         bounds=st.lists(st.integers(0, 3000), min_size=0, max_size=12),

@@ -19,19 +19,21 @@ import karma.frontend
 import karma.pipeline
 from karma.arma import ArmaModel, estimate_ar, fit_ar_frames, fit_arma_frames
 from karma.cepstrum import _real_cepstra, arma_to_cepstrum
-from karma.pipeline import RunConfig, build_observations, make_tracker_params, track_waveform
+from karma.pipeline import RunConfig, _fits, build_observations, make_tracker_params, track_waveform
 from karma.evaluation import rmse
 from karma.frontend import (
     LabelInterval,
     Waveform,
+    _frame_count,
     _kaiser_lowpass,
     activity_from_labels,
     frame_length_and_hop,
 )
-from karma.synthesis import random_trajectory, synthesize
+from karma.synthesis import nasal_demo_config, nasal_utterance_spec, random_trajectory, synthesize
 from karma.tracker import TrackActivation, ekf_filter, eks_smooth
 
 from conftest import (
+    BAD_CONFIGS,
     NASAL_SKIP_FRAMES,
     frozen_detect_activity,
     frozen_polyphase,
@@ -65,66 +67,66 @@ def resonant_frames(seed, n_frames, length, silent_every=4):
 
 class TestRunConfig:
     def test_defaults_valid(self):
-        RunConfig().validate()
+        RunConfig()
 
     def test_cepstra_order_invariant(self):
         with pytest.raises(ValueError, match="n_cepstra"):
-            RunConfig(lpc_order=16, n_cepstra=12).validate()
+            RunConfig(lpc_order=16, n_cepstra=12)
 
     def test_pole_count_invariant(self):
         with pytest.raises(ValueError, match="lpc_order"):
-            RunConfig(n_formants=4, lpc_order=6).validate()
+            RunConfig(n_formants=4, lpc_order=6)
 
     def test_zero_count_invariant(self):
         with pytest.raises(ValueError, match="ma_order"):
-            RunConfig(n_antiformants=2, ma_order=2).validate()
+            RunConfig(n_antiformants=2, ma_order=2)
 
     def test_real_cepstrum_needs_no_ma_order(self):
         # the real-cepstrum route fits no MA part, so ma_order does not bound it
-        RunConfig(n_antiformants=1, observation_source="real_cepstrum").validate()
+        RunConfig(n_antiformants=1, observation_source="real_cepstrum")
 
     @pytest.mark.parametrize("field, value", [("n_formants", 7), ("n_cepstra", 10)])
     def test_real_cepstrum_needs_no_lpc_order(self, field, value):
         # nor does lpc_order, which the default 12 would otherwise make binding
-        RunConfig(observation_source="real_cepstrum", **{field: value}).validate()
+        RunConfig(observation_source="real_cepstrum", **{field: value})
         with pytest.raises(ValueError, match="lpc_order"):
-            RunConfig(**{field: value}).validate()
+            RunConfig(**{field: value})
 
     @pytest.mark.parametrize("source", ["arma_cepstrum", "real_cepstrum"])
     @pytest.mark.parametrize("n_cepstra", [0, -1])
     def test_no_cepstra_rejected(self, source, n_cepstra):
         with pytest.raises(ValueError, match="n_cepstra must be positive"):
-            RunConfig(observation_source=source, n_cepstra=n_cepstra).validate()
+            RunConfig(observation_source=source, n_cepstra=n_cepstra)
 
     def test_lpc_order_bounds_only_the_model_route(self):
-        RunConfig(observation_source="real_cepstrum", lpc_order=0).validate()
+        RunConfig(observation_source="real_cepstrum", lpc_order=0)
         with pytest.raises(ValueError, match="lpc_order must be positive"):
-            RunConfig(lpc_order=0, n_formants=0, n_antiformants=1, ma_order=2).validate()
+            RunConfig(lpc_order=0, n_formants=0, n_antiformants=1, ma_order=2)
 
     @pytest.mark.parametrize("p, q", [(2, 0), (12, 0), (4, 2), (6, 4)])
     def test_frame_limits_are_the_fits_own(self, p, q):
-        """validate accepts a frame length exactly when ``fit_arma_frames`` fits it."""
+        """RunConfig accepts a frame length exactly when ``fit_arma_frames`` fits it."""
         rng = np.random.default_rng(p + q)
         for n in range(1, p + q + 4):
-            config = RunConfig(
+            fields = dict(
                 target_sample_rate_hz=1000.0, frame_ms=float(n), lpc_order=p, ma_order=q, n_cepstra=max(p, q), n_formants=1
             )
             try:
                 fit_arma_frames(rng.standard_normal((1, n)), p, q)
             except ValueError:
                 with pytest.raises(ValueError, match="too short"):
-                    config.validate()
+                    RunConfig(**fields)
             else:
-                config.validate()
+                RunConfig(**fields)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 8, 33, 140])
     def test_real_cepstrum_count_bounded_by_the_fft(self, n):
         """n_cepstra may reach the number of columns ``_real_cepstra`` returns."""
         limit = _real_cepstra(np.ones((1, n)), [0], 10**6).shape[1]
         fields = dict(observation_source="real_cepstrum", target_sample_rate_hz=1000.0, frame_ms=float(n))
-        RunConfig(**fields, n_cepstra=limit).validate()
+        RunConfig(**fields, n_cepstra=limit)
         with pytest.raises(ValueError, match="n_cepstra must be at most"):
-            RunConfig(**fields, n_cepstra=limit + 1).validate()
+            RunConfig(**fields, n_cepstra=limit + 1)
 
     @pytest.mark.parametrize("n", [2, 7, 8, 33, 140])  # a one-sample frame has a flat spectrum
     def test_real_cepstrum_coefficients_distinct_from_their_mirrors(self, n):
@@ -153,20 +155,20 @@ class TestRunConfig:
     )
     def test_non_finite_number_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            RunConfig(**{field: value}).validate()
+            RunConfig(**{field: value})
 
     @pytest.mark.parametrize("counts", [(-1, 0), (3, -1), (-2, 2)])
     def test_negative_track_count_rejected(self, counts):
         i, j = counts
         with pytest.raises(ValueError, match="track counts must be non-negative"):
-            RunConfig(n_formants=i, n_antiformants=j).validate()
+            RunConfig(n_formants=i, n_antiformants=j)
 
     def test_no_tracks_rejected(self):
         with pytest.raises(ValueError, match="at least one formant or antiformant"):
-            RunConfig(n_formants=0, n_antiformants=0).validate()
+            RunConfig(n_formants=0, n_antiformants=0)
 
     def test_antiformants_only_valid(self):
-        RunConfig(n_formants=0, n_antiformants=1, ma_order=2).validate()
+        RunConfig(n_formants=0, n_antiformants=1, ma_order=2)
 
     def test_json_roundtrip_lossless(self, tmp_path):
         config = RunConfig(
@@ -191,8 +193,7 @@ class TestRunConfig:
         config = RunConfig.from_json(
             {"overlap": 0, "gamma": 1, "initial_formant_freqs": [500, 1500.0, 2500], "initial_formant_bws": None}
         )
-        config.validate()
-        assert config.initial_formant_freqs == [500, 1500.0, 2500]
+        assert config.initial_formant_freqs == (500, 1500.0, 2500)
 
     @pytest.mark.parametrize(
         "field",
@@ -200,14 +201,15 @@ class TestRunConfig:
     )
     def test_json_int_too_large_for_a_float_rejected(self, field):
         """A JSON int fits a float field only if it converts to a finite float:
-        10**400 overflows, which ``validate`` or the run itself would raise as
-        an OverflowError, not a config error; 10**300 converts."""
+        10**400 overflows, which the value rules or the run itself would raise
+        as an OverflowError, not a config error; 10**300 converts (and the
+        value rules then judge it)."""
         def value(number):
             return [number, 1.0, 1.0] if field.startswith("initial_") else number
 
         with pytest.raises(ValueError, match=f"^{field} has the wrong type"):
             RunConfig.from_json({field: value(10**400)})
-        assert getattr(RunConfig.from_json({field: value(10**300)}), field) == value(10**300)
+        assert _fits(value(10**300), RunConfig.__dataclass_fields__[field].default)
 
     def test_mu0_overrides(self):
         config = RunConfig(
@@ -220,9 +222,8 @@ class TestRunConfig:
         assert params.mu0[2:4].tolist() == [80.0, 120.0]
 
     def test_bad_override_length(self):
-        config = RunConfig(initial_formant_freqs=[500.0])
         with pytest.raises(ValueError, match="wrong length"):
-            make_tracker_params(config, hop_s=0.01)
+            RunConfig(initial_formant_freqs=[500.0])
 
 
 class TestBuildObservations:
@@ -251,7 +252,7 @@ class TestBuildObservations:
     def test_batched_ar_cepstra_match_root_oracle(self, seed, n_frames, length, p):
         frames = resonant_frames(seed, n_frames, length)
         speech = np.random.default_rng(seed).random(n_frames) < 0.8
-        config = RunConfig(lpc_order=p, n_cepstra=max(p, 15))
+        config = RunConfig(lpc_order=p, n_cepstra=max(p, 15), n_formants=1)
         obs = build_observations(frames, config, speech)
         for t in range(n_frames):
             if speech[t] and np.any(frames[t]):
@@ -600,6 +601,41 @@ class TestOnePassTracking:
         assert np.array_equal(head.means, full.means[:199])
         assert np.array_equal(head.covariances, full.covariances[:199])
 
+    @pytest.mark.parametrize("route", ["ar", "real-cepstrum", "nasal-arma", "ar-16k"])
+    def test_filter_mode_causal_at_any_prefix(self, route):
+        """Runs on 37, 61 and 83 % prefixes of the input give every frame that
+        lies wholly inside the prefix the bits of the run on the whole input.
+        Labels, the same for every run, fix the speech mask and silence 20-25 %
+        of the input.  At 16 kHz the resampler's output within its FIR
+        half-length of the prefix's end sees the missing input, so the frames
+        that reach there are left out."""
+        rate = 16000.0 if route == "ar-16k" else 7000.0
+        spec = random_trajectory(3, 10.0, seed=101, sample_rate_hz=rate, source="rosenberg")
+        source = "real_cepstrum" if route == "real-cepstrum" else "arma_cepstrum"
+        config = RunConfig(mode="filter", observation_source=source)
+        if route == "nasal-arma":
+            spec, config = nasal_utterance_spec(715), dataclasses.replace(nasal_demo_config(), mode="filter")
+        wave, ref = synthesize(spec)
+        activation = TrackActivation(ref.formant_active, ref.antiformant_active) if route == "nasal-arma" else None
+        n, fs = wave.samples.size, config.target_sample_rate_hz
+        labels = [LabelInterval(0, n // 5, "aa"), LabelInterval(n // 5, n // 4, "pau"), LabelInterval(n // 4, n, "aa")]
+        frame_length, hop = frame_length_and_hop(config.frame_ms, config.overlap, fs)
+        margin = 0
+        if fs != wave.sample_rate_hz:  # 7 up and 16 down, as resample does it; a sample more for each rounding
+            fir = _kaiser_lowpass(0.5 * fs, 0.05 * fs, 7 * wave.sample_rate_hz)
+            margin = (fir.size - 1) // 2 // 16 + 2
+        full = track_waveform(wave, config, labels=labels, activation=activation)
+        for fraction in (0.37, 0.61, 0.83):
+            head = Waveform(wave.samples[: int(fraction * n)], wave.sample_rate_hz)
+            n_head = round(head.samples.size * fs / wave.sample_rate_hz)
+            t = _frame_count(n_head, frame_length, hop)
+            cut = None if activation is None else TrackActivation(activation.formants[:t], activation.antiformants[:t])
+            result = track_waveform(head, config, labels=labels, activation=cut)
+            k = (n_head - margin - frame_length) // hop + 1  # the frames compared
+            assert 0 < k <= result.n_frames < full.n_frames and not result.speech[:k].all()
+            assert np.array_equal(result.means[:k], full.means[:k])
+            assert np.array_equal(result.covariances[:k], full.covariances[:k])
+
     @pytest.mark.parametrize("seed", [700, 705, 707, 719])
     def test_nasal_formants_within_100_hz(self, seed):
         res, ref = track_nasal(seed)
@@ -643,4 +679,54 @@ RUN_CONFIG_CHECKS = {
 def test_input_checks(case):
     fields, message = RUN_CONFIG_CHECKS[case]
     with pytest.raises(ValueError, match=message):
-        RunConfig(**fields).validate()
+        RunConfig(**fields)
+
+
+# every rejected config of the tables above and of BAD_CONFIGS that names known
+# fields, plus configs built in Python that once passed the checks and then
+# failed inside track_waveform, ran with gamma = 1 or raised OverflowError, and
+# an int field's int that no float holds, which the value rules must still judge
+ONE_RULE_CASES = {
+    **{name: fields for name, (fields, _) in RUN_CONFIG_CHECKS.items()},
+    **{
+        f"cli-{name}": cfg
+        for name, cfg in BAD_CONFIGS.items()
+        if isinstance(cfg, dict) and set(cfg) <= set(RunConfig.__dataclass_fields__)
+    },
+    "frame-ms-int-overflows": {"frame_ms": 10**400},
+    "energy-threshold-int-overflows": {"energy_threshold_db": 10**400},
+    "override-int-overflows": {"initial_formant_freqs": [10**400, 1.0, 1.0]},
+    "int-field-float": {"lpc_order": 12.0},
+    "int-field-int-too-large-for-a-float": {"lpc_order": 10**400},
+    "float-field-bool": {"gamma": True},
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_RULE_CASES))
+def test_one_rule_for_python_and_json(case):
+    """A config built in Python and one loaded from JSON pass the same checks."""
+    fields = ONE_RULE_CASES[case]
+    with pytest.raises(ValueError) as built:
+        RunConfig(**fields)
+    with pytest.raises(ValueError) as loaded:
+        RunConfig.from_json(fields)
+    assert str(built.value) == str(loaded.value)
+
+
+def test_numpy_scalars_accepted():
+    fields = dict(lpc_order=np.int64(12), n_cepstra=np.int32(15), gamma=np.float64(0.7), frame_ms=np.float64(20.0))
+    overrides = [np.float64(500.0), np.int64(1500), 2500.0]
+    expected = RunConfig(initial_formant_freqs=(500.0, 1500.0, 2500.0))
+    assert RunConfig(**fields, initial_formant_freqs=overrides) == expected
+    assert RunConfig.from_json({**fields, "initial_formant_freqs": overrides}) == expected
+
+
+def test_config_is_a_frozen_checked_value():
+    config = RunConfig(initial_formant_freqs=[500.0, 1500.0, 2500.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.mode = "filter"
+    assert hash(config) == hash(RunConfig(initial_formant_freqs=(500.0, 1500.0, 2500.0)))
+    assert dataclasses.replace(config, mode="filter").mode == "filter"
+    with pytest.raises(ValueError, match="^mode must be one of"):
+        dataclasses.replace(config, mode="x")
+    assert not hasattr(RunConfig, "validate")

@@ -374,6 +374,12 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="invalid trajectory spec"):
             spec_from_json({"frames": [{}]})
 
+    @pytest.mark.parametrize("key", ["sample_rate_hz", "frame_ms", "overlap_fraction"])
+    def test_bool_is_not_a_number(self, key):
+        data = spec_to_json(nasal_utterance_spec())
+        with pytest.raises(ValueError, match=f"^{key} has the wrong type: True"):
+            spec_from_json({**data, key: True})
+
     def test_bad_source_rejected(self):
         with pytest.raises(ValueError, match="unknown source"):
             constant_spec([(500.0, 80.0)], 1, "square_wave", 20.0, 8000.0)
@@ -400,6 +406,7 @@ class TestSpecValidation:
             ({"formant_freqs": np.array([500.0, 1500.0])}, "formant columns"),
             ({"f0_hz": np.full(2, 120.0)}, "f0_hz"),
             ({"f0_hz": np.array([120.0, np.nan, 120.0])}, "rosenberg"),
+            ({"seed": True}, "seed"),
         ],
         ids=[
             "nan_rate",
@@ -412,6 +419,7 @@ class TestSpecValidation:
             "one_dimensional_column",
             "f0_length",
             "rosenberg_frame_without_f0",
+            "bool_seed",
         ],
     )
     def test_rejected(self, change, message):
