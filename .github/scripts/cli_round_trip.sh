@@ -11,6 +11,17 @@ export PYTHONWARNINGS=error::UserWarning
 cd "$(mktemp -d)"
 
 karma synth nan --out n.wav --ref r.csv && karma track n.wav --out t.csv && karma eval r.csv r.csv --formants 2
+# the default 3-formant config on the 2-formant demo: the smoother's clamp binds, and no
+# smoothed mean leaves the state bounds
+python -c "
+import numpy as np
+from karma.cepstrum import CepstralObservation
+from karma.evaluation import read_tracks
+lo, hi = CepstralObservation(3, 0, 15, 7000.0).state_bounds()
+means = read_tracks('t.csv').means
+assert np.all((lo <= means) & (means <= hi)), 'a smoothed mean outside the state bounds'
+assert np.any((means == lo) | (means == hi)), 'no smoothed mean on a bound'
+"
 # an output path in a missing directory is a runtime failure: exit 1
 code=0; karma track n.wav --out missing/t.csv || code=$?; test "$code" -eq 1
 # ... and synth checks both its outputs before writing either
@@ -86,4 +97,7 @@ code=0; karma track n.wav --config overflow_std.json --out os.csv || code=$?; te
 # a JSON integer too large for a float (400 digits) is a config error: exit 2
 python -c "import json; json.dump({'frame_ms': 10**400}, open('huge_int.json', 'w'))"
 code=0; karma track n.wav --config huge_int.json --out hi.csv || code=$?; test "$code" -eq 2
+# ... and so is a count whose square float64 matrix numpy cannot address
+python -c "import json; json.dump({'n_cepstra': 10**400}, open('huge_cepstra.json', 'w'))"
+code=0; karma track n.wav --config huge_cepstra.json --out hc.csv || code=$?; test "$code" -eq 2
 echo "command-line round trips passed in $PWD"

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .cepstrum import state_columns
+from .frontend import _row_blocks
 from .tracker import TrackActivation, TrackResult, _make_result, _speech_flags
 
 __all__ = ["RmseReport", "rmse", "write_tracks", "read_tracks"]
@@ -116,13 +117,25 @@ def _header(n_formants: int, n_antiformants: int) -> list[str]:
     return ["time_s", *names, *(f"v{name}" for name in names), "speech"]
 
 
+# Formatting a block of rows holds, per value, a Python float, its list and
+# tuple slots, its format spec and its text: about 64 bytes.
+_CSV_VALUE_BYTES = 64
+
+
 def write_tracks(result: TrackResult, path) -> None:
-    """Write a track result to CSV (LF line endings, six decimal places)."""
+    """Write a track result to CSV (LF line endings, six decimal places).
+
+    Each block of rows (``frontend._row_blocks``) is formatted by one ``%``
+    operation, so the text is the one ``np.savetxt`` writes a row at a time.
+    """
     table = np.column_stack((result.times, result.means, result.variances, result.speech))
-    fmt = ["%.6f"] * (table.shape[1] - 1) + ["%d"]
+    row_format = ",".join(["%.6f"] * (table.shape[1] - 1) + ["%d"]) + "\n"
     header = ",".join(_header(result.n_formants, result.n_antiformants))
-    with open(path, "w", encoding="utf-8") as fh:  # a handle: savetxt would gzip a .gz path
-        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for rows in _row_blocks(len(table), _CSV_VALUE_BYTES * table.shape[1]):
+            block = table[rows]
+            fh.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def _count_prefixed(cols: list[str], prefix: str) -> int:

@@ -7,6 +7,12 @@ y_t = h(x_t) + v_t.  The filter follows the standard extended-Kalman
 recursion with the exact nonlinear h in the innovation and its analytic
 Jacobian in the covariance update; the smoother is a fixed-interval
 Rauch-Tung-Striebel backward pass run in place over the filter's output.
+The backward pass has no loop over frames: each block of frames is an
+associative scan over the smoother's corrections to the filtered means
+(``eks_smooth``), which agrees with the sequential rule to rounding
+(1e-9 relative in the tests).  The clamp to the state bounds is not
+affine, so a block whose scanned means leave the bounds takes its means
+from the sequential clamped rule.
 
 Each step has one function, shared by the filter, the smoother and the
 particle filter: ``_blocked`` decouples active from inactive entries,
@@ -32,6 +38,7 @@ and when it reappears it resumes from its coasted mean and variance.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from numbers import Integral
@@ -53,14 +60,27 @@ __all__ = [
 ]
 
 
+# The largest side of a square float64 matrix whose byte count an intp holds:
+# numpy cannot address a larger one, whatever the memory.
+_MAX_SIDE = math.isqrt(np.iinfo(np.intp).max // 8)
+
+
 def _check_counts(n_formants, n_antiformants, n_cepstra) -> None:
-    """The limits on the counts that ``TrackerParams`` and ``RunConfig`` share."""
+    """The limits on the counts that ``TrackerParams`` and ``RunConfig`` share.
+
+    The N x N observation noise and the d x d state covariances, d = 2(I + J),
+    must be matrices numpy can address; whether memory holds them is left to
+    the run."""
     if not (isinstance(n_cepstra, Integral) and n_cepstra >= 1):
         raise ValueError("n_cepstra must be positive and an integer")
     if not all(isinstance(n, Integral) and n >= 0 for n in (n_formants, n_antiformants)):
         raise ValueError("track counts must be non-negative integers")
     if n_formants + n_antiformants == 0:
         raise ValueError("need at least one formant or antiformant to track")
+    if n_cepstra > _MAX_SIDE:
+        raise ValueError(f"n_cepstra must be at most {_MAX_SIDE}")
+    if 2 * (int(n_formants) + int(n_antiformants)) > _MAX_SIDE:  # int(): numpy integers wrap
+        raise ValueError(f"the state dimension 2 * (n_formants + n_antiformants) must be at most {_MAX_SIDE}")
 
 
 @dataclass(frozen=True)
@@ -252,7 +272,8 @@ def _blocked(mat: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    """``mat``, or each matrix of a stack of them, made symmetric."""
+    return 0.5 * (mat + mat.swapaxes(-1, -2))
 
 
 def _resolve_setup(obs, params, mask, activation, obs_model):
@@ -443,6 +464,24 @@ def _rts_gains(P_filt, flags, Q, known):
     return P_prev, P_pred, gains.swapaxes(1, 2)
 
 
+def _compose_suffixes(maps: np.ndarray) -> None:
+    """Hillis–Steele suffix scan, in place, over a (B, d, 2d + 1) stack
+    of affine maps [E | L | g]: afterwards map k is the composition of maps
+    k, k + 1, ..., B - 1, from log₂ B rounds of stacked products.
+
+    A map sends a correction d to E d + g and a covariance P to E P Eᵀ + L,
+    so map i after map j is (E_i E_j, E_i L_j E_iᵀ + L_i, E_i g_j + g_i).
+    """
+    n_maps, dim, span = len(maps), maps.shape[1], 1
+    while span < n_maps:
+        E = maps[: n_maps - span, :, :dim]
+        composed = E @ maps[span:]  # [E_i E_j | E_i L_j | E_i g_j]
+        maps[: n_maps - span, :, dim:-1] += composed[:, :, dim:-1] @ E.swapaxes(1, 2)
+        maps[: n_maps - span, :, -1] += composed[:, :, -1]
+        E[...] = composed[:, :, :dim]
+        span *= 2
+
+
 def eks_smooth(
     obs,
     params: TrackerParams,
@@ -462,6 +501,28 @@ def eks_smooth(
     only on the filter's output, so they are taken a block of frames at a
     time (``_rts_gains``, one stacked solve with no fallback), just before
     the backward pass reaches the block.
+
+    Within a block the pass is an associative scan (Särkkä and
+    García-Fernández 2021), not a loop over frames.  It runs on the
+    smoother's corrections d_t = m_s[t] - m_t to the filtered means m_t.
+    The RTS rule d_t = G_t (d_{t+1} + m_{t+1} - m_t) and
+    P_s[t] = P_prev,t - G_t P_pred,t G_tᵀ + G_t P_s[t+1] G_tᵀ make frame t
+    an affine map of frame t+1's correction and covariance.  The block's
+    last frame takes the smoothed moments of the frame after the block, so
+    its map ends in a constant, and ``_compose_suffixes`` composes each
+    frame's map with those after it in log₂ B rounds of stacked products:
+    the composed maps' constants are the frames' corrections and smoothed
+    covariances.  An entry with zero gains to every moving entry, an
+    unmoving filtered mean and a zero correction after it (a known entry,
+    or one that coasts to the end) keeps a correction of exactly zero, as
+    in the sequential pass.  The scan sums in another order than the
+    sequential rule, so the two agree to rounding (1e-9 relative in the
+    tests).
+
+    The clamp to the state bounds is not affine.  Covariances never depend
+    on it, so they always come from the scan; a block whose scanned means
+    leave the bounds takes its means from the clamped sequential rule
+    m_s[t] = clamp(m_t + G_t (m_s[t+1] - m_t)) instead.
     A known entry (``TrackerParams.known``) gets a zero smoother gain, so
     it keeps its value and zero variance.
     """
@@ -469,18 +530,29 @@ def eks_smooth(
     m_s, P_s = _filtered(y, params, speech, flags, obs_model)
 
     bounds = obs_model.state_bounds()
-    known = params.known
+    known, dim = params.known, params.state_dim
     # m_s/P_s hold the filtered moments until the backward pass reaches
     # them.  A block smooths frames ``rows`` with the gains of frames ``rows`` + 1.
     for rows in reversed(_row_blocks(len(y) - 1, _GAIN_BLOCK_DIVISOR * P_s[:1].nbytes)):
         after = slice(rows.start + 1, rows.stop + 1)
         P_prev, P_pred, gains = _rts_gains(P_s[rows], flags[after], params.Q, known)
-        for k in range(len(gains) - 1, -1, -1):
-            t, G = rows.start + k, gains[k]
-            m = m_s[t]
-            m_s[t] = _clamp(m + G @ (m_s[t + 1] - m), bounds)
-            P_s[t] = _symmetrize(P_prev[k] + G @ (P_s[t + 1] - P_pred[k]) @ G.T)
-        del P_prev, P_pred, gains  # before the next block's stacks exist
+        # each frame's map [E | L | g]; the last one takes the smoothed moments
+        # after the block (m_s[after] is filtered but for its last row)
+        P_pred[-1] -= P_s[rows.stop]
+        maps = np.concatenate(
+            (gains, P_prev - gains @ P_pred @ gains.swapaxes(1, 2), gains @ (m_s[after] - m_s[rows])[:, :, None]),
+            axis=2,
+        )
+        del P_prev, P_pred  # before the scan's temporaries exist
+        _compose_suffixes(maps)
+        means = m_s[rows] + maps[:, :, -1]
+        if bounds is not None and ((means < bounds[0]).any() or (means > bounds[1]).any()):
+            for k in range(len(gains) - 1, -1, -1):
+                t = rows.start + k
+                m_s[t] = _clamp(m_s[t] + gains[k] @ (m_s[t + 1] - m_s[t]), bounds)
+        else:
+            m_s[rows] = means
+        P_s[rows] = _symmetrize(maps[:, :, dim:-1])
     return _make_result(m_s, P_s, speech, activation, params.n_cepstra, params.sample_rate_hz, params.hop_s)
 
 

@@ -67,6 +67,11 @@ BAD_CONFIGS = {
     "sample_rate_int_overflows": {"target_sample_rate_hz": 10**400},
     "energy_threshold_int_overflows": {"energy_threshold_db": 10**400},
     "override_int_overflows": {"initial_formant_freqs": [10**400, 1.0, 1.0]},
+    # counts whose square float64 matrix numpy cannot address (the real-cepstrum route
+    # has no lpc_order >= 2 * n_formants rule to catch the track counts first)
+    "cepstra_beyond_addressable": {"n_cepstra": 10**400},
+    "realcep_formants_beyond_addressable": {"observation_source": "real_cepstrum", "n_formants": 10**400},
+    "realcep_antiformants_beyond_addressable": {"observation_source": "real_cepstrum", "n_antiformants": 10**30},
 }
 
 

@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import karma.evaluation
+import karma.frontend
 from karma.evaluation import _header, read_tracks, rmse, write_tracks
 from karma.tracker import TrackResult
 
@@ -155,6 +157,15 @@ def frozen_write_tracks(result, path):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def frozen_savetxt_tracks(result, path):
+    """The ``np.savetxt`` writer that the block-formatting ``write_tracks`` replaced."""
+    table = np.column_stack((result.times, result.means, result.variances, result.speech))
+    fmt = ["%.6f"] * (table.shape[1] - 1) + ["%d"]
+    header = ",".join(_header(result.n_formants, result.n_antiformants))
+    with open(path, "w", encoding="utf-8") as fh:
+        np.savetxt(fh, table, fmt=fmt, delimiter=",", header=header, comments="")
+
+
 def special_values(rng, shape):
     """Random values with NaN, infinities, signed zeros and large magnitudes mixed in."""
     values = rng.uniform(-5e3, 5e3, shape)
@@ -165,8 +176,12 @@ def special_values(rng, shape):
 
 
 class TestTrackCsv:
+    @pytest.mark.parametrize("block_rows", [None, 1, 7])  # None: the default blocks
     @pytest.mark.parametrize("n_frames,i,j", [(1, 3, 0), (1, 2, 1), (40, 3, 0), (40, 2, 2), (0, 1, 1)])
-    def test_bytes_equal_frozen_writer(self, tmp_path, n_frames, i, j):
+    def test_bytes_equal_frozen_writer(self, tmp_path, monkeypatch, n_frames, i, j, block_rows):
+        if block_rows is not None:  # 40 frames are 5 blocks of 7 and one of 5
+            row_bytes = karma.evaluation._CSV_VALUE_BYTES * (2 + 4 * (i + j))
+            monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", block_rows * row_bytes)
         rng = np.random.default_rng([n_frames, i, j])
         dim = 2 * (i + j)
         res = make_result(
@@ -178,7 +193,9 @@ class TestTrackCsv:
         )
         write_tracks(res, tmp_path / "new.csv")
         frozen_write_tracks(res, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        frozen_savetxt_tracks(res, tmp_path / "savetxt.csv")
+        want = (tmp_path / "savetxt.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_bytes() == want == (tmp_path / "old.csv").read_bytes()
 
     def test_roundtrip(self, tmp_path, rng):
         res = make_result(

@@ -30,7 +30,7 @@ from karma.frontend import (
     frame_length_and_hop,
 )
 from karma.synthesis import nasal_demo_config, nasal_utterance_spec, random_trajectory, synthesize
-from karma.tracker import TrackActivation, ekf_filter, eks_smooth
+from karma.tracker import _MAX_SIDE, TrackActivation, ekf_filter, eks_smooth
 
 from conftest import (
     BAD_CONFIGS,
@@ -672,7 +672,22 @@ RUN_CONFIG_CHECKS = {
     "gamma-below-minus-one": ({"gamma": -1.01}, r"^\|gamma\| must be <= 1"),
     "freq-std-square-overflows": ({"freq_process_std": 1e200}, "^process stds must be non-negative with a finite square"),
     "bw-std-square-overflows": ({"bw_process_std": 1e155}, "^process stds must be non-negative with a finite square"),
+    "cepstra-beyond-addressable": ({"n_cepstra": _MAX_SIDE + 1}, "^n_cepstra must be at most"),
+    "state-beyond-addressable": (
+        {"observation_source": "real_cepstrum", "n_formants": _MAX_SIDE // 2, "n_antiformants": 1},
+        r"^the state dimension 2 \* \(n_formants \+ n_antiformants\) must be at most",
+    ),
+    # 2 * (2**62) wraps to a negative int64
+    "numpy-count-beyond-addressable": (
+        {"observation_source": "real_cepstrum", "n_formants": np.int64(2**62)},
+        "^the state dimension",
+    ),
 }
+
+
+def test_largest_addressable_counts_accepted():
+    assert RunConfig(n_cepstra=_MAX_SIDE).n_cepstra == _MAX_SIDE
+    assert RunConfig(observation_source="real_cepstrum", n_formants=_MAX_SIDE // 2).n_formants == _MAX_SIDE // 2
 
 
 @pytest.mark.parametrize("case", list(RUN_CONFIG_CHECKS))

@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import karma.frontend
+import karma.pipeline
 import karma.tracker
 from karma.cepstrum import CepstralObservation
+from karma.frontend import _row_blocks
 from karma.particle import BenchmarkSetup, pf_track
-from karma.pipeline import RunConfig, make_tracker_params
+from karma.pipeline import RunConfig, make_tracker_params, track_waveform
+from karma.synthesis import nasal_utterance_spec, synthesize
 from karma.tracker import (
     TrackActivation,
     TrackerParams,
@@ -322,6 +325,26 @@ def frozen_forward(y, params, speech, flags, obs_model):
             P = _symmetrize(X[:, 1:])
 
         yield m, P
+
+
+def frozen_rts(m_s, P_s, flags, params, bounds):
+    """The RTS backward pass as a loop over frames, in place over the
+    filtered moments ``m_s``/``P_s``, with each block's gains from
+    ``_rts_gains``: frozen as the sequential rule that ``eks_smooth``'s
+    blocked scan keeps to rounding."""
+    known = params.known
+    # m_s/P_s hold the filtered moments until the backward pass reaches
+    # them.  A block smooths frames ``rows`` with the gains of frames ``rows`` + 1.
+    for rows in reversed(_row_blocks(len(m_s) - 1, karma.tracker._GAIN_BLOCK_DIVISOR * P_s[:1].nbytes)):
+        after = slice(rows.start + 1, rows.stop + 1)
+        P_prev, P_pred, gains = _rts_gains(P_s[rows], flags[after], params.Q, known)
+        for k in range(len(gains) - 1, -1, -1):
+            t, G = rows.start + k, gains[k]
+            m = m_s[t]
+            m_s[t] = _clamp(m + G @ (m_s[t + 1] - m), bounds)
+            P_s[t] = _symmetrize(P_prev[k] + G @ (P_s[t + 1] - P_pred[k]) @ G.T)
+        del P_prev, P_pred, gains  # before the next block's stacks exist
+    return m_s, P_s
 
 
 def oracle_problem():
@@ -842,6 +865,64 @@ def test_smoother_under_any_accepted_prior_is_finite_and_silent(problem):
     assert np.isfinite(res.means).all() and np.isfinite(res.covariances).all()
     assert np.array_equal(res.covariances, res.covariances.swapaxes(1, 2))
     assert np.all(res.means[:, problem["params"].known] == problem["params"].mu0[problem["params"].known])
+
+
+def sequential_smooth(obs, params, mask, activation, obs_model):
+    """``frozen_rts`` over ``_filtered``'s output, and the state bounds."""
+    y, speech, _, flags, obs_model = _resolve_setup(obs, params, mask, activation, obs_model)
+    bounds = obs_model.state_bounds()
+    return frozen_rts(*_filtered(y, params, speech, flags, obs_model), flags, params, bounds), bounds
+
+
+def assert_near_sequential(result, sequential):
+    # the scan sums in another order than the loop
+    for got, want in zip((result.means, result.covariances), sequential):
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+
+def smoother_blocks(monkeypatch, params, frames):
+    """Blocks of ``frames`` frames for the smoother of ``params``, or the default blocks for None."""
+    if frames is not None:
+        monkeypatch.setattr(karma.frontend, "_BLOCK_BYTES", TestStackedGains.block_budget(params, frames))
+
+
+@pytest.mark.parametrize("frames", [None, 1, 2, 7])
+@settings(deadline=None, max_examples=40)
+@given(problem=st.one_of(tracking_problems(), regular_prior_problems()))
+@example(problem=long_schedule_problem(known=False))
+@example(problem=long_schedule_problem(known=True))
+def test_smoother_keeps_the_sequential_rule(frames, problem):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        smoother_blocks(monkeypatch, problem["params"], frames)
+        sequential, _ = sequential_smooth(**problem)
+        assert_near_sequential(eks_smooth(**problem), sequential)
+
+
+@pytest.fixture(scope="module")
+def clamped_demo():
+    """The smoother's inputs when the default 3-formant config tracks the
+    2-formant nasal demo: the clamp binds on many frames."""
+    inputs = []
+
+    def capture(*args):
+        inputs.append(args)
+        return eks_smooth(*args)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(karma.pipeline, "eks_smooth", capture)
+        track_waveform(synthesize(nasal_utterance_spec())[0], RunConfig())
+    obs, params, mask, activation = inputs[0]
+    return dict(obs=obs, params=params, mask=mask, activation=activation, obs_model=None)
+
+
+@pytest.mark.parametrize("frames", [None, 1, 2, 7])
+def test_smoother_keeps_the_sequential_rule_where_the_clamp_binds(monkeypatch, clamped_demo, frames):
+    smoother_blocks(monkeypatch, clamped_demo["params"], frames)
+    sequential, (lo, hi) = sequential_smooth(**clamped_demo)
+    res = eks_smooth(**clamped_demo)
+    assert_near_sequential(res, sequential)
+    assert np.all((lo <= res.means) & (res.means <= hi))
+    assert np.any((res.means == lo) | (res.means == hi))
 
 
 class TestEstimateTransition:
